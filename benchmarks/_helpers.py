@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro import simulate
-from repro.core.batch import run_batch, supports_batched
+from repro.core.batch import run_batch
 
 __all__ = ["mean_broadcast_time"]
 
@@ -13,30 +10,9 @@ __all__ = ["mean_broadcast_time"]
 def mean_broadcast_time(protocol, graph, source, trials=3, **kwargs):
     """Mean broadcast time over a few completed runs (asserts completion).
 
-    Uses the batched multi-trial backend (one vectorized run for all trials)
-    for every protocol — all six have kernels — falling back to per-trial
-    sequential runs only when explicit engine observers are supplied.
-    Trial ``t`` is seeded with ``t`` in both paths.
+    All trials advance together in one :func:`~repro.core.batch.run_batch`
+    call; trial ``t`` is seeded with ``t``.
     """
-    max_rounds = kwargs.pop("max_rounds", None)
-    observers = kwargs.pop("observers", None)
-    if observers is None and supports_batched(protocol, kwargs):
-        result = run_batch(
-            protocol, graph, source, seeds=range(trials), max_rounds=max_rounds, **kwargs
-        )
-        assert result.completed.all(), f"{protocol} did not complete on {graph.name}"
-        return float(result.broadcast_times.mean())
-    times = []
-    for seed in range(trials):
-        result = simulate(
-            protocol,
-            graph,
-            source=source,
-            seed=seed,
-            max_rounds=max_rounds,
-            observers=observers,
-            **kwargs,
-        )
-        assert result.completed, f"{protocol} did not complete on {graph.name}"
-        times.append(result.broadcast_time)
-    return float(np.mean(times))
+    result = run_batch(protocol, graph, source, seeds=range(trials), **kwargs)
+    assert result.completed.all(), f"{protocol} did not complete on {graph.name}"
+    return float(result.broadcast_times.mean())

@@ -1,9 +1,9 @@
-"""Fixed-size benchmark of the batched backend vs. the sequential engine.
+"""Fixed-size benchmark of multi-trial batching in :func:`repro.core.batch.run_batch`.
 
 Runs 50-trial sweeps at ``n = 1024`` on a random regular graph (the graph
-family of the paper's Theorems 1-3) through both trial-execution backends of
-:func:`repro.experiments.runner.run_trial_set` — for **all six protocol
-kernels** — and writes the wall-clock times and speedups to
+family of the paper's Theorems 1-3) two ways — 50 one-seed ``run_batch``
+calls against one 50-seed call, with the same per-trial seeds — for **all
+six protocol kernels**, and writes the wall-clock times and speedups to
 ``BENCH_batch.json`` at the repository root.  The file is checked in so later
 PRs have a perf baseline to regress against::
 
@@ -11,8 +11,8 @@ PRs have a perf baseline to regress against::
 
 Star-graph cells are measured as supplementary data: the batch advantage is
 smaller on heavily skewed degree distributions, and recording that honestly
-keeps the baseline useful.  The means of both backends are stored alongside
-the timings so a statistical regression in either backend is also visible.
+keeps the baseline useful.  Per-trial seed purity makes both ways produce
+the same trials, which the sweep cells record.
 
 A ``workers > 1`` configuration of the process-parallel cell scheduler is
 also measured (a heavy-binary-tree visit-exchange sweep, the most expensive
@@ -39,6 +39,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.core.batch import run_batch, trial_seeds  # noqa: E402
 from repro.experiments.config import (  # noqa: E402
     ExperimentConfig,
     GraphCase,
@@ -133,8 +134,8 @@ def _total_rounds(trial_set) -> int:
     return sum(int(r.rounds_executed) for r in trial_set.results)
 
 
-def time_backend(spec, case, backend, dynamics=None, *, trials=TRIALS, repeats=REPEATS):
-    """Best-of-``repeats`` wall clock (first call doubles as warm-up)."""
+def time_cell(spec, case, dynamics=None, *, trials=TRIALS, repeats=REPEATS):
+    """Best-of-``repeats`` wall clock of one runner cell (first call doubles as warm-up)."""
     elapsed = float("inf")
     trial_set = None
     for _ in range(repeats):
@@ -145,39 +146,59 @@ def time_backend(spec, case, backend, dynamics=None, *, trials=TRIALS, repeats=R
             trials=trials,
             base_seed=BASE_SEED,
             experiment_id="bench-batch",
-            backend=backend,
             dynamics=dynamics,
         )
         elapsed = min(elapsed, time.perf_counter() - start)
     return elapsed, trial_set
 
 
+def time_batches(protocol, case, seed_groups, *, repeats=REPEATS):
+    """Best-of-``repeats`` wall clock of one ``run_batch`` call per seed group.
+
+    Returns the time and the concatenated per-trial broadcast times.
+    """
+    elapsed = float("inf")
+    times = None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        batches = [
+            run_batch(protocol, case.graph, case.source, seeds=seeds) for seeds in seed_groups
+        ]
+        elapsed = min(elapsed, time.perf_counter() - start)
+        times = np.concatenate([batch.broadcast_times for batch in batches])
+    return elapsed, times
+
+
 def measure_cells(cases):
     cells = []
     for case in cases:
         for protocol in PROTOCOLS:
-            spec = ProtocolSpec(protocol)
-            seq_time, seq_trials = time_backend(spec, case, "sequential")
-            bat_time, bat_trials = time_backend(spec, case, "batched")
+            seeds = trial_seeds(BASE_SEED, "bench-batch", protocol, trials=TRIALS)
+            single_time, single_times = time_batches(
+                protocol, case, [[seed] for seed in seeds]
+            )
+            bat_time, bat_times = time_batches(protocol, case, [seeds])
+            completed = bat_times >= 0
             cell = {
                 "protocol": protocol,
                 "graph": case.graph.name,
                 "n": case.graph.num_vertices,
                 "trials": TRIALS,
-                "sequential_seconds": round(seq_time, 4),
+                "one_seed_calls_seconds": round(single_time, 4),
                 "batched_seconds": round(bat_time, 4),
-                "speedup": round(seq_time / bat_time, 2),
-                "sequential_mean_time": seq_trials.mean_broadcast_time(),
-                "batched_mean_time": bat_trials.mean_broadcast_time(),
-                "sequential_completion_rate": seq_trials.completion_rate,
-                "batched_completion_rate": bat_trials.completion_rate,
-                "rounds_per_second": round(_total_rounds(bat_trials) / bat_time, 1),
+                "speedup": round(single_time / bat_time, 2),
+                "batched_mean_time": (
+                    float(bat_times[completed].mean()) if completed.any() else None
+                ),
+                "batched_completion_rate": float(completed.mean()),
+                "results_identical": single_times.tolist() == bat_times.tolist(),
                 "peak_rss_bytes": peak_rss_bytes(),
             }
             cells.append(cell)
             print(
                 f"{protocol:20s} {case.graph.name:28s} "
-                f"seq {seq_time * 1000:8.1f} ms   batch {bat_time * 1000:7.1f} ms   "
+                f"{TRIALS} x 1 seed {single_time * 1000:8.1f} ms   "
+                f"1 x {TRIALS} seeds {bat_time * 1000:7.1f} ms   "
                 f"speedup {cell['speedup']:5.2f}x"
             )
     return cells
@@ -186,7 +207,7 @@ def measure_cells(cases):
 def measure_dynamics(case):
     """Overhead of the dynamic-topology layer on the acceptance pair.
 
-    Four configurations of the batched backend:
+    Four configurations of the same cell:
 
     * no dynamics (the reference);
     * a *static all-active* schedule with fully materialized masks — this is
@@ -214,15 +235,12 @@ def measure_dynamics(case):
     cells = []
     for protocol in ACCEPTANCE_PROTOCOLS:
         spec = ProtocolSpec(protocol)
-        plain_time, plain_trials = time_backend(spec, case, "batched")
-        static_time, static_trials = time_backend(
-            spec, case, "batched", dynamics=all_active
-        )
-        masked_time, _ = time_backend(spec, case, "batched", dynamics=one_down)
-        bernoulli_time, _ = time_backend(
+        plain_time, plain_trials = time_cell(spec, case)
+        static_time, static_trials = time_cell(spec, case, dynamics=all_active)
+        masked_time, _ = time_cell(spec, case, dynamics=one_down)
+        bernoulli_time, _ = time_cell(
             spec,
             case,
-            "batched",
             dynamics={"kind": "bernoulli-edges", "rate": 0.1, "seed": 5},
         )
         overhead = static_time / plain_time - 1.0
@@ -387,10 +405,10 @@ def measure_scale(max_n: int = SCALE_MAX_N):
     """Rounds/sec and peak RSS across n = 2^10 .. ``max_n`` (kernel tier curve).
 
     Random 12-regular graphs (the family of Theorems 1-3) on the two
-    representative protocols of the two kernel shapes.  The batched backend is
-    always measured (its sparse-frontier tier engages automatically above the
-    ``REPRO_SPARSE_MIN_N`` threshold); the resolved backend and frontier mode
-    are recorded per cell so the curve documents what actually ran.  The
+    representative protocols of the two kernel shapes.  The sparse-frontier
+    tier engages automatically above the ``REPRO_SPARSE_MIN_N`` threshold;
+    the resolved frontier mode is recorded per cell so the curve documents
+    what actually ran.  The
     graph build uses ``max_attempts=1``: a 12-regular pairing is essentially
     never simple, so the benchmark goes straight to the vectorized repair
     path instead of burning 200 doomed shuffles per size.
@@ -406,9 +424,7 @@ def measure_scale(max_n: int = SCALE_MAX_N):
         for protocol in SCALE_PROTOCOLS:
             spec = ProtocolSpec(protocol)
             repeats = 3 if n <= (1 << 16) else 1
-            elapsed, trial_set = time_backend(
-                spec, case, "auto", trials=trials, repeats=repeats
-            )
+            elapsed, trial_set = time_cell(spec, case, trials=trials, repeats=repeats)
             rounds = _total_rounds(trial_set)
             cell = {
                 "protocol": protocol,
@@ -420,7 +436,6 @@ def measure_scale(max_n: int = SCALE_MAX_N):
                 "rounds_per_second": round(rounds / elapsed, 1),
                 "mean_time": trial_set.mean_broadcast_time(),
                 "completion_rate": trial_set.completion_rate,
-                "backend": trial_set.backend,
                 "frontier": trial_set.results[0].metadata.get("frontier", None),
                 "peak_rss_bytes": peak_rss_bytes(),
             }
@@ -429,7 +444,7 @@ def measure_scale(max_n: int = SCALE_MAX_N):
                 f"{protocol:20s} n=2^{n.bit_length() - 1:<3d} {trials:3d} trials   "
                 f"{elapsed * 1000:9.1f} ms   {cell['rounds_per_second']:9.1f} rounds/s   "
                 f"rss {cell['peak_rss_bytes'] / 2**20:7.0f} MiB   "
-                f"backend={cell['backend']}"
+                f"frontier={cell['frontier']}"
             )
         n <<= 1
     return cells
@@ -443,10 +458,10 @@ TELEMETRY_N = 1 << 14
 def measure_telemetry():
     """Overhead of the instrumented round loop with tracing enabled.
 
-    push on a random 12-regular graph at ``n = 2^14`` through the batched
-    backend: the bare configuration (``REPRO_TRACE`` unset — spans are the
-    shared no-op singleton) against the traced one (spans plus strided
-    per-round samples land in a scratch JSONL directory).  The two legs are
+    push on a random 12-regular graph at ``n = 2^14``: the bare configuration
+    (``REPRO_TRACE`` unset — spans are the shared no-op singleton) against the
+    traced one (spans plus strided per-round samples land in a scratch JSONL
+    directory).  The two legs are
     *interleaved* — ``2 * REPEATS`` bare/traced pairs — so ambient machine
     drift cannot masquerade as telemetry cost, and the gated statistic is
     the **median of the per-pair traced/bare ratios**: adjacent runs share
@@ -473,7 +488,6 @@ def measure_telemetry():
             trials=trials,
             base_seed=BASE_SEED,
             experiment_id="bench-batch",
-            backend="batched",
         )
         return time.perf_counter() - start, trial_set
 
@@ -617,7 +631,7 @@ def run_sections(sections, *, scale_max_n: int = SCALE_MAX_N) -> int:
     sweep_cells = extra_cells = dynamics_cells = None
     workers_cell = store_cell = telemetry_cell = None
     scale_cells = construction_cells = None
-    overall = sweep_seq = sweep_bat = None
+    overall = sweep_single = sweep_bat = None
 
     if "sweep" in sections:
         print(f"-- acceptance sweep: {TRIALS} trials, n={N}, all six protocol kernels --")
@@ -626,17 +640,13 @@ def run_sections(sections, *, scale_max_n: int = SCALE_MAX_N) -> int:
         print("-- supplementary cells (skewed-degree family) --")
         extra_cells = measure_cells(extra_cases())
         acceptance = [c for c in sweep_cells if c["protocol"] in ACCEPTANCE_PROTOCOLS]
-        sweep_seq = sum(c["sequential_seconds"] for c in acceptance)
+        sweep_single = sum(c["one_seed_calls_seconds"] for c in acceptance)
         sweep_bat = sum(c["batched_seconds"] for c in acceptance)
-        overall = round(sweep_seq / sweep_bat, 2)
-        print(f"{'acceptance pair overall':49s} seq {sweep_seq * 1000:8.1f} ms   "
+        overall = round(sweep_single / sweep_bat, 2)
+        print(f"{'acceptance pair overall':49s} 1-seed calls {sweep_single * 1000:8.1f} ms   "
               f"batch {sweep_bat * 1000:7.1f} ms   speedup {overall:5.2f}x")
-        # PR 1's 5.5x compared batching against the old hand-written
-        # sequential protocols.  Since the kernel refactor the sequential
-        # backend runs the same vectorized kernels (one trial at a time), so
-        # it got faster too and the ratio now measures only the per-trial
-        # loop overhead that batching removes; >= 4x keeps that honest
-        # without penalizing the sequential win.
+        # The ratio measures the per-trial round-loop overhead that batching
+        # removes: both sides run the same kernels on the same seeds.
         if overall < 4.0:
             print("FAIL: acceptance-pair batching speedup below 4x")
             ok = False
@@ -718,8 +728,8 @@ def run_sections(sections, *, scale_max_n: int = SCALE_MAX_N) -> int:
         "benchmark": "bench-batch",
         "description": (
             f"{TRIALS}-trial sweeps at n={N} over all six protocol kernels on a "
-            "random 12-regular graph: sequential engine backend vs. batched "
-            f"multi-trial backend (best of {REPEATS} runs each); star-graph "
+            f"random 12-regular graph: {TRIALS} one-seed run_batch calls vs. one "
+            f"{TRIALS}-seed call (best of {REPEATS} runs each); star-graph "
             "cells recorded as supplementary data; acceptance speedup pinned "
             "to the visit-exchange + push-pull pair for cross-PR comparability; "
             "workers cell records the process-parallel cell scheduler; "
@@ -755,7 +765,7 @@ def run_sections(sections, *, scale_max_n: int = SCALE_MAX_N) -> int:
         "telemetry_cell": telemetry_cell,
         "scale_cells": scale_cells,
         "construction_cells": construction_cells,
-        "sweep_sequential_seconds": round(sweep_seq, 4),
+        "sweep_one_seed_calls_seconds": round(sweep_single, 4),
         "sweep_batched_seconds": round(sweep_bat, 4),
         "overall_speedup": overall,
         "max_static_dynamics_overhead": max(

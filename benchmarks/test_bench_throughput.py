@@ -14,13 +14,8 @@ import numpy as np
 import pytest
 
 from repro.core.agents import AgentSystem
-from repro.core.engine import Engine
-from repro.core.protocols import (
-    MeetExchangeProtocol,
-    PushProtocol,
-    PushPullProtocol,
-    VisitExchangeProtocol,
-)
+from repro.core.batch import run_batch
+from repro.core.kernels import KERNEL_REGISTRY, batch_generator
 from repro.core.rng import make_rng
 from repro.graphs import random_regular_graph
 
@@ -35,50 +30,30 @@ def graph():
     return random_regular_graph(N, degree, np.random.default_rng(0))
 
 
+def ten_rounds_of(protocol, graph):
+    """A one-trial kernel after round 0, and a closure advancing it ten rounds."""
+    kernel = KERNEL_REGISTRY[protocol]()
+    kernel.initialize(graph, 0, [batch_generator(make_rng(1))])
+
+    def ten_rounds():
+        for _ in range(10):
+            kernel.step(1)
+
+    return ten_rounds
+
+
 class TestRoundThroughput:
     def test_push_rounds(self, benchmark, graph):
-        protocol = PushProtocol()
-        rng = make_rng(1)
-        protocol.initialize(graph, 0, rng)
-
-        def ten_rounds():
-            for round_index in range(10):
-                protocol.execute_round(round_index + 1, rng)
-
-        benchmark(ten_rounds)
+        benchmark(ten_rounds_of("push", graph))
 
     def test_push_pull_rounds(self, benchmark, graph):
-        protocol = PushPullProtocol()
-        rng = make_rng(1)
-        protocol.initialize(graph, 0, rng)
-
-        def ten_rounds():
-            for round_index in range(10):
-                protocol.execute_round(round_index + 1, rng)
-
-        benchmark(ten_rounds)
+        benchmark(ten_rounds_of("push-pull", graph))
 
     def test_visit_exchange_rounds(self, benchmark, graph):
-        protocol = VisitExchangeProtocol()
-        rng = make_rng(1)
-        protocol.initialize(graph, 0, rng)
-
-        def ten_rounds():
-            for round_index in range(10):
-                protocol.execute_round(round_index + 1, rng)
-
-        benchmark(ten_rounds)
+        benchmark(ten_rounds_of("visit-exchange", graph))
 
     def test_meet_exchange_rounds(self, benchmark, graph):
-        protocol = MeetExchangeProtocol()
-        rng = make_rng(1)
-        protocol.initialize(graph, 0, rng)
-
-        def ten_rounds():
-            for round_index in range(10):
-                protocol.execute_round(round_index + 1, rng)
-
-        benchmark(ten_rounds)
+        benchmark(ten_rounds_of("meet-exchange", graph))
 
 
 class TestSubstrateThroughput:
@@ -93,10 +68,8 @@ class TestSubstrateThroughput:
         benchmark(lambda: graph.sample_neighbors(vertices, rng))
 
     def test_full_push_pull_run(self, benchmark, graph):
-        engine = Engine(record_history=False)
-
         def run():
-            return engine.run(PushPullProtocol(), graph, 0, seed=5)
+            return run_batch("push-pull", graph, 0, seeds=[make_rng(5)])
 
         result = benchmark.pedantic(run, rounds=3, iterations=1)
-        assert result.completed
+        assert result.completed.all()

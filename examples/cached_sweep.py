@@ -1,6 +1,6 @@
 """Cached, resumable experiment sweeps with the content-addressed result store.
 
-Every (graph, protocol, seeds, backend) cell in this package is a pure
+Every (graph, protocol, seeds) cell in this package is a pure
 function of its spec, so the result store (``repro.store``) can cache
 finished cells *exactly*: a warm run returns bit-identical ``TrialSet``
 records while executing zero simulations.  This example demonstrates the

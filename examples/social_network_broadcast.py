@@ -19,13 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import simulate
+from repro import run_batch, simulate
 from repro.analysis import format_table
-from repro.analysis.fairness import edge_usage_from_walks
-from repro.core.engine import Engine
+from repro.analysis.fairness import edge_usage_from_walks, fairness_from_counts
 from repro.core.observers import EdgeUsageObserver, ObserverGroup
-from repro.core.protocols import make_protocol
-from repro.analysis.fairness import fairness_from_counts
+from repro.core.rng import make_rng
 from repro.graphs import preferential_attachment
 
 
@@ -54,12 +52,13 @@ def fairness_comparison(graph) -> None:
     """Compare edge-usage fairness of agents vs push-pull on the social graph."""
     agent_report = edge_usage_from_walks(graph, rounds=100, seed=0)
     observer = EdgeUsageObserver()
-    Engine(record_history=False).run(
-        make_protocol("push-pull", track_all_exchanges=True),
+    run_batch(
+        "push-pull",
         graph,
         0,
-        seed=0,
-        observers=ObserverGroup([observer]),
+        seeds=[make_rng(0)],
+        observers=[ObserverGroup([observer])],
+        track_all_exchanges=True,
     )
     ppull_report = fairness_from_counts(graph, observer.counts)
     rows = [

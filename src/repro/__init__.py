@@ -23,23 +23,16 @@ from typing import Optional
 
 from . import analysis, core, graphs, store, theory
 from .core import (
+    KERNEL_REGISTRY,
     AgentSystem,
     BatchResult,
-    run_batch,
     CoupledPushVisitExchange,
-    Engine,
-    HybridPushPullVisitProtocol,
-    MeetExchangeProtocol,
-    PROTOCOL_REGISTRY,
-    PullProtocol,
-    PushProtocol,
-    PushPullProtocol,
     RunResult,
     TrialSet,
-    VisitExchangeProtocol,
-    make_protocol,
+    run_batch,
 )
 from .core.observers import ObserverGroup
+from .core.rng import make_rng
 from .graphs import Graph
 from .store import ResultStore
 
@@ -52,19 +45,11 @@ __all__ = [
     "run_batch",
     "BatchResult",
     "Graph",
-    "Engine",
     "RunResult",
     "TrialSet",
     "AgentSystem",
-    "PushProtocol",
-    "PushPullProtocol",
-    "PullProtocol",
-    "VisitExchangeProtocol",
-    "MeetExchangeProtocol",
-    "HybridPushPullVisitProtocol",
     "CoupledPushVisitExchange",
-    "PROTOCOL_REGISTRY",
-    "make_protocol",
+    "KERNEL_REGISTRY",
     "ResultStore",
     "graphs",
     "core",
@@ -86,9 +71,11 @@ def simulate(
 ) -> RunResult:
     """Run a single protocol instance and return its :class:`RunResult`.
 
-    This is the one-call convenience entry point; experiments that need
-    repeated trials, sweeps or custom instrumentation should use
-    :class:`repro.core.Engine` and :mod:`repro.experiments` directly.
+    This is the one-call convenience entry point: a one-trial
+    :func:`~repro.core.batch.run_batch` with per-round histories recorded.
+    Experiments that need repeated trials, sweeps or custom instrumentation
+    should use :func:`~repro.core.batch.run_batch` and
+    :mod:`repro.experiments` directly.
 
     Parameters
     ----------
@@ -103,13 +90,24 @@ def simulate(
         Seed or :class:`numpy.random.Generator` for reproducibility.
     max_rounds:
         Round budget; defaults to a generous bound based on the graph size.
+    observers:
+        Optional :class:`~repro.core.observers.ObserverGroup` receiving the
+        run's hooks.
     protocol_kwargs:
-        Extra arguments forwarded to the protocol constructor (e.g.
+        Extra arguments forwarded to the protocol kernel (e.g.
         ``agent_density=2.0`` for the agent-based protocols).
     """
-    instance = make_protocol(protocol, **protocol_kwargs)
-    engine = Engine(max_rounds=max_rounds)
-    return engine.run(instance, graph, source, seed=seed, observers=observers)
+    batch = run_batch(
+        protocol,
+        graph,
+        source,
+        seeds=[make_rng(seed)],
+        max_rounds=max_rounds,
+        record_history=True,
+        observers=[observers] if observers else None,
+        **protocol_kwargs,
+    )
+    return batch.to_run_results()[0]
 
 
 def simulate_batch(

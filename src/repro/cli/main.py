@@ -13,8 +13,8 @@ Sub-commands
     ``--scenario FILE`` the manifest's scenarios join the roster.
 ``simulate``
     Run one protocol on one graph and print the result.  Takes the same
-    ``--store/--backend/--workers/--dynamics`` flags as ``run``, so a
-    one-off simulation can hit the cache and the vectorized backends.
+    ``--store/--workers/--dynamics`` flags as ``run``, so a one-off
+    simulation can hit the cache.
 ``corpus run|status|report <manifest>``
     Run (resumably), probe or render a scenario-corpus manifest — every
     scenario becomes one store-backed sweep; a warm ``run`` recomputes
@@ -47,7 +47,7 @@ import sys
 from typing import List, Optional
 
 from ..analysis.tables import format_table
-from ..core.protocols import PROTOCOL_REGISTRY
+from ..core.kernels import KERNEL_REGISTRY
 from ..experiments import (
     experiment_markdown_section,
     experiment_table,
@@ -157,22 +157,20 @@ GRAPH_FAMILIES = [
 ]
 
 
-def _add_execution_options(parser: argparse.ArgumentParser) -> None:
-    """Trial-execution options shared by the experiment-running sub-commands."""
+def _add_seed_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, default=0, help="base random seed")
+
+
+def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
+    """Sweep-shape options shared by the sub-commands that run or read sweeps."""
+    _add_seed_option(parser)
+    parser.add_argument("--trials", type=int, default=None, help="override trials per cell")
     parser.add_argument(
-        "--backend",
-        choices=["auto", "compiled", "batched", "sequential"],
-        default="auto",
-        help=(
-            "trial-execution backend: 'batched' advances all trials of a cell "
-            "at once on the vectorized kernels, 'compiled' runs per-trial "
-            "numba-jitted loops (falls back to a slow pure-Python reference "
-            "without the [accel] extra), 'sequential' runs one engine pass "
-            "per trial, 'auto' (default) picks compiled for large graphs "
-            "when available and batched otherwise; the resolved choice is "
-            "recorded in the result metadata"
-        ),
+        "--scale", type=float, default=1.0, help="scale factor applied to the size sweep"
     )
+
+
+def _add_workers_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=int,
@@ -182,25 +180,38 @@ def _add_execution_options(parser: argparse.ArgumentParser) -> None:
             "(-1 = one per CPU); the default runs cells serially"
         ),
     )
+
+
+def _add_execution_options(parser: argparse.ArgumentParser) -> None:
+    """Trial-execution options shared by the experiment-running sub-commands."""
+    _add_workers_option(parser)
     _add_dynamics_option(parser)
     _add_store_options(parser)
 
 
-def _add_store_options(parser: argparse.ArgumentParser) -> None:
-    """Result-store options shared by the experiment-running sub-commands."""
+def _add_store_location(
+    parser: argparse.ArgumentParser, purpose: str, dest: str = "store"
+) -> None:
+    """``--store [PATH|URL]``; a bare flag means $REPRO_STORE or the default root."""
     parser.add_argument(
         "--store",
+        dest=dest,
         nargs="?",
         const="",
         default=None,
         metavar="PATH|URL",
-        help=(
-            "cache finished cells in a content-addressed result store and "
-            "reuse them on later runs (bit-identical to recomputing); accepts "
-            "a directory or the http://host:port URL of a 'repro store serve' "
-            f"service; with no value, uses ${STORE_ENV_VAR} or "
-            f"'{DEFAULT_STORE_PATH}'"
-        ),
+        help=f"{purpose}; with no value, uses ${STORE_ENV_VAR} or '{DEFAULT_STORE_PATH}'",
+    )
+
+
+def _add_store_options(parser: argparse.ArgumentParser) -> None:
+    """Result-store options shared by the experiment-running sub-commands."""
+    _add_store_location(
+        parser,
+        "cache finished cells in a content-addressed result store and "
+        "reuse them on later runs (bit-identical to recomputing); accepts "
+        "a directory or the http://host:port URL of a 'repro store serve' "
+        "service",
     )
     parser.add_argument(
         "--no-store",
@@ -270,11 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
             "optional when the manifest holds exactly one scenario)"
         ),
     )
-    run_parser.add_argument("--seed", type=int, default=0, help="base random seed")
-    run_parser.add_argument("--trials", type=int, default=None, help="override trials per cell")
-    run_parser.add_argument(
-        "--scale", type=float, default=1.0, help="scale factor applied to the size sweep"
-    )
+    _add_sweep_options(run_parser)
     run_parser.add_argument(
         "--markdown", action="store_true", help="emit the Markdown report section"
     )
@@ -287,19 +294,17 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="also run every scenario of this corpus manifest",
     )
-    run_all_parser.add_argument("--seed", type=int, default=0)
-    run_all_parser.add_argument("--trials", type=int, default=None)
-    run_all_parser.add_argument("--scale", type=float, default=1.0)
+    _add_sweep_options(run_all_parser)
     _add_execution_options(run_all_parser)
 
     simulate_parser = subparsers.add_parser(
         "simulate", help="run a single protocol on a single graph"
     )
-    simulate_parser.add_argument("protocol", choices=sorted(PROTOCOL_REGISTRY))
+    simulate_parser.add_argument("protocol", choices=sorted(KERNEL_REGISTRY))
     simulate_parser.add_argument("family", choices=GRAPH_FAMILIES)
     simulate_parser.add_argument("size", type=int, help="family size parameter")
     simulate_parser.add_argument("--source", type=int, default=0)
-    simulate_parser.add_argument("--seed", type=int, default=0)
+    _add_seed_option(simulate_parser)
     simulate_parser.add_argument("--agent-density", type=float, default=1.0)
     simulate_parser.add_argument(
         "--trials",
@@ -322,9 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
             "/report endpoints)"
         ),
     )
-    report_parser.add_argument("--seed", type=int, default=0)
-    report_parser.add_argument("--trials", type=int, default=None)
-    report_parser.add_argument("--scale", type=float, default=1.0)
+    _add_sweep_options(report_parser)
     report_parser.add_argument(
         "--output", default="-", help="output path, or '-' for stdout"
     )
@@ -344,15 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "restrict the report to these sections: experiment ids from "
             "'list', plus 'coupling' and 'fairness'"
-        ),
-    )
-    report_parser.add_argument(
-        "--backend",
-        choices=["auto", "compiled", "batched", "sequential"],
-        default="auto",
-        help=(
-            "trial-execution backend; with --from-store this must match the "
-            "backend the cells were cached with (it is part of the cell key)"
         ),
     )
     report_parser.add_argument(
@@ -393,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     corpus_run_parser.add_argument("manifest", help="corpus manifest path")
-    corpus_run_parser.add_argument("--seed", type=int, default=0, help="base random seed")
+    _add_seed_option(corpus_run_parser)
     corpus_run_parser.add_argument(
         "--only",
         nargs="+",
@@ -401,18 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SCENARIO",
         help="restrict the run to these scenario names",
     )
-    corpus_run_parser.add_argument(
-        "--backend",
-        choices=["auto", "compiled", "batched", "sequential"],
-        default="auto",
-        help="trial-execution backend (as for 'run')",
-    )
-    corpus_run_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="run cells on a process pool of N workers (-1 = one per CPU)",
-    )
+    _add_workers_option(corpus_run_parser)
     _add_store_options(corpus_run_parser)
 
     corpus_status_parser = corpus_subparsers.add_parser(
@@ -425,24 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for sub in (corpus_status_parser, corpus_report_parser):
         sub.add_argument("manifest", help="corpus manifest path")
-        sub.add_argument("--seed", type=int, default=0, help="base random seed")
-        sub.add_argument(
-            "--backend",
-            choices=["auto", "compiled", "batched", "sequential"],
-            default="auto",
-            help="backend the cells were cached with (part of the cell key)",
-        )
-        sub.add_argument(
-            "--store",
-            nargs="?",
-            const="",
-            default=None,
-            metavar="PATH|URL",
-            help=(
-                "result store to probe; with no value, uses "
-                f"${STORE_ENV_VAR} or '{DEFAULT_STORE_PATH}'"
-            ),
-        )
+        _add_seed_option(sub)
+        _add_store_location(sub, "result store to probe")
     corpus_report_parser.add_argument(
         "--output", default="-", help="output path, or '-' for stdout"
     )
@@ -472,15 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
     store_parser = subparsers.add_parser(
         "store", help="serve, inspect and manage the content-addressed result store"
     )
-    store_parser.add_argument(
-        "--store",
+    _add_store_location(
+        store_parser,
+        "store root: a directory, or a service URL for the read-only commands",
         dest="store_path",
-        default=None,
-        metavar="PATH|URL",
-        help=(
-            "store root: a directory, or a service URL for the read-only "
-            f"commands (default: ${STORE_ENV_VAR} or '{DEFAULT_STORE_PATH}')"
-        ),
     )
     store_subparsers = store_parser.add_subparsers(dest="store_command", required=True)
 
@@ -524,14 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     submit_parser.add_argument("experiment_id", help="experiment id (see 'list')")
-    submit_parser.add_argument("--seed", type=int, default=0, help="base random seed")
-    submit_parser.add_argument("--trials", type=int, default=None)
-    submit_parser.add_argument("--scale", type=float, default=1.0)
-    submit_parser.add_argument(
-        "--backend",
-        choices=["auto", "compiled", "batched", "sequential"],
-        default="auto",
-    )
+    _add_sweep_options(submit_parser)
     submit_parser.add_argument(
         "--token", default=None, help=f"hub auth token (default: ${TOKEN_ENV_VAR})"
     )
@@ -607,14 +562,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker_parser.add_argument(
         "--store",
-        "--cache",
         dest="cache",
         default=None,
         metavar="PATH",
-        help=(
-            "local read-through cache directory (default: a private temp "
-            "dir); --cache is the deprecated spelling"
-        ),
+        help="local read-through cache directory (default: a private temp dir)",
     )
     worker_parser.add_argument(
         "--poll-interval",
@@ -671,7 +622,6 @@ def _run_one(
     seed: int,
     trials: Optional[int],
     scale: float,
-    backend: str = "auto",
     workers: Optional[int] = None,
     dynamics: Optional[str] = None,
     store=None,
@@ -683,7 +633,6 @@ def _run_one(
         base_seed=seed,
         sizes=sizes,
         trials=trials,
-        backend=backend,
         workers=workers,
         dynamics=resolve_dynamics(dynamics),
         store=store,
@@ -722,7 +671,6 @@ def _command_run(args: argparse.Namespace) -> int:
         args.seed,
         args.trials,
         args.scale,
-        args.backend,
         args.workers,
         args.dynamics,
         _resolve_store_arg(args),
@@ -751,7 +699,6 @@ def _command_run_all(args: argparse.Namespace) -> int:
             args.seed,
             args.trials,
             args.scale,
-            args.backend,
             args.workers,
             args.dynamics,
             store,
@@ -780,7 +727,6 @@ def _command_simulate(args: argparse.Namespace) -> int:
         trials=max(args.trials, 1),
         base_seed=args.seed,
         experiment_id="simulate",
-        backend=args.backend,
         dynamics=resolve_dynamics(args.dynamics),
         store=_resolve_store_arg(args),
         force=args.force,
@@ -892,7 +838,6 @@ def _command_report(args: argparse.Namespace) -> int:
                         base_seed=args.seed,
                         sizes=sizes,
                         trials=args.trials,
-                        backend=args.backend,
                         dynamics=resolve_dynamics(args.dynamics),
                     )
                 )
@@ -914,7 +859,6 @@ def _command_report(args: argparse.Namespace) -> int:
                 args.seed,
                 args.trials,
                 args.scale,
-                backend=args.backend,
                 dynamics=args.dynamics,
                 store=store,
                 force=args.force,
@@ -973,7 +917,6 @@ def _command_corpus(args: argparse.Namespace) -> int:
                 corpus,
                 store=store,
                 base_seed=args.seed,
-                backend=args.backend,
                 workers=args.workers,
                 force=args.force,
                 names=args.only,
@@ -992,9 +935,7 @@ def _command_corpus(args: argparse.Namespace) -> int:
             print(json.dumps(summary.as_dict(), sort_keys=True))
             return 0
         if args.corpus_command == "status":
-            summary = corpus_status(
-                corpus, store=store, base_seed=args.seed, backend=args.backend
-            )
+            summary = corpus_status(corpus, store=store, base_seed=args.seed)
             print(json.dumps(summary.as_dict(), indent=2, sort_keys=True))
             return 0
         if args.corpus_command == "report":
@@ -1009,7 +950,6 @@ def _command_corpus(args: argparse.Namespace) -> int:
                     corpus,
                     store=store,
                     base_seed=args.seed,
-                    backend=args.backend,
                     strict=args.strict,
                 )
             except KeyError as exc:
@@ -1134,7 +1074,6 @@ def _command_store(args: argparse.Namespace) -> int:
                     base_seed=args.seed,
                     sizes=sizes,
                     trials=args.trials,
-                    backend=args.backend,
                     dynamics=resolve_dynamics(args.dynamics),
                 )
                 print(sweep_id)

@@ -1,15 +1,9 @@
-"""Core simulation machinery: engine, agents, protocols and the coupling."""
+"""Core simulation machinery: the batched driver, kernels, agents and the coupling."""
 
 from .agents import AgentSystem, default_agent_count
-from .batch import (
-    BATCHED_PROTOCOLS,
-    BatchResult,
-    run_batch,
-    supports_batched,
-    trial_seeds,
-)
+from .batch import BatchResult, default_max_rounds, run_batch, trial_seeds
 from .coupling import CoupledPushVisitExchange, CoupledRunResult, NeighborChoices
-from .engine import Engine, RoundProtocol, default_max_rounds
+from .kernels import KERNEL_REGISTRY
 from .observers import (
     EdgeUsageObserver,
     InformedCountObserver,
@@ -19,31 +13,18 @@ from .observers import (
 )
 from .results import RoundRecord, RunResult, TrialSet
 from .rng import RngFactory, derive_seed, make_rng, spawn_rngs
-from .protocols import (
-    HybridPushPullVisitProtocol,
-    MeetExchangeProtocol,
-    PROTOCOL_REGISTRY,
-    PullProtocol,
-    PushProtocol,
-    PushPullProtocol,
-    VisitExchangeProtocol,
-    make_protocol,
-)
 
 __all__ = [
     "AgentSystem",
     "default_agent_count",
-    "BATCHED_PROTOCOLS",
     "BatchResult",
+    "default_max_rounds",
     "run_batch",
-    "supports_batched",
     "trial_seeds",
     "CoupledPushVisitExchange",
     "CoupledRunResult",
     "NeighborChoices",
-    "Engine",
-    "RoundProtocol",
-    "default_max_rounds",
+    "KERNEL_REGISTRY",
     "Observer",
     "ObserverGroup",
     "InformedCountObserver",
@@ -56,12 +37,4 @@ __all__ = [
     "make_rng",
     "spawn_rngs",
     "derive_seed",
-    "PushProtocol",
-    "PushPullProtocol",
-    "PullProtocol",
-    "VisitExchangeProtocol",
-    "MeetExchangeProtocol",
-    "HybridPushPullVisitProtocol",
-    "PROTOCOL_REGISTRY",
-    "make_protocol",
 ]

@@ -1,23 +1,18 @@
-"""Batched multi-trial simulation driver.
+"""Batched multi-trial simulation driver — the one way trials execute.
 
 Every statistical claim of the paper (Theorems 1-3, Figure 1) is estimated
-from dozens of independent trials per (graph, protocol, size) cell.  The
-sequential :class:`~repro.core.engine.Engine` runs those trials one at a time,
-paying the Python round-loop overhead ``trials`` times over.  This module
-advances **T independent trials simultaneously** on the vectorized protocol
-kernels of :mod:`repro.core.kernels` — 2-D numpy state shaped
+from dozens of independent trials per (graph, protocol, size) cell.  This
+module advances **T independent trials simultaneously** on the vectorized
+protocol kernels of :mod:`repro.core.kernels` — 2-D numpy state shaped
 ``(trials, ...)`` — so the per-round cost is a handful of vectorized array
 operations regardless of the trial count, and the number of round-loop
-iterations drops from ``sum_t rounds_t`` to ``max_t rounds_t``.
+iterations is ``max_t rounds_t`` rather than ``sum_t rounds_t``.
 
 The kernels are the single source of truth for the protocol definitions; this
-module owns everything *around* them: seed handling, the round loop,
-completion masking by row compaction, per-round history recording, observer
-dispatch and result packaging.  All six registry protocols have a kernel, so
-:func:`supports_batched` is True across the board; per-round informed-count
-trajectories (``record_history``) and per-trial observer groups (with the
-vectorized ``on_edges_used`` batch hook) are supported here too, which is why
-the experiment runner no longer needs a sequential fallback for them.
+module owns everything *around* them: seed handling, the round budget, the
+round loop, completion masking by row compaction, per-round history
+recording, observer dispatch and result packaging.  A single run is simply a
+batch of one (see :func:`repro.simulate`).
 
 Use :func:`run_batch` directly, or :func:`repro.simulate_batch` for the
 one-call convenience wrapper.
@@ -25,8 +20,7 @@ one-call convenience wrapper.
 
 from __future__ import annotations
 
-import os
-import warnings
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -34,98 +28,38 @@ import numpy as np
 
 from ..graphs.graph import Graph, GraphError
 from ..telemetry import span, trace_enabled, trace_event
-from .agents import default_agent_count
-from .engine import default_max_rounds
-from .kernels import KERNEL_REGISTRY, batch_generator, get_kernel_class
-from .kernels import compiled as _compiled
+from .kernels import batch_generator, get_kernel_class
 from .results import RunResult, TrialSet
 from .rng import derive_seed
 
 __all__ = [
-    "BATCHED_PROTOCOLS",
     "BatchResult",
-    "compiled_auto_enabled",
-    "compiled_supported",
-    "compiled_threshold",
+    "default_max_rounds",
     "run_batch",
-    "run_compiled",
-    "supports_batched",
     "trial_seeds",
 ]
 
-#: Protocols with a batched kernel — all six registry protocols.
-BATCHED_PROTOCOLS = frozenset(KERNEL_REGISTRY)
 
-#: Default vertex count above which ``backend="auto"`` prefers the compiled
-#: runners (when numba is installed); below it the batched numpy kernels win
-#: on jit-warmup and dispatch grounds.
-COMPILED_MIN_VERTICES = 32768
+def default_max_rounds(graph: Graph, *, safety_factor: float = 50.0) -> int:
+    """A generous default round budget.
 
-
-def supports_batched(protocol: str, kwargs: Optional[Dict[str, Any]] = None) -> bool:
-    """Return True if ``protocol`` can run on the batched backend.
-
-    Since the kernels became the single source of truth for every protocol,
-    this is a pure registry lookup: all protocol options — including the
-    observer-instrumented ``track_edge_traversals`` / ``track_all_exchanges``
-    modes — are supported by the batched path.  ``kwargs`` is accepted for
-    backwards compatibility and ignored.
+    The slowest behaviour any of the paper's protocols exhibits on its example
+    graphs is linear in ``n`` (up to log factors); the cover time of a single
+    random walk on a connected graph is ``O(n^3)`` in the worst case but the
+    experiments never rely on that regime.  The default budget
+    ``safety_factor * n * log2(n)`` comfortably covers every configured
+    experiment while still terminating promptly when something is wrong.
     """
-    return protocol in BATCHED_PROTOCOLS
-
-
-def compiled_threshold() -> int:
-    """Vertex count at which ``backend="auto"`` prefers the compiled runners.
-
-    Overridable via ``REPRO_COMPILED_MIN_N`` (see
-    :mod:`repro.experiments.config` for the knob catalogue).
-    """
-    raw = os.environ.get("REPRO_COMPILED_MIN_N", "")
-    try:
-        return int(raw) if raw else COMPILED_MIN_VERTICES
-    except ValueError:
-        return COMPILED_MIN_VERTICES
-
-
-def compiled_auto_enabled() -> bool:
-    """Whether ``backend="auto"`` may select the compiled runners at all.
-
-    True only when numba is importable (the pure-Python fallback is for
-    equivalence testing, not for being auto-picked as a *fast* path) and
-    ``REPRO_COMPILED`` is not ``"0"``.  An explicit ``backend="compiled"``
-    bypasses this gate and runs with whatever execution mode is available.
-    """
-    return _compiled.HAVE_NUMBA and os.environ.get("REPRO_COMPILED", "") != "0"
-
-
-def compiled_supported(
-    protocol: str,
-    kwargs: Optional[Dict[str, Any]] = None,
-    *,
-    dynamics: Any = None,
-) -> bool:
-    """Can this cell run on the compiled backend?
-
-    The compiled runners cover all six protocols (including history
-    recording) but none of the instrumentation surfaces: no dynamics
-    schedules, no observer hooks, no ``track_*`` observer modes.
-    """
-    if protocol not in _compiled.COMPILED_PROTOCOLS:
-        return False
-    if dynamics is not None:
-        return False
-    kwargs = kwargs or {}
-    if kwargs.get("track_all_exchanges") or kwargs.get("track_edge_traversals"):
-        return False
-    return True
+    n = graph.num_vertices
+    return int(max(64, safety_factor * n * max(math.log2(max(n, 2)), 1.0)))
 
 
 def trial_seeds(base_seed: int, *components, trials: int) -> List[int]:
-    """Derive one independent seed per trial, matching the sequential runner.
+    """Derive one independent seed per trial.
 
     Seed ``t`` is ``derive_seed(base_seed, *components, t)``, i.e. exactly the
-    seed the sequential :func:`~repro.experiments.runner.run_trial_set` hands
-    to trial ``t``, so switching backends never silently reshuffles streams.
+    seed :func:`~repro.experiments.runner.run_trial_set` hands to trial ``t``
+    of a cell, so a trial's stream never depends on the batch it runs in.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -141,7 +75,7 @@ class BatchResult:
     round budget (mirrored by ``completed[t] = False``).  When the batch was
     run with ``record_history=True``, ``vertex_histories[t]`` /
     ``agent_histories[t]`` hold trial ``t``'s per-round informed counts
-    (round 0 included), exactly as the sequential engine records them.
+    (round 0 included).
     """
 
     protocol: str
@@ -181,7 +115,7 @@ class BatchResult:
         return float(times.mean()) if times.size else None
 
     def to_run_results(self) -> List[RunResult]:
-        """Per-trial :class:`RunResult` records, interchangeable with the engine's."""
+        """One :class:`RunResult` record per trial, in seed order."""
         results = []
         for t in range(self.num_trials):
             done = bool(self.completed[t])
@@ -231,31 +165,30 @@ def run_batch(
     Parameters
     ----------
     protocol:
-        One of :data:`BATCHED_PROTOCOLS` (every registry protocol).
+        A key of :data:`~repro.core.kernels.KERNEL_REGISTRY`.
     graph / source:
-        As for :class:`~repro.core.engine.Engine.run`.
+        A connected graph and the source vertex ``s`` (Section 3).
     seeds:
         One seed-like per trial (see :func:`repro.core.rng.make_rng`); trial
         ``t`` draws exclusively from ``seeds[t]``, so its result is independent
         of the rest of the batch.  Use :func:`trial_seeds` to derive the same
-        per-trial seeds as the sequential experiment runner.
+        per-trial seeds as the experiment runner.
     max_rounds:
         Round budget shared by all trials; ``None`` selects
-        :func:`~repro.core.engine.default_max_rounds`.
+        :func:`default_max_rounds`.
     record_history:
         Record per-round informed-vertex/agent counts per trial (round 0
         included), surfaced through ``BatchResult.vertex_histories`` /
         ``agent_histories`` and the per-trial :class:`RunResult` records.
     observers:
         Optional sequence of one :class:`~repro.core.observers.ObserverGroup`
-        per trial, index-aligned with ``seeds``.  Each group receives the same
-        hook sequence the sequential engine would deliver for its trial
-        (``on_run_start``, per-round ``on_round_end``, ``on_edges_used`` for
+        per trial, index-aligned with ``seeds``.  Each group receives its
+        trial's hook sequence (``on_run_start``, per-round ``on_round_end``, ``on_edges_used`` for
         informing transmissions, ``on_run_end``).  Falsy groups cost nothing.
     dynamics:
         Optional dynamic-topology spec — a
         :class:`~repro.graphs.dynamic.TopologySchedule`, a spec dict or a spec
-        string (see :func:`repro.graphs.dynamic.resolve_dynamics`).  The
+        string (see :func:`repro.scenarios.resolve_dynamics`).  The
         schedule's per-round activity masks are shared by every trial of the
         batch; interactions over inactive edges or with inactive vertices do
         not happen.  Masking consumes no randomness, so an all-active schedule
@@ -419,180 +352,3 @@ def run_batch(
         frontier_resolved=kernel.frontier_resolved,
     )
 
-
-_warned_no_numba = False
-
-
-def _warn_no_numba() -> None:
-    global _warned_no_numba
-    if not _warned_no_numba:
-        _warned_no_numba = True
-        warnings.warn(
-            "numba is not installed; backend='compiled' is running the "
-            "pure-Python reference runners (semantically identical, slow). "
-            "Install the [accel] extra for the jitted execution.",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
-def run_compiled(
-    protocol: str,
-    graph: Graph,
-    source: int = 0,
-    *,
-    seeds: Sequence,
-    max_rounds: Optional[int] = None,
-    record_history: bool = False,
-    dynamics=None,
-    **protocol_kwargs,
-) -> BatchResult:
-    """Run ``len(seeds)`` trials on the compiled per-trial runners.
-
-    The compiled family (see :mod:`repro.core.kernels.compiled`) executes one
-    tight scalar loop per trial over only the active boundary, jitted by
-    numba when the ``[accel]`` extra is installed and interpreted otherwise
-    (same semantics, with a one-time warning).  Its draw streams are
-    frontier-shaped, so results match the other backends statistically —
-    CI overlap, not bit-identity — which is why ``"compiled"`` is a distinct
-    resolved backend in store cell keys.
-
-    Restrictions: no dynamics schedules and no observer instrumentation
-    (``compiled_supported`` is the authoritative predicate); seeds must be
-    int-likes or ``SeedSequence`` s, not live generators.
-    """
-    if protocol not in _compiled.COMPILED_PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}")
-    if dynamics is not None:
-        raise ValueError(
-            "backend='compiled' does not support dynamics schedules; "
-            "use the batched or sequential backend"
-        )
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least one trial seed")
-    for seed in seeds:
-        if isinstance(seed, np.random.Generator):
-            raise ValueError(
-                "backend='compiled' needs int or SeedSequence trial seeds"
-            )
-    if not (0 <= source < graph.num_vertices):
-        raise GraphError(f"source vertex {source} out of range")
-    if not graph.is_connected():
-        raise GraphError("the paper's protocols are defined on connected graphs")
-    budget = max_rounds if max_rounds is not None else default_max_rounds(graph)
-    if budget < 0:
-        raise ValueError("max_rounds must be non-negative")
-    if not _compiled.HAVE_NUMBA:
-        _warn_no_numba()
-
-    kwargs = dict(protocol_kwargs)
-    if kwargs.pop("track_all_exchanges", False) or kwargs.pop(
-        "track_edge_traversals", False
-    ):
-        raise ValueError("backend='compiled' does not support observer tracking modes")
-    agent_based = protocol in ("visit-exchange", "meet-exchange", "hybrid-ppull-visitx")
-    num_agents = 0
-    one_per_vertex = False
-    lazy = False
-    meta_common: Dict[str, Any] = {}
-    if agent_based:
-        agent_density = float(kwargs.pop("agent_density", 1.0))
-        explicit_agents = kwargs.pop("num_agents", None)
-        lazy_kwarg = kwargs.pop("lazy", None if protocol == "meet-exchange" else False)
-        one_per_vertex = bool(kwargs.pop("one_agent_per_vertex", False)) and (
-            protocol != "hybrid-ppull-visitx"
-        )
-        if protocol == "meet-exchange":
-            # lazy=None auto-enables lazy walks on bipartite graphs, matching
-            # the kernel's convention from Section 3 of the paper.
-            lazy = bool(lazy_kwarg) if lazy_kwarg is not None else graph.is_bipartite()
-        else:
-            lazy = bool(lazy_kwarg)
-        if one_per_vertex:
-            num_agents = graph.num_vertices
-        elif explicit_agents is not None:
-            num_agents = int(explicit_agents)
-        else:
-            num_agents = default_agent_count(graph, agent_density)
-        if num_agents < 1:
-            raise ValueError("need at least one agent")
-        meta_common = {"agent_density": agent_density, "lazy": lazy}
-        if protocol != "hybrid-ppull-visitx":
-            meta_common["one_agent_per_vertex"] = one_per_vertex
-    if kwargs:
-        raise ValueError(
-            f"protocol options not supported by backend='compiled': {sorted(kwargs)}"
-        )
-
-    runner = _compiled.RUNNERS[protocol]
-    indptr = graph.indptr
-    indices = graph.indices
-    slot_sources = graph.slot_sources() if agent_based else np.empty(0, dtype=np.int64)
-    num_trials = len(seeds)
-    broadcast_times = np.full(num_trials, -1, dtype=np.int64)
-    rounds_executed = np.zeros(num_trials, dtype=np.int64)
-    messages_sent = np.zeros(num_trials, dtype=np.int64)
-    metadata: List[Dict[str, Any]] = []
-    vertex_histories: Optional[List[List[int]]] = [] if record_history else None
-    agent_histories: Optional[List[List[int]]] = [] if record_history else None
-    hist_len = budget + 1 if record_history else 0
-    empty_hist = np.empty(0, dtype=np.int64)
-
-    # The pure-Python execution wraps uint64 scalars by design; numpy's
-    # overflow warnings for those are noise, not signal.
-    with np.errstate(over="ignore"):
-        for trial, seed in enumerate(seeds):
-            state = _compiled.trial_state(seed)
-            vhist = np.zeros(hist_len, dtype=np.int64) if record_history else empty_hist
-            ahist = np.zeros(hist_len, dtype=np.int64) if record_history else empty_hist
-            trial_meta = dict(meta_common)
-            if protocol == "visit-exchange":
-                bt, rounds, messages = runner(
-                    indptr, indices, int(source), budget, state,
-                    slot_sources, num_agents, one_per_vertex, lazy, vhist, ahist,
-                )
-            elif protocol == "meet-exchange":
-                bt, rounds, messages, still = runner(
-                    indptr, indices, int(source), budget, state,
-                    slot_sources, num_agents, one_per_vertex, lazy, ahist,
-                )
-                trial_meta["source_still_informs"] = bool(still)
-                if record_history:
-                    # Vertices do not store the rumor in meet-exchange; the
-                    # source counts as the single informed vertex throughout.
-                    vhist[: rounds + 1] = 1
-            elif protocol == "hybrid-ppull-visitx":
-                bt, rounds, messages = runner(
-                    indptr, indices, int(source), budget, state,
-                    slot_sources, num_agents, lazy, vhist, ahist,
-                )
-            else:
-                bt, rounds, messages = runner(
-                    indptr, indices, int(source), budget, state, vhist,
-                )
-            broadcast_times[trial] = bt
-            rounds_executed[trial] = rounds
-            messages_sent[trial] = messages
-            metadata.append(trial_meta)
-            if record_history:
-                vertex_histories.append([int(c) for c in vhist[: rounds + 1]])
-                agent_histories.append(
-                    [int(c) for c in ahist[: rounds + 1]] if agent_based else []
-                )
-
-    return BatchResult(
-        protocol=protocol,
-        graph_name=graph.name,
-        num_vertices=graph.num_vertices,
-        num_edges=graph.num_edges,
-        source=int(source),
-        broadcast_times=broadcast_times,
-        completed=broadcast_times >= 0,
-        rounds_executed=rounds_executed,
-        num_agents=num_agents,
-        messages_sent=messages_sent,
-        metadata=metadata,
-        vertex_histories=vertex_histories,
-        agent_histories=agent_histories,
-    )

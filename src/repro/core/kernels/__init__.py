@@ -1,25 +1,18 @@
 """Vectorized protocol kernels — the single source of truth per protocol.
 
 Each module in this package defines one protocol's state layout and one-round
-transition on 2-D ``(trials, ...)`` numpy arrays.  Every execution mode is
-derived from these kernels:
-
-* the batched driver (:mod:`repro.core.batch`) runs many trials at once with
-  row-compaction completion masking, and
-* the sequential :class:`~repro.core.engine.RoundProtocol` classes in
-  :mod:`repro.core.protocols` are thin adapters that drive a kernel with
-  ``trials=1`` under the round-based :class:`~repro.core.engine.Engine`.
+transition on 2-D ``(trials, ...)`` numpy arrays.  The batched driver
+(:func:`repro.core.batch.run_batch`) runs any number of trials on them at
+once with row-compaction completion masking; a single run is a batch of
+one.
 
 Above :func:`~repro.core.kernels.base.sparse_threshold` vertices the kernels
 transparently switch to a sparse-frontier state representation (packed
 informed bitsets from :mod:`~repro.core.kernels.packed`, per-trial frontier
-lists) that is bit-identical to the dense layout; and
-:mod:`~repro.core.kernels.compiled` houses the separate numba-jittable
-per-trial runner family behind ``backend="compiled"``.
+lists) that is bit-identical to the dense layout.
 
-``KERNEL_REGISTRY`` maps every protocol name of
-:data:`repro.core.protocols.PROTOCOL_REGISTRY` to its kernel class; the two
-registries cover exactly the same six protocols.
+``KERNEL_REGISTRY`` maps every protocol name to its kernel class; it is the
+registry of the protocols this package simulates.
 """
 
 from __future__ import annotations
@@ -68,5 +61,5 @@ def get_kernel_class(name: str):
     except KeyError as exc:
         known = ", ".join(sorted(KERNEL_REGISTRY))
         raise ValueError(
-            f"protocol {name!r} has no batched kernel (batched protocols: {known})"
+            f"unknown protocol {name!r}; known protocols: {known}"
         ) from exc

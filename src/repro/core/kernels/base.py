@@ -2,11 +2,10 @@
 
 A *kernel* is the single source of truth for one protocol's round transition:
 state lives in 2-D numpy arrays shaped ``(trials, ...)`` and one :meth:`step`
-advances every still-running trial by one synchronous round.  The sequential
-:class:`~repro.core.engine.RoundProtocol` classes are thin adapters that drive
-a kernel with ``trials=1``; the batched driver (:mod:`repro.core.batch`)
-drives the same kernels with arbitrarily many trials at once.  Either way the
-round logic exists exactly once, here in :mod:`repro.core.kernels`.
+advances every still-running trial by one synchronous round.  The batched
+driver (:mod:`repro.core.batch`) drives the kernels with any number of
+trials at once — a single run is a batch of one — so the round logic exists
+exactly once, here in :mod:`repro.core.kernels`.
 
 Design notes
 ------------
@@ -81,11 +80,9 @@ def batch_generator(seed) -> np.random.Generator:
 
     Uses the SFC64 bit generator: its bulk uniform generation is measurably
     faster than PCG64's and the kernels are draw-bandwidth-bound.  A trial's
-    result remains a pure function of its seed; the stream family simply
-    differs from the sequential engine's ``default_rng``, whose results the
-    batched backend only ever matches statistically anyway.  Existing
-    generators are passed through unchanged, which is how the single-trial
-    protocol adapters reuse the engine-provided stream.
+    result remains a pure function of its seed.  Existing generators are
+    passed through unchanged, which is how :func:`repro.simulate` hands a
+    caller's generator to its one-trial batch.
     """
     if isinstance(seed, np.random.Generator):
         return seed
@@ -110,7 +107,7 @@ class BatchKernel:
     trial_observers: Optional[Sequence] = None
 
     #: Optional dynamic-topology spec (anything
-    #: :func:`repro.graphs.dynamic.resolve_dynamics` accepts).  Set by the
+    #: :func:`repro.scenarios.resolve_dynamics` accepts).  Set by the
     #: driver *before* :meth:`initialize`; the schedule is shared by every
     #: trial of the batch.
     dynamics = None

@@ -32,8 +32,8 @@ class MeetExchangeKernel(AgentWalkKernel):
     name = "meet-exchange"
 
     def __init__(self, *, lazy: Optional[bool] = None, **kwargs) -> None:
-        # ``lazy=None`` auto-enables lazy walks on bipartite graphs, matching
-        # the sequential protocol's convention from Section 3 of the paper.
+        # ``lazy=None`` auto-enables lazy walks on bipartite graphs, following
+        # the convention of Section 3 of the paper.
         super().__init__(lazy=lazy, **kwargs)
 
     def initialize(self, graph, source, gens):

@@ -10,8 +10,7 @@ PULL available makes the ablation benchmarks self-contained.
 The kernel draws one neighbor per vertex regardless of its informed state (a
 fixed draw shape keeps every trial's stream a pure function of its round
 count) and simply ignores the draws of already informed vertices; message
-accounting still counts only the uninformed pullers, as the sequential
-implementation did.
+accounting counts only the uninformed pullers.
 """
 
 from __future__ import annotations

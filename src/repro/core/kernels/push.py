@@ -67,10 +67,10 @@ class PushKernel(VertexKernel):
         self.counts[:k] = informed.sum(axis=1)
 
     def _report_edges(self, k, callees, ok):
-        """Report each newly informed vertex with the first sender that hit it
-        (matching the sequential protocol's former scan over senders).  Runs
-        before the scatter so ``informed`` is still the pre-round state; only
-        transmissions the round's topology masks allow are considered."""
+        """Report each newly informed vertex with the first sender (in vertex
+        order) that hit it.  Runs before the scatter so ``informed`` is still
+        the pre-round state; only transmissions the round's topology masks
+        allow are considered."""
         for row in range(k):
             group = self._observer_for_row(row)
             if not group:

@@ -104,9 +104,8 @@ class VisitExchangeKernel(AgentWalkKernel):
 
         ``track_edge_traversals`` reports every moved agent's traversal;
         otherwise only the edges that deliver the rumor to a newly informed
-        vertex are reported (matching the sequential semantics).  Blocked
-        traversals never move an agent, so both modes only ever report edges
-        the round's topology masks allow.
+        vertex are reported.  Blocked traversals never move an agent, so both
+        modes only ever report edges the round's topology masks allow.
         """
         for row in range(k):
             group = self._observer_for_row(row)

@@ -56,8 +56,8 @@ class Observer:
 class ObserverGroup(Observer):
     """Fan-out composite that forwards every hook to a list of observers.
 
-    An empty group is falsy, which gives protocols and the engine a no-op
-    fast path: hot loops test ``if self.observers:`` before doing any
+    An empty group is falsy, which gives the kernels and the batch driver a
+    no-op fast path: hot loops test the group's truth value before doing any
     per-edge bookkeeping, so uninstrumented runs pay nothing for the hooks.
     """
 

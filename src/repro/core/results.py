@@ -147,9 +147,9 @@ class RunResult:
 class TrialSet:
     """A collection of runs of the same protocol/graph/source configuration.
 
-    ``backend`` records which trial-execution backend produced the runs
-    (``"batched"`` or ``"sequential"``); it is stamped by the experiment
-    runner and ``None`` for trial sets assembled by hand.
+    ``backend`` is ``"batched"`` for trial sets stamped by the experiment
+    runner (artifacts keep the field so existing store objects round-trip)
+    and ``None`` for trial sets assembled by hand.
     """
 
     protocol: str

@@ -29,7 +29,8 @@ SHA-256 over the canonical JSON of:
   experiment id, ``ProtocolSpec.seed_key`` and the size parameter — i.e.
   everything seed derivation already depends on), the trial count, the
   resolved round budget and the ``record_history`` flag;
-* the resolved **backend name** and the store's semantics version.
+* the store's semantics version (and a fixed ``"backend": "batched"``
+  entry, kept so existing addresses do not move).
 
 On disk each cell is a compressed NPZ (per-trial broadcast times,
 completion flags, message counts, ragged per-round histories) plus a JSON
@@ -99,17 +100,12 @@ spec identifies the file by content hash, not path).  ``repro corpus
 run|status|report`` drives a manifest end to end against the store;
 ``repro run --scenario FILE#name`` runs one scenario.
 
-*Migration note*: ``repro.graphs.dynamic.resolve_dynamics`` is now a
-deprecated shim for :func:`repro.scenarios.resolve_dynamics` (same
-arguments, same result) and will be removed one release after the
-scenario corpus; the shim emits a ``DeprecationWarning``.
-
 Execution-tier environment knobs
 --------------------------------
-The kernels pick their state representation and execution backend
-automatically; five environment variables tune the automatics without
-touching result identity (every knob is either bit-identical by contract or
-part of the store key):
+Every trial runs through :func:`repro.core.batch.run_batch`; the kernels
+pick their state representation automatically.  Three environment
+variables tune the automatics without touching result identity (every knob
+is bit-identical by contract):
 
 ``REPRO_FRONTIER``
     ``"sparse"`` or ``"dense"``: overrides the vertex kernels' automatic
@@ -123,16 +119,6 @@ part of the store key):
     skewed families whose frontier stays small (stars, trees: the per-round
     work tracks the frontier, not n); on expanders the frontier saturates
     and dense whole-row algebra keeps a constant-factor edge.
-``REPRO_COMPILED``
-    Set to ``"0"`` to keep ``backend="auto"`` away from the compiled
-    runners entirely (kill switch).  An explicit ``backend="compiled"``
-    still runs — compiled cells are their own store addresses, so the
-    choice is always recorded.
-``REPRO_COMPILED_MIN_N``
-    Vertex count at which ``backend="auto"`` prefers the compiled per-trial
-    runners when numba is importable (default 32768, see
-    :func:`repro.core.batch.compiled_threshold`); below it the batched
-    numpy backend amortizes better than per-trial jit dispatch.
 ``REPRO_VERIFY_MANIFEST``
     Set to ``"1"`` to make warm starts paranoid: instead of trusting the
     manifest's recorded graph fingerprints, every matched cell rebuilds
@@ -239,7 +225,7 @@ class ProtocolSpec:
     A ``"dynamics"`` entry in ``kwargs`` attaches a dynamic-topology schedule
     to every trial of the spec (this is how the robustness experiments sweep
     failure rates).  The value is anything
-    :func:`repro.graphs.dynamic.resolve_dynamics` accepts:
+    :func:`repro.scenarios.resolve_dynamics` accepts:
 
     * a :class:`~repro.graphs.dynamic.TopologySchedule` instance,
     * a spec dict ``{"kind": <name>, **params}``, or
@@ -311,8 +297,8 @@ class ExperimentConfig:
     trials:
         Number of independent trials per (size, protocol) cell.
     max_rounds:
-        Optional callable ``size_parameter -> round budget``; ``None`` uses the
-        engine default.
+        Optional callable ``size_parameter -> round budget``; ``None`` uses
+        :func:`repro.core.batch.default_max_rounds`.
     claim_ids:
         The paper predictions (see :mod:`repro.theory.predictions`) this
         experiment checks.
@@ -347,7 +333,7 @@ class ExperimentConfig:
         return self.graph_builder(size_parameter, seed)
 
     def round_budget(self, size_parameter: int) -> Optional[int]:
-        """Round budget for one sweep point (None = engine default)."""
+        """Round budget for one sweep point (None = the driver's default)."""
         if self.max_rounds is None:
             return None
         return int(self.max_rounds(size_parameter))

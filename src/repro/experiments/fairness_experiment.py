@@ -22,10 +22,9 @@ from typing import Any, Dict, List
 import numpy as np
 
 from ..analysis.fairness import FairnessReport, edge_usage_from_walks, fairness_from_counts
-from ..core.engine import Engine
+from ..core.batch import run_batch
 from ..core.observers import EdgeUsageObserver, ObserverGroup
-from ..core.protocols import make_protocol
-from ..core.rng import derive_seed
+from ..core.rng import derive_seed, make_rng
 from ..graphs.double_star import double_star
 from ..graphs.graph import Graph
 from ..graphs.regular import random_regular_graph
@@ -107,18 +106,17 @@ class FairnessExperimentResult:
 
 def _push_pull_edge_usage(graph: Graph, source: int, seed: int, trials: int) -> FairnessReport:
     """Aggregate sampled-exchange edge usage of push-pull over several runs."""
+    observers = [EdgeUsageObserver() for _ in range(trials)]
+    run_batch(
+        "push-pull",
+        graph,
+        source,
+        seeds=[make_rng(derive_seed(seed, "fairness-ppull", t)) for t in range(trials)],
+        observers=[ObserverGroup([observer]) for observer in observers],
+        track_all_exchanges=True,
+    )
     combined: Dict[tuple, int] = {}
-    for trial in range(trials):
-        observer = EdgeUsageObserver()
-        engine = Engine(record_history=False)
-        protocol = make_protocol("push-pull", track_all_exchanges=True)
-        engine.run(
-            protocol,
-            graph,
-            source,
-            seed=derive_seed(seed, "fairness-ppull", trial),
-            observers=ObserverGroup([observer]),
-        )
+    for observer in observers:
         for edge, count in observer.counts.items():
             combined[edge] = combined.get(edge, 0) + count
     return fairness_from_counts(graph, combined)

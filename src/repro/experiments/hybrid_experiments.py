@@ -2,8 +2,10 @@
 
 The paper's introduction suggests that agent-based dissemination "separately
 or in combination with push-pull" can improve the broadcast time.  These
-experiments run the :class:`~repro.core.protocols.hybrid.HybridPushPullVisitProtocol`
-on the two families where exactly one of its constituents is slow:
+experiments run the ``"hybrid-ppull-visitx"`` protocol through
+:func:`~repro.core.batch.run_batch` (its round transition is
+:class:`~repro.core.kernels.hybrid.HybridKernel`) on the two families where
+exactly one of its constituents is slow:
 
 * the double star, where push-pull alone is ``Omega(n)`` but the agents cross
   the bridge in ``O(1)`` expected rounds, and

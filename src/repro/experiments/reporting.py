@@ -142,7 +142,6 @@ def result_from_store(
     base_seed: int = 0,
     sizes: Optional[Sequence[int]] = None,
     trials: Optional[int] = None,
-    backend: str = "auto",
     dynamics=None,
     strict: bool = True,
 ) -> ExperimentResult:
@@ -170,7 +169,6 @@ def result_from_store(
         base_seed=base_seed,
         sizes=sizes,
         trials=trials,
-        backend=backend,
         dynamics=dynamics,
     ):
         trial_set = store_obj.get_trial_set(sp.plan.key)
@@ -207,7 +205,6 @@ def _store_sweep_plans(
     base_seed: int,
     sizes: Optional[Sequence[int]] = None,
     trials: Optional[int] = None,
-    backend: str = "auto",
     dynamics=None,
 ):
     """Resolve a sweep's cell plans against a store's journaled manifest.
@@ -225,7 +222,6 @@ def _store_sweep_plans(
             base_seed=base_seed,
             sizes=sweep,
             trials=num_trials,
-            backend=backend,
             dynamics=dynamics,
         ),
     )
@@ -236,7 +232,6 @@ def _store_sweep_plans(
         base_seed=base_seed,
         sizes=sweep,
         trials=num_trials,
-        backend=backend,
         dynamics=dynamics,
         manifest=manifest,
     )
@@ -337,7 +332,6 @@ def _report_plan_keys(
     base_seed: int,
     trials: Optional[int],
     scale: float,
-    backend: str,
     dynamics=None,
 ) -> List[str]:
     """Every store key a report section reads, derived without simulating."""
@@ -357,7 +351,6 @@ def _report_plan_keys(
             base_seed=base_seed,
             sizes=sizes,
             trials=trials,
-            backend=backend,
             dynamics=dynamics,
         )
     ]
@@ -370,7 +363,6 @@ def report_fingerprint(
     base_seed: int = 0,
     trials: Optional[int] = None,
     scale: float = 1.0,
-    backend: str = "auto",
     dynamics=None,
 ) -> str:
     """Fingerprint of the cell set underlying a report.
@@ -396,7 +388,6 @@ def report_fingerprint(
             base_seed=base_seed,
             trials=trials,
             scale=scale,
-            backend=backend,
             dynamics=dynamics,
         ):
             size = store_obj.backend.object_size(key)
@@ -412,7 +403,6 @@ def store_report_payload(
     base_seed: int = 0,
     trials: Optional[int] = None,
     scale: float = 1.0,
-    backend: str = "auto",
     dynamics=None,
 ) -> Dict[str, Any]:
     """Assemble the full report as a JSON-safe payload, purely from the store.
@@ -458,7 +448,6 @@ def store_report_payload(
                     base_seed=base_seed,
                     sizes=sizes,
                     trials=trials,
-                    backend=backend,
                     dynamics=dynamics,
                     strict=True,
                 )
@@ -481,7 +470,9 @@ def store_report_payload(
             "base_seed": int(base_seed),
             "trials": None if trials is None else int(trials),
             "scale": float(scale),
-            "backend": backend,
+            # "auto" pins existing report documents: it was the default
+            # backend option.
+            "backend": "auto",
         },
         "complete": all(entry["status"] == "complete" for entry in rendered),
         "sections": rendered,
@@ -491,7 +482,6 @@ def store_report_payload(
             base_seed=base_seed,
             trials=trials,
             scale=scale,
-            backend=backend,
             dynamics=dynamics,
         ),
     }

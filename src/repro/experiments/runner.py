@@ -6,27 +6,10 @@ size, and packages everything into an :class:`ExperimentResult` with
 per-(size, protocol) summaries and per-protocol series that the reporting and
 shape-checking code consumes.
 
-Trial execution dispatches between three backends (``backend`` parameter of
-:func:`run_trial_set`):
-
-* ``"batched"`` — :func:`repro.core.batch.run_batch` advances all trials of a
-  cell simultaneously on 2-D numpy state.  This is roughly an order of
-  magnitude faster than sequential and is the default choice for every
-  protocol.
-* ``"sequential"`` — one :class:`~repro.core.engine.Engine` run per trial
-  (each driving its kernel with a single trial).  Kept as the reference path
-  and for observer instrumentation that needs the engine's per-run hooks.
-* ``"compiled"`` — :func:`repro.core.batch.run_compiled` runs one tight
-  per-trial loop over only the active boundary, numba-jitted when the
-  ``[accel]`` extra is installed (pure-Python reference otherwise).  No
-  dynamics or observer instrumentation.
-
-``"auto"`` (the default) picks compiled when it is available, enabled and the
-cell is large enough (see :func:`repro.core.batch.compiled_auto_enabled` /
-``compiled_threshold``), and the batched backend otherwise.  All backends
-derive trial ``t``'s seed the same way, but they consume the random stream
-differently, so their results agree statistically rather than
-sample-for-sample.
+Every cell executes through :func:`repro.core.batch.run_batch`, which
+advances all trials of the cell simultaneously on 2-D numpy state.  Trial
+``t``'s seed is derived from stable components, so a cell is a pure function
+of its resolved plan.
 
 Multi-cell sweeps additionally shard across CPU cores: ``run_experiment``
 accepts ``workers=N`` and schedules one task per (size, protocol) cell on a
@@ -57,10 +40,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.scaling import best_growth_model, power_law_exponent
 from ..analysis.statistics import Summary, summarize_trials
-from ..core.batch import run_batch, run_compiled
-from ..core.engine import Engine
-from ..core.protocols import make_protocol
-from ..core.results import RunResult, TrialSet
+from ..core.batch import run_batch
+from ..core.results import TrialSet
 from ..core.rng import derive_seed
 from ..store import (
     GraphStub,
@@ -185,31 +166,20 @@ def run_trial_set(
     experiment_id: str = "adhoc",
     max_rounds: Optional[int] = None,
     record_history: bool = False,
-    backend: str = "auto",
     dynamics=None,
     store=None,
     force: bool = False,
 ) -> TrialSet:
     """Run ``trials`` independent runs of one protocol on one graph case.
 
-    ``backend`` selects the execution strategy: ``"auto"`` (default) uses the
-    compiled per-trial runners when they are available, enabled and the graph
-    is large enough, and the batched multi-trial backend otherwise;
-    ``"compiled"`` / ``"batched"`` force their backend (raising when the cell
-    is unsupported or the protocol unknown), and ``"sequential"`` forces one
-    engine run per trial.  ``record_history`` works on every backend.  The
-    resolved backend is recorded on the returned :class:`TrialSet` and in
-    every run's metadata.
-
     ``dynamics`` attaches a dynamic-topology schedule (any spec accepted by
-    :func:`repro.graphs.dynamic.resolve_dynamics`) to every trial; it can also
+    :func:`repro.scenarios.resolve_dynamics`) to every trial; it can also
     ride in ``protocol_spec.kwargs["dynamics"]``, and the *spec-level* entry
     wins — a spec that pins its own schedule (e.g. a labeled failure-rate
     cell of the robustness experiments) keeps it even when a sweep-wide
-    default is passed, so labels never lie about what ran.  Both backends
-    consume the same schedule round for round, and the trial seeds do not
-    depend on it, so failure-rate sweeps are seed-paired with their
-    failure-free baseline.
+    default is passed, so labels never lie about what ran.  The trial seeds
+    do not depend on the schedule, so failure-rate sweeps are seed-paired
+    with their failure-free baseline.
 
     ``store`` enables the content-addressed result cache: ``None`` (default)
     consults the ``REPRO_STORE`` environment variable, ``False`` disables
@@ -217,7 +187,7 @@ def run_trial_set(
     uses that store (URLs read through a local cache; computed cells land in
     the cache, since the service is read-only).
     The cell is a pure function of its resolved plan (graph structure,
-    protocol kwargs, dynamics spec, per-trial seeds, round budget, backend),
+    protocol kwargs, dynamics spec, per-trial seeds, round budget),
     so a cache hit returns a :class:`TrialSet` bit-identical to a recompute;
     ``force=True`` recomputes and overwrites the cached artifact.
     """
@@ -230,7 +200,6 @@ def run_trial_set(
             experiment_id=experiment_id,
             max_rounds=max_rounds,
             record_history=record_history,
-            backend=backend,
             dynamics=dynamics,
         )
     store_obj = resolve_store(store)
@@ -244,57 +213,29 @@ def run_trial_set(
     with span(
         "cell.execute",
         protocol=protocol_spec.name,
-        backend=plan.backend,
         n=case.graph.num_vertices,
         trials=trials,
     ):
-        if plan.backend == "compiled":
-            batch = run_compiled(
-                protocol_spec.name,
-                case.graph,
-                case.source,
-                seeds=list(plan.seeds),
-                max_rounds=max_rounds,
-                record_history=record_history,
-                dynamics=plan.dynamics,
-                **plan.kwargs,
-            )
-            trial_set = batch.to_trial_set()
-        elif plan.use_batched:
-            batch = run_batch(
-                protocol_spec.name,
-                case.graph,
-                case.source,
-                seeds=list(plan.seeds),
-                max_rounds=max_rounds,
-                record_history=record_history,
-                dynamics=plan.dynamics,
-                **plan.kwargs,
-            )
-            trial_set = batch.to_trial_set()
-            # Which state representation the kernels engaged ("sparse"/"dense");
-            # informational only — the two are bit-identical.
-            for result in trial_set.results:
-                result.metadata["frontier"] = batch.frontier_resolved
-        else:
-            engine = Engine(max_rounds=max_rounds, record_history=record_history)
-            results: List[RunResult] = []
-            for seed in plan.seeds:
-                protocol = make_protocol(
-                    protocol_spec.name, dynamics=plan.dynamics, **plan.kwargs
-                )
-                results.append(engine.run(protocol, case.graph, case.source, seed=seed))
-            trial_set = TrialSet(
-                protocol=protocol_spec.name,
-                graph_name=case.graph.name,
-                num_vertices=case.graph.num_vertices,
-            )
-            for result in results:
-                trial_set.add(result)
+        batch = run_batch(
+            protocol_spec.name,
+            case.graph,
+            case.source,
+            seeds=list(plan.seeds),
+            max_rounds=max_rounds,
+            record_history=record_history,
+            dynamics=plan.dynamics,
+            **plan.kwargs,
+        )
+        trial_set = batch.to_trial_set()
 
-    trial_set.backend = plan.backend
+    # "batched" keeps stored artifacts and run metadata as they were: they
+    # record the execution path that produced them, and only one remains.
+    trial_set.backend = "batched"
     for result in trial_set.results:
-        result.metadata["backend"] = plan.backend
+        # Which state representation the kernels engaged ("sparse"/"dense");
+        # informational only — the two are bit-identical.
+        result.metadata["frontier"] = batch.frontier_resolved
+        result.metadata["backend"] = "batched"
     if store_obj is not None:
         with span("store.write", key=plan.key):
             store_obj.put_trial_set(plan.key, trial_set, cell=plan.payload)
@@ -337,7 +278,6 @@ def _run_cell(task: Tuple) -> CellResult:
         size_parameter,
         trials,
         budget,
-        backend,
         dynamics,
         store,
         force,
@@ -350,7 +290,6 @@ def _run_cell(task: Tuple) -> CellResult:
         base_seed=base_seed,
         experiment_id=experiment_id,
         max_rounds=budget,
-        backend=backend,
         dynamics=dynamics,
         store=store if store is not None else False,
         force=force,
@@ -382,7 +321,6 @@ def run_experiment(
     base_seed: int = 0,
     sizes: Optional[Sequence[int]] = None,
     trials: Optional[int] = None,
-    backend: str = "auto",
     workers: Optional[int] = None,
     dynamics=None,
     store=None,
@@ -392,9 +330,9 @@ def run_experiment(
 
     ``sizes`` and ``trials`` override the configuration (used by tests and
     benchmarks to run scaled-down versions of the registered experiments);
-    ``backend`` is forwarded to :func:`run_trial_set` for every cell, and so
-    is ``dynamics`` (a dynamic-topology spec applied as the default for every
-    cell; specs that carry their own ``kwargs["dynamics"]`` keep it).
+    ``dynamics`` is forwarded to :func:`run_trial_set` for every cell (a
+    dynamic-topology spec applied as the default for every cell; specs that
+    carry their own ``kwargs["dynamics"]`` keep it).
 
     ``workers`` schedules the (size, protocol) cells on a process pool of that
     many workers (``-1`` = one per CPU), stacking multi-core scaling on top of
@@ -431,7 +369,6 @@ def run_experiment(
             base_seed=base_seed,
             sweep=sweep,
             num_trials=num_trials,
-            backend=backend,
             workers=workers,
             dynamics=dynamics,
             force=force,
@@ -444,7 +381,6 @@ def run_experiment(
             base_seed=base_seed,
             sizes=sweep,
             trials=num_trials,
-            backend=backend,
             dynamics=dynamics,
         ),
     )
@@ -458,7 +394,6 @@ def run_experiment(
         base_seed=base_seed,
         sizes=sweep,
         trials=num_trials,
-        backend=backend,
         dynamics=dynamics,
         manifest=manifest_entries,
     )
@@ -532,7 +467,6 @@ def run_experiment(
                 sp.size_parameter,
                 num_trials,
                 sp.budget,
-                backend,
                 dynamics,
                 store_obj,
                 force,
@@ -586,7 +520,6 @@ def _run_storeless(
     base_seed: int,
     sweep: Tuple[int, ...],
     num_trials: int,
-    backend: str,
     workers: Optional[int],
     dynamics,
     force: bool,
@@ -624,7 +557,6 @@ def _run_storeless(
                     size_parameter,
                     num_trials,
                     budget,
-                    backend,
                     dynamics,
                     None,
                     force,

@@ -142,7 +142,7 @@ class DynamicAgentsSimulation:
         Use lazy walks (stay put with probability 1/2).
     dynamics:
         Optional dynamic-topology spec (anything
-        :func:`repro.graphs.dynamic.resolve_dynamics` accepts), sharing the
+        :func:`repro.scenarios.resolve_dynamics` accepts), sharing the
         failure semantics of the protocol kernels.
     """
 

@@ -98,8 +98,8 @@ class MultiRumorVisitExchange:
     Parameters
     ----------
     agent_density / num_agents / lazy:
-        Agent population parameters, as for
-        :class:`~repro.core.protocols.visit_exchange.VisitExchangeProtocol`.
+        Agent population parameters, as for ``run_batch("visit-exchange",
+        ...)`` (see :class:`~repro.core.kernels.visit_exchange.VisitExchangeKernel`).
     """
 
     def __init__(

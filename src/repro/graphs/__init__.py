@@ -24,7 +24,6 @@ from .dynamic import (
     RoundActivity,
     StaticSchedule,
     TopologySchedule,
-    resolve_dynamics,
 )
 from .star import star
 from .double_star import double_star
@@ -75,7 +74,6 @@ __all__ = [
     "NodeCrashes",
     "MarkovEdgeChurn",
     "ComposedSchedule",
-    "resolve_dynamics",
     "star",
     "double_star",
     "heavy_binary_tree",

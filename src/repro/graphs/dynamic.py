@@ -26,9 +26,8 @@ Failure semantics, shared by every protocol:
   vertex shows up as an incomplete trial rather than a silent success.
 
 Determinism: a schedule's masks for round ``r`` are a pure function of
-``(schedule parameters, graph, r)`` and are shared by every trial of a batch
-and by both execution backends, so batched and sequential runs see identical
-topologies round for round.
+``(schedule parameters, graph, r)`` and are shared by every trial of a
+batch, so every trial sees identical topologies round for round.
 
 Mask conventions
 ----------------
@@ -42,7 +41,6 @@ static all-active schedule reproduces the undynamic trajectories bit for bit.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
@@ -62,7 +60,6 @@ __all__ = [
     "ComposedSchedule",
     "DynamicsRuntime",
     "edge_index_of",
-    "resolve_dynamics",
 ]
 
 
@@ -122,9 +119,8 @@ class TopologySchedule:
     """Produces per-round activity masks over a fixed underlying graph.
 
     Subclasses implement :meth:`activity`; unless documented otherwise the
-    result must be a pure function of ``(graph, round_index)`` so that the
-    sequential backend (which replays rounds once per trial) and the batched
-    backend (which visits each round once) see identical topologies.
+    result must be a pure function of ``(graph, round_index)`` so that every
+    trial of a batch, and every rerun of a cell, sees identical topologies.
 
     Instances may cache per-graph precomputations keyed on the graph object
     (see :meth:`_graph_state`); schedules are cheap to construct, so sweeps
@@ -571,8 +567,7 @@ def _resolve_dynamics(spec) -> Optional[TopologySchedule]:
     and ``compose`` (``schedules``: a list of nested specs).
 
     This is the internal resolver the package itself calls; the public
-    :func:`resolve_dynamics` name is a deprecated shim around it (the
-    unified entry point is :func:`repro.scenarios.resolve_dynamics`).
+    spelling is :func:`repro.scenarios.resolve_dynamics`.
     """
     if spec is None or isinstance(spec, TopologySchedule):
         return spec
@@ -601,24 +596,3 @@ def _resolve_dynamics(spec) -> Optional[TopologySchedule]:
         return cls(rate, **params)
     return cls(**params)
 
-
-def resolve_dynamics(spec) -> Optional[TopologySchedule]:
-    """Deprecated alias of the dynamics resolver — use the scenario layer.
-
-    The per-axis resolvers were unified behind one spec surface:
-    :func:`repro.scenarios.resolve_dynamics` accepts exactly the same values
-    (``None``, a schedule, a spec dict, a spec string) and
-    :func:`repro.scenarios.resolve_scenario` composes dynamics with graph
-    sources and protocols in one grammar.  This shim forwards unchanged and
-    will be removed one release after the scenario corpus (see the migration
-    note in :mod:`repro.experiments.config`).
-    """
-    warnings.warn(
-        "repro.graphs.dynamic.resolve_dynamics is deprecated; use "
-        "repro.scenarios.resolve_dynamics (same arguments, same result) or "
-        "repro.scenarios.resolve_scenario for full scenario specs. "
-        "This shim will be removed one release after the scenario corpus.",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _resolve_dynamics(spec)

@@ -15,10 +15,9 @@ families, in three layers:
   multi-rumor contention into one store-backed resumable sweep
   (``repro corpus run|status|report``).
 
-:func:`resolve_dynamics` here is the canonical spelling of the dynamics
-resolver (``repro.graphs.dynamic.resolve_dynamics`` is a deprecated shim),
-and :func:`resolve_store` is re-exported so scenario-driven code needs one
-import surface for all three resolvers.
+:func:`resolve_dynamics` here is the public spelling of the dynamics
+resolver, and :func:`resolve_store` is re-exported so scenario-driven code
+needs one import surface for all three resolvers.
 """
 
 from .corpus import (

@@ -371,7 +371,6 @@ def run_corpus(
     *,
     store,
     base_seed: int = 0,
-    backend: str = "auto",
     workers: Optional[int] = None,
     force: bool = False,
     names: Optional[Sequence[str]] = None,
@@ -403,7 +402,6 @@ def run_corpus(
         result = run_experiment(
             config,
             base_seed=base_seed,
-            backend=backend,
             workers=workers,
             store=store_obj,
             force=force,
@@ -437,7 +435,6 @@ def corpus_status(
     *,
     store,
     base_seed: int = 0,
-    backend: str = "auto",
 ) -> CorpusRunSummary:
     """Probe which corpus cells a store already holds — zero simulation.
 
@@ -457,9 +454,7 @@ def corpus_status(
     constructed_before = Graph.construction_count
     for spec in corpus.scenarios:
         config = spec.to_config()
-        plans = _store_sweep_plans(
-            config, store_obj, base_seed=base_seed, backend=backend
-        )
+        plans = _store_sweep_plans(config, store_obj, base_seed=base_seed)
         cached = sum(1 for sp in plans if sp.plan.key in store_obj)
         row = ScenarioRunSummary(
             name=spec.name,
@@ -512,7 +507,6 @@ def corpus_report(
     *,
     store,
     base_seed: int = 0,
-    backend: str = "auto",
     strict: bool = False,
 ) -> str:
     """Render the corpus report from the store — zero simulation.
@@ -535,7 +529,7 @@ def corpus_report(
         config = spec.to_config()
         try:
             section = experiment_markdown_section_from_store(
-                config, store_obj, base_seed=base_seed, backend=backend, strict=strict
+                config, store_obj, base_seed=base_seed, strict=strict
             )
         except KeyError as exc:
             if strict:

@@ -14,9 +14,7 @@ spec-string grammar of :mod:`repro.specs` — and one entry point,
   registered family — the paper's hand-built graphs, the regular/random
   families, the corpus generators (``powerlaw``, ``sbm``, ``geometric``)
   and ingested files (``file:path=...``);
-* a **dynamics spec** is exactly what :func:`resolve_dynamics` accepts
-  (this module's :func:`resolve_dynamics` is the canonical, non-deprecated
-  spelling of the old :func:`repro.graphs.dynamic.resolve_dynamics`);
+* a **dynamics spec** is exactly what :func:`resolve_dynamics` accepts;
 * a **protocol spec** is a name, a ``"name:key=value"`` string, or a dict
   with optional ``label``/``seed_label`` and keyword arguments.
 
@@ -90,14 +88,10 @@ class ScenarioError(ValueError):
 
 
 def resolve_dynamics(spec) -> Optional[TopologySchedule]:
-    """Resolve a dynamics spec — the canonical, non-deprecated entry point.
+    """Resolve a dynamics spec into a schedule — the public entry point.
 
-    Accepts exactly what :func:`repro.graphs.dynamic.resolve_dynamics`
-    always accepted (``None``, a schedule instance, a spec dict, a spec
-    string) and returns the same schedule; see that module for the kinds.
-    Prefer this spelling: the ``repro.graphs.dynamic`` name now emits a
-    ``DeprecationWarning`` and will be removed one release after the
-    scenario corpus.
+    Accepts ``None``, a schedule instance, a spec dict or a spec string and
+    returns the schedule; see :mod:`repro.graphs.dynamic` for the kinds.
     """
     return _resolve_dynamics(spec)
 

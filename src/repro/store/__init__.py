@@ -1,6 +1,6 @@
 """Content-addressed result store and resumable sweep orchestration.
 
-Every (graph, protocol, seeds, backend) cell in this package is a pure
+Every (graph, protocol, seeds) cell in this package is a pure
 function of its spec, so finished cells are cached *exactly*: the store maps
 a canonical cell key (:mod:`repro.store.keys`) to a compressed artifact
 holding the full :class:`~repro.core.results.TrialSet`

@@ -20,9 +20,7 @@ The key is a SHA-256 over the canonical JSON of the full cell description:
   (``None`` when the topology is static);
 * the exact **per-trial seed list**, the trial count, the round budget and
   whether per-round histories are recorded;
-* the resolved **backend name** (compiled, batched and sequential runs agree
-  statistically, not sample-for-sample, so they are distinct cells) and
-  :data:`SEMANTICS_VERSION`, bumped whenever a kernel's random-stream
+* :data:`SEMANTICS_VERSION`, bumped whenever a kernel's random-stream
   consumption changes so stale artifacts can never masquerade as current
   results.
 """
@@ -122,7 +120,7 @@ def graph_fingerprint(graph: Graph) -> str:
 def dynamics_spec(dynamics: Any) -> Optional[Dict[str, Any]]:
     """Canonical spec dict of a ``dynamics=`` value (None for static topology).
 
-    Accepts everything :func:`~repro.graphs.dynamic.resolve_dynamics` does —
+    Accepts everything :func:`repro.scenarios.resolve_dynamics` does —
     ``None``, a schedule instance, a spec dict or a CLI spec string — and
     returns the schedule's round-trippable ``spec()`` form, which is what the
     cell key hashes.
@@ -141,7 +139,6 @@ def trial_cell_payload(
     seeds: Sequence[int],
     max_rounds: Optional[int] = None,
     record_history: bool = False,
-    backend: str,
 ) -> Dict[str, Any]:
     """Assemble the full, canonicalizable description of one cell.
 
@@ -152,11 +149,8 @@ def trial_cell_payload(
     scalars unwrapped, tuples listified, strict floats), so the bytes stored
     in the sidecar are exactly the bytes that were hashed and a numpy-typed
     protocol kwarg can never crash the sidecar write after the simulation
-    has already run.  ``backend`` must be the *resolved* backend name
-    (``"compiled"``, ``"batched"`` or ``"sequential"``), never ``"auto"``.
+    has already run.
     """
-    if backend not in ("compiled", "batched", "sequential"):
-        raise ValueError(f"backend must be resolved, got {backend!r}")
     payload = {
         "format": STORE_FORMAT_VERSION,
         "semantics": SEMANTICS_VERSION,
@@ -175,7 +169,8 @@ def trial_cell_payload(
         "trials": len(seeds),
         "max_rounds": None if max_rounds is None else int(max_rounds),
         "record_history": bool(record_history),
-        "backend": backend,
+        # "batched" pins existing cell keys: it names the one execution path.
+        "backend": "batched",
     }
     return _json_safe(payload, strict_floats=True)
 

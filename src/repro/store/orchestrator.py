@@ -2,12 +2,12 @@
 
 :func:`resolve_cell` performs exactly the resolution steps
 :func:`repro.experiments.runner.run_trial_set` performs before touching a
-kernel — spec-level dynamics override, ``auto`` backend selection, per-trial
-seed derivation — and condenses them into a :class:`CellPlan` whose ``key``
-addresses the cell in a :class:`~repro.store.artifacts.ResultStore`.  The
-runner executes plans; the reporting layer (and ``repro store`` tooling)
-only *derives* them, which is how figures and tables regenerate from the
-store without recomputing anything: same resolution, same key, same bits.
+kernel — spec-level dynamics override and per-trial seed derivation — and
+condenses them into a :class:`CellPlan` whose ``key`` addresses the cell in
+a :class:`~repro.store.artifacts.ResultStore`.  The runner executes plans;
+the reporting layer (and ``repro store`` tooling) only *derives* them, which
+is how figures and tables regenerate from the store without recomputing
+anything: same resolution, same key, same bits.
 
 Warm starts resolve keys *without building graphs*: when a caller passes a
 previous run's sweep-journal manifest, :func:`resolve_sweep_plans` checks
@@ -29,13 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.batch import (
-    compiled_auto_enabled,
-    compiled_supported,
-    compiled_threshold,
-    supports_batched,
-    trial_seeds,
-)
+from ..core.batch import trial_seeds
 from ..graphs.graph import Graph
 from ..telemetry import span
 from .artifacts import StoreError
@@ -75,8 +69,7 @@ class GraphStub:
     Rides in a :class:`~repro.experiments.config.GraphCase` for cells whose
     fingerprint came from a trusted manifest:
     :func:`~repro.store.keys.graph_fingerprint` short-circuits on the
-    ``trusted_fingerprint`` attribute, and the vertex count feeds the
-    ``auto`` backend's compiled-threshold decision.  Anything that tries to
+    ``trusted_fingerprint`` attribute.  Anything that tries to
     *simulate* on a stub fails loudly (there are no adjacency arrays), which
     is exactly the contract: stubs are for cells the store already holds.
     """
@@ -93,12 +86,7 @@ class CellPlan:
 
     ``kwargs`` is the protocol spec's keyword arguments with the
     ``"dynamics"`` entry removed (it travels separately in ``dynamics``,
-    after the spec-level value has overridden any sweep-wide default), and
-    ``backend`` is always resolved to ``"compiled"``, ``"batched"`` or
-    ``"sequential"``.  The resolved backend is part of the cell payload:
-    compiled cells draw from a different stream family than batched ones
-    (CI-overlap equivalent, not bit-identical), so they are distinct
-    addresses in the store.
+    after the spec-level value has overridden any sweep-wide default).
 
     ``payload`` and ``key`` are computed lazily and cached: hashing the
     graph's CSR arrays and canonicalizing a dynamics spec is cheap next to a
@@ -109,17 +97,11 @@ class CellPlan:
     graph: Graph
     source: int
     protocol_name: str
-    backend: str
     seeds: Tuple[int, ...]
     kwargs: Dict[str, Any]
     dynamics: Any
     max_rounds: Optional[int] = None
     record_history: bool = False
-
-    @property
-    def use_batched(self) -> bool:
-        """True when the plan runs on the batched multi-trial backend."""
-        return self.backend == "batched"
 
     @cached_property
     def payload(self) -> Dict[str, Any]:
@@ -133,7 +115,6 @@ class CellPlan:
             seeds=self.seeds,
             max_rounds=self.max_rounds,
             record_history=self.record_history,
-            backend=self.backend,
         )
 
     @cached_property
@@ -152,45 +133,22 @@ def resolve_cell(
     experiment_id: str = "adhoc",
     max_rounds: Optional[int] = None,
     record_history: bool = False,
-    backend: str = "auto",
     dynamics: Any = None,
 ) -> CellPlan:
     """Resolve one (protocol spec, graph case) cell into its executable plan.
 
-    Raises ``ValueError`` for an invalid trial count or backend name, exactly
+    Raises ``ValueError`` for an invalid trial count, exactly
     as :func:`~repro.experiments.runner.run_trial_set` does — callers that
     only derive keys get the same argument validation as callers that run.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if backend not in ("auto", "compiled", "batched", "sequential"):
-        raise ValueError(f"unknown backend {backend!r}")
 
     kwargs = dict(protocol_spec.kwargs)
     spec_dynamics = kwargs.pop("dynamics", None)
     if spec_dynamics is not None:
         dynamics = spec_dynamics
 
-    if backend == "compiled":
-        if not compiled_supported(protocol_spec.name, kwargs, dynamics=dynamics):
-            raise ValueError(
-                f"backend='compiled' does not support this cell "
-                f"(protocol={protocol_spec.name!r}, dynamics or observer "
-                f"tracking requested)"
-            )
-        resolved_backend = "compiled"
-    elif backend == "auto" and (
-        compiled_auto_enabled()
-        and case.graph.num_vertices >= compiled_threshold()
-        and compiled_supported(protocol_spec.name, kwargs, dynamics=dynamics)
-    ):
-        resolved_backend = "compiled"
-    else:
-        use_batched = backend == "batched" or (
-            backend == "auto"
-            and supports_batched(protocol_spec.name, protocol_spec.kwargs)
-        )
-        resolved_backend = "batched" if use_batched else "sequential"
     seeds = trial_seeds(
         base_seed,
         experiment_id,
@@ -202,7 +160,6 @@ def resolve_cell(
         graph=case.graph,
         source=case.source,
         protocol_name=protocol_spec.name,
-        backend=resolved_backend,
         seeds=tuple(seeds),
         kwargs=kwargs,
         dynamics=dynamics,
@@ -307,7 +264,6 @@ def resolve_sweep_plans(
     base_seed: int,
     sizes: Tuple[int, ...],
     trials: int,
-    backend: str = "auto",
     dynamics: Any = None,
     manifest: Optional[Sequence[Dict[str, Any]]] = None,
 ) -> List[SweepCellPlan]:
@@ -377,7 +333,6 @@ def resolve_sweep_plans(
                 base_seed=base_seed,
                 experiment_id=config.experiment_id,
                 max_rounds=budget,
-                backend=backend,
                 dynamics=dynamics,
             )
             plans.append(
@@ -402,13 +357,12 @@ def sweep_payload(
     base_seed: int,
     sizes: Tuple[int, ...],
     trials: int,
-    backend: str,
     dynamics: Any = None,
 ) -> Dict[str, Any]:
     """Canonical description of a whole sweep — the journal's identity.
 
     Identifies the sweep by *what is asked for* (experiment id, seed, size
-    sweep, trial count, backend, sweep-wide dynamics and the protocol
+    sweep, trial count, sweep-wide dynamics and the protocol
     labels), not by the per-cell keys: a resumed run must map to the same
     journal before any graph is built.
     """
@@ -418,7 +372,8 @@ def sweep_payload(
         "base_seed": int(base_seed),
         "sizes": [int(size) for size in sizes],
         "trials": int(trials),
-        "backend": backend,
+        # "auto" pins existing sweep ids: it was the default backend option.
+        "backend": "auto",
         "dynamics": dynamics_spec(dynamics),
         "protocols": labels,
     }

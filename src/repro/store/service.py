@@ -40,10 +40,11 @@ Read API (always available):
     and, on a warm manifest, zero graph construction.  ``<section>`` is a
     registry experiment id, ``coupling``, ``fairness``, or ``all``; query
     params ``only`` (comma-separated section filter, mirroring the CLI's
-    ``--only``), ``seed``, ``trials``, ``scale`` and ``backend`` select the
-    cell set.  Rendered reports are cached in memory keyed on the request
-    params and revalidated against the underlying cell-set fingerprint, so
-    a warm report answers without touching the experiment code at all.
+    ``--only``), ``seed``, ``trials`` and ``scale`` select the cell set (a
+    ``backend`` param naming a retired execution path answers 400).
+    Rendered reports are cached in memory keyed on the request params and
+    revalidated against the underlying cell-set fingerprint, so a warm
+    report answers without touching the experiment code at all.
 
 Every cacheable GET answer carries an ``ETag`` (object routes use the
 content-addressed key itself; journals and listings hash their bytes;
@@ -393,10 +394,13 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
             self._error(400, "report params seed/trials/scale must be numeric")
             return
         backend = (query.get("backend") or ["auto"])[0]
-        kwargs = dict(
-            sections=sections, base_seed=base_seed, trials=trials, scale=scale, backend=backend
-        )
-        params = (tuple(sections), base_seed, trials, scale, backend)
+        if backend not in ("auto", "batched"):
+            # Every cell runs batched; serving those cells under another
+            # backend's name would mislabel them.
+            self._error(400, f"unknown backend {backend!r}; cells are computed batched")
+            return
+        kwargs = dict(sections=sections, base_seed=base_seed, trials=trials, scale=scale)
+        params = (tuple(sections), base_seed, trials, scale)
         try:
             # The fingerprint is cheap (key derivation + stat calls, no
             # simulation) and pins the exact cell set: it validates the

@@ -81,12 +81,17 @@ def _resolve_plans(
             f"but the sweep was submitted with {payload.get('protocols')} "
             "(mixed code versions between submitter and worker)"
         )
+    backend = payload.get("backend", "auto")
+    if backend not in ("auto", "batched"):
+        raise StoreError(
+            f"sweep {payload['experiment_id']!r} was submitted for backend {backend!r}, "
+            "which no longer exists; every cell is computed batched"
+        )
     return resolve_sweep_plans(
         config,
         base_seed=int(payload["base_seed"]),
         sizes=tuple(int(s) for s in payload["sizes"]),
         trials=int(payload["trials"]),
-        backend=payload.get("backend", "auto"),
         dynamics=payload.get("dynamics"),
     )
 
@@ -120,7 +125,6 @@ def submit_sweep(
     base_seed: int = 0,
     sizes: Optional[Tuple[int, ...]] = None,
     trials: Optional[int] = None,
-    backend: str = "auto",
     dynamics: Any = None,
     cache: Any = None,
 ) -> Tuple[str, Dict[str, Any]]:
@@ -139,7 +143,6 @@ def submit_sweep(
         base_seed=base_seed,
         sizes=sweep,
         trials=num_trials,
-        backend=backend,
         dynamics=dynamics,
     )
     plans = resolve_sweep_plans(
@@ -147,7 +150,6 @@ def submit_sweep(
         base_seed=base_seed,
         sizes=sweep,
         trials=num_trials,
-        backend=backend,
         dynamics=dynamics,
     )
     remote = RemoteBackend(url, token=token, publish=True, cache=cache)
@@ -376,7 +378,6 @@ def run_worker(
                 base_seed=int(manifest["sweep"]["base_seed"]),
                 experiment_id=str(manifest["sweep"]["experiment_id"]),
                 max_rounds=cell.budget,
-                backend=cell.plan.backend,
                 dynamics=cell.plan.dynamics,
                 store=store,
             )

@@ -1,15 +1,13 @@
-"""Tests for the batched multi-trial backend (repro.core.batch).
+"""Tests for the batched multi-trial driver (repro.core.batch).
 
-Three contracts matter:
+Two contracts matter (statistical agreement with an independent
+implementation lives in ``test_oracle.py``):
 
-* **Statistical equivalence** — the batched kernels simulate the same
-  processes as the sequential protocols, so their mean broadcast times must
-  agree (overlapping confidence intervals) on every graph family.
 * **Per-trial seed determinism** — trial ``t`` draws only from ``seeds[t]``,
   so its result is reproducible and independent of the surrounding batch.
 * **Completion masking** — finished trials keep their recorded times while the
-  rest of the batch runs on, and budget-exhausted trials surface exactly like
-  the sequential engine's incomplete runs.
+  rest of the batch runs on, and budget-exhausted trials surface as
+  incomplete runs.
 """
 
 from __future__ import annotations
@@ -18,14 +16,8 @@ import numpy as np
 import pytest
 
 from repro import simulate_batch
-from repro.analysis.statistics import summarize_trials
-from repro.core.batch import (
-    BATCHED_PROTOCOLS,
-    run_batch,
-    supports_batched,
-    trial_seeds,
-)
-from repro.core.protocols import PROTOCOL_REGISTRY
+from repro.core.batch import run_batch, trial_seeds
+from repro.core.kernels import KERNEL_REGISTRY
 from repro.core.rng import derive_seed
 from repro.experiments.config import GraphCase, ProtocolSpec
 from repro.experiments.runner import run_trial_set
@@ -44,42 +36,10 @@ def regular_case():
     return GraphCase(graph=graph, source=0, size_parameter=64)
 
 
-class TestStatisticalEquivalence:
-    """Batched and sequential backends agree on mean broadcast time."""
-
-    @pytest.mark.parametrize("protocol", sorted(BATCHED_PROTOCOLS))
-    @pytest.mark.parametrize("case_name", ["star_case", "regular_case"])
-    def test_confidence_intervals_overlap(self, protocol, case_name, request):
-        case = request.getfixturevalue(case_name)
-        spec = ProtocolSpec(protocol)
-        kwargs = dict(trials=60, base_seed=42, experiment_id="equivalence")
-        sequential = summarize_trials(
-            run_trial_set(spec, case, backend="sequential", **kwargs)
-        )
-        batched = summarize_trials(
-            run_trial_set(spec, case, backend="batched", **kwargs)
-        )
-        assert sequential is not None and batched is not None
-        overlap = (
-            sequential.ci_low <= batched.ci_high
-            and batched.ci_low <= sequential.ci_high
-        )
-        assert overlap, (
-            f"{protocol} on {case.graph.name}: sequential CI "
-            f"[{sequential.ci_low:.2f}, {sequential.ci_high:.2f}] does not overlap "
-            f"batched CI [{batched.ci_low:.2f}, {batched.ci_high:.2f}]"
-        )
-
-    def test_all_trials_complete_on_both_backends(self, regular_case):
-        for backend in ("sequential", "batched"):
-            trials = run_trial_set(
-                ProtocolSpec("push"),
-                regular_case,
-                trials=10,
-                base_seed=0,
-                backend=backend,
-            )
-            assert trials.completion_rate == 1.0
+class TestRunnerCells:
+    def test_all_trials_complete(self, regular_case):
+        trials = run_trial_set(ProtocolSpec("push"), regular_case, trials=10, base_seed=0)
+        assert trials.completion_rate == 1.0
 
 
 class TestPerTrialSeedDeterminism:
@@ -89,7 +49,7 @@ class TestPerTrialSeedDeterminism:
         second = run_batch("visit-exchange", regular_case.graph, 0, seeds=seeds)
         assert first.broadcast_times.tolist() == second.broadcast_times.tolist()
 
-    @pytest.mark.parametrize("protocol", sorted(BATCHED_PROTOCOLS))
+    @pytest.mark.parametrize("protocol", sorted(KERNEL_REGISTRY))
     def test_trial_result_independent_of_batch_composition(self, protocol, regular_case):
         seeds = trial_seeds(7, "independence", trials=10)
         full = run_batch(protocol, regular_case.graph, 0, seeds=seeds)
@@ -104,7 +64,7 @@ class TestPerTrialSeedDeterminism:
         )
         assert len(set(result.broadcast_times.tolist())) > 1
 
-    def test_trial_seeds_match_sequential_runner_derivation(self):
+    def test_trial_seeds_match_runner_derivation(self):
         seeds = trial_seeds(9, "exp", "label", 64, trials=3)
         assert seeds == [derive_seed(9, "exp", "label", 64, t) for t in range(3)]
 
@@ -158,20 +118,8 @@ class TestCompletionMasking:
 
 class TestValidationAndDispatch:
     def test_unknown_protocol_rejected(self, star_case):
-        with pytest.raises(ValueError, match="no batched kernel"):
+        with pytest.raises(ValueError, match="unknown protocol"):
             run_batch("gossip-9000", star_case.graph, 0, seeds=[1])
-
-    def test_all_registry_protocols_supported(self):
-        # The kernels are the single source of truth: every registry protocol
-        # (including pull, the hybrid and the observer-instrumented options)
-        # runs on the batched backend.
-        assert BATCHED_PROTOCOLS == set(PROTOCOL_REGISTRY)
-        for protocol in PROTOCOL_REGISTRY:
-            assert supports_batched(protocol)
-        assert supports_batched("push-pull", {"track_all_exchanges": True})
-        assert supports_batched("visit-exchange", {"track_edge_traversals": True})
-        assert supports_batched("meet-exchange", {"lazy": True, "agent_density": 2.0})
-        assert supports_batched("hybrid-ppull-visitx")
 
     def test_empty_seed_list_rejected(self, star_case):
         with pytest.raises(ValueError):
@@ -184,27 +132,16 @@ class TestValidationAndDispatch:
         with pytest.raises(GraphError):
             run_batch("push", star(10), 99, seeds=[1])
 
-    def test_runner_backend_validation(self, star_case):
-        with pytest.raises(ValueError):
-            run_trial_set(
-                ProtocolSpec("push"), star_case, trials=1, base_seed=0, backend="bogus"
-            )
-        with pytest.raises(ValueError, match="no batched kernel"):
-            run_trial_set(
-                ProtocolSpec("gossip-9000"),
-                star_case,
-                trials=1,
-                base_seed=0,
-                backend="batched",
-            )
+    def test_runner_rejects_unknown_protocol(self, star_case):
+        with pytest.raises(ValueError, match="unknown protocol"):
+            run_trial_set(ProtocolSpec("gossip-9000"), star_case, trials=1, base_seed=0)
 
-    def test_runner_batched_records_history(self, star_case):
+    def test_runner_records_history(self, star_case):
         trials = run_trial_set(
             ProtocolSpec("push"),
             star_case,
             trials=3,
             base_seed=0,
-            backend="batched",
             record_history=True,
         )
         for result in trials.results:
@@ -214,17 +151,11 @@ class TestValidationAndDispatch:
             assert history[-1] == star_case.graph.num_vertices
             assert all(b >= a for a, b in zip(history, history[1:]))
 
-    def test_runner_records_chosen_backend(self, star_case):
-        batched = run_trial_set(
-            ProtocolSpec("pull"), star_case, trials=2, base_seed=0, backend="auto"
-        )
+    def test_runner_stamps_batched_backend(self, star_case):
+        # Stored artifacts keep recording the (only) execution path.
+        batched = run_trial_set(ProtocolSpec("pull"), star_case, trials=2, base_seed=0)
         assert batched.backend == "batched"
         assert all(r.metadata["backend"] == "batched" for r in batched.results)
-        sequential = run_trial_set(
-            ProtocolSpec("pull"), star_case, trials=2, base_seed=0, backend="sequential"
-        )
-        assert sequential.backend == "sequential"
-        assert all(r.metadata["backend"] == "sequential" for r in sequential.results)
 
 
 class TestResultPackaging:

@@ -64,6 +64,94 @@ class TestParser:
         gc = build_parser().parse_args(["store", "gc", "--max-bytes", "500M"])
         assert gc.max_bytes == 500 * 1024**2
 
+    #: One command line per sub-command exercising every flag it accepts.
+    FULL_COMMAND_LINES = {
+        "list": ["list"],
+        "run": [
+            "run", "fig1a-star", "--scenario", "m.yaml#s", "--seed", "3", "--trials", "2",
+            "--scale", "0.5", "--markdown", "--workers", "2",
+            "--dynamics", "bernoulli-edges:rate=0.1", "--store", "/tmp/s", "--no-store",
+            "--force",
+        ],
+        "run-all": [
+            "run-all", "--scenario", "m.yaml", "--seed", "3", "--trials", "2", "--scale", "0.5",
+            "--workers", "2", "--dynamics", "bernoulli-edges:rate=0.1", "--store", "/tmp/s",
+            "--no-store", "--force",
+        ],
+        "simulate": [
+            "simulate", "push", "star", "100", "--source", "2", "--seed", "3",
+            "--agent-density", "2.0", "--trials", "4", "--workers", "2",
+            "--dynamics", "bernoulli-edges:rate=0.1", "--store", "/tmp/s", "--no-store",
+            "--force",
+        ],
+        "report": [
+            "report", "--scenario", "m.yaml", "--seed", "3", "--trials", "2", "--scale", "0.5",
+            "--output", "out.md", "--from-store", "--only", "coupling", "--serve",
+            "--host", "0.0.0.0", "--port", "0", "--dynamics", "bernoulli-edges:rate=0.1",
+            "--store", "/tmp/s", "--no-store", "--force",
+        ],
+        "corpus run": [
+            "corpus", "run", "m.yaml", "--seed", "3", "--only", "a", "b", "--workers", "2",
+            "--store", "/tmp/s", "--no-store", "--force",
+        ],
+        "corpus status": ["corpus", "status", "m.yaml", "--seed", "3", "--store", "/tmp/s"],
+        "corpus report": [
+            "corpus", "report", "m.yaml", "--seed", "3", "--store", "/tmp/s",
+            "--output", "out.md", "--strict", "--serve", "--host", "0.0.0.0", "--port", "0",
+        ],
+        "store serve": [
+            "store", "--store", "/tmp/s", "serve", "--host", "0.0.0.0", "--port", "0",
+            "--token", "t", "--lease-ttl", "5",
+        ],
+        "store submit": [
+            "store", "--store", "http://hub:1", "submit", "fig1a-star", "--seed", "3",
+            "--trials", "2", "--scale", "0.5", "--token", "t",
+            "--dynamics", "bernoulli-edges:rate=0.1",
+        ],
+        "store status": ["store", "--store", "http://hub:1", "status", "abc", "--token", "t"],
+        "store ls": ["store", "--store", "/tmp/s", "ls"],
+        "store info": ["store", "info", "abc"],
+        "store gc": [
+            "store", "gc", "--keep-days", "2", "--max-bytes", "1M", "--all", "--dry-run",
+        ],
+        "store export": ["store", "export", "/tmp/d", "--keys", "a", "b"],
+        "worker": [
+            "worker", "http://hub:1", "abc", "--token", "t", "--name", "w", "--store", "/tmp/c",
+            "--poll-interval", "0.5", "--hub-patience", "3", "--max-cells", "2",
+        ],
+        "trace summary": ["trace", "summary", "a.jsonl"],
+        "trace export": ["trace", "export", "a.jsonl", "--chrome", "--output", "t.json"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(FULL_COMMAND_LINES))
+    def test_every_subcommand_parses_all_its_flags(self, name):
+        argv = self.FULL_COMMAND_LINES[name]
+        args = build_parser().parse_args(argv)
+        assert args.command == argv[0]
+        if "--seed" in argv:
+            assert args.seed == 3
+        if "--trials" in argv:
+            assert args.trials == int(argv[argv.index("--trials") + 1])
+        if "--workers" in argv:
+            assert args.workers == 2
+        if "--store" in argv:
+            store = args.cache if name == "worker" else getattr(
+                args, "store_path", getattr(args, "store", None)
+            )
+            assert store == argv[argv.index("--store") + 1]
+
+    @pytest.mark.parametrize(
+        "name", ["run", "run-all", "simulate", "report", "corpus run", "store submit"]
+    )
+    def test_backend_flag_is_gone(self, name):
+        argv = self.FULL_COMMAND_LINES[name]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--backend", "batched"])
+
+    def test_worker_cache_alias_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["worker", "http://hub:1", "abc", "--cache", "/tmp/c"])
+
     def test_parse_byte_size(self):
         from repro.cli.main import parse_byte_size
 

@@ -5,8 +5,8 @@ string form), the kernel-level failure semantics shared by all six protocols
 (an interaction over an inactive edge or with an inactive vertex does not
 happen), the bit-for-bit static-schedule guarantee, and observer parity: the
 ``on_edges_used`` accounting must report only mask-active edges and must be
-identical between the batched backend and the sequential adapter when both
-consume the same per-trial generators.
+identical between one batch and single runs that consume the same
+per-trial generators.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from repro import simulate
-from repro.core.batch import BATCHED_PROTOCOLS, run_batch, trial_seeds
+from repro.core.batch import run_batch, trial_seeds
+from repro.core.kernels import KERNEL_REGISTRY
 from repro.core.observers import EdgeUsageObserver, ObserverGroup
 from repro.graphs import double_star, random_regular_graph
 from repro.graphs.dynamic import (
@@ -28,11 +29,11 @@ from repro.graphs.dynamic import (
     StaticSchedule,
     TopologySchedule,
     edge_index_of,
-    resolve_dynamics,
 )
 from repro.graphs.graph import GraphError
+from repro.scenarios import resolve_dynamics
 
-ALL_PROTOCOLS = sorted(BATCHED_PROTOCOLS)
+ALL_PROTOCOLS = sorted(KERNEL_REGISTRY)
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +85,8 @@ class TestSchedules:
     def test_markov_churn_is_replayable(self, regular):
         schedule = MarkovEdgeChurn(fail_rate=0.2, recover_rate=0.5, seed=9)
         forward = [schedule.activity(regular, r).edge_state.copy() for r in range(1, 8)]
-        # Restarting from round 1 (the sequential adapter's access pattern)
-        # must reproduce the exact same states.
+        # Restarting from round 1 (every rerun's access pattern) must
+        # reproduce the exact same states.
         replay = [schedule.activity(regular, r).edge_state.copy() for r in range(1, 8)]
         for a, b in zip(forward, replay):
             assert np.array_equal(a, b)
@@ -363,7 +364,7 @@ def _observed_counts_batched(protocol, graph, source, seeds, schedule, **kwargs)
     return [next(iter(group)).counts for group in observers]
 
 
-def _observed_counts_sequential(protocol, graph, source, seeds, schedule, **kwargs):
+def _observed_counts_single(protocol, graph, source, seeds, schedule, **kwargs):
     counts = []
     for s in seeds:
         observer = EdgeUsageObserver()
@@ -382,7 +383,8 @@ def _observed_counts_sequential(protocol, graph, source, seeds, schedule, **kwar
 
 class TestObserverParityUnderDynamics:
     """``on_edges_used`` must report only mask-active edges, identically on
-    both backends when they consume the same per-trial generators."""
+    one batch and single runs when they consume the same per-trial
+    generators."""
 
     SEEDS = [101, 202, 303]
 
@@ -397,15 +399,15 @@ class TestObserverParityUnderDynamics:
             ("visit-exchange", {"track_edge_traversals": True}),
         ],
     )
-    def test_batched_equals_sequential_per_trial(self, protocol, kwargs, regular):
+    def test_batch_equals_single_runs_per_trial(self, protocol, kwargs, regular):
         schedule_spec = {"kind": "bernoulli-edges", "rate": 0.3, "seed": 17}
         batched = _observed_counts_batched(
             protocol, regular, 0, self.SEEDS, resolve_dynamics(schedule_spec), **kwargs
         )
-        sequential = _observed_counts_sequential(
+        single = _observed_counts_single(
             protocol, regular, 0, self.SEEDS, resolve_dynamics(schedule_spec), **kwargs
         )
-        assert batched == sequential
+        assert batched == single
 
     @pytest.mark.parametrize(
         "protocol,kwargs",
@@ -420,7 +422,7 @@ class TestObserverParityUnderDynamics:
     )
     def test_only_mask_active_edges_are_reported(self, protocol, kwargs, regular):
         """With a fixed edge set permanently down, no reported edge may be in
-        the down set on either backend."""
+        the down set, batched or single."""
         down = [
             (0, int(regular.neighbors(0)[0])),
             (1, int(regular.neighbors(1)[-1])),
@@ -429,7 +431,7 @@ class TestObserverParityUnderDynamics:
         schedule = StaticSchedule(down_edges=down)
         for counts in _observed_counts_batched(
             protocol, regular, 0, self.SEEDS, schedule, **kwargs
-        ) + _observed_counts_sequential(
+        ) + _observed_counts_single(
             protocol, regular, 0, self.SEEDS, schedule, **kwargs
         ):
             assert counts, f"{protocol}: no edges reported at all"

@@ -114,7 +114,8 @@ class TestRegisteredDefinitions:
 
     def test_robustness_experiments_sweep_failure_rates(self):
         from repro.experiments.robustness import FAILURE_RATES
-        from repro.graphs.dynamic import BernoulliEdgeFailures, resolve_dynamics
+        from repro.graphs.dynamic import BernoulliEdgeFailures
+        from repro.scenarios import resolve_dynamics
 
         for experiment_id in ("robustness-star", "robustness-siamese", "robustness-regular"):
             config = get_experiment(experiment_id)

@@ -439,6 +439,35 @@ class TestWorker:
         )
         assert farmed.table_rows() == reference.table_rows()
 
+    @pytest.mark.parametrize("backend", ["compiled", "sequential"])
+    def test_worker_rejects_a_retired_backend_manifest(self, hub, tmp_path, backend):
+        # A sweep submitted for another execution path must fail loudly in
+        # the worker instead of being farmed as batched cells.
+        from repro.store import sweep_payload
+        from repro.store.journal import sweep_id
+
+        payload = sweep_payload(
+            FARM_CONFIG, base_seed=7, sizes=FARM_CONFIG.sizes, trials=FARM_CONFIG.trials
+        )
+        payload["backend"] = backend
+        plans = resolve_sweep_plans(
+            FARM_CONFIG, base_seed=7, sizes=FARM_CONFIG.sizes, trials=FARM_CONFIG.trials
+        )
+        RemoteBackend(hub.url, token=TOKEN, publish=True, cache=tmp_path / "submit").post_json(
+            "/sweeps/submit",
+            {"sweep": payload, "cells": [p.manifest_entry() for p in plans]},
+            idempotent=True,
+        )
+        with pytest.raises(StoreError, match=backend):
+            run_worker(
+                hub.url,
+                sweep_id(payload),
+                token=TOKEN,
+                cache=tmp_path / "w0",
+                poll_interval=0.05,
+                config_resolver=farm_resolver,
+            )
+
     def test_sweep_status_round_trips(self, hub, tmp_path):
         sid, status = submit_sweep(
             hub.url, FARM_CONFIG, token=TOKEN, base_seed=7, cache=tmp_path / "submit"

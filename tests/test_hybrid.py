@@ -5,8 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import simulate
-from repro.core.engine import Engine
-from repro.core.protocols import HybridPushPullVisitProtocol
 from repro.graphs import double_star, heavy_binary_tree, star
 from repro.graphs.heavy_binary_tree import tree_leaves
 
@@ -28,9 +26,10 @@ class TestBasicBehaviour:
         assert result.messages_sent == graph.num_vertices * result.rounds_executed
 
     def test_agents_created_with_requested_density(self, small_double_star):
-        protocol = HybridPushPullVisitProtocol(agent_density=2.0)
-        Engine(max_rounds=0).run(protocol, small_double_star, 0, seed=1)
-        assert protocol.num_agents() == 2 * small_double_star.num_vertices
+        result = simulate(
+            "hybrid-ppull-visitx", small_double_star, 0, seed=1, max_rounds=0, agent_density=2.0
+        )
+        assert result.num_agents == 2 * small_double_star.num_vertices
 
     def test_metadata_fields(self):
         result = simulate("hybrid-ppull-visitx", star(20), source=0, seed=1, lazy=True)

@@ -1,17 +1,16 @@
-"""Tests for the kernel layer (repro.core.kernels) and its new capabilities.
+"""Tests for the kernel layer (repro.core.kernels).
 
-PR 2 made the vectorized kernels the single source of truth for every
-protocol.  This module covers what that added on top of the original batched
-backend contracts of ``test_batch.py``:
+The vectorized kernels are the single source of truth for every protocol.
+This module covers what they add on top of the driver contracts of
+``test_batch.py`` (statistical agreement with an independent implementation
+lives in ``test_oracle.py``):
 
-* the **new pull and hybrid kernels** — CI-overlap statistical equivalence
-  against the sequential backend and per-trial seed determinism, mirroring
-  ``test_batch.py``;
-* **registry completeness** — kernels and protocols cover the same six names;
+* the **pull and hybrid kernels** — structural sanity and per-trial seed
+  determinism, mirroring ``test_batch.py``;
+* **registry completeness** — the registry covers the six protocol names;
 * **batched instrumentation** — per-round histories and per-trial observer
-  groups (informed counts, informing-edge reporting) on the batched path;
-* **single-trial adapters** — the sequential protocols delegate to kernels
-  (no duplicated round logic) while preserving engine semantics.
+  groups (informed counts, informing-edge reporting);
+* **single runs** — ``repro.simulate`` drives every kernel as a batch of one.
 """
 
 from __future__ import annotations
@@ -19,14 +18,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.statistics import summarize_trials
-from repro.core.batch import BATCHED_PROTOCOLS, run_batch, trial_seeds
+from repro import simulate
+from repro.core.batch import run_batch, trial_seeds
 from repro.core.kernels import KERNEL_REGISTRY, get_kernel_class
 from repro.core.observers import EdgeUsageObserver, InformedCountObserver, ObserverGroup
-from repro.core.protocols import PROTOCOL_REGISTRY, make_protocol
-from repro.core.protocols.adapter import KernelProtocolAdapter
-from repro.experiments.config import GraphCase, ProtocolSpec
-from repro.experiments.runner import run_trial_set
+from repro.experiments.config import GraphCase
 from repro.graphs import complete_graph, double_star, random_regular_graph, star
 
 
@@ -42,48 +38,22 @@ def double_star_case():
 
 
 class TestRegistryCompleteness:
-    def test_kernels_cover_every_registry_protocol(self):
-        assert set(KERNEL_REGISTRY) == set(PROTOCOL_REGISTRY)
-        assert BATCHED_PROTOCOLS == set(PROTOCOL_REGISTRY)
+    def test_kernels_cover_every_protocol(self):
+        assert set(KERNEL_REGISTRY) == {
+            "push",
+            "pull",
+            "push-pull",
+            "visit-exchange",
+            "meet-exchange",
+            "hybrid-ppull-visitx",
+        }
 
     def test_get_kernel_class_rejects_unknown(self):
-        with pytest.raises(ValueError, match="no batched kernel"):
+        with pytest.raises(ValueError, match="unknown protocol"):
             get_kernel_class("gossip-9000")
 
-    def test_every_protocol_is_a_kernel_adapter(self):
-        # "No protocol's round logic exists in more than one place": every
-        # sequential protocol must delegate to its kernel.
-        for name, cls in PROTOCOL_REGISTRY.items():
-            assert issubclass(cls, KernelProtocolAdapter), name
-            assert cls.kernel_class is KERNEL_REGISTRY[name], name
 
-
-class TestNewKernelsStatisticalEquivalence:
-    """The pull and hybrid kernels agree with the sequential backend."""
-
-    @pytest.mark.parametrize("protocol", ["pull", "hybrid-ppull-visitx"])
-    @pytest.mark.parametrize("case_name", ["regular_case", "double_star_case"])
-    def test_confidence_intervals_overlap(self, protocol, case_name, request):
-        case = request.getfixturevalue(case_name)
-        spec = ProtocolSpec(protocol)
-        kwargs = dict(trials=60, base_seed=42, experiment_id="kernel-equivalence")
-        sequential = summarize_trials(
-            run_trial_set(spec, case, backend="sequential", **kwargs)
-        )
-        batched = summarize_trials(
-            run_trial_set(spec, case, backend="batched", **kwargs)
-        )
-        assert sequential is not None and batched is not None
-        overlap = (
-            sequential.ci_low <= batched.ci_high
-            and batched.ci_low <= sequential.ci_high
-        )
-        assert overlap, (
-            f"{protocol} on {case.graph.name}: sequential CI "
-            f"[{sequential.ci_low:.2f}, {sequential.ci_high:.2f}] does not overlap "
-            f"batched CI [{batched.ci_low:.2f}, {batched.ci_high:.2f}]"
-        )
-
+class TestNewKernelsStructure:
     def test_pull_star_from_center_takes_one_round(self):
         # Structural sanity for the pull kernel: every leaf pulls from its
         # only neighbor, the informed center.
@@ -116,8 +86,8 @@ class TestNewKernelsSeedDeterminism:
 
 
 class TestBatchedHistories:
-    @pytest.mark.parametrize("protocol", sorted(BATCHED_PROTOCOLS))
-    def test_histories_match_engine_semantics(self, protocol, regular_case):
+    @pytest.mark.parametrize("protocol", sorted(KERNEL_REGISTRY))
+    def test_histories_are_well_formed(self, protocol, regular_case):
         result = run_batch(
             protocol, regular_case.graph, 0, seeds=range(5), record_history=True
         )
@@ -159,7 +129,7 @@ class TestBatchedObservers:
             for u, v in observer.counts:
                 assert graph.has_edge(u, v)
 
-    def test_informed_count_observer_matches_sequential_hooks(self):
+    def test_informed_count_observer_hooks(self):
         graph = complete_graph(16)
         observers = [ObserverGroup([InformedCountObserver()]) for _ in range(3)]
         result = run_batch("push-pull", graph, 0, seeds=range(3), observers=observers)
@@ -202,27 +172,21 @@ class TestBatchedObservers:
         assert plain.broadcast_times.tolist() == observed.broadcast_times.tolist()
 
 
-class TestAdapterEngineParity:
-    """Single-trial adapter semantics under the sequential engine."""
+class TestSingleRuns:
+    """``repro.simulate`` drives every kernel as a one-trial batch."""
 
-    @pytest.mark.parametrize("protocol", sorted(PROTOCOL_REGISTRY))
-    def test_sequential_and_adapter_access(self, protocol):
-        from repro import simulate
-
+    @pytest.mark.parametrize("protocol", sorted(KERNEL_REGISTRY))
+    def test_simulate_every_protocol(self, protocol):
         graph = double_star(40)
         result = simulate(protocol, graph, source=2, seed=11)
         assert result.completed
         assert result.protocol == protocol
         assert result.informed_vertex_history[0] >= 1
 
-    def test_pull_edge_reporting_under_engine(self):
-        from repro.core.engine import Engine
-
+    def test_pull_edge_reporting_single_run(self):
         graph = complete_graph(12)
         observer = EdgeUsageObserver()
-        Engine().run(
-            make_protocol("pull"), graph, 0, seed=4, observers=ObserverGroup([observer])
-        )
+        simulate("pull", graph, 0, seed=4, observers=ObserverGroup([observer]))
         # Pull informs each non-source vertex exactly once.
         assert observer.total_uses() == graph.num_vertices - 1
         for u, v in observer.counts:

@@ -5,49 +5,46 @@ from __future__ import annotations
 import numpy as np
 
 from repro import simulate
-from repro.core.engine import Engine
-from repro.core.protocols import MeetExchangeProtocol
+from repro.core.kernels import MeetExchangeKernel, batch_generator
 from repro.graphs import Graph, complete_graph, double_star, heavy_binary_tree, star
 from repro.graphs.heavy_binary_tree import tree_leaves
 from repro.graphs.siamese_tree import siamese_heavy_binary_tree
 
 
+def round_zero(graph, source, seed, **kwargs):
+    """A one-trial meet-exchange run stopped after round 0."""
+    return simulate("meet-exchange", graph, source, seed=seed, max_rounds=0, **kwargs)
+
+
 class TestInitialization:
     def test_agents_on_source_informed_at_round_zero(self):
-        graph = star(30)
-        protocol = MeetExchangeProtocol(agent_density=3.0)
-        Engine(max_rounds=0).run(protocol, graph, 0, seed=1)
-        agents = protocol.agent_system()
-        at_source = agents.agents_at(0)
-        assert at_source.size > 0
-        assert np.all(agents.informed[at_source])
+        kernel = MeetExchangeKernel(agent_density=3.0)
+        kernel.initialize(star(30), 0, [batch_generator(1)])
+        at_source = kernel.positions[0] == 0
+        assert at_source.any()
+        assert kernel.informed[0][at_source].all()
+        assert not kernel.informed[0][~at_source].any()
 
     def test_lazy_enabled_automatically_on_bipartite_graphs(self):
-        protocol = MeetExchangeProtocol()
-        Engine(max_rounds=0).run(protocol, star(20), 0, seed=1)
-        assert protocol.uses_lazy_walks
+        assert round_zero(star(20), 0, 1).metadata["lazy"] is True
 
     def test_lazy_disabled_automatically_on_non_bipartite_graphs(self):
-        protocol = MeetExchangeProtocol()
-        Engine(max_rounds=0).run(protocol, complete_graph(16), 0, seed=1)
-        assert not protocol.uses_lazy_walks
+        assert round_zero(complete_graph(16), 0, 1).metadata["lazy"] is False
 
     def test_explicit_lazy_override(self):
-        protocol = MeetExchangeProtocol(lazy=True)
-        Engine(max_rounds=0).run(protocol, complete_graph(16), 0, seed=1)
-        assert protocol.uses_lazy_walks
+        assert round_zero(complete_graph(16), 0, 1, lazy=True).metadata["lazy"] is True
 
     def test_source_keeps_rumor_until_first_visit(self):
-        # Place a single agent far from the source; before any visit the agent
-        # population is entirely uninformed.
+        # A single agent: the source keeps the rumor exactly when the agent
+        # did not start on it (and so is still uninformed at round 0).
         graph = Graph(3, [(0, 1), (1, 2)], name="path3")
-        protocol = MeetExchangeProtocol(num_agents=1, lazy=True)
-        result = Engine(max_rounds=0).run(protocol, graph, 0, seed=5)
-        metadata = result.metadata
-        if protocol.agent_system().agents_at(0).size == 0:
-            assert metadata["source_still_informs"] is True
-        else:
-            assert metadata["source_still_informs"] is False
+        outcomes = set()
+        for seed in range(8):
+            result = round_zero(graph, 0, seed, num_agents=1, lazy=True)
+            started_on_source = result.informed_agent_history[0] == 1
+            assert result.metadata["source_still_informs"] is not started_on_source
+            outcomes.add(started_on_source)
+        assert outcomes == {True, False}
 
 
 class TestDynamics:
@@ -58,10 +55,9 @@ class TestDynamics:
 
     def test_completion_means_all_agents_informed(self):
         graph = double_star(40)
-        protocol = MeetExchangeProtocol()
-        result = Engine().run(protocol, graph, 2, seed=3)
+        result = simulate("meet-exchange", graph, source=2, seed=3)
         assert result.completed
-        assert protocol.agent_system().all_informed()
+        assert result.informed_agent_history[-1] == result.num_agents
 
     def test_informed_agents_monotone(self):
         result = simulate("meet-exchange", complete_graph(32), source=0, seed=2)
@@ -90,19 +86,15 @@ class TestDynamics:
         # is the whole population: once it picks up the rumor at the source the
         # process is complete.
         graph = complete_graph(8)
-        protocol = MeetExchangeProtocol(num_agents=1)
-        result = Engine(max_rounds=200).run(protocol, graph, 0, seed=2)
+        result = simulate("meet-exchange", graph, 0, seed=2, max_rounds=200, num_agents=1)
         assert result.completed
 
     def test_agent_density_controls_population(self, small_double_star):
-        protocol = MeetExchangeProtocol(agent_density=0.5)
-        Engine(max_rounds=0).run(protocol, small_double_star, 0, seed=1)
-        assert protocol.num_agents() == 20
+        assert round_zero(small_double_star, 0, 1, agent_density=0.5).num_agents == 20
 
     def test_one_agent_per_vertex_mode(self, small_complete):
-        protocol = MeetExchangeProtocol(one_agent_per_vertex=True)
-        Engine(max_rounds=0).run(protocol, small_complete, 0, seed=1)
-        assert protocol.num_agents() == small_complete.num_vertices
+        result = round_zero(small_complete, 0, 1, one_agent_per_vertex=True)
+        assert result.num_agents == small_complete.num_vertices
 
 
 class TestPaperShapes:

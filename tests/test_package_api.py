@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro import PROTOCOL_REGISTRY, make_protocol, simulate
-from repro.core.engine import RoundProtocol
+from repro import KERNEL_REGISTRY, simulate
+from repro.core.kernels import BatchKernel
 from repro.graphs import star
 
 
@@ -40,12 +40,12 @@ class TestPackageSurface:
 
 class TestProtocolRegistry:
     def test_registry_names_match_class_names(self):
-        for name, cls in PROTOCOL_REGISTRY.items():
+        for name, cls in KERNEL_REGISTRY.items():
             assert cls.name == name
-            assert issubclass(cls, RoundProtocol)
+            assert issubclass(cls, BatchKernel)
 
     def test_expected_protocols_registered(self):
-        assert set(PROTOCOL_REGISTRY) == {
+        assert set(KERNEL_REGISTRY) == {
             "push",
             "push-pull",
             "pull",
@@ -54,17 +54,13 @@ class TestProtocolRegistry:
             "hybrid-ppull-visitx",
         }
 
-    def test_make_protocol_unknown_name(self):
+    def test_unknown_protocol_name(self):
         with pytest.raises(ValueError, match="unknown protocol"):
-            make_protocol("carrier-pigeon")
+            simulate("carrier-pigeon", star(5), seed=1)
 
-    def test_make_protocol_forwards_kwargs(self):
-        protocol = make_protocol("visit-exchange", agent_density=3.0)
-        assert protocol.agent_density == 3.0
-
-    def test_make_protocol_rejects_bad_kwargs(self):
+    def test_bad_protocol_kwargs_rejected(self):
         with pytest.raises(TypeError):
-            make_protocol("push", agent_density=3.0)
+            simulate("push", star(5), seed=1, agent_density=3.0)
 
 
 class TestSimulateEntryPoint:

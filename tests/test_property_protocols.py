@@ -267,16 +267,16 @@ class TestDynamicTopologyProperties:
         st.sampled_from(["push", "pull", "push-pull", "visit-exchange", "meet-exchange"]),
         st.integers(min_value=0, max_value=10**6),
     )
-    def test_batched_equals_sequential_round_for_round(
+    def test_simulate_equals_run_batch_round_for_round(
         self, graph, schedule, protocol, seed
     ):
-        """Handed the same per-trial generator and the same schedule, the
-        batched driver and the sequential adapter are the same computation:
+        """Handed the same per-trial generator and the same schedule, a single
+        ``simulate`` run and a one-seed ``run_batch`` are the same computation:
         identical broadcast time and identical per-round trajectories."""
         from repro.core.batch import run_batch
 
         kwargs = {"lazy": True} if protocol == "meet-exchange" else {}
-        sequential = simulate(
+        single = simulate(
             protocol,
             graph,
             source=0,
@@ -295,6 +295,6 @@ class TestDynamicTopologyProperties:
             dynamics=schedule,
             **kwargs,
         )
-        assert sequential.broadcast_time == int(batched.broadcast_times[0])
-        assert sequential.informed_vertex_history == batched.vertex_histories[0]
-        assert sequential.informed_agent_history == batched.agent_histories[0]
+        assert single.broadcast_time == int(batched.broadcast_times[0])
+        assert single.informed_vertex_history == batched.vertex_histories[0]
+        assert single.informed_agent_history == batched.agent_histories[0]

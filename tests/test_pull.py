@@ -5,8 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import simulate
-from repro.core.engine import Engine
-from repro.core.protocols import PullProtocol
 from repro.graphs import Graph, complete_graph, star
 
 
@@ -42,10 +40,9 @@ class TestBasicBehaviour:
         # In the first round 7 uninformed vertices pull.
         assert result.messages_sent >= 7
 
-    def test_informed_mask_complete(self):
-        protocol = PullProtocol()
-        Engine().run(protocol, complete_graph(16), 3, seed=0)
-        assert protocol.informed_mask().all()
+    def test_every_vertex_informed_at_end(self):
+        result = simulate("pull", complete_graph(16), source=3, seed=0)
+        assert result.informed_vertex_history[-1] == 16
 
     def test_two_vertex_graph(self):
         result = simulate("pull", Graph(2, [(0, 1)]), source=0, seed=0)

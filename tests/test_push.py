@@ -5,9 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import simulate
-from repro.core.engine import Engine
 from repro.core.observers import EdgeUsageObserver, ObserverGroup
-from repro.core.protocols import PushProtocol
 from repro.graphs import Graph, complete_graph, double_star, star
 from repro.theory import expected_collection_time
 
@@ -47,11 +45,10 @@ class TestBasicBehaviour:
         result = simulate("push", graph, source=0, seed=0)
         assert result.messages_sent >= result.broadcast_time
 
-    def test_informed_mask_complete_at_end(self):
-        protocol = PushProtocol()
+    def test_every_vertex_informed_at_end(self):
         graph = double_star(20)
-        Engine().run(protocol, graph, 2, seed=0)
-        assert protocol.informed_mask().all()
+        result = simulate("push", graph, source=2, seed=0)
+        assert result.informed_vertex_history[-1] == graph.num_vertices
 
     def test_path_broadcast_time_at_least_distance(self):
         # Information travels at most one hop per round along the path.
@@ -86,9 +83,7 @@ class TestEdgeReporting:
     def test_informing_edges_form_spanning_structure(self):
         graph = double_star(20)
         observer = EdgeUsageObserver()
-        Engine().run(
-            PushProtocol(), graph, 0, seed=4, observers=ObserverGroup([observer])
-        )
+        simulate("push", graph, source=0, seed=4, observers=ObserverGroup([observer]))
         # Exactly n - 1 informing transmissions (each vertex informed once,
         # except the source).
         assert observer.total_uses() == graph.num_vertices - 1
@@ -96,9 +91,7 @@ class TestEdgeReporting:
     def test_reported_edges_are_graph_edges(self):
         graph = complete_graph(12)
         observer = EdgeUsageObserver()
-        Engine().run(
-            PushProtocol(), graph, 0, seed=4, observers=ObserverGroup([observer])
-        )
+        simulate("push", graph, source=0, seed=4, observers=ObserverGroup([observer]))
         for u, v in observer.counts:
             assert graph.has_edge(u, v)
 

@@ -5,9 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import simulate
-from repro.core.engine import Engine
 from repro.core.observers import EdgeUsageObserver, ObserverGroup
-from repro.core.protocols import PushPullProtocol
 from repro.graphs import Graph, complete_graph, double_star, star
 
 
@@ -48,11 +46,10 @@ class TestBasicBehaviour:
         result = simulate("push-pull", graph, source=0, seed=1)
         assert result.messages_sent == 16 * result.rounds_executed
 
-    def test_informed_mask_complete(self):
-        protocol = PushPullProtocol()
+    def test_every_vertex_informed_at_end(self):
         graph = double_star(30)
-        Engine().run(protocol, graph, 5, seed=0)
-        assert protocol.informed_mask().all()
+        result = simulate("push-pull", graph, source=5, seed=0)
+        assert result.informed_vertex_history[-1] == graph.num_vertices
 
     def test_two_vertex_graph(self):
         graph = Graph(2, [(0, 1)])
@@ -74,9 +71,7 @@ class TestDoubleStarSlowness:
     def test_bridge_edge_is_used(self):
         graph = double_star(40)
         observer = EdgeUsageObserver()
-        Engine().run(
-            PushPullProtocol(), graph, 2, seed=8, observers=ObserverGroup([observer])
-        )
+        simulate("push-pull", graph, source=2, seed=8, observers=ObserverGroup([observer]))
         assert (0, 1) in observer.counts  # information must cross the bridge
 
 

@@ -1,23 +1,14 @@
-"""Tests for the million-node kernel tier (sparse frontiers + compiled backend).
+"""Tests for the million-node kernel tier (sparse frontiers).
 
-The scaling tier has two hard contracts, tested here:
+The scaling tier's hard contract: the **sparse-frontier representation** is
+*bit-identical* to the dense one — same draw streams, same fixed-point
+arithmetic, same results down to the last per-round history entry — for all
+six protocol kernels, on skewed and regular families alike, with the dense
+fallback forced whenever dynamics or observers are attached.
 
-* the **sparse-frontier representation** is *bit-identical* to the dense one
-  — same draw streams, same fixed-point arithmetic, same results down to the
-  last per-round history entry — for all six protocol kernels, on skewed and
-  regular families alike, with the dense fallback forced whenever dynamics
-  or observers are attached;
-* the **compiled backend** is a distinct stream family (per-trial splitmix64
-  scalar loops), so it is held to the same standard the batched backend is
-  held to against the sequential engine: per-trial seed determinism, trial
-  independence from batch composition, and CI-overlap statistical
-  equivalence — plus its own store-key distinctness, since compiled cells
-  are different addresses by contract.
-
-Environment-knob behaviour (``REPRO_FRONTIER``, ``REPRO_SPARSE_MIN_N``,
-``REPRO_COMPILED``, ``REPRO_COMPILED_MIN_N``; catalogued in
-:mod:`repro.experiments.config`) is tested through ``monkeypatch`` so the
-suite never leaks state.
+Environment-knob behaviour (``REPRO_FRONTIER``, ``REPRO_SPARSE_MIN_N``;
+catalogued in :mod:`repro.experiments.config`) is tested through
+``monkeypatch`` so the suite never leaks state.
 """
 
 from __future__ import annotations
@@ -26,23 +17,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
-from repro.analysis.statistics import summarize_trials
-from repro.core.batch import (
-    COMPILED_MIN_VERTICES,
-    compiled_auto_enabled,
-    compiled_supported,
-    compiled_threshold,
-    run_batch,
-    run_compiled,
-    trial_seeds,
-)
+from repro.core.batch import run_batch, trial_seeds
 from repro.core.kernels import get_kernel_class, sparse_threshold
 from repro.core.kernels.base import SPARSE_MIN_VERTICES, batch_generator
-from repro.core.kernels.compiled import HAVE_NUMBA, RUNNERS
 from repro.core.kernels.packed import PackedBits, popcount
 from repro.core.observers import InformedCountObserver, ObserverGroup
-from repro.experiments.config import GraphCase, ProtocolSpec
-from repro.experiments.runner import run_trial_set
 from repro.graphs import (
     Graph,
     double_star,
@@ -51,8 +30,6 @@ from repro.graphs import (
     random_regular_graph,
     star,
 )
-from repro.store.orchestrator import resolve_cell
-from repro.store.keys import trial_cell_payload
 
 ALL_PROTOCOLS = (
     "push",
@@ -251,152 +228,3 @@ class TestRowCompaction:
                 # The inverse permutation must agree with a linear scan.
                 scan = int(np.flatnonzero(kernel.trial_ids == trial)[0])
                 assert kernel._row_of(trial) == scan
-
-
-class TestCompiledBackend:
-    @pytest.fixture(scope="class")
-    def small_graph(self):
-        return random_regular_graph(64, 6, np.random.default_rng(5))
-
-    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
-    def test_deterministic_and_trial_independent(self, protocol, small_graph):
-        seeds = trial_seeds(21, "compiled-det", protocol, trials=8)
-        first = run_compiled(protocol, small_graph, seeds=seeds, record_history=True)
-        second = run_compiled(protocol, small_graph, seeds=seeds, record_history=True)
-        assert _batch_fingerprint(first) == _batch_fingerprint(second)
-        # A trial's outcome must not depend on its batch: rerunning a subset
-        # of the seeds reproduces exactly those trials' results.
-        subset = run_compiled(protocol, small_graph, seeds=seeds[2:5])
-        assert subset.broadcast_times.tolist() == first.broadcast_times[2:5].tolist()
-        assert subset.messages_sent.tolist() == first.messages_sent[2:5].tolist()
-
-    @pytest.mark.parametrize("protocol", ["push", "visit-exchange"])
-    def test_ci_overlap_with_batched(self, protocol, small_graph):
-        case = GraphCase(graph=small_graph, source=0, size_parameter=64)
-        spec = ProtocolSpec(protocol)
-        kwargs = dict(trials=40, base_seed=42, experiment_id="compiled-equivalence")
-        batched = summarize_trials(run_trial_set(spec, case, backend="batched", **kwargs))
-        compiled = summarize_trials(run_trial_set(spec, case, backend="compiled", **kwargs))
-        assert batched is not None and compiled is not None
-        overlap = (
-            batched.ci_low <= compiled.ci_high and compiled.ci_low <= batched.ci_high
-        )
-        assert overlap, (
-            f"{protocol}: batched CI [{batched.ci_low:.2f}, {batched.ci_high:.2f}] "
-            f"does not overlap compiled CI "
-            f"[{compiled.ci_low:.2f}, {compiled.ci_high:.2f}]"
-        )
-
-    def test_rejects_instrumentation(self, small_graph):
-        seeds = trial_seeds(0, "reject", trials=2)
-        with pytest.raises(ValueError, match="dynamics"):
-            run_compiled(
-                "push", small_graph, seeds=seeds,
-                dynamics={"kind": "bernoulli-edges", "rate": 0.1, "seed": 1},
-            )
-        with pytest.raises(ValueError, match="observer tracking"):
-            run_compiled("push", small_graph, seeds=seeds, track_edge_traversals=True)
-        with pytest.raises(ValueError, match="warp_factor"):
-            run_compiled("push", small_graph, seeds=seeds, warp_factor=9)
-
-    def test_supported_matrix(self):
-        assert compiled_supported("push")
-        assert compiled_supported("meet-exchange", {"lazy": True})
-        assert not compiled_supported("push", dynamics={"kind": "static"})
-        assert not compiled_supported("push", {"track_all_exchanges": True})
-        assert not compiled_supported("gossip-9000")
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_jitted_matches_pure_python(self, small_graph):
-        # Same runner, jitted vs interpreted on identical inputs: the results
-        # must be bit-identical, which pins down any numba/numpy
-        # integer-semantics divergence (shift widths, overflow wrap).
-        from repro.core.kernels.compiled import trial_state
-
-        indptr, indices = small_graph.indptr, small_graph.indices
-        for protocol in ("push", "visit-exchange"):
-            runner = RUNNERS[protocol]
-            assert hasattr(runner, "py_func"), "runner is not jitted"
-            for seed in trial_seeds(3, "jit", protocol, trials=3):
-                outputs = []
-                for flavor in (runner, runner.py_func):
-                    vhist = np.zeros(501, dtype=np.int64)
-                    if protocol == "push":
-                        args = (indptr, indices, 0, 500, trial_state(seed), vhist)
-                    else:
-                        ahist = np.zeros(501, dtype=np.int64)
-                        args = (
-                            indptr, indices, 0, 500, trial_state(seed),
-                            small_graph.slot_sources(), 64, False, False,
-                            vhist, ahist,
-                        )
-                    with np.errstate(over="ignore"):
-                        result = flavor(*args)
-                    outputs.append((tuple(int(x) for x in result), vhist.tolist()))
-                assert outputs[0] == outputs[1], f"{protocol}: jit != py_func"
-
-
-class TestCompiledDispatch:
-    @pytest.fixture(scope="class")
-    def case(self):
-        graph = random_regular_graph(64, 6, np.random.default_rng(5))
-        return GraphCase(graph=graph, source=0, size_parameter=64)
-
-    def test_forced_compiled_is_a_distinct_store_address(self, case):
-        spec = ProtocolSpec("push")
-        kwargs = dict(trials=4, base_seed=7, experiment_id="dispatch")
-        plans = {
-            backend: resolve_cell(spec, case, backend=backend, **kwargs)
-            for backend in ("compiled", "batched", "sequential")
-        }
-        assert plans["compiled"].backend == "compiled"
-        keys = {backend: plan.key for backend, plan in plans.items()}
-        assert len(set(keys.values())) == 3, "backends must have distinct cell keys"
-        for backend, plan in plans.items():
-            assert plan.payload["backend"] == backend
-
-    def test_forced_compiled_rejects_unsupported_cells(self, case):
-        spec = ProtocolSpec("push", kwargs={"track_all_exchanges": True})
-        with pytest.raises(ValueError, match="compiled"):
-            resolve_cell(spec, case, trials=2, base_seed=0, backend="compiled")
-        with pytest.raises(ValueError, match="compiled"):
-            resolve_cell(
-                ProtocolSpec("push"), case, trials=2, base_seed=0,
-                backend="compiled",
-                dynamics={"kind": "bernoulli-edges", "rate": 0.1, "seed": 1},
-            )
-
-    def test_auto_respects_threshold_and_kill_switch(self, case, monkeypatch):
-        spec = ProtocolSpec("push")
-        kwargs = dict(trials=2, base_seed=0, backend="auto")
-        # Small graph: auto never picks compiled below the threshold.
-        monkeypatch.delenv("REPRO_COMPILED_MIN_N", raising=False)
-        assert compiled_threshold() == COMPILED_MIN_VERTICES
-        assert resolve_cell(spec, case, **kwargs).backend != "compiled"
-        monkeypatch.setenv("REPRO_COMPILED_MIN_N", "32")
-        if HAVE_NUMBA:
-            assert resolve_cell(spec, case, **kwargs).backend == "compiled"
-            monkeypatch.setenv("REPRO_COMPILED", "0")
-            assert not compiled_auto_enabled()
-            assert resolve_cell(spec, case, **kwargs).backend != "compiled"
-        else:
-            # Without numba the pure-Python fallback must never be auto-picked.
-            assert not compiled_auto_enabled()
-            assert resolve_cell(spec, case, **kwargs).backend != "compiled"
-
-    def test_trial_set_records_compiled_backend(self, case):
-        trials = run_trial_set(
-            ProtocolSpec("push"), case, trials=3, base_seed=1, backend="compiled"
-        )
-        assert trials.backend == "compiled"
-        assert trials.completion_rate == 1.0
-
-    def test_payload_rejects_unresolved_backend(self, case):
-        with pytest.raises(ValueError, match="backend"):
-            trial_cell_payload(
-                graph=case.graph,
-                source=0,
-                protocol_name="push",
-                seeds=[1, 2],
-                backend="auto",
-            )

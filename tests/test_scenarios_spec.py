@@ -125,17 +125,7 @@ class TestResolveScenario:
             resolve_scenario(42)
 
 
-class TestDeprecatedShims:
-    def test_old_resolve_dynamics_warns_and_matches(self):
-        from repro.graphs import dynamic
-        from repro.scenarios import resolve_dynamics as canonical
-
-        with pytest.warns(DeprecationWarning, match="repro.scenarios"):
-            old = dynamic.resolve_dynamics("bernoulli-edges:rate=0.25,seed=3")
-        new = canonical("bernoulli-edges:rate=0.25,seed=3")
-        assert type(old) is type(new)
-        assert old.rate == new.rate == 0.25
-
+class TestResolveDynamics:
     def test_canonical_spelling_does_not_warn(self):
         from repro.scenarios import resolve_dynamics
 

@@ -111,7 +111,6 @@ class TestCellKeys:
             {"trials": 5},
             {"max_rounds": 50},
             {"record_history": True},
-            {"backend": "sequential"},
             {"dynamics": {"kind": "bernoulli-edges", "rate": 0.1, "seed": 0}},
         ],
     )
@@ -147,25 +146,14 @@ class TestCellKeys:
         # cell and must share a key.
         assert pinned.key == defaulted.key
 
-    def test_auto_resolves_before_hashing(self):
+    def test_payload_pins_the_batched_backend(self):
+        # Existing addresses hash a fixed "backend": "batched" entry.
         case = star_case()
-        auto = resolve_cell(ProtocolSpec("push"), case, trials=2, base_seed=0)
-        batched = resolve_cell(
-            ProtocolSpec("push"), case, trials=2, base_seed=0, backend="batched"
+        plan = resolve_cell(ProtocolSpec("push"), case, trials=2, base_seed=0)
+        assert plan.payload["backend"] == "batched"
+        assert plan.payload == trial_cell_payload(
+            graph=case.graph, source=0, protocol_name="push", seeds=plan.seeds
         )
-        assert auto.key == batched.key
-        assert auto.backend == "batched"
-
-    def test_unresolved_backend_rejected_by_payload(self):
-        case = star_case()
-        with pytest.raises(ValueError):
-            trial_cell_payload(
-                graph=case.graph,
-                source=0,
-                protocol_name="push",
-                seeds=[1, 2],
-                backend="auto",
-            )
 
 
 class TestArtifactRoundTrip:
@@ -370,7 +358,6 @@ class TestSweepCaching:
                 base_seed=4,
                 sizes=TOY_CONFIG.sizes,
                 trials=TOY_CONFIG.trials,
-                backend="auto",
             ),
         )
         events = list(journal.events())
@@ -413,7 +400,6 @@ class TestInterruptedResume:
                 base_seed=11,
                 sizes=TOY_CONFIG.sizes,
                 trials=TOY_CONFIG.trials,
-                backend="auto",
             ),
         )
         assert len(journal.cell_events()) == 2

@@ -5,42 +5,48 @@ from __future__ import annotations
 import numpy as np
 
 from repro import simulate
-from repro.core.engine import Engine
-from repro.core.protocols import VisitExchangeProtocol
+from repro.core.kernels import VisitExchangeKernel, batch_generator
 from repro.graphs import Graph, complete_graph, double_star, heavy_binary_tree, star
 from repro.graphs.heavy_binary_tree import tree_leaves
 
 
+def initialized_kernel(graph, source, seed, **kwargs):
+    """A one-trial visit-exchange kernel in its round-0 state."""
+    kernel = VisitExchangeKernel(**kwargs)
+    kernel.initialize(graph, source, [batch_generator(seed)])
+    return kernel
+
+
 class TestInitialization:
     def test_agents_on_source_informed_at_round_zero(self):
-        graph = star(30)
-        protocol = VisitExchangeProtocol(agent_density=2.0)
-        Engine(max_rounds=0).run(protocol, graph, 0, seed=1)
-        agents = protocol.agent_system()
-        at_source = agents.agents_at(0)
-        assert at_source.size > 0
-        assert np.all(agents.informed[at_source])
+        kernel = initialized_kernel(star(30), 0, 1, agent_density=2.0)
+        positions, informed = kernel.positions[0], kernel.agent_informed[0]
+        at_source = positions == 0
+        assert at_source.any()
+        assert informed[at_source].all()
         # Agents not at the source are uninformed at round zero.
-        elsewhere = np.setdiff1d(np.arange(agents.num_agents), at_source)
-        assert not np.any(agents.informed[elsewhere])
+        assert not informed[~at_source].any()
 
     def test_agent_density_controls_population(self, small_double_star):
         for density, expected in ((0.5, 20), (1.0, 40), (2.0, 80)):
-            protocol = VisitExchangeProtocol(agent_density=density)
-            Engine(max_rounds=0).run(protocol, small_double_star, 0, seed=1)
-            assert protocol.num_agents() == expected
+            result = simulate(
+                "visit-exchange", small_double_star, 0, seed=1, max_rounds=0,
+                agent_density=density,
+            )
+            assert result.num_agents == expected
 
     def test_explicit_num_agents_overrides_density(self, small_double_star):
-        protocol = VisitExchangeProtocol(agent_density=5.0, num_agents=7)
-        Engine(max_rounds=0).run(protocol, small_double_star, 0, seed=1)
-        assert protocol.num_agents() == 7
+        result = simulate(
+            "visit-exchange", small_double_star, 0, seed=1, max_rounds=0,
+            agent_density=5.0, num_agents=7,
+        )
+        assert result.num_agents == 7
 
     def test_one_agent_per_vertex_mode(self, small_double_star):
-        protocol = VisitExchangeProtocol(one_agent_per_vertex=True)
-        Engine(max_rounds=0).run(protocol, small_double_star, 0, seed=1)
-        agents = protocol.agent_system()
-        assert agents.num_agents == small_double_star.num_vertices
-        assert sorted(agents.positions.tolist()) == list(range(small_double_star.num_vertices))
+        kernel = initialized_kernel(small_double_star, 0, 1, one_agent_per_vertex=True)
+        assert kernel.num_agents() == small_double_star.num_vertices
+        positions = sorted(kernel.positions[0].tolist())
+        assert positions == list(range(small_double_star.num_vertices))
 
 
 class TestDynamics:
@@ -51,11 +57,10 @@ class TestDynamics:
 
     def test_all_agents_informed_by_completion(self):
         graph = double_star(40)
-        protocol = VisitExchangeProtocol()
-        result = Engine().run(protocol, graph, 2, seed=3)
+        result = simulate("visit-exchange", graph, source=2, seed=3)
         assert result.completed
-        assert protocol.agent_system().all_informed()
-        assert protocol.vertex_informed_mask().all()
+        assert result.informed_agent_history[-1] == result.num_agents
+        assert result.informed_vertex_history[-1] == graph.num_vertices
 
     def test_informed_vertices_monotone(self):
         result = simulate("visit-exchange", complete_graph(32), source=0, seed=2)
@@ -72,8 +77,7 @@ class TestDynamics:
         # number of agents that were already informed before the round (each
         # informed agent visits exactly one vertex).
         graph = star(40)
-        protocol = VisitExchangeProtocol()
-        result = Engine(max_rounds=1).run(protocol, graph, 5, seed=4)
+        result = simulate("visit-exchange", graph, source=5, seed=4, max_rounds=1)
         informed_at_zero = result.informed_agent_history[0]
         newly_informed_vertices = (
             result.informed_vertex_history[1] - result.informed_vertex_history[0]
@@ -124,9 +128,9 @@ class TestPaperShapes:
 
         graph = star(15)
         observer = EdgeUsageObserver()
-        protocol = VisitExchangeProtocol(track_edge_traversals=True)
-        Engine(max_rounds=10).run(
-            protocol, graph, 0, seed=1, observers=ObserverGroup([observer])
+        simulate(
+            "visit-exchange", graph, source=0, seed=1, max_rounds=10,
+            observers=ObserverGroup([observer]), track_edge_traversals=True,
         )
         assert observer.total_uses() > 0
         for u, v in observer.counts:

@@ -165,7 +165,6 @@ class TestManifestTrust:
                 base_seed=1,
                 sizes=TOY_CONFIG.sizes,
                 trials=TOY_CONFIG.trials,
-                backend="auto",
             ),
         )
         manifest = journal.last_manifest()["cells"]
@@ -200,7 +199,6 @@ class TestManifestTrust:
                 base_seed=1,
                 sizes=TOY_CONFIG.sizes,
                 trials=TOY_CONFIG.trials,
-                backend="auto",
             ),
         )
         manifest = [dict(entry) for entry in journal.last_manifest()["cells"]]
@@ -411,6 +409,17 @@ class TestReportEndpoints:
             assert status == 400
             status, _, _ = http_get(f"{service.url}/report/all.json?scale=wide")
             assert status == 400
+
+    def test_retired_backend_names_are_400(self, warmed):
+        # Every cell is computed batched; a request naming another execution
+        # path must not be answered with batched cells.
+        with StoreService(warmed, port=0) as service:
+            for backend in ("compiled", "sequential"):
+                url = f"{service.url}/report/fig1a-star.json?scale={self.SCALE}&trials=2"
+                status, _, _ = http_get(f"{url}&backend={backend}")
+                assert status == 400
+            status, _, _ = http_get(f"{url}&backend=auto")
+            assert status == 200
 
 
 class TestReportingFunctions:
