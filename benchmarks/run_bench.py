@@ -611,8 +611,8 @@ def main(argv=None) -> int:
         default=None,
         help=(
             "run only these sections (default: all).  BENCH_batch.json is "
-            "only rewritten when every section runs; partial runs gate their "
-            "own sections and write nothing."
+            "only rewritten when every section runs and every gate passes; "
+            "partial runs gate their own sections and write nothing."
         ),
     )
     parser.add_argument(
@@ -627,7 +627,12 @@ def main(argv=None) -> int:
 
 
 def run_sections(sections, *, scale_max_n: int = SCALE_MAX_N) -> int:
-    ok = True
+    """Measure ``sections`` and gate them; returns the process exit code.
+
+    ``BENCH_batch.json`` is rewritten only by a full run in which every gate
+    passed: a failing gate never lands in the committed baseline.
+    """
+    failed = []
     sweep_cells = extra_cells = dynamics_cells = None
     workers_cell = store_cell = telemetry_cell = None
     scale_cells = construction_cells = None
@@ -649,7 +654,7 @@ def run_sections(sections, *, scale_max_n: int = SCALE_MAX_N) -> int:
         # removes: both sides run the same kernels on the same seeds.
         if overall < 4.0:
             print("FAIL: acceptance-pair batching speedup below 4x")
-            ok = False
+            failed.append("sweep: batching speedup >= 4x")
 
     if "dynamics" in sections:
         print("-- dynamic-topology masked-sampler overhead --")
@@ -663,7 +668,7 @@ def run_sections(sections, *, scale_max_n: int = SCALE_MAX_N) -> int:
         if not overhead_ok:
             print("FAIL: static-schedule masking overhead exceeds 15% "
                   "or changed results")
-            ok = False
+            failed.append("dynamics: static-schedule overhead < 15%")
 
     if "workers" in sections:
         print(f"-- process-parallel cell scheduler (workers={WORKERS}) --")
@@ -685,7 +690,7 @@ def run_sections(sections, *, scale_max_n: int = SCALE_MAX_N) -> int:
             print("FAIL: warm result-store sweep must be >= 10x faster than "
                   "cold with zero recomputed cells, zero graph constructions "
                   "and bit-identical results")
-            ok = False
+            failed.append("store: warm sweep >= 10x with zero recompute")
 
     if "scale" in sections:
         print(f"-- scale curve: n = 2^10 .. {scale_max_n} (d={SCALE_DEGREE} regular) --")
@@ -700,7 +705,7 @@ def run_sections(sections, *, scale_max_n: int = SCALE_MAX_N) -> int:
         if not scale_ok:
             print(f"FAIL: scale curve below {SCALE_MIN_ROUNDS_PER_SECOND} "
                   f"rounds/s (or incomplete trials) at n={top_n}")
-            ok = False
+            failed.append(f"scale: >= {SCALE_MIN_ROUNDS_PER_SECOND} rounds/s at n={top_n}")
 
     if "telemetry" in sections:
         print(f"-- telemetry overhead: traced vs. bare round loop (n={TELEMETRY_N}) --")
@@ -714,15 +719,20 @@ def run_sections(sections, *, scale_max_n: int = SCALE_MAX_N) -> int:
         )
         if not telemetry_ok:
             print("FAIL: traced round loop exceeds 3% overhead or changed results")
-            ok = False
+            failed.append("telemetry: trace overhead <= 3%")
 
     if "construction" in sections:
         print("-- graph construction at scale-tier sizes --")
         construction_cells = measure_construction()
 
+    if failed:
+        print(f"gates failed: {'; '.join(failed)}")
     if set(sections) != set(ALL_SECTIONS):
-        print(f"partial run ({', '.join(sections)}): BENCH_batch.json not rewritten")
-        return 0 if ok else 1
+        print(f"partial run ({', '.join(sections)}): {OUTPUT.name} not rewritten")
+        return 1 if failed else 0
+    if failed:
+        print(f"{OUTPUT.name} not rewritten: a failing gate never becomes the baseline")
+        return 1
 
     payload = {
         "benchmark": "bench-batch",
@@ -774,7 +784,7 @@ def run_sections(sections, *, scale_max_n: int = SCALE_MAX_N) -> int:
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {OUTPUT}")
-    return 0 if ok else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -18,7 +18,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.extensions import DynamicVisitExchange, MultiRumorVisitExchange, RumorInjection
+from repro.extensions import (
+    DynamicAgentsSimulation,
+    MultiRumorVisitExchange,
+    RumorInjection,
+)
 from repro.graphs import random_regular_graph
 
 
@@ -53,7 +57,7 @@ class TestDynamicPopulation:
         def run():
             static = np.mean(
                 [
-                    DynamicVisitExchange(death_rate=0.0, birth_rate=0.0)
+                    DynamicAgentsSimulation(death_rate=0.0, birth_rate=0.0)
                     .run(graph, 0, seed=s)
                     .broadcast_time
                     for s in range(3)
@@ -61,7 +65,7 @@ class TestDynamicPopulation:
             )
             churned = np.mean(
                 [
-                    DynamicVisitExchange(death_rate=0.05).run(graph, 0, seed=s).broadcast_time
+                    DynamicAgentsSimulation(death_rate=0.05).run(graph, 0, seed=s).broadcast_time
                     for s in range(3)
                 ]
             )
@@ -74,7 +78,7 @@ class TestDynamicPopulation:
 
     def test_recovery_from_mass_failure(self, benchmark, graph):
         def run():
-            return DynamicVisitExchange(
+            return DynamicAgentsSimulation(
                 death_rate=0.05, failure_round=5, failure_fraction=0.8
             ).run(graph, 0, seed=9)
 

@@ -24,7 +24,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis import format_table
-from repro.extensions import DynamicVisitExchange, MultiRumorVisitExchange, RumorInjection
+from repro.extensions import (
+    DynamicAgentsSimulation,
+    MultiRumorVisitExchange,
+    RumorInjection,
+)
 from repro.graphs import random_regular_graph
 
 
@@ -65,11 +69,11 @@ def rumor_pipeline(graph) -> None:
 def churn_and_failures(graph) -> None:
     """Compare the static population with churned and failure-struck ones."""
     scenarios = [
-        ("static population", DynamicVisitExchange(death_rate=0.0, birth_rate=0.0)),
-        ("5% churn per round", DynamicVisitExchange(death_rate=0.05)),
+        ("static population", DynamicAgentsSimulation(death_rate=0.0, birth_rate=0.0)),
+        ("5% churn per round", DynamicAgentsSimulation(death_rate=0.05)),
         (
             "5% churn + 80% wipe-out at round 5",
-            DynamicVisitExchange(death_rate=0.05, failure_round=5, failure_fraction=0.8),
+            DynamicAgentsSimulation(death_rate=0.05, failure_round=5, failure_fraction=0.8),
         ),
     ]
     rows = []

@@ -206,7 +206,11 @@ def run_batch(
     protocol_kwargs:
         Forwarded to the kernel (``agent_density``, ``num_agents``, ``lazy``,
         ``one_agent_per_vertex``, ``track_all_exchanges``,
-        ``track_edge_traversals``, ...).
+        ``track_edge_traversals``, ...).  The agent protocols also take the
+        churn parameters ``death_rate``, ``birth_rate``, ``failure_round``
+        and ``failure_fraction`` (see
+        :class:`~repro.core.kernels.agent.AgentChurn`); each trial's
+        population history, births and deaths then appear in its metadata.
     """
     kernel_class = get_kernel_class(protocol)
     seeds = list(seeds)

@@ -36,6 +36,13 @@ Design notes
   Masking consumes no randomness, so attaching a schedule leaves every
   trial's draw stream untouched; a round whose masks are ``None``
   (all-active) takes exactly the undynamic code path.
+* **Agent churn.**  The agent kernels take ``death_rate``, ``birth_rate``,
+  ``failure_round`` and ``failure_fraction``
+  (:class:`~repro.core.kernels.agent.AgentChurn`).  With churn on they keep
+  an alive mask over a fixed number of agent slots and mask dead agents the
+  way they mask agents on a crashed vertex; churn draws come from each
+  trial's own generator, so per-trial purity holds.  With churn off nothing
+  is allocated or drawn and every trajectory is unchanged.
 """
 
 from __future__ import annotations
@@ -193,8 +200,9 @@ class BatchKernel:
         """Decide (and record) whether the sparse tier engages for this run.
 
         Call after :meth:`_setup_common` (the decision reads the resolved
-        dynamics and observers).  Dynamics schedules and observers force the
-        dense fallback even when sparse is requested: activity masks are
+        dynamics and observers).  Dynamics schedules, observers and (through
+        ``supported=False``) agent churn force the dense fallback even when
+        sparse is requested: activity masks are
         materialized per *slot* and the edge-reporting slow path scans dense
         rows, so both are defined on — and only exercised by — the dense
         representation.  ``REPRO_FRONTIER`` overrides an ``"auto"`` request

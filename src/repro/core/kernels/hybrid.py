@@ -41,16 +41,18 @@ class HybridKernel(SparseVertexMixin, AgentWalkKernel):
         agent_density: float = 1.0,
         num_agents: Optional[int] = None,
         lazy: bool = False,
+        **churn,
     ) -> None:
-        super().__init__(agent_density=agent_density, num_agents=num_agents, lazy=lazy)
+        super().__init__(
+            agent_density=agent_density, num_agents=num_agents, lazy=lazy, **churn
+        )
         self.lazy = bool(self.lazy)
 
     def initialize(self, graph, source, gens):
         self._setup_common(graph, gens)
-        sparse = self._resolve_frontier() == "sparse"
+        sparse = self._resolve_frontier(supported=not self.churn.enabled) == "sparse"
         shape = (self.num_trials, graph.num_vertices)
-        self.positions = self._place_agents(graph, gens)
-        self.agent_informed = self.positions == source
+        self._place_agents(graph, source, gens)
         # Slot 0 of the flat buffer is a write sink (see VisitExchangeKernel).
         # The boolean vertex state stays in *both* tiers: the agent half's
         # vectorized gathers/scatters need it; the sparse tier drops only the
@@ -60,13 +62,7 @@ class HybridKernel(SparseVertexMixin, AgentWalkKernel):
         self.vertex_informed[:, source] = True
         self.counts = np.ones(self.num_trials, dtype=np.int64)
         self._messages = np.zeros(self.num_trials, dtype=np.int64)
-        self._register_rows(
-            self.positions,
-            self.agent_informed,
-            self.vertex_informed,
-            self.counts,
-            self._messages,
-        )
+        self._register_rows(self.vertex_informed, self.counts, self._messages)
         # Two draw streams per round: the vertex callee stream of the
         # push-pull half and the agent walk stream of the visit-exchange half.
         # The sparse tier keeps the same two streams (same widths, same
@@ -167,7 +163,8 @@ class HybridKernel(SparseVertexMixin, AgentWalkKernel):
         position_flat = self._position_flat[:k]
         np.add(self._row_base1[:k], new_positions, out=position_flat)
         # Agents informed in a previous round inform the vertices they visit
-        # (crashed vertices host no agent/vertex interactions either way).
+        # (crashed vertices and dead agents host no agent/vertex interactions
+        # either way).
         agent_masked = self._masked[:k]
         np.multiply(position_flat, informed_agents, out=agent_masked)
         if vertex_ok is not None:
@@ -198,4 +195,8 @@ class HybridKernel(SparseVertexMixin, AgentWalkKernel):
         return out
 
     def trial_metadata(self, trial):
-        return {"agent_density": self.agent_density, "lazy": self.lazy}
+        return {
+            "agent_density": self.agent_density,
+            "lazy": self.lazy,
+            **self._churn_metadata(trial),
+        }

@@ -42,19 +42,23 @@ class MeetExchangeKernel(AgentWalkKernel):
             bool(self.lazy) if self.lazy is not None else graph.is_bipartite()
         )
         self.source = int(source)
-        self.positions = self._place_agents(graph, gens)
-        self.informed = self.positions == source
+        self._place_agents(graph, source, gens)
         # If no agent starts on the source it keeps the rumor for its first visitor.
-        self.source_still_informs = ~self.informed.any(axis=1)
-        self._register_rows(self.positions, self.informed, self.source_still_informs)
+        self.source_still_informs = ~self.agent_informed.any(axis=1)
+        self._register_rows(self.source_still_informs)
         self._setup_walk(self.effective_lazy)
+        if self._alive is not None:
+            # Under churn the target moves (newborns start uninformed) and an
+            # extinct population completes nothing.  Bound once here, so the
+            # churn-free round loop pays no check.
+            self.complete_rows = self._alive_agents_informed
         # Scratch meeting map with a slot-0 write sink (see VisitExchangeKernel).
         # The map is the kernel's only n-proportional per-round work (the
         # full-width clear); the sparse tier instead un-sets exactly the
         # slots the round wrote — O(agents) — which is a win whenever the
         # agent population is well below n.  Reads and writes are otherwise
         # identical, so the tiers are trivially bit-identical.
-        self._resolve_frontier()
+        self._resolve_frontier(supported=not self.churn.enabled)
         self._sparse_clear = (
             self.frontier_resolved == "sparse"
             and self._num_agents * 2 < graph.num_vertices
@@ -72,25 +76,27 @@ class MeetExchangeKernel(AgentWalkKernel):
         self._begin_round()
         new_positions = self._walk_rows(k)
         vertex_ok = self._vertex_ok_rows(k, new_positions)
-        informed_before = self.informed[:k].copy()
+        informed_before = self.agent_informed[:k].copy()
 
         # The source hands the rumor to its first visitor(s), then goes silent.
         # Agents informed directly by the source may not spread further this
         # round (they were not informed in a previous round), hence the copy of
-        # ``informed_before`` above.  A crashed source informs nobody.
+        # ``informed_before`` above.  A crashed source informs nobody, and a
+        # dead agent is not a visitor (``vertex_ok`` masks both).
         still_informs = self.source_still_informs[:k]
-        if np.any(still_informs) and (
-            self._vertex_active is None or self._vertex_active[self.source]
-        ):
+        if np.any(still_informs):
             at_source = new_positions == self.source
+            if vertex_ok is not None:
+                at_source &= vertex_ok
             visited = at_source.any(axis=1) & still_informs
             if np.any(visited):
-                self.informed[:k] |= at_source & visited[:, None]
+                self.agent_informed[:k] |= at_source & visited[:, None]
                 still_informs &= ~visited
 
         # Meetings: every vertex holding an agent informed in a previous round
         # informs all agents located there.  Crashed vertices host no
         # meetings: agents stuck on one neither give nor receive the rumor.
+        # Dead agents are masked alike.
         informed_here = self._meeting_flat[: k * self.graph.num_vertices + 1]
         if not self._sparse_clear:
             informed_here[...] = False
@@ -105,7 +111,7 @@ class MeetExchangeKernel(AgentWalkKernel):
         np.take(informed_here, local_flat, out=met, mode="clip")
         if vertex_ok is not None:
             met &= vertex_ok
-        self.informed[:k] |= met
+        self.agent_informed[:k] |= met
         self.positions[:k] = new_positions
         if self._sparse_clear:
             # Un-set exactly the slots this round set (the same index array,
@@ -114,7 +120,7 @@ class MeetExchangeKernel(AgentWalkKernel):
             informed_here[masked] = False
 
     def complete_rows(self, k):
-        return self.informed[:k].all(axis=1)
+        return self.agent_informed[:k].all(axis=1)
 
     def informed_vertex_counts(self, k):
         # Vertices do not store the rumor in meet-exchange; by convention the
@@ -122,7 +128,7 @@ class MeetExchangeKernel(AgentWalkKernel):
         return np.ones(k, dtype=np.int64)
 
     def informed_agent_counts(self, k):
-        return self.informed[:k].sum(axis=1)
+        return self.agent_informed[:k].sum(axis=1)
 
     def trial_metadata(self, trial):
         return {
@@ -130,4 +136,5 @@ class MeetExchangeKernel(AgentWalkKernel):
             "lazy": self.effective_lazy,
             "one_agent_per_vertex": self.one_agent_per_vertex,
             "source_still_informs": bool(self.source_still_informs[self._row_of(trial)]),
+            **self._churn_metadata(trial),
         }

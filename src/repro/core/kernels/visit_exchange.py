@@ -45,8 +45,7 @@ class VisitExchangeKernel(AgentWalkKernel):
         # contiguous boolean sum per trial.  The resolution is recorded as
         # dense so TrialSet consumers see what actually ran.
         self._resolve_frontier(supported=False)
-        self.positions = self._place_agents(graph, gens)
-        self.agent_informed = self.positions == source
+        self._place_agents(graph, source, gens)
         # Slot 0 of the flat buffer is a write sink: scatters index it with
         # ``flat_index * mask`` instead of extracting the masked indices, which
         # is the single most expensive operation it replaces.
@@ -56,9 +55,7 @@ class VisitExchangeKernel(AgentWalkKernel):
         )
         self.vertex_informed[:, source] = True
         self.counts = np.ones(self.num_trials, dtype=np.int64)
-        self._register_rows(
-            self.positions, self.agent_informed, self.vertex_informed, self.counts
-        )
+        self._register_rows(self.vertex_informed, self.counts)
         self._setup_walk(self.lazy)
         self._all_agents_informed = False
 
@@ -73,15 +70,16 @@ class VisitExchangeKernel(AgentWalkKernel):
 
         if self._all_agents_informed and not self._any_observers and vertex_ok is None:
             # Every agent already carries the rumor (a monotone, batch-wide
-            # condition), so every visited vertex becomes informed and the
-            # carrier masking and agent updates are bit-identical no-ops.
+            # condition without churn, which always masks), so every visited
+            # vertex becomes informed and the carrier masking and agent
+            # updates are bit-identical no-ops.
             self._vertex_flat[position_flat] = True
         else:
             # Agents informed in a previous round inform the vertices they
             # visit; ``informed`` is read before it is updated, so the scatter
             # sees only the carriers from previous rounds.  Crashed vertices
             # host no interactions: they are neither informed by carriers nor
-            # readable by uninformed agents.
+            # readable by uninformed agents.  Dead agents are masked alike.
             informed = self.agent_informed[:k]
             masked = self._masked[:k]
             np.multiply(position_flat, informed, out=masked)
@@ -145,4 +143,5 @@ class VisitExchangeKernel(AgentWalkKernel):
             "agent_density": self.agent_density,
             "lazy": self.lazy,
             "one_agent_per_vertex": self.one_agent_per_vertex,
+            **self._churn_metadata(trial),
         }

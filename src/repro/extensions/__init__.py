@@ -8,16 +8,13 @@ problems, so they can be studied empirically with the same substrate:
   stationary-start assumption in Section 1).
 * :mod:`repro.extensions.dynamic_agents` — any agent-based protocol with
   agent churn (aging/dying agents, births at a proportional rate, one-off
-  failures), batched over trials and composable with the dynamic-topology
-  schedules of :mod:`repro.graphs.dynamic` — the fault-tolerance direction
-  suggested in Section 9.
+  failures), composable with the dynamic-topology schedules of
+  :mod:`repro.graphs.dynamic` — the fault-tolerance direction suggested in
+  Section 9.  Churn itself is an axis of the agent kernels; this module
+  packages a churned run with its population history.
 """
 
-from .dynamic_agents import (
-    DynamicAgentsResult,
-    DynamicAgentsSimulation,
-    DynamicVisitExchange,
-)
+from .dynamic_agents import DynamicAgentsResult, DynamicAgentsSimulation
 from .multi_rumor import MultiRumorResult, MultiRumorVisitExchange, RumorInjection
 
 __all__ = [
@@ -26,5 +23,4 @@ __all__ = [
     "MultiRumorVisitExchange",
     "DynamicAgentsResult",
     "DynamicAgentsSimulation",
-    "DynamicVisitExchange",
 ]

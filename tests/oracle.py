@@ -9,6 +9,13 @@ random stream.  ``test_oracle.py`` holds the kernels to it statistically:
 the two share no code and no draws, so agreement in distribution checks the
 kernels' semantics rather than their self-consistency.
 
+Agent churn (Section 9: agents die and are born) is restated here too, over
+a population list that shrinks and grows — where the kernels keep an alive
+mask over fixed slots.  Each round, before the walk step, every agent dies
+with probability ``death_rate`` (and, in round ``failure_round``, with
+probability ``failure_fraction``); then a Poisson number of newborns joins
+at stationary vertices, uninformed.
+
 Stream family
 -------------
 Each trial draws from a splitmix64 stream seeded through
@@ -20,11 +27,12 @@ sample.  Offsets use the kernels' 32-bit fixed-point multiply-shift
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
 
-__all__ = ["PROTOCOLS", "broadcast_time"]
+__all__ = ["AGENT_PROTOCOLS", "PROTOCOLS", "broadcast_time"]
 
 #: Protocols with a reference runner — the full kernel registry.
 PROTOCOLS = (
@@ -35,6 +43,9 @@ PROTOCOLS = (
     "meet-exchange",
     "hybrid-ppull-visitx",
 )
+
+#: Protocols with an agent population, and so with churn.
+AGENT_PROTOCOLS = ("visit-exchange", "meet-exchange", "hybrid-ppull-visitx")
 
 _MASK = (1 << 64) - 1
 
@@ -60,6 +71,24 @@ class _Stream:
 
     def coin(self) -> bool:
         return bool(self.next_u64() >> 63)
+
+    def uniform(self) -> float:
+        """Uniform double in ``[0, 1)`` (53-bit)."""
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def poisson(self, rate: float) -> int:
+        """Poisson count by Knuth's product method, in chunks of rate <= 30
+        (a sum of independent Poissons is Poisson; keeps ``exp(-rate)``
+        far from underflow)."""
+        total = 0
+        while rate > 0:
+            chunk = min(rate, 30.0)
+            rate -= chunk
+            limit, product = math.exp(-chunk), self.uniform()
+            while product >= limit:
+                total += 1
+                product *= self.uniform()
+        return total
 
 
 class _Graph:
@@ -87,6 +116,32 @@ def _place_agents(g: _Graph, stream: _Stream, num_agents: int, one_per_vertex: b
         return list(range(g.n))
     slots = len(g.slot_sources)
     return [g.slot_sources[stream.pick(slots)] for _ in range(num_agents)]
+
+
+class _Churn:
+    """Churn parameters; :meth:`round` edits the population lists in place."""
+
+    def __init__(self, death_rate, birth_rate, failure_round, failure_fraction, initial):
+        self.death_rate = death_rate
+        self.birth_rate = death_rate * initial if birth_rate is None else birth_rate
+        self.failure_round = failure_round
+        self.failure_fraction = failure_fraction
+
+    def round(self, g: _Graph, stream: _Stream, t: int, pos, info, newborn) -> None:
+        """Remove the round's dead, then append the newborns (``info`` = newborn)."""
+        failing = t == self.failure_round
+        survivors = []
+        for a in range(len(pos)):
+            dies = stream.uniform() < self.death_rate
+            if failing and stream.uniform() < self.failure_fraction:
+                dies = True
+            if not dies:
+                survivors.append(a)
+        pos[:] = [pos[a] for a in survivors]
+        info[:] = [info[a] for a in survivors]
+        for _ in range(stream.poisson(self.birth_rate)):
+            pos.append(g.slot_sources[stream.pick(len(g.slot_sources))])
+            info.append(newborn)
 
 
 def _walk_step(g: _Graph, stream: _Stream, pos, lazy: bool) -> None:
@@ -155,7 +210,9 @@ def _run_vertex_protocol(g, source, max_rounds, stream, *, push, pull):
     return t if state.count >= g.n else None
 
 
-def _run_visit_exchange(g, source, max_rounds, stream, num_agents, one_per_vertex, lazy):
+def _run_visit_exchange(
+    g, source, max_rounds, stream, num_agents, one_per_vertex, lazy, churn
+):
     pos = _place_agents(g, stream, num_agents, one_per_vertex)
     vertex_informed = [False] * g.n
     vertex_informed[source] = True
@@ -164,6 +221,8 @@ def _run_visit_exchange(g, source, max_rounds, stream, num_agents, one_per_verte
     t = 0
     while count < g.n and t < max_rounds:
         t += 1
+        if churn:
+            churn.round(g, stream, t, pos, agent_informed, False)
         _walk_step(g, stream, pos, lazy)
         # Carriers (informed in a previous round) inform their vertex; then
         # uninformed agents learn from any now-informed vertex.
@@ -177,17 +236,24 @@ def _run_visit_exchange(g, source, max_rounds, stream, num_agents, one_per_verte
     return t if count >= g.n else None
 
 
-def _run_meet_exchange(g, source, max_rounds, stream, num_agents, one_per_vertex, lazy):
+def _run_meet_exchange(
+    g, source, max_rounds, stream, num_agents, one_per_vertex, lazy, churn
+):
     pos = _place_agents(g, stream, num_agents, one_per_vertex)
     # inf_round[a]: round in which agent a was informed (None = never); an
     # agent spreads only when informed in an earlier round ("no chaining").
     inf_round = [0 if p == source else None for p in pos]
-    count = sum(r is not None for r in inf_round)
-    num_agents = len(pos)
-    source_informs = count == 0
+    source_informs = all(r is None for r in inf_round)
+
+    def complete() -> bool:
+        # Every agent alive now is informed, and the population is not extinct.
+        return bool(pos) and None not in inf_round
+
     t = 0
-    while count < num_agents and t < max_rounds:
+    while not complete() and t < max_rounds:
         t += 1
+        if churn:
+            churn.round(g, stream, t, pos, inf_round, None)
         _walk_step(g, stream, pos, lazy)
         if source_informs:
             # The first visit to the source informs the visitors and retires
@@ -197,16 +263,14 @@ def _run_meet_exchange(g, source, max_rounds, stream, num_agents, one_per_vertex
                     source_informs = False
                     if inf_round[a] is None:
                         inf_round[a] = t
-                        count += 1
         carriers = {pos[a] for a, r in enumerate(inf_round) if r is not None and r < t}
         for a, v in enumerate(pos):
             if inf_round[a] is None and v in carriers:
                 inf_round[a] = t
-                count += 1
-    return t if count >= num_agents else None
+    return t if complete() else None
 
 
-def _run_hybrid(g, source, max_rounds, stream, num_agents, lazy):
+def _run_hybrid(g, source, max_rounds, stream, num_agents, lazy, churn):
     pos = _place_agents(g, stream, num_agents, False)
     state = _VertexFrontier(g, source)
     agent_informed = [p == source for p in pos]
@@ -215,6 +279,8 @@ def _run_hybrid(g, source, max_rounds, stream, num_agents, lazy):
         t += 1
         newly = []
         state.push_pull_round(stream, newly)
+        if churn:
+            churn.round(g, stream, t, pos, agent_informed, False)
         # Visit-exchange half over the shared informed-vertex set.
         _walk_step(g, stream, pos, lazy)
         for a, v in enumerate(pos):
@@ -238,18 +304,29 @@ def broadcast_time(
     num_agents: Optional[int] = None,
     lazy: Optional[bool] = None,
     one_agent_per_vertex: bool = False,
+    death_rate: float = 0.0,
+    birth_rate: Optional[float] = None,
+    failure_round: Optional[int] = None,
+    failure_fraction: float = 0.0,
 ) -> Optional[int]:
     """One trial's broadcast time (``None`` if the budget ran out).
 
     Completion means "every vertex informed", except for meet-exchange:
-    "every agent informed".  ``lazy=None`` enables lazy walks for
-    meet-exchange exactly on bipartite graphs (Section 3) and disables them
-    otherwise.
+    "every agent informed" (under churn: every agent alive now, and at least
+    one).  ``lazy=None`` enables lazy walks for meet-exchange exactly on
+    bipartite graphs (Section 3) and disables them otherwise.  The churn
+    arguments apply to the agent protocols only; ``birth_rate=None``
+    balances deaths (``death_rate`` times the initial population).
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     g = _Graph(graph)
     stream = _Stream(seed)
+    churning = death_rate > 0 or bool(birth_rate) or (
+        failure_round is not None and failure_fraction > 0
+    )
+    if churning and protocol not in AGENT_PROTOCOLS:
+        raise ValueError(f"{protocol} has no agents to churn")
     if protocol in ("push", "pull", "push-pull"):
         return _run_vertex_protocol(
             g,
@@ -263,12 +340,18 @@ def broadcast_time(
         lazy = protocol == "meet-exchange" and graph.is_bipartite()
     if num_agents is None:
         num_agents = max(1, round(agent_density * g.n))
+    initial = g.n if one_agent_per_vertex else num_agents
+    churn = (
+        _Churn(death_rate, birth_rate, failure_round, failure_fraction, initial)
+        if churning
+        else None
+    )
     if protocol == "visit-exchange":
         return _run_visit_exchange(
-            g, source, max_rounds, stream, num_agents, one_agent_per_vertex, lazy
+            g, source, max_rounds, stream, num_agents, one_agent_per_vertex, lazy, churn
         )
     if protocol == "meet-exchange":
         return _run_meet_exchange(
-            g, source, max_rounds, stream, num_agents, one_agent_per_vertex, lazy
+            g, source, max_rounds, stream, num_agents, one_agent_per_vertex, lazy, churn
         )
-    return _run_hybrid(g, source, max_rounds, stream, num_agents, lazy)
+    return _run_hybrid(g, source, max_rounds, stream, num_agents, lazy, churn)

@@ -9,6 +9,7 @@ silently break them.
 from __future__ import annotations
 
 import importlib.util
+import runpy
 import sys
 from pathlib import Path
 
@@ -69,6 +70,13 @@ class TestCheapExamplesRun:
         output = capsys.readouterr().out
         assert "Rumor pipeline" in output
         assert "rumor-9" in output
+
+    def test_fault_tolerant_example_runs_as_a_script(self, capsys):
+        runpy.run_path(str(EXAMPLES_DIR / "fault_tolerant_agents.py"), run_name="__main__")
+        output = capsys.readouterr().out
+        assert "Rumor pipeline" in output
+        assert "Broadcast time under agent churn and failures" in output
+        assert "80% wipe-out at round 5" in output
 
     def test_robustness_sweep_runs_at_reduced_size(self, capsys):
         module = load_example("robustness_sweep.py")

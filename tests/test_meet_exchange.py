@@ -22,8 +22,8 @@ class TestInitialization:
         kernel.initialize(star(30), 0, [batch_generator(1)])
         at_source = kernel.positions[0] == 0
         assert at_source.any()
-        assert kernel.informed[0][at_source].all()
-        assert not kernel.informed[0][~at_source].any()
+        assert kernel.agent_informed[0][at_source].all()
+        assert not kernel.agent_informed[0][~at_source].any()
 
     def test_lazy_enabled_automatically_on_bipartite_graphs(self):
         assert round_zero(star(20), 0, 1).metadata["lazy"] is True
