@@ -406,9 +406,9 @@ def measure_scale(max_n: int = SCALE_MAX_N):
 
     Random 12-regular graphs (the family of Theorems 1-3) on the two
     representative protocols of the two kernel shapes.  The sparse-frontier
-    tier engages automatically above the ``REPRO_SPARSE_MIN_N`` threshold;
-    the resolved frontier mode is recorded per cell so the curve documents
-    what actually ran.  The
+    tier engages automatically from ``SPARSE_MIN_VERTICES`` (2^15) vertices
+    on; the resolved frontier mode is recorded per cell so the curve
+    documents what actually ran.  The
     graph build uses ``max_attempts=1``: a 12-regular pairing is essentially
     never simple, so the benchmark goes straight to the vectorized repair
     path instead of burning 200 doomed shuffles per size.

@@ -199,8 +199,8 @@ def run_batch(
         bit-identical results (the sparse tier reads the same draw streams at
         only the frontier positions), so this is purely a performance knob —
         it never enters result identity or store keys.  ``"auto"`` engages
-        the sparse tier above :func:`~repro.core.kernels.base.sparse_threshold`
-        vertices; dynamics schedules and observers force the dense fallback
+        the sparse tier from :data:`~repro.core.kernels.base.SPARSE_MIN_VERTICES`
+        vertices on; dynamics schedules and observers force the dense fallback
         either way.  The engaged representation is available as
         ``kernel.frontier_resolved`` (``"sparse"``/``"dense"``) for tests.
     protocol_kwargs:

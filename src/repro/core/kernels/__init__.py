@@ -6,10 +6,15 @@ transition on 2-D ``(trials, ...)`` numpy arrays.  The batched driver
 once with row-compaction completion masking; a single run is a batch of
 one.
 
-Above :func:`~repro.core.kernels.base.sparse_threshold` vertices the kernels
-transparently switch to a sparse-frontier state representation (packed
-informed bitsets from :mod:`~repro.core.kernels.packed`, per-trial frontier
-lists) that is bit-identical to the dense layout.
+Every kernel whose vertices store the rumor keeps one ``(trials, n)``
+boolean informed array.  Each rule is stated once: the push and pull
+directions of the call protocols in :mod:`~repro.core.kernels.vertex` (push,
+pull and push-pull select directions; the hybrid reuses both), the visit rule
+in :class:`~repro.core.kernels.visit_exchange.VisitRule`, walks and churn in
+:mod:`~repro.core.kernels.agent`.  From
+:data:`~repro.core.kernels.base.SPARSE_MIN_VERTICES` vertices on, the call
+directions drive each round from per-trial frontier and uninformed lists
+instead of whole-row algebra, bit-identically to the dense layout.
 
 ``KERNEL_REGISTRY`` maps every protocol name to its kernel class; it is the
 registry of the protocols this package simulates.
@@ -17,10 +22,9 @@ registry of the protocols this package simulates.
 
 from __future__ import annotations
 
-from .base import BatchKernel, NeighborSampler, batch_generator, sparse_threshold
+from .base import SPARSE_MIN_VERTICES, BatchKernel, NeighborSampler, batch_generator
 from .hybrid import HybridKernel
 from .meet_exchange import MeetExchangeKernel
-from .packed import PackedBits, popcount
 from .pull import PullKernel
 from .push import PushKernel
 from .push_pull import PushPullKernel
@@ -29,10 +33,8 @@ from .visit_exchange import VisitExchangeKernel
 __all__ = [
     "BatchKernel",
     "NeighborSampler",
-    "PackedBits",
+    "SPARSE_MIN_VERTICES",
     "batch_generator",
-    "popcount",
-    "sparse_threshold",
     "KERNEL_REGISTRY",
     "get_kernel_class",
     "PushKernel",

@@ -273,6 +273,9 @@ class AgentWalkKernel(BatchKernel):
             "deaths": int(self._deaths[trial]),
         }
 
+    def informed_agent_counts(self, k):
+        return self.agent_informed[:k].sum(axis=1)
+
     def num_agents(self) -> int:
         """Initial population size (churn may change it during the run)."""
         return self._initial_agents

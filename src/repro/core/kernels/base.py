@@ -47,8 +47,7 @@ Design notes
 
 from __future__ import annotations
 
-import os
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,28 +57,35 @@ from ...graphs.graph import Graph
 __all__ = [
     "BatchKernel",
     "NeighborSampler",
+    "SPARSE_MIN_VERTICES",
     "batch_generator",
-    "sparse_threshold",
+    "fixed_point_degrees",
 ]
 
-#: Default vertex count above which ``frontier="auto"`` switches the vertex
-#: kernels to the sparse tier.  Below it, dense whole-row numpy algebra wins
-#: on constant factors; above it, frontier-sized gathers win on asymptotics.
+#: Vertex count at which ``frontier="auto"`` switches the vertex kernels to
+#: the sparse tier.  Below it, dense whole-row numpy algebra wins on constant
+#: factors; above it, frontier-sized gathers win on asymptotics.
 SPARSE_MIN_VERTICES = 32768
 
 
-def sparse_threshold() -> int:
-    """Vertex count at which ``frontier="auto"`` engages the sparse tier.
+def fixed_point_degrees(graph: Graph) -> Tuple[int, Optional[int], Any]:
+    """Precision and degree operand of fixed-point neighbor sampling.
 
-    Overridable via the ``REPRO_SPARSE_MIN_N`` environment variable (see
-    :mod:`repro.experiments.config` for the knob catalogue); read per call so
-    tests can flip it without reimporting.
+    Returns ``(bits, regular_degree, degrees)``.  16-bit offsets are exact
+    enough (bias at most ``max_deg * 2**-16``) only for small maximum degree;
+    skewed families fall back to 32 bits.  ``degrees`` is the degree in the
+    wide integer type of that precision — a scalar on ``d``-regular graphs
+    (``regular_degree`` is then ``d``, else ``None``), otherwise the degree
+    array.  Typed degrees keep the ufunc loops wide (a weak Python-int operand
+    would select the uint16 loop and overflow).  The dense sampler and the
+    sparse tier both derive their arithmetic from here, which is what keeps
+    them bit-identical.
     """
-    raw = os.environ.get("REPRO_SPARSE_MIN_N", "")
-    try:
-        return int(raw) if raw else SPARSE_MIN_VERTICES
-    except ValueError:
-        return SPARSE_MIN_VERTICES
+    bits = 16 if int(graph.degrees.max()) <= 64 else 32
+    wide = np.int32 if bits == 16 else np.int64
+    regular = graph.regularity_degree() if graph.is_regular() else None
+    degrees = wide(regular) if regular is not None else graph.degrees.astype(wide)
+    return bits, regular, degrees
 
 
 def batch_generator(seed) -> np.random.Generator:
@@ -119,9 +125,10 @@ class BatchKernel:
     #: trial of the batch.
     dynamics = None
 
-    #: Requested frontier mode: ``"auto"`` (sparse iff the graph clears
-    #: :func:`sparse_threshold` and nothing forces dense), ``"dense"``, or
-    #: ``"sparse"``.  Set by the driver *before* :meth:`initialize`.  Sparse
+    #: Requested frontier mode: ``"auto"`` (sparse iff the graph has at least
+    #: :data:`SPARSE_MIN_VERTICES` vertices and nothing forces dense),
+    #: ``"dense"``, or ``"sparse"``; :func:`~repro.core.batch.run_batch`
+    #: validates it.  Set by the driver *before* :meth:`initialize`.  Sparse
     #: and dense are bit-identical — same draw streams, same results — so the
     #: mode never enters store keys; kernels record what actually engaged in
     #: :attr:`frontier_resolved`.
@@ -192,6 +199,22 @@ class BatchKernel:
         self._slot_active: Optional[np.ndarray] = None
         self._vertex_active: Optional[np.ndarray] = None
 
+    def _setup_vertex_state(self, source: int) -> None:
+        """Informed-vertex state of the kernels whose vertices store the rumor.
+
+        One boolean row per trial, the same in both tiers, viewed out of a
+        flat buffer whose slot 0 is a write sink: scatters index it with
+        ``flat_index * mask`` instead of extracting the masked indices, which
+        is the single most expensive operation it replaces.  ``counts`` holds
+        each row's informed-vertex count.
+        """
+        n = self.graph.num_vertices
+        self._vertex_flat = np.zeros(self.num_trials * n + 1, dtype=bool)
+        self.vertex_informed = self._vertex_flat[1:].reshape(self.num_trials, n)
+        self.vertex_informed[:, source] = True
+        self.counts = np.ones(self.num_trials, dtype=np.int64)
+        self._register_rows(self.vertex_informed, self.counts)
+
     def _observer_for_row(self, row: int):
         """ObserverGroup of the trial currently held by ``row`` (may be falsy)."""
         return self.trial_observers[int(self.trial_ids[row])]
@@ -205,23 +228,15 @@ class BatchKernel:
         sparse is requested: activity masks are
         materialized per *slot* and the edge-reporting slow path scans dense
         rows, so both are defined on — and only exercised by — the dense
-        representation.  ``REPRO_FRONTIER`` overrides an ``"auto"`` request
-        (an explicit ``"dense"``/``"sparse"`` from the driver wins over the
-        environment).
+        representation.
         """
         mode = self.frontier_mode
-        if mode not in ("auto", "dense", "sparse"):
-            raise ValueError(f"unknown frontier mode {mode!r}")
-        if mode == "auto":
-            env = os.environ.get("REPRO_FRONTIER", "")
-            if env in ("dense", "sparse"):
-                mode = env
         blocked = not supported or self._dyn is not None or self._any_observers
         if blocked:
             self.frontier_resolved = "dense"
         elif mode == "sparse":
             self.frontier_resolved = "sparse"
-        elif mode == "auto" and self.graph.num_vertices >= sparse_threshold():
+        elif mode == "auto" and self.graph.num_vertices >= SPARSE_MIN_VERTICES:
             self.frontier_resolved = "sparse"
         else:
             self.frontier_resolved = "dense"
@@ -310,24 +325,19 @@ class BatchKernel:
         streams are sized so that stays at least three orders of magnitude
         below the statistical resolution of any realistic trial count.
         """
-        if self._draw_phase == 0:
-            words = stream["words"]
-            num_words = words.shape[1]
-            for row in range(k):
-                words[row] = self._gens[row].bit_generator.random_raw(num_words)
-        start = self._draw_phase * stream["stride"]
+        start = self._raw_round_start(k, stream)
         return stream["values"][:k, start : start + stream["width"]]
 
     def _raw_round_start(self, k: int, stream: Dict[str, Any]) -> int:
         """Refill a raw stream's block if due and return this round's offset.
 
-        The sparse tier's entry point to the same streams :meth:`_raw_values`
-        serves: the block refill (and therefore every trial's generator
-        consumption) is identical, but instead of a dense ``(k, width)`` view
-        the caller gets the round's start offset into ``stream["values"]``
-        rows and gathers only the frontier positions it needs —
-        ``values[row, start + position]`` is exactly the fixed-point value the
-        dense path would have seen at that position.  That gather-not-slice
+        :meth:`_raw_values` slices the round out of this offset; the sparse
+        tier calls it directly, so the block refill (and therefore every
+        trial's generator consumption) is the same in both tiers.  Instead of
+        a dense ``(k, width)`` view the sparse caller gets the round's start
+        offset into ``stream["values"]`` rows and gathers only the frontier
+        positions it needs — ``values[row, start + position]`` is exactly the
+        fixed-point value the dense path would have seen at that position.  That gather-not-slice
         discipline is what makes sparse results bit-identical to dense.
         """
         if self._draw_phase == 0:
@@ -348,11 +358,7 @@ class NeighborSampler:
     consume every sampler exactly once per round, after a single
     :meth:`BatchKernel._begin_round` call, so block refills stay aligned.
 
-    Precision: 16-bit offsets are exact enough (bias at most
-    ``max_deg * 2**-16``) only for small maximum degree; skewed families fall
-    back to 32 bits.  Typed degree scalars/arrays keep the ufunc loops in the
-    wide integer type (a weak Python-int operand would select the uint16 loop
-    and overflow).
+    Precision and degree typing come from :func:`fixed_point_degrees`.
 
     Dynamic topology: when the kernel carries a schedule, the sampler also
     gathers the round's directed-slot activity at the sampled offsets —
@@ -367,9 +373,10 @@ class NeighborSampler:
         graph = kernel.graph
         self._kernel = kernel
         self.width = int(width)
-        max_degree = int(graph.degrees.max())
-        self.offset_bits = 16 if max_degree <= 64 else 32
-        wide = np.int32 if self.offset_bits == 16 else np.int64
+        self.offset_bits, self._regular_degree, self._degrees_wide = (
+            fixed_point_degrees(graph)
+        )
+        wide = self._degrees_wide.dtype.type
         shape = (kernel.num_trials, self.width)
         self._stream = kernel._raw_stream(self.width, self.offset_bits)
         # Laziness is one extra 16-bit coin per value ("stay put" at p = 1/2).
@@ -386,15 +393,6 @@ class NeighborSampler:
         self.active = None
         self._blocked = None
         self._active_valid = False
-        # d-regular graphs admit a scalar fast path: every degree is d and the
-        # CSR row of vertex v starts exactly at v * d.
-        self._regular_degree = (
-            graph.regularity_degree() if graph.is_regular() else None
-        )
-        if self._regular_degree is not None:
-            self._degree_wide = wide(self._regular_degree)
-        else:
-            self._degrees_wide = graph.degrees.astype(wide)
         self._vertex_starts = graph.indptr[:-1]
 
     def sample_walk(self, k: int, positions: np.ndarray) -> np.ndarray:
@@ -410,7 +408,8 @@ class NeighborSampler:
         starts = self._starts[:k]
         out = self.sampled[:k]
         if self._regular_degree is not None:
-            np.multiply(raw, self._degree_wide, out=scaled)
+            # Every degree is d and the CSR row of vertex v starts at v * d.
+            np.multiply(raw, self._degrees_wide, out=scaled)
             np.multiply(positions, self._regular_degree, out=starts)
         else:
             # Gather degrees into the scratch, then scale in place (elementwise,
@@ -446,10 +445,8 @@ class NeighborSampler:
         scaled = self._scaled[:k]
         offsets = self.offsets[:k]
         out = self.sampled[:k]
-        if self._regular_degree is not None:
-            np.multiply(raw, self._degree_wide, out=scaled)
-        else:
-            np.multiply(raw, self._degrees_wide, out=scaled)
+        # A scalar degree on regular graphs, the degree array otherwise.
+        np.multiply(raw, self._degrees_wide, out=scaled)
         np.right_shift(scaled, self.offset_bits, out=scaled)
         np.add(scaled, self._vertex_starts, out=offsets)
         np.take(graph.indices, offsets, out=out, mode="clip")

@@ -52,7 +52,7 @@ class MeetExchangeKernel(AgentWalkKernel):
             # extinct population completes nothing.  Bound once here, so the
             # churn-free round loop pays no check.
             self.complete_rows = self._alive_agents_informed
-        # Scratch meeting map with a slot-0 write sink (see VisitExchangeKernel).
+        # Scratch meeting map with a slot-0 write sink (see _setup_vertex_state).
         # The map is the kernel's only n-proportional per-round work (the
         # full-width clear); the sparse tier instead un-sets exactly the
         # slots the round wrote — O(agents) — which is a win whenever the
@@ -126,9 +126,6 @@ class MeetExchangeKernel(AgentWalkKernel):
         # Vertices do not store the rumor in meet-exchange; by convention the
         # source is reported as the single "informed" vertex.
         return np.ones(k, dtype=np.int64)
-
-    def informed_agent_counts(self, k):
-        return self.agent_informed[:k].sum(axis=1)
 
     def trial_metadata(self, trial):
         return {

@@ -26,56 +26,22 @@ class PullKernel(VertexKernel):
     """Batched PULL: uninformed vertices pull from uniformly random neighbors."""
 
     name = "pull"
-    _sparse_needs_uninformed = True
+    _pulls = True
 
-    def _step_sparse(self, k):
-        """Only the uninformed list draws (informed vertices' dense draws are
-        ignored by the dense mask anyway); a puller whose sampled callee's
-        packed bit is set learns and leaves the list."""
-        start = self._raw_round_start(k, self._sparse_stream)
-        for row in range(k):
-            uninformed = self._uninformed_rows[row]
-            # One message per uninformed puller (dense: n - counts).
-            self._messages[row] += uninformed.size
-            if uninformed.size == 0:
-                continue
-            callees = self._sparse_callees(row, start, uninformed)
-            got = self._packed.test_row(row, callees)
-            if got.any():
-                newly = uninformed[got]
-                self._packed.set_row(row, newly)
-                self.counts[row] += newly.size
-                self._uninformed_rows[row] = uninformed[~got]
-
-    def step(self, k):
-        self._begin_round()
-        if self.frontier_resolved == "sparse":
-            self._step_sparse(k)
-            return
-        informed = self.informed[:k]
-        callees, callee_flat = self._sample_callees(k)
-        ok = self._sampler.round_ok(k)
-        callee_informed = self._gathered[:k]
-        np.take(self._informed_flat, callee_flat, out=callee_informed, mode="clip")
+    def _count_messages(self, k):
         # One message per uninformed puller.
         self._messages[:k] += self.graph.num_vertices - self.counts[:k]
-        # For booleans ``a > b`` is exactly ``a & ~b``: an uninformed puller
-        # whose callee was informed before the round learns the rumor — if
-        # the round's topology allows the call at all.
-        pull_mask = np.greater(callee_informed, informed, out=self._pull_scratch[:k])
-        if ok is not None:
-            pull_mask &= ok
-        if self._any_observers:
-            self._report_edges(k, callees, pull_mask)
-        informed |= pull_mask
-        self.counts[:k] = informed.sum(axis=1)
 
-    def _report_edges(self, k, callees, pull_mask):
-        """Report every successful pull as a (puller, source-neighbor) edge."""
+    def _report_edges(self, k, callees, ok):
+        """Report every successful pull as a (puller, callee) edge."""
         for row in range(k):
             group = self._observer_for_row(row)
             if not group:
                 continue
-            pullers = np.flatnonzero(pull_mask[row])
+            informed_row = self.vertex_informed[row]
+            pulled = informed_row[callees[row]] & ~informed_row
+            if ok is not None:
+                pulled &= ok[row]
+            pullers = np.flatnonzero(pulled)
             if pullers.size:
                 group.on_edges_used(pullers, callees[row, pullers])

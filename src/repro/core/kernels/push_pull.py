@@ -5,6 +5,10 @@ vertex (informed or not) samples a uniformly random neighbor and the two
 exchange information: if exactly one of the pair was informed before the
 round, the other becomes informed in this round.  ``T_ppull`` is the first
 round by which all vertices are informed.
+
+The exchange is the union of the PUSH and PULL directions (Karp et al.,
+FOCS 2000): the kernel enables both directions of
+:class:`~repro.core.kernels.vertex.VertexKernel`.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ class PushPullKernel(VertexKernel):
     """Batched PUSH-PULL: every vertex calls a random neighbor each round."""
 
     name = "push-pull"
+    _pushes = True
+    _pulls = True
 
     def __init__(self, *, track_all_exchanges: bool = False) -> None:
         #: When True and observers are attached, every sampled
@@ -28,77 +34,11 @@ class PushPullKernel(VertexKernel):
         #: the informing transmissions.
         self.track_all_exchanges = bool(track_all_exchanges)
 
-    _sparse_needs_frontier = True
-    _sparse_needs_uninformed = True
+    def _count_messages(self, k):
+        # Every vertex calls every round.
+        self._messages[:k] += self.graph.num_vertices
 
-    def _step_sparse(self, k):
-        """Both directions from pre-round state: the push direction walks the
-        informed frontier, the pull direction walks the uninformed list, and
-        every membership test runs against the packed bits *before* this
-        round's set — the dense path's "materialize both masks, then update"
-        discipline, expressed sparsely.  The two position sets are disjoint,
-        so each reads its own slice of the round's per-vertex draw values."""
-        start = self._raw_round_start(k, self._sparse_stream)
-        n = self.graph.num_vertices
-        for row in range(k):
-            self._messages[row] += n
-            frontier = self._frontier_rows[row]
-            uninformed = self._uninformed_rows[row]
-            parts = []
-            if frontier.size:
-                pushed = self._sparse_callees(row, start, frontier)
-                pushed = pushed[~self._packed.test_row(row, pushed)]
-                if pushed.size:
-                    parts.append(pushed)
-            if uninformed.size:
-                pulled_from = self._sparse_callees(row, start, uninformed)
-                got = self._packed.test_row(row, pulled_from)
-                if got.any():
-                    parts.append(uninformed[got].astype(np.int64))
-            if not parts:
-                continue
-            newly = np.unique(np.concatenate(parts) if len(parts) > 1 else parts[0])
-            self._packed.set_row(row, newly)
-            self.counts[row] += newly.size
-            self._uninformed_rows[row] = uninformed[
-                ~self._packed.test_row(row, uninformed)
-            ]
-            self._sparse_note_informed(row, newly)
-
-    def step(self, k):
-        self._begin_round()
-        if self.frontier_resolved == "sparse":
-            self._step_sparse(k)
-            return
-        graph = self.graph
-        caller_informed = self.informed[:k]
-        callees, callee_flat = self._sample_callees(k)
-        ok = self._sampler.round_ok(k)
-        callee_informed = self._gathered[:k]
-        np.take(self._informed_flat, callee_flat, out=callee_informed, mode="clip")
-
-        if self._any_observers:
-            self._report_edges(k, callees, caller_informed, callee_informed, ok)
-
-        # Push direction: informed caller informs its callee; pull direction:
-        # uninformed caller learns from an informed callee.  Both masks are
-        # materialized from the pre-round state before any update is applied
-        # (for booleans ``a > b`` is exactly ``a & ~b``); an exchange over an
-        # inactive edge does not happen in either direction.
-        masked = self._masked[:k]
-        push_mask = np.greater(caller_informed, callee_informed, out=self._pull_scratch[:k])
-        if ok is not None:
-            push_mask &= ok
-        np.multiply(callee_flat, push_mask, out=masked)
-        pull_mask = np.greater(callee_informed, caller_informed, out=push_mask)
-        if ok is not None:
-            pull_mask &= ok
-        self._informed_flat[masked] = True
-        caller_informed |= pull_mask
-        self.counts[:k] = caller_informed.sum(axis=1)
-        self._messages[:k] += graph.num_vertices
-
-    def _report_edges(self, k, callees, caller_informed, callee_informed, ok):
+    def _report_edges(self, k, callees, ok):
         """Report exchanges before any update (pre-round informed state);
         exchanges blocked by the round's topology masks are not reported."""
         callers = np.arange(self.graph.num_vertices, dtype=np.int64)
@@ -113,8 +53,10 @@ class PushPullKernel(VertexKernel):
                     active = ok[row]
                     group.on_edges_used(callers[active], callees[row][active])
                 continue
-            push_mask = caller_informed[row] & ~callee_informed[row]
-            pull_mask = ~caller_informed[row] & callee_informed[row]
+            caller_informed = self.vertex_informed[row]
+            callee_informed = caller_informed[callees[row]]
+            push_mask = caller_informed & ~callee_informed
+            pull_mask = ~caller_informed & callee_informed
             if ok is not None:
                 push_mask = push_mask & ok[row]
                 pull_mask = pull_mask & ok[row]

@@ -11,7 +11,8 @@ stationary distribution.  Both vertices and agents store the rumor:
   vertex that is informed (from a previous round, or in the current round by
   another informed agent), the agent becomes informed.
 
-``T_visitx`` is the first round by which all vertices are informed.
+``T_visitx`` is the first round by which all vertices are informed.  The
+round's rule is :class:`VisitRule`, which the hybrid kernel runs as well.
 """
 
 from __future__ import annotations
@@ -20,51 +21,24 @@ import numpy as np
 
 from .agent import AgentWalkKernel
 
-__all__ = ["VisitExchangeKernel"]
+__all__ = ["VisitExchangeKernel", "VisitRule"]
 
 
-class VisitExchangeKernel(AgentWalkKernel):
-    """Batched VISIT-EXCHANGE: vertices and agents both store the rumor."""
+class VisitRule:
+    """The visit-exchange rule between the agents and the informed vertices.
 
-    name = "visit-exchange"
+    Shared by :class:`VisitExchangeKernel` and the hybrid kernel: the vertex
+    state comes from ``_setup_vertex_state``, the agents and their scratch
+    from :class:`~repro.core.kernels.agent.AgentWalkKernel`.  A kernel using
+    it sets ``_all_agents_informed = False`` when it initializes.
+    """
 
-    def __init__(self, *, track_edge_traversals: bool = False, **kwargs) -> None:
-        super().__init__(**kwargs)
-        self.lazy = bool(self.lazy)
-        #: When True and observers are attached, every agent traversal is
-        #: reported through ``on_edges_used`` (the fairness analysis' per-edge
-        #: utilisation view) instead of only the rumor-delivering arrivals.
-        self.track_edge_traversals = bool(track_edge_traversals)
+    def _visit(self, k, new_positions, vertex_ok):
+        """Apply the rule at the agents' new positions and commit the move.
 
-    def initialize(self, graph, source, gens):
-        self._setup_common(graph, gens)
-        # Visit-exchange has no sparse tier to switch to: every round's draw,
-        # scatter and gather is already proportional to the agent population
-        # (the "frontier" of an agent protocol *is* its agents), and the only
-        # n-wide op left — the informed-vertex count reduction — is a single
-        # contiguous boolean sum per trial.  The resolution is recorded as
-        # dense so TrialSet consumers see what actually ran.
-        self._resolve_frontier(supported=False)
-        self._place_agents(graph, source, gens)
-        # Slot 0 of the flat buffer is a write sink: scatters index it with
-        # ``flat_index * mask`` instead of extracting the masked indices, which
-        # is the single most expensive operation it replaces.
-        self._vertex_flat = np.zeros(self.num_trials * graph.num_vertices + 1, dtype=bool)
-        self.vertex_informed = self._vertex_flat[1:].reshape(
-            self.num_trials, graph.num_vertices
-        )
-        self.vertex_informed[:, source] = True
-        self.counts = np.ones(self.num_trials, dtype=np.int64)
-        self._register_rows(self.vertex_informed, self.counts)
-        self._setup_walk(self.lazy)
-        self._all_agents_informed = False
-
-    def step(self, k):
-        self._begin_round()
-        new_positions = self._walk_rows(k)
-        vertex_ok = self._vertex_ok_rows(k, new_positions)
-        if self._any_observers:
-            self._report_edges(k, new_positions, vertex_ok)
+        ``vertex_ok`` is the ``(k, agents)`` mask of agents that may interact
+        this round, or ``None`` when all may.
+        """
         position_flat = self._position_flat[:k]
         np.add(self._row_base1[:k], new_positions, out=position_flat)
 
@@ -94,8 +68,44 @@ class VisitExchangeKernel(AgentWalkKernel):
                 on_informed &= vertex_ok
             informed |= on_informed
             self._all_agents_informed = bool(self.agent_informed.all())
-        self.counts[:k] = self.vertex_informed[:k].sum(axis=1)
         self.positions[:k] = new_positions
+
+
+class VisitExchangeKernel(VisitRule, AgentWalkKernel):
+    """Batched VISIT-EXCHANGE: vertices and agents both store the rumor."""
+
+    name = "visit-exchange"
+
+    def __init__(self, *, track_edge_traversals: bool = False, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.lazy = bool(self.lazy)
+        #: When True and observers are attached, every agent traversal is
+        #: reported through ``on_edges_used`` (the fairness analysis' per-edge
+        #: utilisation view) instead of only the rumor-delivering arrivals.
+        self.track_edge_traversals = bool(track_edge_traversals)
+
+    def initialize(self, graph, source, gens):
+        self._setup_common(graph, gens)
+        # Visit-exchange has no sparse tier to switch to: every round's draw,
+        # scatter and gather is already proportional to the agent population
+        # (the "frontier" of an agent protocol *is* its agents), and the only
+        # n-wide op left — the informed-vertex count reduction — is a single
+        # contiguous boolean sum per trial.  The resolution is recorded as
+        # dense so TrialSet consumers see what actually ran.
+        self._resolve_frontier(supported=False)
+        self._place_agents(graph, source, gens)
+        self._setup_vertex_state(source)
+        self._setup_walk(self.lazy)
+        self._all_agents_informed = False
+
+    def step(self, k):
+        self._begin_round()
+        new_positions = self._walk_rows(k)
+        vertex_ok = self._vertex_ok_rows(k, new_positions)
+        if self._any_observers:
+            self._report_edges(k, new_positions, vertex_ok)
+        self._visit(k, new_positions, vertex_ok)
+        self.counts[:k] = self.vertex_informed[:k].sum(axis=1)
 
     def _report_edges(self, k, new_positions, vertex_ok):
         """Edge reporting, before any state update of the round.
@@ -134,9 +144,6 @@ class VisitExchangeKernel(AgentWalkKernel):
 
     def informed_vertex_counts(self, k):
         return self.counts[:k]
-
-    def informed_agent_counts(self, k):
-        return self.agent_informed[:k].sum(axis=1)
 
     def trial_metadata(self, trial):
         return {

@@ -100,25 +100,14 @@ spec identifies the file by content hash, not path).  ``repro corpus
 run|status|report`` drives a manifest end to end against the store;
 ``repro run --scenario FILE#name`` runs one scenario.
 
-Execution-tier environment knobs
---------------------------------
+Execution and warm-path knobs
+-----------------------------
 Every trial runs through :func:`repro.core.batch.run_batch`; the kernels
-pick their state representation automatically.  Three environment
-variables tune the automatics without touching result identity (every knob
-is bit-identical by contract):
+pick their tier automatically (sparse frontiers from
+:data:`repro.core.kernels.base.SPARSE_MIN_VERTICES` vertices on, bit-identical
+to dense) and take no environment knob; ``run_batch(frontier=...)`` forces a
+tier.  One environment variable tunes the store's warm path:
 
-``REPRO_FRONTIER``
-    ``"sparse"`` or ``"dense"``: overrides the vertex kernels' automatic
-    sparse-frontier decision for ``frontier="auto"`` runs.  Sparse and dense
-    are bit-identical, so this never enters store keys.  An explicit
-    ``frontier=`` argument from the caller beats the environment.
-``REPRO_SPARSE_MIN_N``
-    Vertex count at which ``frontier="auto"`` engages the packed/sparse
-    representation (default 32768, see
-    :func:`repro.core.kernels.base.sparse_threshold`).  Sparse wins on
-    skewed families whose frontier stays small (stars, trees: the per-round
-    work tracks the frontier, not n); on expanders the frontier saturates
-    and dense whole-row algebra keeps a constant-factor edge.
 ``REPRO_VERIFY_MANIFEST``
     Set to ``"1"`` to make warm starts paranoid: instead of trusting the
     manifest's recorded graph fingerprints, every matched cell rebuilds

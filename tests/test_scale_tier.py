@@ -5,10 +5,6 @@ The scaling tier's hard contract: the **sparse-frontier representation** is
 arithmetic, same results down to the last per-round history entry — for all
 six protocol kernels, on skewed and regular families alike, with the dense
 fallback forced whenever dynamics or observers are attached.
-
-Environment-knob behaviour (``REPRO_FRONTIER``, ``REPRO_SPARSE_MIN_N``;
-catalogued in :mod:`repro.experiments.config`) is tested through
-``monkeypatch`` so the suite never leaks state.
 """
 
 from __future__ import annotations
@@ -18,9 +14,8 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from repro.core.batch import run_batch, trial_seeds
-from repro.core.kernels import get_kernel_class, sparse_threshold
-from repro.core.kernels.base import SPARSE_MIN_VERTICES, batch_generator
-from repro.core.kernels.packed import PackedBits, popcount
+from repro.core.kernels import SPARSE_MIN_VERTICES, get_kernel_class
+from repro.core.kernels.base import batch_generator
 from repro.core.observers import InformedCountObserver, ObserverGroup
 from repro.graphs import (
     Graph,
@@ -88,36 +83,37 @@ class TestSparseBitIdentity:
                 f"{protocol} on {name}: sparse diverged from dense"
             )
 
-    def test_identity_survives_budget_truncation(self):
-        graph = star(80)
+    # Budgets past some trials' broadcast times, so rows retire while the
+    # index lists of the rows still running are being kept up.
+    @pytest.mark.parametrize(
+        "protocol, graph, budget",
+        [
+            pytest.param("push", star(80), 30, id="push"),
+            pytest.param("pull", double_star(80), 20, id="pull"),
+            pytest.param("push-pull", heavy_binary_tree(127), 12, id="push-pull"),
+            pytest.param("meet-exchange", double_star(80), 10, id="meet-exchange"),
+            pytest.param("hybrid-ppull-visitx", heavy_binary_tree(127), 10, id="hybrid"),
+        ],
+    )
+    def test_identity_survives_budget_truncation(self, protocol, graph, budget):
         seeds = trial_seeds(2, "budget", trials=4)
-        dense = run_batch("push", graph, seeds=seeds, max_rounds=30, frontier="dense")
-        sparse = run_batch("push", graph, seeds=seeds, max_rounds=30, frontier="sparse")
+        dense = run_batch(protocol, graph, seeds=seeds, max_rounds=budget, frontier="dense")
+        sparse = run_batch(protocol, graph, seeds=seeds, max_rounds=budget, frontier="sparse")
+        assert sparse.frontier_resolved == "sparse"
         assert _batch_fingerprint(dense) == _batch_fingerprint(sparse)
         assert dense.completion_rate < 1.0  # the budget actually truncated
 
-    def test_auto_threshold_engages_sparse(self, monkeypatch):
-        graph = double_star(64)
-        seeds = trial_seeds(5, "auto", trials=3)
-        monkeypatch.setenv("REPRO_SPARSE_MIN_N", "32")
-        assert sparse_threshold() == 32
-        engaged = run_batch("push", graph, seeds=seeds)
-        assert engaged.frontier_resolved == "sparse"
-        monkeypatch.setenv("REPRO_SPARSE_MIN_N", "1000000")
-        assert run_batch("push", graph, seeds=seeds).frontier_resolved == "dense"
-        monkeypatch.delenv("REPRO_SPARSE_MIN_N")
-        assert sparse_threshold() == SPARSE_MIN_VERTICES
-
-    def test_frontier_env_overrides_auto_but_not_explicit(self, monkeypatch):
-        graph = double_star(64)
-        seeds = trial_seeds(5, "env", trials=3)
-        monkeypatch.setenv("REPRO_FRONTIER", "sparse")
-        assert run_batch("push", graph, seeds=seeds).frontier_resolved == "sparse"
-        # An explicit driver request beats the environment.
-        assert (
-            run_batch("push", graph, seeds=seeds, frontier="dense").frontier_resolved
-            == "dense"
-        )
+    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+    def test_auto_threshold_engages_sparse(self, protocol):
+        seeds = trial_seeds(5, "auto", trials=2)
+        # Visit-exchange has no sparse tier; it always resolves dense.
+        expected = "dense" if protocol == "visit-exchange" else "sparse"
+        at_threshold = hypercube(15)
+        assert at_threshold.num_vertices == SPARSE_MIN_VERTICES
+        engaged = run_batch(protocol, at_threshold, seeds=seeds, max_rounds=0)
+        assert engaged.frontier_resolved == expected
+        below = run_batch(protocol, hypercube(14), seeds=seeds, max_rounds=0)
+        assert below.frontier_resolved == "dense"
 
     def test_dynamics_forces_dense_fallback(self):
         graph = double_star(64)
@@ -184,34 +180,6 @@ class TestSparseIdentityProperty:
             record_history=True, frontier="sparse",
         )
         assert _batch_fingerprint(dense) == _batch_fingerprint(sparse)
-
-
-class TestPackedBits:
-    def test_roundtrip_on_non_word_multiple(self):
-        bits = PackedBits(2, 70)  # 70 is deliberately not a multiple of 64
-        ids = np.array([0, 63, 64, 69, 69], dtype=np.int64)  # duplicates fine
-        bits.set_row(0, ids)
-        assert bits.count_row(0) == 4
-        assert bits.count_row(1) == 0
-        assert bits.counts().tolist() == [4, 0]
-        mask = bits.test_row(0, np.arange(70))
-        assert sorted(np.flatnonzero(mask).tolist()) == [0, 63, 64, 69]
-        row = bits.to_bool_row(0)
-        assert row.shape == (70,)
-        assert np.array_equal(row, mask)
-
-    def test_rows_are_independent(self):
-        bits = PackedBits(3, 130)
-        bits.set_row(1, np.array([129]))
-        assert bits.counts().tolist() == [0, 1, 0]
-        assert bool(bits.test_row(1, np.array([129]))[0])
-        assert not bits.test_row(0, np.array([129]))[0]
-
-    def test_popcount_matches_python(self):
-        rng = np.random.default_rng(0)
-        words = rng.integers(0, 2**63, size=100, dtype=np.uint64)
-        expected = [bin(int(w)).count("1") for w in words]
-        assert popcount(words).astype(int).tolist() == expected
 
 
 class TestRowCompaction:
