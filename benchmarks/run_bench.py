@@ -405,10 +405,11 @@ def measure_scale(max_n: int = SCALE_MAX_N):
     """Rounds/sec and peak RSS across n = 2^10 .. ``max_n`` (kernel tier curve).
 
     Random 12-regular graphs (the family of Theorems 1-3) on the two
-    representative protocols of the two kernel shapes.  The sparse-frontier
-    tier engages automatically from ``SPARSE_MIN_VERTICES`` (2^15) vertices
-    on; the resolved frontier mode is recorded per cell so the curve
-    documents what actually ran.  The
+    representative protocols of the two kernel shapes.  Push picks its tier
+    before every round (sparse frontiers in the thin phases, dense rows in
+    the hot phase, never sparse below a few thousand vertices); the recorded
+    frontier mode is ``"sparse"`` for a cell once any round ran sparse, so
+    the curve documents what actually ran.  The
     graph build uses ``max_attempts=1``: a 12-regular pairing is essentially
     never simple, so the benchmark goes straight to the vectorized repair
     path instead of burning 200 doomed shuffles per size.

@@ -91,7 +91,7 @@ class BatchResult:
     metadata: List[Dict[str, Any]] = field(default_factory=list)
     vertex_histories: Optional[List[List[int]]] = None
     agent_histories: Optional[List[List[int]]] = None
-    #: Which state representation actually ran: "sparse" or "dense".  Purely
+    #: "sparse" when any round ran in the sparse tier, else "dense".  Purely
     #: informational — the two are bit-identical (see ``run_batch``).
     frontier_resolved: str = "dense"
 
@@ -198,11 +198,14 @@ def run_batch(
         representation the kernels use.  Sparse and dense produce
         bit-identical results (the sparse tier reads the same draw streams at
         only the frontier positions), so this is purely a performance knob —
-        it never enters result identity or store keys.  ``"auto"`` engages
-        the sparse tier from :data:`~repro.core.kernels.base.SPARSE_MIN_VERTICES`
-        vertices on; dynamics schedules and observers force the dense fallback
-        either way.  The engaged representation is available as
-        ``kernel.frontier_resolved`` (``"sparse"``/``"dense"``) for tests.
+        it never enters result identity or store keys.  Under ``"auto"`` the
+        call protocols choose their tier before every round from the live
+        frontier (see :meth:`~repro.core.kernels.vertex.VertexKernel._choose_tier`);
+        ``"dense"`` and ``"sparse"`` force one tier for every round, which is
+        how tests pin the two against each other.  Dynamics schedules and
+        observers force the dense fallback either way.
+        ``BatchResult.frontier_resolved`` is ``"sparse"`` when any round ran
+        sparse; with tracing on, each switch is a ``kernel.tier`` event.
     protocol_kwargs:
         Forwarded to the kernel (``agent_density``, ``num_agents``, ``lazy``,
         ``one_agent_per_vertex``, ``track_all_exchanges``,
@@ -302,12 +305,13 @@ def run_batch(
                 sample = {
                     "round": round_index,
                     "active": active,
+                    "tier": kernel.tier,
                     "informed": int(
                         np.asarray(kernel.informed_vertex_counts(active)).sum()
                     ),
                 }
                 frontier_rows = getattr(kernel, "_frontier_rows", None)
-                if frontier_rows is not None:
+                if kernel.tier == "sparse" and frontier_rows is not None:
                     sample["frontier"] = int(
                         sum(len(rows) for rows in frontier_rows[:active])
                     )

@@ -11,10 +11,10 @@ boolean informed array.  Each rule is stated once: the push and pull
 directions of the call protocols in :mod:`~repro.core.kernels.vertex` (push,
 pull and push-pull select directions; the hybrid reuses both), the visit rule
 in :class:`~repro.core.kernels.visit_exchange.VisitRule`, walks and churn in
-:mod:`~repro.core.kernels.agent`.  From
-:data:`~repro.core.kernels.base.SPARSE_MIN_VERTICES` vertices on, the call
-directions drive each round from per-trial frontier and uninformed lists
-instead of whole-row algebra, bit-identically to the dense layout.
+:mod:`~repro.core.kernels.agent`.  Before every round the call directions
+choose, from the live frontier, between whole-row algebra (the dense tier)
+and per-trial frontier and uninformed lists (the sparse tier), which are
+bit-identical.
 
 ``KERNEL_REGISTRY`` maps every protocol name to its kernel class; it is the
 registry of the protocols this package simulates.
@@ -22,7 +22,7 @@ registry of the protocols this package simulates.
 
 from __future__ import annotations
 
-from .base import SPARSE_MIN_VERTICES, BatchKernel, NeighborSampler, batch_generator
+from .base import BatchKernel, NeighborSampler, batch_generator
 from .hybrid import HybridKernel
 from .meet_exchange import MeetExchangeKernel
 from .pull import PullKernel
@@ -33,7 +33,6 @@ from .visit_exchange import VisitExchangeKernel
 __all__ = [
     "BatchKernel",
     "NeighborSampler",
-    "SPARSE_MIN_VERTICES",
     "batch_generator",
     "KERNEL_REGISTRY",
     "get_kernel_class",

@@ -47,6 +47,7 @@ Design notes
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,15 +58,9 @@ from ...graphs.graph import Graph
 __all__ = [
     "BatchKernel",
     "NeighborSampler",
-    "SPARSE_MIN_VERTICES",
     "batch_generator",
     "fixed_point_degrees",
 ]
-
-#: Vertex count at which ``frontier="auto"`` switches the vertex kernels to
-#: the sparse tier.  Below it, dense whole-row numpy algebra wins on constant
-#: factors; above it, frontier-sized gathers win on asymptotics.
-SPARSE_MIN_VERTICES = 32768
 
 
 def fixed_point_degrees(graph: Graph) -> Tuple[int, Optional[int], Any]:
@@ -77,9 +72,9 @@ def fixed_point_degrees(graph: Graph) -> Tuple[int, Optional[int], Any]:
     wide integer type of that precision — a scalar on ``d``-regular graphs
     (``regular_degree`` is then ``d``, else ``None``), otherwise the degree
     array.  Typed degrees keep the ufunc loops wide (a weak Python-int operand
-    would select the uint16 loop and overflow).  The dense sampler and the
-    sparse tier both derive their arithmetic from here, which is what keeps
-    them bit-identical.
+    would select the uint16 loop and overflow).  :class:`NeighborSampler`
+    keeps the result, and the sparse tier reads it from the sampler whose
+    stream it shares, which is what keeps the two tiers bit-identical.
     """
     bits = 16 if int(graph.degrees.max()) <= 64 else 32
     wide = np.int32 if bits == 16 else np.int64
@@ -125,17 +120,20 @@ class BatchKernel:
     #: trial of the batch.
     dynamics = None
 
-    #: Requested frontier mode: ``"auto"`` (sparse iff the graph has at least
-    #: :data:`SPARSE_MIN_VERTICES` vertices and nothing forces dense),
-    #: ``"dense"``, or ``"sparse"``; :func:`~repro.core.batch.run_batch`
-    #: validates it.  Set by the driver *before* :meth:`initialize`.  Sparse
-    #: and dense are bit-identical — same draw streams, same results — so the
-    #: mode never enters store keys; kernels record what actually engaged in
-    #: :attr:`frontier_resolved`.
+    #: Requested frontier mode: ``"auto"`` (each kernel picks its tier, the
+    #: vertex kernels round by round), ``"dense"``, or ``"sparse"``;
+    #: :func:`~repro.core.batch.run_batch` validates it.  Set by the driver
+    #: *before* :meth:`initialize`.  Sparse and dense are bit-identical — same
+    #: draw streams, same results — so the mode never enters store keys;
+    #: kernels record what actually engaged in :attr:`frontier_resolved`.
     frontier_mode = "auto"
 
-    #: ``"sparse"`` or ``"dense"``: what :meth:`initialize` actually engaged.
+    #: ``"sparse"`` once any round has run in the sparse tier (after
+    #: :meth:`initialize`: the tier of the first round), else ``"dense"``.
     frontier_resolved = "dense"
+
+    #: The tier of the current round, ``"sparse"`` or ``"dense"``.
+    tier = "dense"
 
     # ------------------------------------------------------------------
     # interface implemented by the protocol kernels
@@ -220,27 +218,19 @@ class BatchKernel:
         return self.trial_observers[int(self.trial_ids[row])]
 
     def _resolve_frontier(self, *, supported: bool = True) -> str:
-        """Decide (and record) whether the sparse tier engages for this run.
+        """The frontier mode this run may use: ``"dense"``, ``"sparse"`` or
+        ``"auto"`` (the kernel chooses).
 
-        Call after :meth:`_setup_common` (the decision reads the resolved
+        Call after :meth:`_setup_common` (the answer reads the resolved
         dynamics and observers).  Dynamics schedules, observers and (through
         ``supported=False``) agent churn force the dense fallback even when
-        sparse is requested: activity masks are
-        materialized per *slot* and the edge-reporting slow path scans dense
-        rows, so both are defined on — and only exercised by — the dense
-        representation.
+        sparse is requested: activity masks are materialized per *slot* and
+        the edge-reporting slow path scans dense rows, so both are defined on
+        — and only exercised by — the dense representation.
         """
-        mode = self.frontier_mode
-        blocked = not supported or self._dyn is not None or self._any_observers
-        if blocked:
-            self.frontier_resolved = "dense"
-        elif mode == "sparse":
-            self.frontier_resolved = "sparse"
-        elif mode == "auto" and self.graph.num_vertices >= SPARSE_MIN_VERTICES:
-            self.frontier_resolved = "sparse"
-        else:
-            self.frontier_resolved = "dense"
-        return self.frontier_resolved
+        if not supported or self._dyn is not None or self._any_observers:
+            return "dense"
+        return self.frontier_mode
 
     #: Rounds of uniforms drawn per generator call (see :meth:`_raw_stream`).
     _DRAW_BLOCK = 4
@@ -371,7 +361,10 @@ class NeighborSampler:
 
     def __init__(self, kernel: BatchKernel, width: int, *, lazy: bool = False) -> None:
         graph = kernel.graph
-        self._kernel = kernel
+        # A proxy, not a reference: the kernel owns its samplers, and a
+        # sampler -> kernel reference would make every kernel a reference
+        # cycle that outlives its run until the next garbage collection.
+        self._kernel = weakref.proxy(kernel)
         self.width = int(width)
         self.offset_bits, self._regular_degree, self._degrees_wide = (
             fixed_point_degrees(graph)

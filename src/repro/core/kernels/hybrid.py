@@ -55,14 +55,13 @@ class HybridKernel(VisitRule, VertexKernel, AgentWalkKernel):
 
     def initialize(self, graph, source, gens):
         self._setup_common(graph, gens)
-        sparse = self._resolve_frontier(supported=not self.churn.enabled) == "sparse"
+        mode = self._resolve_frontier(supported=not self.churn.enabled)
         self._place_agents(graph, source, gens)
         # Two draw streams per round: the callee stream of the vertex half and
-        # the walk stream of the agents.  The sparse tier keeps both (same
-        # widths, same refill block) and merely reads the callee stream at
-        # frontier positions, so both tiers consume each trial's generator
-        # identically.
-        self._setup_calls(graph, int(source), sparse)
+        # the walk stream of the agents.  The sparse tier of the vertex half
+        # merely reads the callee stream at frontier positions, so both tiers
+        # consume each trial's generator identically.
+        self._setup_calls(graph, int(source), mode)
         self._setup_walk(self.lazy)
         self._all_agents_informed = False
 

@@ -25,6 +25,10 @@ from .agent import AgentWalkKernel
 
 __all__ = ["MeetExchangeKernel"]
 
+#: Vertex count from which ``frontier="auto"`` clears the meeting map slot by
+#: slot (the sparse tier) instead of in full.
+_SPARSE_CLEAR_MIN_VERTICES = 32768
+
 
 class MeetExchangeKernel(AgentWalkKernel):
     """Batched MEET-EXCHANGE: only agents store the rumor."""
@@ -47,21 +51,19 @@ class MeetExchangeKernel(AgentWalkKernel):
         self.source_still_informs = ~self.agent_informed.any(axis=1)
         self._register_rows(self.source_still_informs)
         self._setup_walk(self.effective_lazy)
-        if self._alive is not None:
-            # Under churn the target moves (newborns start uninformed) and an
-            # extinct population completes nothing.  Bound once here, so the
-            # churn-free round loop pays no check.
-            self.complete_rows = self._alive_agents_informed
         # Scratch meeting map with a slot-0 write sink (see _setup_vertex_state).
         # The map is the kernel's only n-proportional per-round work (the
         # full-width clear); the sparse tier instead un-sets exactly the
         # slots the round wrote — O(agents) — which is a win whenever the
         # agent population is well below n.  Reads and writes are otherwise
         # identical, so the tiers are trivially bit-identical.
-        self._resolve_frontier(supported=not self.churn.enabled)
+        mode = self._resolve_frontier(supported=not self.churn.enabled)
+        if mode == "sparse" or (
+            mode == "auto" and graph.num_vertices >= _SPARSE_CLEAR_MIN_VERTICES
+        ):
+            self.frontier_resolved = self.tier = "sparse"
         self._sparse_clear = (
-            self.frontier_resolved == "sparse"
-            and self._num_agents * 2 < graph.num_vertices
+            self.tier == "sparse" and self._num_agents * 2 < graph.num_vertices
         )
         if self._sparse_clear:
             self._meeting_flat = np.zeros(
@@ -120,6 +122,10 @@ class MeetExchangeKernel(AgentWalkKernel):
             informed_here[masked] = False
 
     def complete_rows(self, k):
+        if self._alive is not None:
+            # Under churn the target moves (newborns start uninformed) and an
+            # extinct population completes nothing.
+            return self._alive_agents_informed(k)
         return self.agent_informed[:k].all(axis=1)
 
     def informed_vertex_counts(self, k):

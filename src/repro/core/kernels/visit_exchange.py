@@ -90,9 +90,8 @@ class VisitExchangeKernel(VisitRule, AgentWalkKernel):
         # scatter and gather is already proportional to the agent population
         # (the "frontier" of an agent protocol *is* its agents), and the only
         # n-wide op left — the informed-vertex count reduction — is a single
-        # contiguous boolean sum per trial.  The resolution is recorded as
-        # dense so TrialSet consumers see what actually ran.
-        self._resolve_frontier(supported=False)
+        # contiguous boolean sum per trial.  ``frontier_resolved`` stays
+        # "dense", so TrialSet consumers see what actually ran.
         self._place_agents(graph, source, gens)
         self._setup_vertex_state(source)
         self._setup_walk(self.lazy)

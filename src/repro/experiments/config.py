@@ -102,11 +102,11 @@ run|status|report`` drives a manifest end to end against the store;
 
 Execution and warm-path knobs
 -----------------------------
-Every trial runs through :func:`repro.core.batch.run_batch`; the kernels
-pick their tier automatically (sparse frontiers from
-:data:`repro.core.kernels.base.SPARSE_MIN_VERTICES` vertices on, bit-identical
-to dense) and take no environment knob; ``run_batch(frontier=...)`` forces a
-tier.  One environment variable tunes the store's warm path:
+Every trial runs through :func:`repro.core.batch.run_batch`; the call
+protocols pick their tier before every round from the live frontier (sparse
+frontiers or dense rows, bit-identical; see
+:meth:`repro.core.kernels.vertex.VertexKernel._choose_tier`) and take no
+environment knob; ``run_batch(frontier=...)`` forces a tier.  One environment variable tunes the store's warm path:
 
 ``REPRO_VERIFY_MANIFEST``
     Set to ``"1"`` to make warm starts paranoid: instead of trusting the

@@ -49,6 +49,8 @@ class Graph:
         "_stationary",
         "_slot_sources",
         "_slot_edge_ids",
+        "_connected",
+        "_bipartite",
     )
 
     #: Process-wide count of ``Graph`` constructions (class attribute; with
@@ -124,6 +126,8 @@ class Graph:
         self._stationary: Optional[np.ndarray] = None
         self._slot_sources: Optional[np.ndarray] = None
         self._slot_edge_ids: Optional[np.ndarray] = None
+        self._connected: Optional[bool] = None
+        self._bipartite: Optional[bool] = None
 
     # ------------------------------------------------------------------
     # basic properties
@@ -306,7 +310,15 @@ class Graph:
         return self._indices[boundaries + np.arange(total)]
 
     def is_connected(self) -> bool:
-        """Return ``True`` if the graph is connected (BFS from vertex 0)."""
+        """Return ``True`` if the graph is connected (BFS from vertex 0).
+
+        Computed once and cached: every run of a sweep checks it.
+        """
+        if self._connected is None:
+            self._connected = self._bfs_reaches_all()
+        return self._connected
+
+    def _bfs_reaches_all(self) -> bool:
         seen = np.zeros(self._n, dtype=bool)
         seen[0] = True
         reached = 1
@@ -326,7 +338,13 @@ class Graph:
 
         Colors every component by BFS-level parity, then verifies in one
         vectorized pass that no edge connects two vertices of equal color.
+        Computed once and cached, like :meth:`is_connected`.
         """
+        if self._bipartite is None:
+            self._bipartite = self._two_colorable()
+        return self._bipartite
+
+    def _two_colorable(self) -> bool:
         color = np.full(self._n, -1, dtype=np.int8)
         for start in range(self._n):
             if color[start] != -1:
@@ -440,4 +458,6 @@ class Graph:
         clone._stationary = self._stationary
         clone._slot_sources = self._slot_sources
         clone._slot_edge_ids = self._slot_edge_ids
+        clone._connected = self._connected
+        clone._bipartite = self._bipartite
         return clone

@@ -159,6 +159,23 @@ class TestPredicates:
         assert even.is_bipartite()
         assert not odd.is_bipartite()
 
+    def test_connectivity_and_bipartiteness_are_computed_once(self, monkeypatch):
+        even = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        split = Graph(4, [(0, 1), (2, 3)])
+        answers = [(even.is_connected(), even.is_bipartite())]
+        answers.append((split.is_connected(), split.is_bipartite()))
+
+        def recompute(self):
+            raise AssertionError("recomputed a cached predicate")
+
+        monkeypatch.setattr(Graph, "_bfs_reaches_all", recompute)
+        monkeypatch.setattr(Graph, "_two_colorable", recompute)
+        assert answers == [(True, True), (False, True)]
+        assert (even.is_connected(), even.is_bipartite()) == answers[0]
+        assert (split.is_connected(), split.is_bipartite()) == answers[1]
+        renamed = split.relabeled("renamed")
+        assert (renamed.is_connected(), renamed.is_bipartite()) == answers[1]
+
 
 class TestTraversal:
     def test_bfs_order_starts_at_source(self, small_double_star):

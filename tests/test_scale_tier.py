@@ -4,7 +4,9 @@ The scaling tier's hard contract: the **sparse-frontier representation** is
 *bit-identical* to the dense one — same draw streams, same fixed-point
 arithmetic, same results down to the last per-round history entry — for all
 six protocol kernels, on skewed and regular families alike, with the dense
-fallback forced whenever dynamics or observers are attached.
+fallback forced whenever dynamics or observers are attached.  Under
+``frontier="auto"`` the call protocols switch tiers between rounds, so the
+contract also covers runs that switch in every round.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from repro.core.batch import run_batch, trial_seeds
-from repro.core.kernels import SPARSE_MIN_VERTICES, get_kernel_class
+from repro.core.kernels import get_kernel_class
+from repro.core.kernels import vertex as vertex_module
 from repro.core.kernels.base import batch_generator
+from repro.core.kernels.vertex import VertexKernel
 from repro.core.observers import InformedCountObserver, ObserverGroup
 from repro.graphs import (
     Graph,
@@ -25,6 +29,7 @@ from repro.graphs import (
     random_regular_graph,
     star,
 )
+from repro.telemetry import TRACE_ENV_VAR, read_events, trace_files
 
 ALL_PROTOCOLS = (
     "push",
@@ -34,6 +39,9 @@ ALL_PROTOCOLS = (
     "meet-exchange",
     "hybrid-ppull-visitx",
 )
+
+#: The protocols whose vertices call: the ones that switch tiers per round.
+CALL_PROTOCOLS = ("push", "pull", "push-pull", "hybrid-ppull-visitx")
 
 
 def _family_cases():
@@ -104,16 +112,52 @@ class TestSparseBitIdentity:
         assert dense.completion_rate < 1.0  # the budget actually truncated
 
     @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
-    def test_auto_threshold_engages_sparse(self, protocol):
-        seeds = trial_seeds(5, "auto", trials=2)
-        # Visit-exchange has no sparse tier; it always resolves dense.
-        expected = "dense" if protocol == "visit-exchange" else "sparse"
-        at_threshold = hypercube(15)
-        assert at_threshold.num_vertices == SPARSE_MIN_VERTICES
-        engaged = run_batch(protocol, at_threshold, seeds=seeds, max_rounds=0)
-        assert engaged.frontier_resolved == expected
-        below = run_batch(protocol, hypercube(14), seeds=seeds, max_rounds=0)
-        assert below.frontier_resolved == "dense"
+    def test_paper_sized_graphs_never_leave_dense(self, protocol):
+        # A sparse row's fixed cost alone outweighs the entry share of a dense
+        # row for n <= 2048, so auto never engages the sparse tier on the
+        # paper's graph sizes.
+        seeds = trial_seeds(5, "paper-sized", trials=3)
+        rng = np.random.default_rng(3)
+        for graph, budget in (
+            (hypercube(11), None),
+            (random_regular_graph(2048, 12, rng, max_attempts=1), None),
+            (star(2048), 40),
+        ):
+            batch = run_batch(protocol, graph, seeds=seeds, max_rounds=budget)
+            assert batch.frontier_resolved == "dense", graph.name
+
+    def test_expander_push_visits_both_tiers(self, tmp_path, monkeypatch):
+        # Theorem 1's regime at 2^16: a thin start, a hot phase in which
+        # nearly every vertex calls, and a thin tail.
+        graph = random_regular_graph(
+            1 << 16, 12, np.random.default_rng(0), max_attempts=1
+        )
+        seeds = trial_seeds(5, "expander", trials=2)
+        monkeypatch.setenv(TRACE_ENV_VAR, str(tmp_path))
+        # A 64-round budget samples every round into ``kernel.round`` events.
+        auto = run_batch("push", graph, seeds=seeds, max_rounds=64, record_history=True)
+        monkeypatch.delenv(TRACE_ENV_VAR)
+        assert auto.completion_rate == 1.0
+        events = read_events(trace_files(str(tmp_path)))
+        switches = [e["attrs"] for e in events if e["name"] == "kernel.tier"]
+        assert [s["direction"] for s in switches] == [
+            "dense->sparse",  # the opening round, from the source alone
+            "sparse->dense",  # the hot phase
+            "dense->sparse",  # the tail
+        ]
+        assert switches[0]["round"] == 0
+        for switch in switches:
+            assert switch["protocol"] == "push" and switch["rows"] >= 1
+            assert switch["dense_work"] == switch["rows"] * graph.num_vertices
+        assert switches[1]["sparse_work"] > switches[1]["dense_work"]
+        assert switches[2]["sparse_work"] < switches[2]["dense_work"]
+        tiers = {e["attrs"]["tier"] for e in events if e["name"] == "kernel.round"}
+        assert tiers == {"sparse", "dense"}
+        assert auto.frontier_resolved == "sparse"
+        dense = run_batch(
+            "push", graph, seeds=seeds, max_rounds=64, record_history=True, frontier="dense"
+        )
+        assert _batch_fingerprint(auto) == _batch_fingerprint(dense)
 
     def test_dynamics_forces_dense_fallback(self):
         graph = double_star(64)
@@ -136,6 +180,86 @@ class TestSparseBitIdentity:
     def test_rejects_unknown_frontier_mode(self):
         with pytest.raises(ValueError, match="frontier"):
             run_batch("push", star(10), seeds=[1], frontier="moist")
+
+
+def _flip_every_round(monkeypatch):
+    """Make ``frontier="auto"`` switch tiers before every round, whatever n.
+
+    The rebuild into the sparse tier and the free switch back then both run
+    on every round, on graphs small enough to compare against dense quickly.
+    Returns the list that records the row count of every choice, in order.
+    """
+    switches = []
+
+    def flip(self, k):
+        switches.append(k)
+        return "dense" if self.tier == "sparse" else "sparse"
+
+    monkeypatch.setattr(vertex_module, "_SPARSE_ROW_COST", 0)
+    monkeypatch.setattr(VertexKernel, "_choose_tier", flip)
+    return switches
+
+
+class TestTierSwitchIdentity:
+    """A tier switch between any two rounds leaves every result bit-identical."""
+
+    @pytest.mark.parametrize("protocol", CALL_PROTOCOLS)
+    def test_switching_every_round_matches_dense(self, protocol, monkeypatch):
+        seeds = trial_seeds(9, "flip", protocol, trials=5)
+        dense = {
+            name: run_batch(
+                protocol, graph, source, seeds=seeds,
+                record_history=True, frontier="dense",
+            )
+            for name, graph, source in _family_cases()
+        }
+        switches = _flip_every_round(monkeypatch)
+        for name, graph, source in _family_cases():
+            del switches[:]
+            flipping = run_batch(protocol, graph, source, seeds=seeds, record_history=True)
+            assert flipping.frontier_resolved == "sparse"
+            # One choice at set-up, then one per round.
+            assert len(switches) == 1 + int(flipping.rounds_executed.max())
+            assert _batch_fingerprint(flipping) == _batch_fingerprint(dense[name]), (
+                f"{protocol} on {name}: switching tiers diverged from dense"
+            )
+
+    # Budgets past some trials' broadcast times: rows retire while the
+    # others keep switching, and the rest are truncated mid-run.
+    @pytest.mark.parametrize(
+        "protocol, graph, budget",
+        [
+            pytest.param("push", star(80), 360, id="push"),
+            pytest.param("pull", double_star(80), 20, id="pull"),
+            pytest.param("push-pull", heavy_binary_tree(127), 12, id="push-pull"),
+            pytest.param("hybrid-ppull-visitx", heavy_binary_tree(127), 12, id="hybrid"),
+        ],
+    )
+    def test_switching_survives_budget_truncation(self, protocol, graph, budget, monkeypatch):
+        seeds = trial_seeds(2, "budget", trials=6)
+        dense = run_batch(
+            protocol, graph, seeds=seeds, max_rounds=budget,
+            record_history=True, frontier="dense",
+        )
+        switches = _flip_every_round(monkeypatch)
+        flipping = run_batch(protocol, graph, seeds=seeds, max_rounds=budget, record_history=True)
+        assert _batch_fingerprint(flipping) == _batch_fingerprint(dense)
+        assert dense.completion_rate < 1.0  # the budget actually truncated
+        assert min(switches) < max(switches)  # rows retired while switching
+
+    @pytest.mark.parametrize("protocol", CALL_PROTOCOLS)
+    def test_tracing_does_not_change_results(self, protocol, tmp_path, monkeypatch):
+        graph = heavy_binary_tree(127)
+        seeds = trial_seeds(4, "trace", trials=3)
+        _flip_every_round(monkeypatch)
+        quiet = run_batch(protocol, graph, seeds=seeds, record_history=True)
+        monkeypatch.setenv(TRACE_ENV_VAR, str(tmp_path))
+        traced = run_batch(protocol, graph, seeds=seeds, record_history=True)
+        monkeypatch.delenv(TRACE_ENV_VAR)
+        assert _batch_fingerprint(traced) == _batch_fingerprint(quiet)
+        events = read_events(trace_files(str(tmp_path)))
+        switches = [e for e in events if e["name"] == "kernel.tier"]
+        assert len(switches) == 1 + int(traced.rounds_executed.max())
 
 
 # Hypothesis graphs: a random spanning tree plus extra random edges, so the
