@@ -13,7 +13,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.agents import AgentSystem
 from repro.core.batch import run_batch
 from repro.core.kernels import KERNEL_REGISTRY, batch_generator
 from repro.core.rng import make_rng
@@ -58,9 +57,15 @@ class TestRoundThroughput:
 
 class TestSubstrateThroughput:
     def test_agent_stepping(self, benchmark, graph):
-        rng = make_rng(2)
-        agents = AgentSystem.from_stationary(graph, N, rng)
-        benchmark(lambda: agents.step(rng))
+        # One walk step of a one-trial visit-exchange kernel's N agents.
+        kernel = KERNEL_REGISTRY["visit-exchange"](num_agents=N)
+        kernel.initialize(graph, 0, [batch_generator(make_rng(2))])
+
+        def walk_step():
+            kernel._begin_round()
+            kernel.positions[:1] = kernel._walk_rows(1)
+
+        benchmark(walk_step)
 
     def test_vectorized_neighbor_sampling(self, benchmark, graph):
         rng = make_rng(3)

@@ -24,7 +24,6 @@ from typing import Optional
 from . import analysis, core, graphs, store, theory
 from .core import (
     KERNEL_REGISTRY,
-    AgentSystem,
     BatchResult,
     CoupledPushVisitExchange,
     RunResult,
@@ -47,7 +46,6 @@ __all__ = [
     "Graph",
     "RunResult",
     "TrialSet",
-    "AgentSystem",
     "CoupledPushVisitExchange",
     "KERNEL_REGISTRY",
     "ResultStore",

@@ -18,7 +18,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..core.agents import AgentSystem
 from ..core.rng import make_rng
 from ..graphs.graph import Graph
 
@@ -119,20 +118,28 @@ def edge_usage_from_walks(
     This is the "bandwidth" view of fairness: it counts every traversal of the
     agents of a visit-exchange-style population, regardless of whether the
     traversal carried new information.  The paper's fairness claim is exactly
-    that this distribution is (near) uniform over edges.
+    that this distribution is (near) uniform over edges.  The walk draws
+    from one ``Generator``: stationary placement, then per round a neighbor
+    sample for every agent and, when ``lazy``, one stay-put coin per agent.
     """
     rng = make_rng(seed)
-    count = num_agents if num_agents is not None else graph.num_vertices
-    agents = AgentSystem.from_stationary(graph, int(count), rng, lazy=lazy)
+    count = int(num_agents if num_agents is not None else graph.num_vertices)
+    if count < 1:
+        raise ValueError("need at least one agent")
+    positions = rng.choice(
+        graph.num_vertices, size=count, p=graph.stationary_distribution()
+    )
     edge_index = {edge: i for i, edge in enumerate(graph.edges())}
     usage = np.zeros(graph.num_edges, dtype=np.int64)
 
     for _ in range(int(rounds)):
-        previous = agents.step(rng)
-        for old, new in zip(previous.tolist(), agents.positions.tolist()):
-            if old == new:
-                continue
-            usage[edge_index[(min(old, new), max(old, new))]] += 1
+        moved = graph.sample_neighbors(positions, rng)
+        if lazy:
+            moved = np.where(rng.random(count) < 0.5, positions, moved)
+        for old, new in zip(positions.tolist(), moved.tolist()):
+            if old != new:
+                usage[edge_index[(min(old, new), max(old, new))]] += 1
+        positions = moved
 
     counts = {edge: int(usage[i]) for edge, i in edge_index.items()}
     return fairness_from_counts(graph, counts)

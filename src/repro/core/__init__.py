@@ -1,9 +1,9 @@
-"""Core simulation machinery: the batched driver, kernels, agents and the coupling."""
+"""Core simulation machinery: the batched driver, kernels and the coupling."""
 
-from .agents import AgentSystem, default_agent_count
 from .batch import BatchResult, default_max_rounds, run_batch, trial_seeds
 from .coupling import CoupledPushVisitExchange, CoupledRunResult, NeighborChoices
 from .kernels import KERNEL_REGISTRY
+from .kernels.agent import default_agent_count
 from .observers import (
     EdgeUsageObserver,
     InformedCountObserver,
@@ -15,7 +15,6 @@ from .results import RoundRecord, RunResult, TrialSet
 from .rng import RngFactory, derive_seed, make_rng, spawn_rngs
 
 __all__ = [
-    "AgentSystem",
     "default_agent_count",
     "BatchResult",
     "default_max_rounds",

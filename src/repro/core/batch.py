@@ -214,6 +214,10 @@ def run_batch(
         and ``failure_fraction`` (see
         :class:`~repro.core.kernels.agent.AgentChurn`); each trial's
         population history, births and deaths then appear in its metadata.
+        Visit-exchange also takes ``injections``, one ``(round, source)``
+        pair per seed that replaces ``source`` for that trial (see
+        :mod:`~repro.core.kernels.visit_exchange`; the multi-rumor extension
+        is built on it).
     """
     kernel_class = get_kernel_class(protocol)
     seeds = list(seeds)

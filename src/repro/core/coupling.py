@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..graphs.graph import Graph, GraphError
-from .agents import AgentSystem, default_agent_count
+from .kernels.agent import default_agent_count
 from .rng import make_rng
 
 __all__ = ["NeighborChoices", "CoupledRunResult", "CoupledPushVisitExchange"]
@@ -206,14 +206,16 @@ class CoupledPushVisitExchange:
         """Coupled VISIT-EXCHANGE: departures from informed vertices follow w_u(i)."""
         n = graph.num_vertices
         if self.one_agent_per_vertex:
-            agents = AgentSystem.one_per_vertex(graph)
+            positions = np.arange(n, dtype=np.int64)
         else:
             count = (
                 int(self.explicit_num_agents)
                 if self.explicit_num_agents is not None
                 else default_agent_count(graph, self.agent_density)
             )
-            agents = AgentSystem.from_stationary(graph, count, rng)
+            if count < 1:
+                raise ValueError("need at least one agent")
+            positions = rng.choice(n, size=count, p=graph.stationary_distribution())
 
         inform_round = np.full(n, -1, dtype=np.int64)
         inform_round[source] = 0
@@ -222,42 +224,40 @@ class CoupledPushVisitExchange:
         # Number of coupled choices already consumed per vertex.
         consumed = np.zeros(n, dtype=np.int64)
         informed_vertices = 1
-
-        agents.inform_agents(agents.agents_at(source))
+        agent_informed = positions == source
 
         broadcast_time = 0 if informed_vertices == n else None
         round_index = 0
         while broadcast_time is None and round_index < budget:
             round_index += 1
-            previous_positions = agents.positions.copy()
-            informed_before_step = agents.informed.copy()
-            occupancy_before = agents.occupancy()
+            previous_positions = positions
+            informed_before_step = agent_informed
+            occupancy_before = np.bincount(positions, minlength=n)
 
             # --- move agents: coupled from informed vertices, uniform otherwise.
-            new_positions = np.empty_like(agents.positions)
+            positions = np.empty_like(previous_positions)
             order = np.argsort(previous_positions, kind="stable")
             for agent in order.tolist():
                 here = int(previous_positions[agent])
                 if inform_round[here] >= 0 and inform_round[here] <= round_index - 1:
                     consumed[here] += 1
-                    new_positions[agent] = choices.choice(here, int(consumed[here]))
+                    positions[agent] = choices.choice(here, int(consumed[here]))
                 else:
-                    new_positions[agent] = graph.sample_neighbor(here, rng)
-            agents.positions = new_positions
+                    positions[agent] = graph.sample_neighbor(here, rng)
 
             # --- C-counter update for vertices informed before this round.
             previously_informed = inform_round >= 0
             c_counter[previously_informed] += occupancy_before[previously_informed]
 
             # --- vertex informing by previously informed agents.
-            informing_positions = agents.positions[informed_before_step]
+            informing_positions = positions[informed_before_step]
             newly_informed_vertices = np.unique(
                 informing_positions[inform_round[informing_positions] < 0]
             )
             for vertex in newly_informed_vertices.tolist():
                 inform_round[vertex] = round_index
                 # S_u: neighbors from which an informed agent just arrived.
-                arrivals = informed_before_step & (agents.positions == vertex)
+                arrivals = informed_before_step & (positions == vertex)
                 origins = np.unique(previous_positions[arrivals])
                 valid = [
                     int(v)
@@ -270,7 +270,7 @@ class CoupledPushVisitExchange:
                 informed_vertices += 1
 
             # --- agents learn from informed vertices.
-            agents.informed |= inform_round[agents.positions] >= 0
+            agent_informed = informed_before_step | (inform_round[positions] >= 0)
 
             if informed_vertices == n:
                 broadcast_time = round_index
@@ -284,7 +284,7 @@ class CoupledPushVisitExchange:
             "inform_round": inform_round,
             "c_counter": c_at_inform,
             "broadcast_time": broadcast_time,
-            "num_agents": agents.num_agents,
+            "num_agents": int(positions.size),
         }
 
     # ------------------------------------------------------------------

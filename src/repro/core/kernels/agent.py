@@ -23,10 +23,21 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from ..agents import default_agent_count
+from ...graphs.graph import Graph
 from .base import BatchKernel, NeighborSampler
 
-__all__ = ["AgentChurn", "AgentWalkKernel"]
+__all__ = ["AgentChurn", "AgentWalkKernel", "default_agent_count"]
+
+
+def default_agent_count(graph: Graph, density: float = 1.0) -> int:
+    """Number of agents for density ``alpha``: ``max(1, round(alpha * n))``.
+
+    The paper's analyses assume ``|A| = alpha * n`` for a constant
+    ``alpha > 0``; the experiments default to ``alpha = 1``.
+    """
+    if density <= 0:
+        raise ValueError("agent density must be positive")
+    return max(1, int(round(density * graph.num_vertices)))
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,21 @@ stationary distribution.  Both vertices and agents store the rumor:
 
 ``T_visitx`` is the first round by which all vertices are informed.  The
 round's rule is :class:`VisitRule`, which the hybrid kernel runs as well.
+
+Per-trial injection (``injections=``, one ``(round, source)`` pair per trial)
+moves a trial's start: before its injection round the trial holds no
+informed vertex or agent, and in that round its source is informed after the
+walk step, so the agents standing on it learn the rumor through the visit
+rule.  The walk never reads the source, so trials sharing a seed share their
+walk: the multi-rumor extension (:mod:`repro.extensions.multi_rumor`) runs
+``r`` rumors of one trial as ``r`` such trials of one batch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ...graphs.graph import GraphError
 from .agent import AgentWalkKernel
 
 __all__ = ["VisitExchangeKernel", "VisitRule"]
@@ -76,13 +85,18 @@ class VisitExchangeKernel(VisitRule, AgentWalkKernel):
 
     name = "visit-exchange"
 
-    def __init__(self, *, track_edge_traversals: bool = False, **kwargs) -> None:
+    def __init__(
+        self, *, track_edge_traversals: bool = False, injections=None, **kwargs
+    ) -> None:
         super().__init__(**kwargs)
         self.lazy = bool(self.lazy)
         #: When True and observers are attached, every agent traversal is
         #: reported through ``on_edges_used`` (the fairness analysis' per-edge
         #: utilisation view) instead of only the rumor-delivering arrivals.
         self.track_edge_traversals = bool(track_edge_traversals)
+        #: One ``(round, source)`` pair per trial, overriding the batch's
+        #: source (see the module docstring), or None.
+        self.injections = injections
 
     def initialize(self, graph, source, gens):
         self._setup_common(graph, gens)
@@ -96,10 +110,39 @@ class VisitExchangeKernel(VisitRule, AgentWalkKernel):
         self._setup_vertex_state(source)
         self._setup_walk(self.lazy)
         self._all_agents_informed = False
+        self._inject_round = None
+        if self.injections is not None:
+            self._setup_injections()
+
+    def _setup_injections(self):
+        """Per-row injection state; rows injected after round 0 start blank."""
+        pairs = np.asarray(self.injections, dtype=np.int64)
+        if pairs.shape != (self.num_trials, 2):
+            raise ValueError("need exactly one (round, source) injection per trial seed")
+        rounds, sources = pairs[:, 0].copy(), pairs[:, 1].copy()
+        if np.any(rounds < 0):
+            raise ValueError("injection rounds must be non-negative")
+        if np.any((sources < 0) | (sources >= self.graph.num_vertices)):
+            raise GraphError("injection source out of range")
+        started = rounds == 0
+        self.vertex_informed[:] = False
+        self.vertex_informed[started, sources[started]] = True
+        np.equal(self.positions, sources[:, None], out=self.agent_informed)
+        self.agent_informed &= started[:, None]
+        if self._alive is not None:
+            self.agent_informed &= self._alive
+        self.counts[:] = started
+        self._inject_round, self._inject_source = rounds, sources
+        self._register_rows(rounds, sources)
 
     def step(self, k):
         self._begin_round()
         new_positions = self._walk_rows(k)
+        if self._inject_round is not None:
+            # The rows injected this round inform their source before the
+            # visit rule runs, which hands it to the agents standing there.
+            rows = np.flatnonzero(self._inject_round[:k] == self._round_count)
+            self.vertex_informed[rows, self._inject_source[rows]] = True
         vertex_ok = self._vertex_ok_rows(k, new_positions)
         if self._any_observers:
             self._report_edges(k, new_positions, vertex_ok)

@@ -3,26 +3,33 @@
 Section 1 of the paper motivates the stationary-start assumption with exactly
 this setting: "several pieces of information (or rumors) are generated
 frequently and distributed in parallel over time by the same set of agents,
-which execute perpetual independent random walks."  This module implements
-that setting for the visit-exchange mechanics: a single population of walking
-agents carries many rumors, each injected at its own (round, source) pair, and
-the simulator records a per-rumor broadcast time.
+which execute perpetual independent random walks."  This module runs that
+setting for the visit-exchange mechanics: a single population of walking
+agents carries many rumors, each injected at its own (round, source) pair,
+and the run records a per-rumor broadcast time.
 
-Rumor sets are stored as boolean matrices (vertices x rumors and
-agents x rumors) and updated with vectorized numpy operations, so the per-round
-cost is O((n + |A|) * r / 64) words for ``r`` concurrent rumors.
+Under visit-exchange rumors never interact — an exchange hands over every
+rumor a party knows — so ``r`` rumors of one trial are ``r`` visit-exchange
+processes on the *same* walk.  :class:`MultiRumorVisitExchange` is a thin
+front end over :func:`~repro.core.batch.run_batch`: every (trial, rumor) pair
+is one row of a single ``"visit-exchange"`` batch, the rows of a trial share
+the trial's seed (and so its walk, which never reads the source), and each
+row carries its rumor's injection through the kernel's ``injections=``
+argument.  A rumor injected in round 0 is exactly ``simulate("visit-exchange",
+graph, source, seed=seed)``.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..core.agents import AgentSystem, default_agent_count
+from ..core.batch import run_batch
 from ..core.rng import make_rng
-from ..graphs.graph import Graph, GraphError
+from ..graphs.graph import Graph
 
 __all__ = ["RumorInjection", "MultiRumorResult", "MultiRumorVisitExchange"]
 
@@ -93,7 +100,8 @@ class MultiRumorVisitExchange:
     The update rule per round is the natural multi-rumor generalisation of
     Section 3: agents informed of rumor ``i`` in a previous round stamp it on
     the vertices they visit, and agents standing on a vertex that knows rumor
-    ``i`` (from a previous round or this one) learn it.
+    ``i`` (from a previous round or this one) learn it.  A rumor injected in
+    round ``r`` informs its source after the walk step of round ``r``.
 
     Parameters
     ----------
@@ -122,79 +130,61 @@ class MultiRumorVisitExchange:
         max_rounds: Optional[int] = None,
     ) -> MultiRumorResult:
         """Simulate until every rumor has covered the graph (or budget runs out)."""
-        if not injections:
+        return self.run_batch(graph, [injections], seeds=[seed], max_rounds=max_rounds)[0]
+
+    def run_batch(
+        self,
+        graph: Graph,
+        injections: Sequence[Sequence[RumorInjection]],
+        *,
+        seeds: Sequence,
+        max_rounds: Optional[int] = None,
+    ) -> List[MultiRumorResult]:
+        """Run one trial per seed, ``injections[t]`` being trial ``t``'s rumors.
+
+        All rumors of all trials run as one batch (default budget
+        ``max(1024, 200 n)`` rounds, counted from round 0).  Each trial is a
+        pure function of its seed and rumors: every element equals what
+        :meth:`run` produces for that trial alone.
+        """
+        if len(injections) != len(seeds):
+            raise ValueError("need exactly one injection list per seed")
+        if any(not rumors for rumors in injections):
             raise ValueError("need at least one rumor injection")
-        for injection in injections:
-            if not (0 <= injection.source < graph.num_vertices):
-                raise GraphError(f"injection source {injection.source} out of range")
-        if not graph.is_connected():
-            raise GraphError("multi-rumor dissemination is defined on connected graphs")
-
-        rng = make_rng(seed)
-        num_rumors = len(injections)
-        count = (
-            int(self.explicit_num_agents)
-            if self.explicit_num_agents is not None
-            else default_agent_count(graph, self.agent_density)
+        # Every row of a trial draws from its own copy of the trial's
+        # generator, so the trial's rows walk identically.
+        gens, pairs = [], []
+        for seed, rumors in zip(seeds, injections):
+            gen = make_rng(seed)
+            for rumor in rumors:
+                gens.append(copy.deepcopy(gen))
+                pairs.append((rumor.round_index, rumor.source))
+        if max_rounds is None:
+            max_rounds = max(1024, 200 * graph.num_vertices)
+        batch = run_batch(
+            "visit-exchange",
+            graph,
+            seeds=gens,
+            max_rounds=max_rounds,
+            injections=pairs,
+            agent_density=self.agent_density,
+            num_agents=self.explicit_num_agents,
+            lazy=self.lazy,
         )
-        agents = AgentSystem.from_stationary(graph, count, rng, lazy=self.lazy)
-
-        n = graph.num_vertices
-        vertex_knows = np.zeros((n, num_rumors), dtype=bool)
-        agent_knows = np.zeros((agents.num_agents, num_rumors), dtype=bool)
-        completion_rounds: List[Optional[int]] = [None] * num_rumors
-
-        budget = (
-            int(max_rounds)
-            if max_rounds is not None
-            else max(1024, 200 * n)
-        )
-        last_injection = max(inj.round_index for inj in injections)
-
-        def inject(round_index: int) -> None:
-            for rumor_index, injection in enumerate(injections):
-                if injection.round_index == round_index:
-                    vertex_knows[injection.source, rumor_index] = True
-                    at_source = agents.agents_at(injection.source)
-                    agent_knows[at_source, rumor_index] = True
-
-        def record_completions(round_index: int) -> None:
-            covered = vertex_knows.all(axis=0)
-            for rumor_index in range(num_rumors):
-                if completion_rounds[rumor_index] is None and covered[rumor_index]:
-                    # A rumor injected at an isolated moment covers trivially
-                    # only once it has actually been injected.
-                    if injections[rumor_index].round_index <= round_index:
-                        completion_rounds[rumor_index] = round_index
-
-        inject(0)
-        record_completions(0)
-
-        round_index = 0
-        while round_index < budget:
-            if all(c is not None for c in completion_rounds) and round_index >= last_injection:
-                break
-            round_index += 1
-
-            informed_before = agent_knows.copy()
-            agents.step(rng)
-            inject(round_index)
-
-            # Agents stamp the rumors they knew before the round onto the
-            # vertices they now occupy: OR-scatter by destination vertex.
-            if informed_before.any():
-                np.logical_or.at(vertex_knows, agents.positions, informed_before)
-
-            # Agents learn every rumor known by the vertex they stand on.
-            agent_knows |= vertex_knows[agents.positions]
-
-            record_completions(round_index)
-
-        return MultiRumorResult(
-            graph_name=graph.name,
-            num_vertices=n,
-            num_agents=agents.num_agents,
-            injections=list(injections),
-            completion_rounds=completion_rounds,
-            rounds_executed=round_index,
-        )
+        results, start = [], 0
+        for rumors in injections:
+            rows = slice(start, start + len(rumors))
+            start += len(rumors)
+            results.append(
+                MultiRumorResult(
+                    graph_name=graph.name,
+                    num_vertices=graph.num_vertices,
+                    num_agents=batch.num_agents,
+                    injections=list(rumors),
+                    completion_rounds=[
+                        int(t) if t >= 0 else None for t in batch.broadcast_times[rows]
+                    ],
+                    rounds_executed=int(batch.rounds_executed[rows].max()),
+                )
+            )
+        return results

@@ -228,7 +228,8 @@ class Graph:
         """Sample one uniformly random neighbor for each vertex in ``vertices``.
 
         This is the vectorized version of :meth:`sample_neighbor` used by the
-        agent subsystem, where all agents step simultaneously each round.
+        fairness walks (:func:`repro.analysis.fairness.edge_usage_from_walks`),
+        where all agents step simultaneously each round.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         degs = self._degrees[vertices]

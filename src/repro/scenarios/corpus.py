@@ -8,10 +8,12 @@ nothing more than running each scenario's compiled
 so the corpus inherits journaling, manifest-trusted zero-construction warm
 starts, per-cell resume, process-pool scheduling and farm dispatch without
 any new execution machinery.  Multi-rumor contention blocks are the one
-addition: they run the :class:`~repro.extensions.multi_rumor` simulator and
-cache the outcome as content-addressed *document* cells keyed on the
-versioned builder spec (never on a built graph), so warm reruns skip them
-without constructing anything either.
+addition: each sweep size runs all its trials' rumors as rows of one
+``run_batch("visit-exchange", ...)`` call (through
+:class:`~repro.extensions.multi_rumor.MultiRumorVisitExchange`) and caches
+the outcome as a content-addressed *document* cell keyed on the versioned
+builder spec (never on a built graph) and :data:`RUMOR_DOCUMENT_VERSION`,
+so warm reruns skip them without constructing anything either.
 
 Manifest schema
 ---------------
@@ -36,7 +38,9 @@ Manifest schema
         rumors:                    # optional multi-rumor contention block
           count: 4                 # rumors injected ...
           interval: 8              # ... every `interval` rounds
-          agent_density: 1.0
+          agent_density: 1.0       # > 0; or num_agents: a positive int
+          lazy: false              # a bool (quoted "false" is rejected)
+          max_rounds: null         # a non-negative int, or null (default budget)
           trials: 2
 
 ``graph.kind: file`` entries take a ``path`` (resolved relative to the
@@ -251,6 +255,27 @@ def _select(corpus: Corpus, names: Optional[Sequence[str]]) -> List[ScenarioSpec
     return [corpus.scenario(name) for name in names]
 
 
+#: Version of the multi-rumor document's bits, part of every rumor cell key.
+#: 2: the rumors of a trial run as rows of one visit-exchange batch.
+RUMOR_DOCUMENT_VERSION = 2
+
+
+def _rumor_int(spec: ScenarioSpec, rumors, key: str, default, minimum: int):
+    """``rumors[key]`` as an int of at least ``minimum`` (bools and floats
+    rejected); null is allowed exactly for the keys whose default is None."""
+    value = rumors.get(key, default)
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        kind = "a positive int" if minimum > 0 else "a non-negative int"
+        raise ScenarioError(
+            f"scenario {spec.name!r}: rumors {key!r} must be {kind}"
+            + (" or null" if default is None else "")
+            + f", got {value!r}"
+        )
+    return value
+
+
 def _rumor_plan(
     spec: ScenarioSpec,
     config: ExperimentConfig,
@@ -263,7 +288,8 @@ def _rumor_plan(
     builder spec (not a graph fingerprint), the derived case seed and the
     per-trial seeds, so the key resolves from the manifest alone and a
     cached document is trusted exactly as far as the builder registry
-    vouches for the spec.
+    vouches for the spec.  The ``rumors`` block is outside input, so every
+    value is type-checked here, before anything runs.
     """
     rumors = dict(spec.rumors or {})
     unknown = sorted(
@@ -274,13 +300,21 @@ def _rumor_plan(
         raise ScenarioError(
             f"scenario {spec.name!r}: unknown rumors key(s): {', '.join(unknown)}"
         )
-    count = int(rumors.get("count", 4))
-    interval = int(rumors.get("interval", 8))
-    trials = int(rumors.get("trials", spec.trials))
-    if count < 1 or interval < 0 or trials < 1:
+    count = _rumor_int(spec, rumors, "count", 4, 1)
+    interval = _rumor_int(spec, rumors, "interval", 8, 0)
+    trials = _rumor_int(spec, rumors, "trials", spec.trials, 1)
+    num_agents = _rumor_int(spec, rumors, "num_agents", None, 1)
+    max_rounds = _rumor_int(spec, rumors, "max_rounds", None, 0)
+    lazy = rumors.get("lazy", False)
+    if not isinstance(lazy, bool):
         raise ScenarioError(
-            f"scenario {spec.name!r}: rumors needs count >= 1, interval >= 0, "
-            "trials >= 1"
+            f"scenario {spec.name!r}: rumors 'lazy' must be a bool, got {lazy!r}"
+        )
+    density = rumors.get("agent_density", 1.0)
+    if isinstance(density, bool) or not isinstance(density, (int, float)) or not density > 0:
+        raise ScenarioError(
+            f"scenario {spec.name!r}: rumors 'agent_density' must be a number > 0, "
+            f"got {density!r}"
         )
     plans = []
     for size in config.sizes:
@@ -291,6 +325,7 @@ def _rumor_plan(
             for trial in range(trials)
         ]
         params = {
+            "version": RUMOR_DOCUMENT_VERSION,
             "scenario": spec.name,
             "size": int(size),
             "case_seed": int(case_seed),
@@ -298,10 +333,10 @@ def _rumor_plan(
             "seeds": seeds,
             "count": count,
             "interval": interval,
-            "agent_density": float(rumors.get("agent_density", 1.0)),
-            "num_agents": rumors.get("num_agents"),
-            "lazy": bool(rumors.get("lazy", False)),
-            "max_rounds": rumors.get("max_rounds"),
+            "agent_density": float(density),
+            "num_agents": num_agents,
+            "lazy": lazy,
+            "max_rounds": max_rounds,
         }
         plans.append(params)
     return plans
@@ -310,7 +345,8 @@ def _rumor_plan(
 def _run_rumor_cell(
     params: Dict[str, Any], config: ExperimentConfig
 ) -> Dict[str, Any]:
-    """Execute one multi-rumor document cell (the cold path)."""
+    """Execute one multi-rumor document cell (the cold path): every rumor
+    of every trial is one row of a single visit-exchange batch."""
     import numpy as np
 
     from ..extensions.multi_rumor import MultiRumorVisitExchange, RumorInjection
@@ -322,34 +358,34 @@ def _run_rumor_cell(
         num_agents=params["num_agents"],
         lazy=params["lazy"],
     )
-    trials = []
+    injections = []
     for seed in params["seeds"]:
         source_rng = np.random.default_rng([int(seed), 0x10B07])
-        injections = [
-            RumorInjection(
-                round_index=i * params["interval"],
-                source=int(source_rng.integers(graph.num_vertices)),
-                label=f"rumor-{i}",
-            )
-            for i in range(params["count"])
-        ]
-        outcome = simulator.run(
-            graph,
-            injections,
-            seed=seed,
-            max_rounds=params["max_rounds"],
+        injections.append(
+            [
+                RumorInjection(
+                    round_index=i * params["interval"],
+                    source=int(source_rng.integers(graph.num_vertices)),
+                    label=f"rumor-{i}",
+                )
+                for i in range(params["count"])
+            ]
         )
-        trials.append(
-            {
-                "seed": int(seed),
-                "num_agents": outcome.num_agents,
-                "rounds_executed": outcome.rounds_executed,
-                "broadcast_times": outcome.broadcast_times,
-                "all_completed": outcome.all_completed,
-                "mean_broadcast_time": outcome.mean_broadcast_time(),
-                "max_broadcast_time": outcome.max_broadcast_time(),
-            }
-        )
+    outcomes = simulator.run_batch(
+        graph, injections, seeds=params["seeds"], max_rounds=params["max_rounds"]
+    )
+    trials = [
+        {
+            "seed": int(seed),
+            "num_agents": outcome.num_agents,
+            "rounds_executed": outcome.rounds_executed,
+            "broadcast_times": outcome.broadcast_times,
+            "all_completed": outcome.all_completed,
+            "mean_broadcast_time": outcome.mean_broadcast_time(),
+            "max_broadcast_time": outcome.max_broadcast_time(),
+        }
+        for seed, outcome in zip(params["seeds"], outcomes)
+    ]
     return {
         "scenario": params["scenario"],
         "size": params["size"],
@@ -397,8 +433,16 @@ def run_corpus(
 
     summary = CorpusRunSummary(corpus=corpus.name)
     constructed_before = Graph.construction_count
+    # Plan every selected scenario first, so a bad manifest value fails
+    # before anything is computed.
+    planned = []
     for spec in _select(corpus, names):
         config = spec.to_config()
+        rumor_plans = (
+            _rumor_plan(spec, config, base_seed=base_seed) if spec.rumors is not None else []
+        )
+        planned.append((spec, config, rumor_plans))
+    for spec, config, rumor_plans in planned:
         result = run_experiment(
             config,
             base_seed=base_seed,
@@ -416,15 +460,14 @@ def run_corpus(
             computed=sum(1 for s in statuses if s == "computed"),
             cached=sum(1 for s in statuses if s == "cached"),
         )
-        if spec.rumors is not None:
-            for params in _rumor_plan(spec, config, base_seed=base_seed):
-                row.rumor_cells += 1
-                key = _rumor_key(params)
-                if not force and store_obj.get_document(key, kind="multi-rumor") is not None:
-                    continue
-                document = _run_rumor_cell(params, config)
-                store_obj.put_document(key, document, kind="multi-rumor")
-                row.rumor_computed += 1
+        for params in rumor_plans:
+            row.rumor_cells += 1
+            key = _rumor_key(params)
+            if not force and store_obj.get_document(key, kind="multi-rumor") is not None:
+                continue
+            document = _run_rumor_cell(params, config)
+            store_obj.put_document(key, document, kind="multi-rumor")
+            row.rumor_computed += 1
         summary.scenarios.append(row)
     summary.graph_constructions = Graph.construction_count - constructed_before
     return summary

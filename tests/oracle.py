@@ -9,6 +9,11 @@ random stream.  ``test_oracle.py`` holds the kernels to it statistically:
 the two share no code and no draws, so agreement in distribution checks the
 kernels' semantics rather than their self-consistency.
 
+Multi-rumor visit-exchange (:func:`multi_rumor_completion_rounds`) is
+restated as the setting Section 1 describes: one population walks, and a
+loop over the rumors applies the visit rule to each rumor's own vertex and
+agent sets — where the package runs every rumor as its own kernel row.
+
 Agent churn (Section 9: agents die and are born) is restated here too, over
 a population list that shrinks and grows — where the kernels keep an alive
 mask over fixed slots.  Each round, before the walk step, every agent dies
@@ -32,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["AGENT_PROTOCOLS", "PROTOCOLS", "broadcast_time"]
+__all__ = ["AGENT_PROTOCOLS", "PROTOCOLS", "broadcast_time", "multi_rumor_completion_rounds"]
 
 #: Protocols with a reference runner — the full kernel registry.
 PROTOCOLS = (
@@ -355,3 +360,55 @@ def broadcast_time(
             g, source, max_rounds, stream, num_agents, one_agent_per_vertex, lazy, churn
         )
     return _run_hybrid(g, source, max_rounds, stream, num_agents, lazy, churn)
+
+
+def multi_rumor_completion_rounds(
+    graph,
+    injections,
+    seed,
+    *,
+    max_rounds: int = 100_000,
+    agent_density: float = 1.0,
+    lazy: bool = False,
+):
+    """One multi-rumor visit-exchange trial: per rumor, the round by which
+    every vertex knows it (``None`` if the budget ran out first).
+
+    ``injections`` holds one ``(round, source)`` pair per rumor.  All rumors
+    ride one walk.  In a rumor's injection round, after the walk step, its
+    source learns it; then, as every round, carriers from earlier rounds
+    stamp it on the vertices they stand on and agents on stamped vertices
+    learn it.
+    """
+    g = _Graph(graph)
+    stream = _Stream(seed)
+    pos = _place_agents(g, stream, max(1, round(agent_density * g.n)), False)
+    vertex_knows = [[False] * g.n for _ in injections]
+    agent_knows = [[False] * len(pos) for _ in injections]
+    counts = [0] * len(injections)
+    done = [None] * len(injections)
+
+    def exchange(t: int) -> None:
+        for i, (at, source) in enumerate(injections):
+            vertex, agent = vertex_knows[i], agent_knows[i]
+            if at == t:
+                vertex[source] = True
+                counts[i] = 1
+            carriers = [a for a in range(len(pos)) if agent[a]]
+            for a in carriers:
+                if not vertex[pos[a]]:
+                    vertex[pos[a]] = True
+                    counts[i] += 1
+            for a, v in enumerate(pos):
+                if vertex[v]:
+                    agent[a] = True
+            if done[i] is None and counts[i] >= g.n:
+                done[i] = t
+
+    exchange(0)
+    t = 0
+    while None in done and t < max_rounds:
+        t += 1
+        _walk_step(g, stream, pos, lazy)
+        exchange(t)
+    return done

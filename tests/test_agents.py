@@ -1,12 +1,24 @@
-"""Tests for the agent substrate (repro.core.agents)."""
+"""Tests for the agent walk of the agent kernels (repro.core.kernels.agent).
+
+The walk is exercised through a one-trial visit-exchange kernel: placement
+happens in ``initialize`` and ``step(1)`` advances every agent by one step.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.agents import AgentSystem, default_agent_count
+from repro.core import default_agent_count
+from repro.core.kernels import VisitExchangeKernel, batch_generator
 from repro.graphs import Graph, star
+
+
+def walk_kernel(graph, num_agents=None, *, seed=0, **kwargs):
+    """A one-trial visit-exchange kernel after round 0."""
+    kernel = VisitExchangeKernel(num_agents=num_agents, **kwargs)
+    kernel.initialize(graph, 0, [batch_generator(seed)])
+    return kernel
 
 
 class TestDefaultAgentCount:
@@ -27,136 +39,60 @@ class TestDefaultAgentCount:
 
 
 class TestConstruction:
-    def test_stationary_placement_counts(self, small_heavy_tree, rng):
-        agents = AgentSystem.from_stationary(small_heavy_tree, 100, rng)
-        assert agents.num_agents == 100
-        assert agents.num_informed == 0
-        assert np.all(agents.positions >= 0)
-        assert np.all(agents.positions < small_heavy_tree.num_vertices)
+    def test_stationary_placement_counts(self, small_heavy_tree):
+        kernel = walk_kernel(small_heavy_tree, 100)
+        assert kernel.num_agents() == 100
+        assert kernel.positions.shape == (1, 100)
+        assert np.all(kernel.positions >= 0)
+        assert np.all(kernel.positions < small_heavy_tree.num_vertices)
 
-    def test_stationary_placement_prefers_high_degree(self, rng):
+    def test_stationary_placement_prefers_high_degree(self):
         # On the star, the center has half the total degree, so roughly half of
         # a large agent population starts there.
-        graph = star(100)
-        agents = AgentSystem.from_stationary(graph, 4000, rng)
-        at_center = int(np.count_nonzero(agents.positions == 0))
+        kernel = walk_kernel(star(100), 4000, seed=1)
+        at_center = int(np.count_nonzero(kernel.positions == 0))
         assert 1700 < at_center < 2300
 
     def test_one_per_vertex(self, small_double_star):
-        agents = AgentSystem.one_per_vertex(small_double_star)
-        assert agents.num_agents == small_double_star.num_vertices
-        assert sorted(agents.positions.tolist()) == list(range(small_double_star.num_vertices))
+        kernel = walk_kernel(small_double_star, one_agent_per_vertex=True)
+        assert kernel.num_agents() == small_double_star.num_vertices
+        assert kernel.positions[0].tolist() == list(range(small_double_star.num_vertices))
 
-    def test_at_positions_explicit(self, small_star):
-        agents = AgentSystem.at_positions(small_star, [0, 0, 3], informed=[True, False, False])
-        assert agents.num_agents == 3
-        assert agents.num_informed == 1
-
-    def test_rejects_empty_population(self, small_star):
+    def test_rejects_zero_agents(self, small_star):
         with pytest.raises(ValueError):
-            AgentSystem.at_positions(small_star, [])
-
-    def test_rejects_out_of_range_positions(self, small_star):
-        with pytest.raises(ValueError):
-            AgentSystem.at_positions(small_star, [99])
-
-    def test_rejects_mismatched_arrays(self, small_star):
-        with pytest.raises(ValueError):
-            AgentSystem(graph=small_star, positions=np.array([0, 1]), informed=np.array([True]))
-
-    def test_rejects_zero_agents_from_stationary(self, small_star, rng):
-        with pytest.raises(ValueError):
-            AgentSystem.from_stationary(small_star, 0, rng)
-
-
-class TestQueries:
-    def test_agents_at(self, small_star):
-        agents = AgentSystem.at_positions(small_star, [2, 5, 2, 7])
-        assert agents.agents_at(2).tolist() == [0, 2]
-        assert agents.agents_at(9).tolist() == []
-
-    def test_occupancy(self, small_star):
-        agents = AgentSystem.at_positions(small_star, [0, 0, 3])
-        occupancy = agents.occupancy()
-        assert occupancy[0] == 2
-        assert occupancy[3] == 1
-        assert occupancy.sum() == 3
-
-    def test_informed_occupancy(self, small_star):
-        agents = AgentSystem.at_positions(
-            small_star, [0, 0, 3], informed=[True, False, True]
-        )
-        informed_occ = agents.informed_occupancy()
-        assert informed_occ[0] == 1
-        assert informed_occ[3] == 1
-
-    def test_informed_occupancy_when_none_informed(self, small_star):
-        agents = AgentSystem.at_positions(small_star, [1, 2, 3])
-        assert agents.informed_occupancy().sum() == 0
-
-    def test_all_informed(self, small_star):
-        agents = AgentSystem.at_positions(small_star, [1, 2], informed=[True, True])
-        assert agents.all_informed()
+            walk_kernel(small_star, 0)
 
 
 class TestDynamics:
-    def test_step_moves_to_neighbors(self, small_heavy_tree, rng):
-        agents = AgentSystem.from_stationary(small_heavy_tree, 50, rng)
-        previous = agents.step(rng)
-        for old, new in zip(previous.tolist(), agents.positions.tolist()):
+    def test_step_moves_to_neighbors(self, small_heavy_tree):
+        kernel = walk_kernel(small_heavy_tree, 50, seed=2)
+        previous = kernel.positions[0].copy()
+        kernel.step(1)
+        for old, new in zip(previous.tolist(), kernel.positions[0].tolist()):
             assert small_heavy_tree.has_edge(old, new)
 
-    def test_step_returns_previous_positions(self, small_star, rng):
-        agents = AgentSystem.at_positions(small_star, [1, 2, 3])
-        previous = agents.step(rng)
-        assert previous.tolist() == [1, 2, 3]
-        # On the star every leaf moves to the center.
-        assert agents.positions.tolist() == [0, 0, 0]
-
     def test_lazy_step_sometimes_stays(self, small_star):
-        rng = np.random.default_rng(0)
-        agents = AgentSystem.at_positions(small_star, [1] * 200, lazy=True)
-        agents.step(rng)
-        stayed = int(np.count_nonzero(agents.positions == 1))
-        moved = int(np.count_nonzero(agents.positions == 0))
+        kernel = walk_kernel(small_star, 200, seed=3, lazy=True)
+        kernel.positions[:] = 1
+        kernel.step(1)
+        stayed = int(np.count_nonzero(kernel.positions == 1))
+        moved = int(np.count_nonzero(kernel.positions == 0))
         assert stayed + moved == 200
         assert 60 < stayed < 140  # roughly half stay put
 
-    def test_non_lazy_step_never_stays_on_star_leaf(self, small_star, rng):
-        agents = AgentSystem.at_positions(small_star, [1] * 50, lazy=False)
-        agents.step(rng)
-        assert np.all(agents.positions == 0)
+    def test_non_lazy_step_never_stays_on_star_leaf(self, small_star):
+        kernel = walk_kernel(small_star, 50, seed=4)
+        kernel.positions[:] = 1
+        kernel.step(1)
+        assert np.all(kernel.positions == 0)
 
-    def test_inform_agents_counts_new_only(self, small_star):
-        agents = AgentSystem.at_positions(small_star, [1, 2, 3])
-        assert agents.inform_agents([0, 1]) == 2
-        assert agents.inform_agents([1, 2]) == 1
-        assert agents.inform_agents([]) == 0
-        assert agents.num_informed == 3
-
-    def test_inform_agents_at_vertices(self, small_star):
-        agents = AgentSystem.at_positions(small_star, [1, 2, 2, 5])
-        newly = agents.inform_agents_at([2, 5])
-        assert newly == 3
-        assert agents.num_informed == 3
-        assert agents.inform_agents_at([]) == 0
-
-    def test_copy_is_independent(self, small_star, rng):
-        agents = AgentSystem.at_positions(small_star, [1, 2, 3])
-        clone = agents.copy()
-        agents.step(rng)
-        agents.inform_agents([0])
-        assert clone.positions.tolist() == [1, 2, 3]
-        assert clone.num_informed == 0
-
-    def test_stationarity_preserved_over_steps(self, rng):
+    def test_stationarity_preserved_over_steps(self):
         # After stepping, the occupancy distribution should still track the
         # stationary distribution (within sampling noise): on the star, about
         # half the agents occupy the center after every even number of steps
         # from stationarity.
-        graph = star(50)
-        agents = AgentSystem.from_stationary(graph, 5000, rng)
+        kernel = walk_kernel(star(50), 5000, seed=5)
         for _ in range(4):
-            agents.step(rng)
-        at_center = int(np.count_nonzero(agents.positions == 0))
+            kernel.step(1)
+        at_center = int(np.count_nonzero(kernel.positions == 0))
         assert 2200 < at_center < 2800

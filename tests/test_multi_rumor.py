@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro import simulate
+from repro.core.batch import run_batch
+from repro.core.kernels import VisitExchangeKernel, batch_generator
 from repro.extensions import MultiRumorVisitExchange, RumorInjection
-from repro.graphs import GraphError, complete_graph, double_star, star
+from repro.graphs import GraphError, complete_graph, double_star, random_regular_graph, star
 
 
 class TestRumorInjection:
@@ -20,22 +22,83 @@ class TestRumorInjection:
         assert injection.label == "update-7"
 
 
+SINGLE_RUMOR_GRAPHS = {
+    "regular": lambda: random_regular_graph(64, 6, np.random.default_rng(5)),
+    "double-star": lambda: double_star(40),
+}
+
+
 class TestSingleRumorConsistency:
-    def test_single_rumor_matches_visit_exchange_distribution(self):
-        # With one rumor injected at round 0, the multi-rumor simulator is
-        # exactly visit-exchange; the mean broadcast times should agree.
-        graph = double_star(100)
-        multi = MultiRumorVisitExchange()
-        multi_times = []
-        single_times = []
+    @pytest.mark.parametrize("lazy", [False, True])
+    @pytest.mark.parametrize("graph_name", sorted(SINGLE_RUMOR_GRAPHS))
+    def test_single_rumor_is_simulate(self, graph_name, lazy):
+        # One rumor injected in round 0 is exactly visit-exchange: the same
+        # seed gives the same broadcast time, not just the same distribution.
+        graph = SINGLE_RUMOR_GRAPHS[graph_name]()
+        multi = MultiRumorVisitExchange(lazy=lazy)
         for seed in range(5):
             result = multi.run(graph, [RumorInjection(0, 2)], seed=seed)
+            expected = simulate("visit-exchange", graph, source=2, seed=seed, lazy=lazy)
+            assert result.broadcast_times == [expected.broadcast_time]
+            assert result.num_agents == expected.num_agents
+
+
+class TestSharedWalk:
+    def test_rumors_from_one_source_complete_together(self):
+        graph = double_star(40)
+        injections = [RumorInjection(0, 3), RumorInjection(0, 3)]
+        for seed in range(4):
+            result = MultiRumorVisitExchange().run(graph, injections, seed=seed)
             assert result.all_completed
-            multi_times.append(result.broadcast_times[0])
-            single_times.append(
-                simulate("visit-exchange", graph, source=2, seed=100 + seed).broadcast_time
-            )
-        assert 0.4 * np.mean(single_times) < np.mean(multi_times) < 2.5 * np.mean(single_times)
+            assert result.completion_rounds[0] == result.completion_rounds[1]
+
+    def test_rumor_rows_of_a_trial_walk_identically(self):
+        # Rows sharing a seed hold the same positions every round, whatever
+        # their source and injection round.
+        graph = random_regular_graph(64, 6, np.random.default_rng(5))
+        injections = [(0, 0), (0, 13), (3, 5), (9, 40)]
+        kernel = VisitExchangeKernel(injections=injections, lazy=True)
+        kernel.initialize(graph, 0, [batch_generator(11) for _ in injections])
+        for _ in range(30):
+            assert (kernel.positions == kernel.positions[0]).all()
+            kernel.step(len(injections))
+        assert (kernel.positions == kernel.positions[0]).all()
+
+    def test_rows_before_injection_hold_nothing(self):
+        graph = complete_graph(30)
+        batch = run_batch(
+            "visit-exchange",
+            graph,
+            seeds=[1, 1],
+            injections=[(0, 4), (6, 4)],
+            record_history=True,
+        )
+        late = batch.vertex_histories[1]
+        assert late[:6] == [0] * 6 and late[6] >= 1
+        assert batch.agent_histories[1][:6] == [0] * 6
+        assert batch.broadcast_times[1] > 6
+
+    def test_batch_equals_solo_runs(self):
+        graph = double_star(30)
+        plans = [
+            [RumorInjection(0, 1), RumorInjection(4, 2)],
+            [RumorInjection(3, 5)],
+            [RumorInjection(0, 0), RumorInjection(2, 7), RumorInjection(9, 11)],
+        ]
+        seeds = [1, 2, 3]
+        multi = MultiRumorVisitExchange()
+        batched = multi.run_batch(graph, plans, seeds=seeds)
+        solo = [multi.run(graph, plan, seed=seed) for plan, seed in zip(plans, seeds)]
+        assert [r.completion_rounds for r in batched] == [r.completion_rounds for r in solo]
+        assert [r.rounds_executed for r in batched] == [r.rounds_executed for r in solo]
+
+    def test_generator_seed_rows_share_the_walk(self):
+        graph = star(20)
+        gen = np.random.default_rng(3)
+        state = gen.bit_generator.state
+        first = MultiRumorVisitExchange().run(graph, [RumorInjection(0, 1)] * 2, seed=gen)
+        assert gen.bit_generator.state == state
+        assert first.completion_rounds[0] == first.completion_rounds[1]
 
 
 class TestManyRumors:
@@ -95,6 +158,18 @@ class TestValidation:
     def test_out_of_range_source_rejected(self):
         with pytest.raises(GraphError):
             MultiRumorVisitExchange().run(star(5), [RumorInjection(0, 99)], seed=0)
+
+    def test_seed_and_injection_lists_must_align(self):
+        with pytest.raises(ValueError):
+            MultiRumorVisitExchange().run_batch(star(5), [[RumorInjection(0, 1)]], seeds=[0, 1])
+
+    def test_kernel_needs_one_injection_per_seed(self):
+        with pytest.raises(ValueError, match="one \\(round, source\\) injection per trial"):
+            run_batch("visit-exchange", star(5), seeds=[0, 1], injections=[(0, 1)])
+
+    def test_kernel_rejects_negative_injection_round(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            run_batch("visit-exchange", star(5), seeds=[0], injections=[(-1, 1)])
 
     def test_agent_count_override(self):
         graph = star(20)

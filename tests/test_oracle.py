@@ -6,7 +6,9 @@ broadcast times must agree under a two-sample z bound at 200 trials per
 side, on a random 6-regular graph (the Theorem 1 regime) and on the double
 star (push-pull's bridge bottleneck, Lemma 3).  The three agent protocols
 are also checked under agent churn, whose rules the oracle restates over a
-shrinking and growing population list.
+shrinking and growing population list, and multi-rumor visit-exchange is
+checked rumor by rumor against the oracle's one-walk, loop-over-rumors
+restatement.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import pytest
 
 import oracle
 from repro.core.batch import run_batch, trial_seeds
+from repro.extensions import MultiRumorVisitExchange, RumorInjection
 from repro.graphs import double_star, random_regular_graph
 
 TRIALS = 200
@@ -42,6 +45,14 @@ CHURN = {
 #: Churned meet-exchange rumors can go extinct and then never complete; the
 #: budget bounds those trials, and completion rates are compared as well.
 CHURN_BUDGET = 400
+
+
+#: Multi-rumor runs: three rumors, the later two from other vertices, cut
+#: by a budget the last rumor misses now and then.  A wrong injection round
+#: moves a rumor by about one round, so these runs take twice the trials.
+MULTI_RUMOR_LATER = [(4, 17), (9, 5)]
+MULTI_RUMOR_BUDGET = 24
+MULTI_RUMOR_TRIALS = 400
 
 
 def _mean_and_variance(times):
@@ -95,23 +106,57 @@ def test_churned_kernel_matches_oracle_in_distribution(protocol, graph_name, chu
         )
         for seed in trial_seeds(11, "oracle", protocol, trials=TRIALS)
     ]
-    oracle_done = np.array([t is not None for t in reference])
     if protocol != "meet-exchange":
         # Informed vertices persist, so churn cannot stop these protocols.
-        assert kernel.completed.all() and oracle_done.all()
-
-    # Completion rates (meet-exchange extinction) agree as proportions...
-    pooled = (kernel.completed.sum() + oracle_done.sum()) / (2 * TRIALS)
-    rate_spread = math.sqrt(2 * pooled * (1 - pooled) / TRIALS)
-    if rate_spread > 0:
-        rate_z = abs(kernel.completed.mean() - oracle_done.mean()) / rate_spread
-        assert rate_z < Z_BOUND, f"{protocol} on {graph_name}: completion rates differ"
-    # ...and so do the mean broadcast times of the completed trials.
-    z = _z_score(
-        kernel.broadcast_times[kernel.completed],
-        [t for t in reference if t is not None],
+        assert kernel.completed.all() and None not in reference
+    # Completion rates (meet-exchange extinction) and completed-trial means.
+    _assert_same_outcomes(
+        [int(t) if done else None for t, done in zip(kernel.broadcast_times, kernel.completed)],
+        reference,
+        f"{protocol} on {graph_name} under {churn} churn",
     )
-    assert z < Z_BOUND, f"{protocol} on {graph_name} under {churn} churn: z = {z:.2f}"
+
+
+def _assert_same_outcomes(kernel_times, oracle_times, label):
+    """z-test completion rates, then the mean times of the completed trials."""
+    kernel_done = np.array([t is not None for t in kernel_times])
+    oracle_done = np.array([t is not None for t in oracle_times])
+    trials = len(kernel_times)
+    pooled = (kernel_done.sum() + oracle_done.sum()) / (2 * trials)
+    rate_spread = math.sqrt(2 * pooled * (1 - pooled) / trials)
+    if rate_spread > 0:
+        rate_z = abs(kernel_done.mean() - oracle_done.mean()) / rate_spread
+        assert rate_z < Z_BOUND, f"{label}: completion rates differ (z = {rate_z:.2f})"
+    z = _z_score(
+        [t for t in kernel_times if t is not None],
+        [t for t in oracle_times if t is not None],
+    )
+    assert z < Z_BOUND, f"{label}: z = {z:.2f}"
+
+
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+def test_multi_rumor_matches_oracle_per_rumor(graph_name):
+    graph, source = GRAPHS[graph_name]()
+    schedule = [(0, source)] + MULTI_RUMOR_LATER
+    rumors = [RumorInjection(round_index, vertex) for round_index, vertex in schedule]
+    kernel = MultiRumorVisitExchange().run_batch(
+        graph,
+        [rumors] * MULTI_RUMOR_TRIALS,
+        seeds=trial_seeds(11, "kernel", "multi-rumor", trials=MULTI_RUMOR_TRIALS),
+        max_rounds=MULTI_RUMOR_BUDGET,
+    )
+    reference = [
+        oracle.multi_rumor_completion_rounds(
+            graph, schedule, seed, max_rounds=MULTI_RUMOR_BUDGET
+        )
+        for seed in trial_seeds(11, "oracle", "multi-rumor", trials=MULTI_RUMOR_TRIALS)
+    ]
+    for i in range(len(schedule)):
+        _assert_same_outcomes(
+            [run.completion_rounds[i] for run in kernel],
+            [run[i] for run in reference],
+            f"rumor {i} on {graph_name}",
+        )
 
 
 def test_oracle_is_seed_deterministic():

@@ -135,6 +135,48 @@ class TestRunCorpus:
         assert "tiny-sbm" in text
 
 
+class TestRumorsValidation:
+    """The ``rumors`` block is outside input: bad values fail at plan time."""
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("lazy", "false"),
+            ("lazy", 1),
+            ("num_agents", 2.5),
+            ("num_agents", 0),
+            ("num_agents", True),
+            ("agent_density", 0),
+            ("agent_density", -1.5),
+            ("agent_density", "1.0"),
+            ("max_rounds", -1),
+            ("max_rounds", 10.5),
+        ],
+    )
+    def test_bad_value_names_scenario_and_key(self, manifest, tmp_path, key, value):
+        payload = json.loads(manifest.read_text())
+        payload["scenarios"][0]["rumors"][key] = value
+        manifest.write_text(json.dumps(payload))
+        store = ResultStore(str(tmp_path / "store"))
+        with pytest.raises(ScenarioError, match=f"'ingested-ring'.*'{key}'"):
+            run_corpus(load_corpus(manifest), store=store)
+        # Planning precedes every sweep, so nothing was computed.
+        assert list(store.keys()) == []
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("lazy", True), ("num_agents", 3), ("num_agents", None), ("max_rounds", 0),
+         ("max_rounds", None), ("agent_density", 2)],
+    )
+    def test_good_values_run(self, manifest, tmp_path, key, value):
+        payload = json.loads(manifest.read_text())
+        payload["scenarios"][0]["rumors"][key] = value
+        manifest.write_text(json.dumps(payload))
+        store = ResultStore(str(tmp_path / "store"))
+        summary = run_corpus(load_corpus(manifest), store=store, names=["ingested-ring"])
+        assert summary.scenarios[0].rumor_computed == summary.scenarios[0].rumor_cells == 1
+
+
 class TestCorpusCli:
     def test_run_status_report(self, manifest, tmp_path, capsys):
         store = str(tmp_path / "store")

@@ -18,6 +18,8 @@ from repro.experiments.registry import get_experiment
 from repro.experiments.reporting import report_fingerprint
 from repro.experiments.runner import run_experiment
 from repro.graphs import double_star, random_regular_graph
+from repro.scenarios.corpus import _rumor_key, _rumor_plan
+from repro.scenarios.spec import _scenario_from_dict
 from repro.store import ResultStore, resolve_cell
 
 
@@ -94,3 +96,23 @@ def test_report_fingerprint_is_pinned(tmp_path):
     store = ResultStore(tmp_path / "store")
     fingerprint = report_fingerprint(store, sections=["fig1a-star"], trials=2, scale=0.1)
     assert fingerprint == "08751c14302dc43b77c69e4a32de130eb41e88fb75fc27d86de22b6d11c93c70"
+
+
+def test_multi_rumor_document_key_is_pinned():
+    # Rumor documents are keyed on the manifest alone (builder spec, seeds,
+    # rumor parameters and the document version), never on a built graph.
+    spec = _scenario_from_dict(
+        {
+            "name": "pinned-rumors",
+            "graph": "complete",
+            "sizes": [8, 12],
+            "trials": 2,
+            "protocols": ["push"],
+            "rumors": {"count": 3, "interval": 2, "trials": 2},
+        }
+    )
+    plans = _rumor_plan(spec, spec.to_config(), base_seed=7)
+    assert [_rumor_key(params) for params in plans] == [
+        "a7431d7d519b6c1f7fce48fe7c9255e7da0c07c06b89af534ff9ac6c90f115e9",
+        "7221dddc91f7680aaf82cf101c8d1393725e172e4169df584ad14c3d4c04bba3",
+    ]
