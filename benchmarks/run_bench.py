@@ -118,14 +118,41 @@ def rss_multiplier(platform_name: str = sys.platform) -> int:
     return 1 if platform_name == "darwin" else 1024
 
 
-def peak_rss_bytes() -> int:
-    """The process' lifetime peak resident set size, in bytes.
+def _vm_hwm_bytes():
+    """This process' ``VmHWM`` in bytes, or None where /proc has none."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as handle:
+            for line in handle:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None
 
-    The value is monotone over the process lifetime, so per-cell readings
-    record "the peak observed by the time this cell finished" (cells are
-    measured cheapest-first within the scale section so the reading is
-    meaningful per size).
-    """
+
+#: Where per-cell peak RSS comes from: ``"VmHWM"`` (Linux; the high-water
+#: mark is reset before every cell) or ``"ru_maxrss"`` (elsewhere; the
+#: monotone lifetime peak, so a cell reads the largest peak so far).
+PEAK_RSS_SOURCE = (
+    "VmHWM"
+    if os.access("/proc/self/clear_refs", os.W_OK) and _vm_hwm_bytes() is not None
+    else "ru_maxrss"
+)
+
+
+def reset_peak_rss() -> None:
+    """Start a cell's peak-RSS window (``VmHWM`` reset through
+    ``/proc/self/clear_refs``); a no-op under ``ru_maxrss``."""
+    if PEAK_RSS_SOURCE == "VmHWM":
+        with open("/proc/self/clear_refs", "w", encoding="ascii") as handle:
+            handle.write("5")
+
+
+def peak_rss_bytes() -> int:
+    """Peak resident set size in bytes since the last :func:`reset_peak_rss`
+    (the lifetime peak under ``ru_maxrss``)."""
+    if PEAK_RSS_SOURCE == "VmHWM":
+        return _vm_hwm_bytes()
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss) * rss_multiplier()
 
 
@@ -173,6 +200,7 @@ def measure_cells(cases):
     cells = []
     for case in cases:
         for protocol in PROTOCOLS:
+            reset_peak_rss()
             seeds = trial_seeds(BASE_SEED, "bench-batch", protocol, trials=TRIALS)
             single_time, single_times = time_batches(
                 protocol, case, [[seed] for seed in seeds]
@@ -234,6 +262,7 @@ def measure_dynamics(case):
     one_down = StaticSchedule(down_edges=[(0, int(graph.neighbors(0)[0]))])
     cells = []
     for protocol in ACCEPTANCE_PROTOCOLS:
+        reset_peak_rss()
         spec = ProtocolSpec(protocol)
         plain_time, plain_trials = time_cell(spec, case)
         static_time, static_trials = time_cell(spec, case, dynamics=all_active)
@@ -402,7 +431,8 @@ def _scale_trials(n: int) -> int:
 
 
 def measure_scale(max_n: int = SCALE_MAX_N):
-    """Rounds/sec and peak RSS across n = 2^10 .. ``max_n`` (kernel tier curve).
+    """Rounds/sec and per-cell peak RSS across n = 2^10 .. ``max_n`` (kernel
+    tier curve).
 
     Random 12-regular graphs (the family of Theorems 1-3) on the two
     representative protocols of the two kernel shapes.  Push picks its tier
@@ -423,6 +453,7 @@ def measure_scale(max_n: int = SCALE_MAX_N):
         case = GraphCase(graph=graph, source=0, size_parameter=n)
         trials = _scale_trials(n)
         for protocol in SCALE_PROTOCOLS:
+            reset_peak_rss()
             spec = ProtocolSpec(protocol)
             repeats = 3 if n <= (1 << 16) else 1
             elapsed, trial_set = time_cell(spec, case, trials=trials, repeats=repeats)
@@ -474,6 +505,7 @@ def measure_telemetry():
     """
     from repro.telemetry import TRACE_ENV_VAR
 
+    reset_peak_rss()
     graph = random_regular_graph(
         TELEMETRY_N, SCALE_DEGREE, np.random.default_rng(0), max_attempts=1
     )
@@ -570,6 +602,7 @@ def measure_construction():
     """Wall-clock of the vectorized graph builders at scale-tier sizes."""
     cells = []
     for label, build in CONSTRUCTION_CASES:
+        reset_peak_rss()
         start = time.perf_counter()
         graph = build()
         elapsed = time.perf_counter() - start
@@ -755,7 +788,8 @@ def run_sections(sections, *, scale_max_n: int = SCALE_MAX_N) -> int:
             "journaled builder manifest resolves keys from trusted "
             "fingerprints) and bit-identical results, and records the "
             "warm-report (result_from_store) latency floor; the "
-            "scale cells trace rounds/sec and peak RSS for push and "
+            "scale cells trace rounds/sec and per-cell peak RSS "
+            "(peak_rss_source) for push and "
             "visit-exchange on random 12-regular graphs from 2^10 up to the "
             "million-vertex tier (the batched sparse-frontier representation "
             "engages automatically above the sparse threshold), gated "
@@ -768,6 +802,7 @@ def run_sections(sections, *, scale_max_n: int = SCALE_MAX_N) -> int:
         ),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "peak_rss_source": PEAK_RSS_SOURCE,
         "sweep_cells": sweep_cells,
         "extra_cells": extra_cells,
         "dynamics_cells": dynamics_cells,

@@ -186,25 +186,27 @@ class AgentWalkKernel(BatchKernel):
         self._position_flat = np.empty(shape, dtype=np.int64)
         self._masked = self._walk_sampler.offsets
         self._gathered = np.empty(shape, dtype=bool)
-        self._row_base1 = self._materialized_row_base(self._num_agents)
+        self._row_base1 = self._flat_row_base(self._num_agents)
         # Lazily allocated on the first round with a materialized vertex mask.
         self._vertex_ok = None
 
     def _walk_rows(self, k: int) -> np.ndarray:
         """Churn (when on), then one walk step for the first ``k`` rows.
 
-        Returns the new positions.  ``self.positions`` is left untouched so
-        callers can still read the pre-step positions (edge reporting,
-        meeting rules); they commit the move by assigning the returned buffer
-        back into ``positions``.  Under a topology schedule, blocked
-        traversals already resolve to "stay put"; dead agents stay put too.
+        Returns the new positions, in the sampler's vertex-id width (see
+        :func:`~repro.core.kernels.base.vertex_id_dtype`).  The int64
+        ``self.positions`` is left untouched so callers can still read the
+        pre-step positions (edge reporting, meeting rules); they commit the
+        move by assigning the returned buffer back into ``positions``.  Under
+        a topology schedule, blocked traversals already resolve to "stay
+        put"; dead agents stay put too.
         """
         positions = self.positions[:k]
         if self._alive is None:
             return self._walk_sampler.sample_walk(k, positions)
         self._churn_round(k)
         moved = self._walk_sampler.sample_walk(k, positions)
-        np.copyto(moved, positions, where=~self._alive_rows)
+        np.copyto(moved, positions, where=~self._alive_rows, casting="unsafe")
         return moved
 
     def _churn_round(self, k: int) -> None:

@@ -43,6 +43,29 @@ Design notes
   way they mask agents on a crashed vertex; churn draws come from each
   trial's own generator, so per-trial purity holds.  With churn off nothing
   is allocated or drawn and every trajectory is unchanged.
+* **Vertex-id width.**  The samplers gather neighbors from
+  :func:`sampling_adjacency`: the CSR column indices in the width
+  :func:`vertex_id_dtype` picks.  Below ``_NARROW_MIN_BYTES`` of int64
+  adjacency (768 KiB, 98 304 slots) that is ``Graph.indices`` itself; at or
+  above it, a copy with ``uint16`` ids when ``n <= 2**16`` and ``uint32``
+  ids otherwise, built once and cached on the graph.  The samplers' output
+  buffers share the width; callers widen only what they index with into the
+  int64 flat indices of the informed state, and observers and results see
+  int64 ids only.  It pays because a neighbor draw is a gather at a random
+  slot: above the crossover the int64 adjacency and a round's per-trial
+  buffers overflow a 2 MiB L2, and at ``n = 2**16, d = 12`` the ``uint16``
+  copy is 1.5 MiB instead of 6 MiB.  Below it everything is cache resident
+  and the casting loops that narrow ids need cost more than they save.
+  Measured on a 2-vCPU x86 VM (2 MiB L2 per core), one gather plus the
+  row-base add on random 12-regular adjacencies, int64 vs narrow: 8 trials,
+  n = 4096 43 vs 49 µs, n = 6144 183 vs 116 µs, n = 8192 158 vs 89 µs;
+  2 trials, n = 8192 40 vs 40 µs, n = 12288 90 vs 58 µs; 32 trials,
+  n = 2048 173 vs 178 µs, n = 4096 382 vs 368 µs.  The crossover moves with
+  the trial count, so the threshold sits where no measured trial count
+  loses.  Whole five-trial runs on the paper's heavy binary trees agree:
+  n = 511 (66 300 slots, kept int64) ran 3% slower narrowed, the
+  1021-vertex siamese tree (132 600 slots) 17% faster, n = 1023 (263 676
+  slots) even.
 """
 
 from __future__ import annotations
@@ -60,7 +83,32 @@ __all__ = [
     "NeighborSampler",
     "batch_generator",
     "fixed_point_degrees",
+    "sampling_adjacency",
+    "vertex_id_dtype",
 ]
+
+#: Byte size of the int64 CSR adjacency from which the samplers gather from
+#: a narrow copy (the measured crossover; see "Vertex-id width" above).
+_NARROW_MIN_BYTES = 768 * 1024
+
+
+def vertex_id_dtype(graph: Graph) -> np.dtype:
+    """Width of the vertex ids the samplers gather and hand out.
+
+    ``int64`` while the graph's int64 adjacency is smaller than
+    ``_NARROW_MIN_BYTES``; from there on ``uint16`` when ``n <= 2**16``,
+    else ``uint32``.  The one place the width is decided; see "Vertex-id
+    width" in the module notes.
+    """
+    if graph.indices.nbytes < _NARROW_MIN_BYTES:
+        return np.dtype(np.int64)
+    return np.dtype(np.uint16 if graph.num_vertices <= 1 << 16 else np.uint32)
+
+
+def sampling_adjacency(graph: Graph) -> np.ndarray:
+    """The CSR column indices the samplers gather from, in
+    :func:`vertex_id_dtype` width (cached on the graph)."""
+    return graph.indices_as(vertex_id_dtype(graph))
 
 
 def fixed_point_degrees(graph: Graph) -> Tuple[int, Optional[int], Any]:
@@ -186,6 +234,8 @@ class BatchKernel:
         self._row_base = (
             np.arange(self.num_trials, dtype=np.int64) * graph.num_vertices
         )[:, None]
+        #: The adjacency every sampler of this kernel gathers from.
+        self._adjacency = sampling_adjacency(graph)
         self._round_count = 0
         self._draw_phase = 0
         self._any_observers = bool(self.trial_observers) and any(
@@ -265,13 +315,21 @@ class BatchKernel:
         self._trial_to_row[self.trial_ids[i]] = i
         self._trial_to_row[self.trial_ids[j]] = j
 
-    def _materialized_row_base(self, width: int) -> np.ndarray:
-        """(T, width) array of flat-index row offsets, shifted past the slot-0
-        write sink; materialized because broadcast adds are measurably slower
-        than aligned elementwise adds on the hot path."""
-        return np.ascontiguousarray(
-            np.broadcast_to(self._row_base + 1, (self.num_trials, width))
-        )
+    def _flat_row_base(self, width: int) -> np.ndarray:
+        """Flat-index row offsets, shifted past the slot-0 write sink, to add
+        to ``(T, width)`` vertex ids.
+
+        Materialized as a ``(T, width)`` array only below the vertex-id width
+        crossover (see :func:`vertex_id_dtype`), where an aligned int64 add
+        beats a broadcast one (gather plus add at 32 trials, n = 1024: 71 vs
+        84 µs).  Above it the ids are narrow, the add is a casting loop
+        either way, and the ``(T, 1)`` column is faster and saves
+        ``8 T width`` bytes (8 trials, n = 8192: 89 vs 102 µs).
+        """
+        base = self._row_base + 1
+        if self._adjacency.dtype != np.int64:
+            return base
+        return np.ascontiguousarray(np.broadcast_to(base, (self.num_trials, width)))
 
     def _row_of(self, trial: int) -> int:
         """Row currently holding ``trial`` (rows are a permutation of trials)."""
@@ -348,7 +406,9 @@ class NeighborSampler:
     consume every sampler exactly once per round, after a single
     :meth:`BatchKernel._begin_round` call, so block refills stay aligned.
 
-    Precision and degree typing come from :func:`fixed_point_degrees`.
+    Precision and degree typing come from :func:`fixed_point_degrees`; the
+    sampled vertex ids come in the width of :func:`vertex_id_dtype`, while
+    the sampled CSR slots (``offsets``) stay int64.
 
     Dynamic topology: when the kernel carries a schedule, the sampler also
     gathers the round's directed-slot activity at the sampled offsets —
@@ -375,11 +435,12 @@ class NeighborSampler:
         # Laziness is one extra 16-bit coin per value ("stay put" at p = 1/2).
         self._lazy_stream = kernel._raw_stream(self.width, 16) if lazy else None
         self._stay = np.empty(shape, dtype=bool) if lazy else None
+        self._adjacency = kernel._adjacency
         self._scaled = np.empty(shape, dtype=wide)
         #: Dead after sampling; kernels reuse it as int64 scatter scratch.
         self.offsets = np.empty(shape, dtype=np.int64)
-        self._starts = np.empty(shape, dtype=np.int64)
-        self.sampled = np.empty(shape, dtype=np.int64)
+        #: The sampled vertex ids, in the adjacency's width.
+        self.sampled = np.empty(shape, dtype=self._adjacency.dtype)
         # Per-sample activity of the round's topology masks; allocated lazily
         # on the first round whose masks are materialized (see round_ok), so
         # all-active schedules cost nothing here.
@@ -391,39 +452,42 @@ class NeighborSampler:
     def sample_walk(self, k: int, positions: np.ndarray) -> np.ndarray:
         """One uniform neighbor of ``positions`` per slot (lazy-aware).
 
-        Returns a ``(k, width)`` view of the sampler's output buffer; the
-        caller owns copying it into kernel state.
+        ``positions`` are int64.  Returns a ``(k, width)`` view of the
+        sampler's output buffer, in the adjacency's width; the caller owns
+        copying it into kernel state.
         """
         graph = self._kernel.graph
         raw = self._kernel._raw_values(k, self._stream)
         scaled = self._scaled[:k]
         offsets = self.offsets[:k]
-        starts = self._starts[:k]
         out = self.sampled[:k]
+        # Row starts go straight into ``offsets``; the offset within the row
+        # is added in place.
         if self._regular_degree is not None:
             # Every degree is d and the CSR row of vertex v starts at v * d.
             np.multiply(raw, self._degrees_wide, out=scaled)
-            np.multiply(positions, self._regular_degree, out=starts)
+            np.multiply(positions, self._regular_degree, out=offsets)
         else:
             # Gather degrees into the scratch, then scale in place (elementwise,
             # so reading and writing the same buffer is safe).
             np.take(self._degrees_wide, positions, out=scaled, mode="clip")
             np.multiply(raw, scaled, out=scaled)
-            np.take(graph.indptr, positions, out=starts, mode="clip")
+            np.take(graph.indptr, positions, out=offsets, mode="clip")
         np.right_shift(scaled, self.offset_bits, out=scaled)
-        np.add(starts, scaled, out=offsets)
-        np.take(graph.indices, offsets, out=out, mode="clip")
+        np.add(offsets, scaled, out=offsets)
+        np.take(self._adjacency, offsets, out=out, mode="clip")
         # A blocked traversal (edge down, or either endpoint crashed) leaves
-        # the agent where it is; a lazy stay overrides either way.
+        # the agent where it is; a lazy stay overrides either way.  Vertex ids
+        # fit the output width, so the narrowing copies are exact.
         self._gather_active(k)
         if self._active_valid:
             blocked = np.logical_not(self.active[:k], out=self._blocked[:k])
-            np.copyto(out, positions, where=blocked)
+            np.copyto(out, positions, where=blocked, casting="unsafe")
         if self._lazy_stream is not None:
             lazy = self._kernel._raw_values(k, self._lazy_stream)
             stay = self._stay[:k]
             np.less(lazy, 1 << 15, out=stay)
-            np.copyto(out, positions, where=stay)
+            np.copyto(out, positions, where=stay, casting="unsafe")
         return out
 
     def sample_per_vertex(self, k: int) -> np.ndarray:
@@ -433,7 +497,6 @@ class NeighborSampler:
         which keeps each trial's stream a function of the round number only;
         kernels simply ignore the draws of vertices that do not act.
         """
-        graph = self._kernel.graph
         raw = self._kernel._raw_values(k, self._stream)
         scaled = self._scaled[:k]
         offsets = self.offsets[:k]
@@ -442,7 +505,7 @@ class NeighborSampler:
         np.multiply(raw, self._degrees_wide, out=scaled)
         np.right_shift(scaled, self.offset_bits, out=scaled)
         np.add(scaled, self._vertex_starts, out=offsets)
-        np.take(graph.indices, offsets, out=out, mode="clip")
+        np.take(self._adjacency, offsets, out=out, mode="clip")
         self._gather_active(k)
         return out
 

@@ -87,7 +87,7 @@ class MeetExchangeKernel(AgentWalkKernel):
         # dead agent is not a visitor (``vertex_ok`` masks both).
         still_informs = self.source_still_informs[:k]
         if np.any(still_informs):
-            at_source = new_positions == self.source
+            at_source = new_positions == np.int64(self.source)
             if vertex_ok is not None:
                 at_source &= vertex_ok
             visited = at_source.any(axis=1) & still_informs

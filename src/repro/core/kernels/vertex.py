@@ -135,13 +135,15 @@ class SparseVertexMixin:
             self._frontier_rows[row] = frontier.astype(self._id_dtype)
 
     def _neighbors(self, ids: np.ndarray) -> np.ndarray:
-        """Concatenated neighbor lists of the vertex ids ``ids``."""
-        graph = self.graph
+        """Concatenated neighbor lists of the vertex ids ``ids``, in the
+        sampled vertex-id width."""
         ids64 = ids.astype(np.int64, copy=False)
         d = self._callee_sampler._regular_degree
         if d is not None:
-            return graph.indices[(ids64 * d)[:, None] + np.arange(d, dtype=np.int64)].ravel()
-        return graph._frontier_neighbors(ids64)
+            slots = ((ids64 * d)[:, None] + np.arange(d, dtype=np.int64)).ravel()
+        else:
+            slots = self.graph._frontier_slots(ids64)
+        return self._adjacency[slots]
 
     def _sparse_callees(self, row: int, start: int, positions: np.ndarray) -> np.ndarray:
         """Sampled callee of each position, bit-identical to the dense sampler.
@@ -150,7 +152,7 @@ class SparseVertexMixin:
         ``positions`` are vertex ids.  The fixed-point chain reproduces
         :meth:`NeighborSampler.sample_per_vertex` value for value: raw bits
         times the (wide-typed) degree, truncated by the precision shift, into
-        the CSR row.
+        the CSR row.  The callees come in the sampled vertex-id width.
         """
         graph = self.graph
         sampler = self._callee_sampler
@@ -161,7 +163,7 @@ class SparseVertexMixin:
         else:
             offsets = (raw * sampler._degrees_wide[positions]) >> sampler.offset_bits
             flat = graph.indptr[positions] + offsets
-        return graph.indices[flat]
+        return self._adjacency[flat]
 
     def _sparse_note_informed(self, row: int, newly: np.ndarray) -> None:
         """Maintain uninformed-neighbor counts and the frontier after ``newly``
@@ -222,7 +224,7 @@ class VertexKernel(SparseVertexMixin, BatchKernel):
         self._callee_sampler = NeighborSampler(self, n)
         self._callee_flat = np.empty(shape, dtype=np.int64)
         self._callee_masked = self._callee_sampler.offsets
-        self._callee_row_base1 = self._materialized_row_base(n)
+        self._callee_row_base1 = self._flat_row_base(n)
         if self._pulls:
             self._callee_informed = np.empty(shape, dtype=bool)
             self._pulled = np.empty(shape, dtype=bool)
@@ -332,7 +334,8 @@ class VertexKernel(SparseVertexMixin, BatchKernel):
         callee_flat = self._callee_flat[:k]
         np.add(callees, self._callee_row_base1[:k], out=callee_flat)
         if self._any_observers:
-            self._report_edges(k, callees, ok)
+            # Observers see int64 vertex ids whatever the sampled width.
+            self._report_edges(k, callees.astype(np.int64, copy=False), ok)
         pulled = None
         if self._pulls:
             # An uninformed caller learns from a callee informed before the

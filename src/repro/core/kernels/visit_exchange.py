@@ -145,7 +145,8 @@ class VisitExchangeKernel(VisitRule, AgentWalkKernel):
             self.vertex_informed[rows, self._inject_source[rows]] = True
         vertex_ok = self._vertex_ok_rows(k, new_positions)
         if self._any_observers:
-            self._report_edges(k, new_positions, vertex_ok)
+            # Observers see int64 vertex ids whatever the sampled width.
+            self._report_edges(k, new_positions.astype(np.int64, copy=False), vertex_ok)
         self._visit(k, new_positions, vertex_ok)
         self.counts[:k] = self.vertex_informed[:k].sum(axis=1)
 

@@ -49,6 +49,7 @@ class Graph:
         "_stationary",
         "_slot_sources",
         "_slot_edge_ids",
+        "_narrow_indices",
         "_connected",
         "_bipartite",
     )
@@ -126,6 +127,7 @@ class Graph:
         self._stationary: Optional[np.ndarray] = None
         self._slot_sources: Optional[np.ndarray] = None
         self._slot_edge_ids: Optional[np.ndarray] = None
+        self._narrow_indices: Optional[np.ndarray] = None
         self._connected: Optional[bool] = None
         self._bipartite: Optional[bool] = None
 
@@ -266,6 +268,24 @@ class Graph:
             self._slot_sources.flags.writeable = False
         return self._slot_sources
 
+    def indices_as(self, dtype) -> np.ndarray:
+        """The CSR column indices in the integer ``dtype`` (read-only), cached.
+
+        ``int64`` is :attr:`indices` itself; a narrower width is converted
+        once per graph and kept, like :meth:`slot_sources`.  The kernels'
+        samplers gather from such a copy on large graphs (the width rule is
+        :func:`repro.core.kernels.base.vertex_id_dtype`).
+        """
+        dtype = np.dtype(dtype)
+        if dtype == self._indices.dtype:
+            return self.indices
+        if self._narrow_indices is None or self._narrow_indices.dtype != dtype:
+            if self._n - 1 > np.iinfo(dtype).max:
+                raise GraphError(f"{dtype} cannot hold the vertex ids of n={self._n}")
+            self._narrow_indices = self._indices.astype(dtype)
+            self._narrow_indices.flags.writeable = False
+        return self._narrow_indices
+
     def slot_edge_ids(self) -> np.ndarray:
         """Canonical undirected-edge index of every directed CSR slot, cached.
 
@@ -301,6 +321,10 @@ class Graph:
         This is the kernel of the frontier-array BFS: one gather per level
         instead of a Python loop over vertices and neighbors.
         """
+        return self._indices[self._frontier_slots(frontier)]
+
+    def _frontier_slots(self, frontier: np.ndarray) -> np.ndarray:
+        """Concatenated CSR slot ranges of ``frontier``, in frontier order."""
         counts = self._degrees[frontier]
         total = int(counts.sum())
         if total == 0:
@@ -308,7 +332,7 @@ class Graph:
         starts = self._indptr[frontier]
         # positions[i] = starts[group(i)] + offset-within-group(i)
         boundaries = np.repeat(starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-        return self._indices[boundaries + np.arange(total)]
+        return boundaries + np.arange(total)
 
     def is_connected(self) -> bool:
         """Return ``True`` if the graph is connected (BFS from vertex 0).
@@ -459,6 +483,7 @@ class Graph:
         clone._stationary = self._stationary
         clone._slot_sources = self._slot_sources
         clone._slot_edge_ids = self._slot_edge_ids
+        clone._narrow_indices = self._narrow_indices
         clone._connected = self._connected
         clone._bipartite = self._bipartite
         return clone

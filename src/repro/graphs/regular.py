@@ -79,9 +79,6 @@ def circulant_graph(num_vertices: int, offsets: List[int]) -> Graph:
     edges = set()
     for offset in offsets:
         offset = int(offset) % n
-        if offset == 0 or 2 * offset == n and n % 2 == 0 and offset * 2 == n:
-            # offset n/2 gives each edge once; handled below uniformly.
-            pass
         if offset == 0:
             raise GraphError("offset 0 would create self loops")
         for u in range(n):

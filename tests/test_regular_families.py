@@ -16,6 +16,7 @@ from repro.graphs.regular import (
     random_regular_graph,
     torus_grid,
 )
+from repro.store.keys import graph_fingerprint
 
 
 class TestCompleteGraph:
@@ -58,6 +59,21 @@ class TestCirculant:
 
     def test_connected_for_offset_one(self):
         assert circulant_graph(15, [1, 4]).is_connected()
+
+    @pytest.mark.parametrize(
+        "n, offsets, edges, fingerprint",
+        [
+            # Offset n/2 adds each of its edges once (degree 2 + 1).
+            (10, [1, 5], 15, "3827ce305777f5da97dbd674c5517b838b82b9ee7a80263109d8cfdb33591aa6"),
+            (20, [1, 2, 3], 60, "f007a6651ccc549cbac2225e06e856acaa32e83dcedf9864f29625ade7e73eca"),
+            # Offsets are taken mod n: -2, 2 and 11 are all offset 2.
+            (9, [2, -2, 11], 9, "dbbf683d3f1a9e54c67302778daad338520402b05da5abd3a7c950468c47f58e"),
+        ],
+    )
+    def test_graphs_are_pinned(self, n, offsets, edges, fingerprint):
+        graph = circulant_graph(n, offsets)
+        assert graph.num_edges == edges
+        assert graph_fingerprint(graph) == fingerprint
 
 
 class TestHypercube:

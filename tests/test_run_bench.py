@@ -1,11 +1,15 @@
-"""``benchmarks/run_bench.py`` gates: a failing gate is never written as the baseline."""
+"""``benchmarks/run_bench.py``: a failing gate is never written as the
+baseline, and peak RSS is measured per cell."""
 
 from __future__ import annotations
 
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from repro.graphs import star
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
@@ -73,3 +77,21 @@ def test_failing_gate_in_a_partial_run_exits_nonzero(stubbed, capsys):
     assert run_bench.run_sections(("telemetry",)) == 1
     assert not output.exists()
     assert "telemetry: trace overhead" in capsys.readouterr().out
+
+
+@pytest.mark.skipif(
+    run_bench.PEAK_RSS_SOURCE != "VmHWM", reason="per-cell peak RSS needs Linux VmHWM"
+)
+def test_peak_rss_is_measured_per_cell(monkeypatch):
+    """A small cell measured after a large one reports its own, small peak."""
+
+    def large():
+        ballast = np.ones(128 * 2**20 // 8)  # 128 MiB, every page touched
+        assert ballast.sum() > 0
+        return star(10)
+
+    monkeypatch.setattr(
+        run_bench, "CONSTRUCTION_CASES", (("large", large), ("small", lambda: star(10)))
+    )
+    large_cell, small_cell = run_bench.measure_construction()
+    assert large_cell["peak_rss_bytes"] - small_cell["peak_rss_bytes"] > 100 * 2**20
