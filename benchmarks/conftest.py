@@ -1,23 +1,17 @@
 """Benchmark harness configuration.
 
-Every benchmark file regenerates one table/figure-equivalent of the paper: it
-runs a (reduced-scale) sweep through the registered experiment for that claim,
-asserts the qualitative shape the paper proves, and uses pytest-benchmark to
-time representative runs so protocol-level performance regressions are visible
-too.
+The paper's claims are not reproduced here: ``tests/test_paper_claims.py``
+evaluates every experiment's declared claims at small sizes, and ``repro
+report`` renders the same verdicts at the paper's sizes.  What remains in
+this directory:
 
-Run the full harness with::
+* ``test_bench_coupling.py`` and ``test_bench_fairness.py`` check the coupling
+  and fairness documents, which are not sweep cells;
+* ``test_bench_extensions.py`` checks the multi-rumor and agent-churn
+  extensions;
+* ``test_bench_throughput.py`` times kernel rounds with pytest-benchmark;
+* ``run_bench.py`` measures and gates batching, dynamics overhead, the warm
+  store, scale and telemetry cost (``BENCH_batch.json``).
 
-    pytest benchmarks/ --benchmark-only
-
-and regenerate the paper-scale numbers with ``python -m repro report``.
+Run the pytest part with ``pytest benchmarks/``.
 """
-
-from __future__ import annotations
-
-import os
-import sys
-
-# Make the sibling ``_helpers`` module importable regardless of how pytest was
-# invoked (benchmarks/ has no __init__.py on purpose).
-sys.path.insert(0, os.path.dirname(__file__))

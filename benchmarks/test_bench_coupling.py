@@ -8,27 +8,12 @@ machine-checkable:
   ``max_u C_u(t_u) / T_visitx`` stays bounded by a constant across sizes.
 
 The harness runs the coupled processes on random regular graphs over a sweep
-and asserts both facts, and pytest-benchmark times one coupled run.
+and asserts both facts.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.coupling import CoupledPushVisitExchange
 from repro.experiments.coupling_experiment import run_coupling_experiment
-from repro.graphs import random_regular_graph
-
-
-class TestTimings:
-    def test_coupled_run_n_128(self, benchmark):
-        graph = random_regular_graph(128, 14, np.random.default_rng(0))
-
-        def run():
-            return CoupledPushVisitExchange().run(graph, source=0, seed=1)
-
-        result = benchmark.pedantic(run, rounds=2, iterations=1)
-        assert result.lemma13_holds()
 
 
 class TestShape:

@@ -1,11 +1,6 @@
-"""Analysis layer: statistics, growth fitting, comparisons, fairness, congestion."""
+"""Analysis layer: statistics, growth fitting, claim verdicts, fairness, congestion."""
 
-from .comparison import (
-    ProtocolComparison,
-    compare_trials,
-    separation_exponent,
-    winner_table,
-)
+from .claims import ClaimVerdict, evaluate_claim
 from .congestion import CongestionSummary, summarize_coupled_runs
 from .fairness import (
     FairnessReport,
@@ -34,10 +29,8 @@ __all__ = [
     "best_growth_model",
     "power_law_exponent",
     "ratio_trend",
-    "ProtocolComparison",
-    "compare_trials",
-    "separation_exponent",
-    "winner_table",
+    "ClaimVerdict",
+    "evaluate_claim",
     "FairnessReport",
     "fairness_from_counts",
     "edge_usage_from_walks",

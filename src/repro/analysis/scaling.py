@@ -45,22 +45,36 @@ def fit_growth(
         raise ValueError("sizes and times must have equal length")
     if sizes.size < 2:
         raise ValueError("need at least two measurements to fit a growth model")
-    basis = np.array([growth_value(growth, n) for n in sizes])
-    if np.allclose(basis, 0.0):
-        raise ValueError(f"growth function {growth!r} is degenerate on these sizes")
-    constant = float(np.dot(basis, times) / np.dot(basis, basis))
-    predictions = constant * basis
-    residuals = times - predictions
-    denom = np.maximum(np.abs(times), 1e-12)
-    relative_rmse = float(np.sqrt(np.mean((residuals / denom) ** 2)))
+    constant, relative_rmse, residuals = _least_squares(_basis(sizes, growth), times)
     total_var = float(np.sum((times - times.mean()) ** 2))
     r_squared = 1.0 - float(np.sum(residuals**2)) / total_var if total_var > 0 else 1.0
     return GrowthFit(
         growth=growth,
-        constant=constant,
-        relative_rmse=relative_rmse,
+        constant=float(constant),
+        relative_rmse=float(relative_rmse),
         r_squared=r_squared,
     )
+
+
+def _basis(sizes: np.ndarray, growth: str) -> np.ndarray:
+    basis = np.array([growth_value(growth, n) for n in sizes])
+    if np.allclose(basis, 0.0):
+        raise ValueError(f"growth function {growth!r} is degenerate on these sizes")
+    return basis
+
+
+def _least_squares(basis: np.ndarray, times: np.ndarray):
+    """``(c, relative RMSE, residuals)`` of ``times[..., i] ≈ c * basis[i]``."""
+    constant = np.dot(times, basis) / np.dot(basis, basis)
+    residuals = times - np.multiply.outer(constant, basis)
+    denom = np.maximum(np.abs(times), 1e-12)
+    return constant, np.sqrt(np.mean((residuals / denom) ** 2, axis=-1)), residuals
+
+
+def best_growth_index(sizes, times: np.ndarray, candidates: Sequence[str]) -> np.ndarray:
+    """Index into ``candidates`` of :func:`best_growth_model`'s choice per row of ``times``."""
+    sizes, times = np.asarray(sizes, dtype=float), np.asarray(times, dtype=float)
+    return np.argmin([_least_squares(_basis(sizes, c), times)[1] for c in candidates], axis=0)
 
 
 def best_growth_model(
@@ -81,18 +95,19 @@ def power_law_exponent(sizes: Sequence[float], times: Sequence[float]) -> float:
     """Estimate ``beta`` in ``T ≈ c * n^beta`` by log-log linear regression.
 
     A measured exponent near 0 indicates (poly)logarithmic growth; near 1,
-    linear growth; near 2/3, the ``n^{2/3}`` regime of Lemma 9.
+    linear growth; near 2/3, the ``n^{2/3}`` regime of Lemma 9.  ``times`` of
+    shape ``(m, len(sizes))`` fits ``m`` series at once and returns an array.
     """
     sizes = np.asarray(list(sizes), dtype=float)
-    times = np.asarray(list(times), dtype=float)
-    if sizes.size != times.size or sizes.size < 2:
+    times = np.asarray(times, dtype=float)
+    if times.shape[-1:] != sizes.shape or sizes.size < 2:
         raise ValueError("need two equal-length series with at least two points")
     if np.any(sizes <= 0) or np.any(times <= 0):
         raise ValueError("power-law fitting requires positive sizes and times")
     log_n = np.log(sizes)
     log_t = np.log(times)
-    slope, _intercept = np.polyfit(log_n, log_t, deg=1)
-    return float(slope)
+    slope, _intercept = np.polyfit(log_n, log_t.T, deg=1)
+    return float(slope) if times.ndim == 1 else slope
 
 
 def ratio_trend(

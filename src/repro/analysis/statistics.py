@@ -14,7 +14,7 @@ import numpy as np
 
 from ..core.results import TrialSet
 
-__all__ = ["Summary", "summarize", "summarize_trials", "bootstrap_ci"]
+__all__ = ["Summary", "summarize", "summarize_trials", "bootstrap_ci", "bootstrap_resamples"]
 
 
 @dataclass(frozen=True)
@@ -56,14 +56,20 @@ def bootstrap_ci(
         raise ValueError("confidence must lie in (0, 1)")
     if data.size == 1:
         return float(data[0]), float(data[0])
-    rng = np.random.default_rng(seed)
-    resample_indices = rng.integers(0, data.size, size=(num_resamples, data.size))
-    means = data[resample_indices].mean(axis=1)
+    means = bootstrap_resamples(data, num_resamples, seed)
     alpha = (1.0 - confidence) / 2.0
     return (
         float(np.quantile(means, alpha)),
         float(np.quantile(means, 1.0 - alpha)),
     )
+
+
+def bootstrap_resamples(values, num_resamples: int = 2000, seed: int = 0, reduce=np.mean):
+    """``reduce`` (mean or min) of each of ``num_resamples`` resamples of ``values``."""
+    data = np.asarray(values, dtype=float)
+    rng = np.random.default_rng(seed)
+    resample_indices = rng.integers(0, data.size, size=(num_resamples, data.size))
+    return reduce(data[resample_indices], axis=1)
 
 
 def summarize(values: Sequence[float], *, confidence: float = 0.95) -> Summary:

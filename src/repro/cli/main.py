@@ -58,6 +58,7 @@ from ..experiments import (
     run_fairness_experiment,
 )
 from ..experiments.config import scaled_sizes
+from ..experiments.reporting import REPORT_EXTRA_SECTIONS, report_section_ids
 from ..experiments.reporting import coupling_markdown_section, fairness_markdown_section
 from ..graphs import (
     complete_graph,
@@ -761,7 +762,7 @@ def _command_simulate(args: argparse.Namespace) -> int:
 
 def _report_sections(args: argparse.Namespace) -> List[str]:
     """Validate --only and return the section ids the report should include."""
-    known = list_experiment_ids() + ["coupling", "fairness"]
+    known = report_section_ids()
     if args.only is None:
         return known
     unknown = [name for name in args.only if name not in known]
@@ -825,7 +826,7 @@ def _command_report(args: argparse.Namespace) -> int:
             store = ResultStore(_default_store_path())
         try:
             for experiment_id in wanted:
-                if experiment_id in ("coupling", "fairness"):
+                if experiment_id in REPORT_EXTRA_SECTIONS:
                     continue
                 config = get_experiment(experiment_id)
                 sizes = (
@@ -852,7 +853,7 @@ def _command_report(args: argparse.Namespace) -> int:
             return 1
     else:
         for experiment_id in wanted:
-            if experiment_id in ("coupling", "fairness"):
+            if experiment_id in REPORT_EXTRA_SECTIONS:
                 continue
             result = _run_one(
                 get_experiment(experiment_id),

@@ -25,10 +25,6 @@ from .agent import AgentWalkKernel
 
 __all__ = ["MeetExchangeKernel"]
 
-#: Vertex count from which ``frontier="auto"`` clears the meeting map slot by
-#: slot (the sparse tier) instead of in full.
-_SPARSE_CLEAR_MIN_VERTICES = 32768
-
 
 class MeetExchangeKernel(AgentWalkKernel):
     """Batched MEET-EXCHANGE: only agents store the rumor."""
@@ -51,28 +47,10 @@ class MeetExchangeKernel(AgentWalkKernel):
         self.source_still_informs = ~self.agent_informed.any(axis=1)
         self._register_rows(self.source_still_informs)
         self._setup_walk(self.effective_lazy)
-        # Scratch meeting map with a slot-0 write sink (see _setup_vertex_state).
-        # The map is the kernel's only n-proportional per-round work (the
-        # full-width clear); the sparse tier instead un-sets exactly the
-        # slots the round wrote — O(agents) — which is a win whenever the
-        # agent population is well below n.  Reads and writes are otherwise
-        # identical, so the tiers are trivially bit-identical.
-        mode = self._resolve_frontier(supported=not self.churn.enabled)
-        if mode == "sparse" or (
-            mode == "auto" and graph.num_vertices >= _SPARSE_CLEAR_MIN_VERTICES
-        ):
-            self.frontier_resolved = self.tier = "sparse"
-        self._sparse_clear = (
-            self.tier == "sparse" and self._num_agents * 2 < graph.num_vertices
-        )
-        if self._sparse_clear:
-            self._meeting_flat = np.zeros(
-                self.num_trials * graph.num_vertices + 1, dtype=bool
-            )
-        else:
-            self._meeting_flat = np.empty(
-                self.num_trials * graph.num_vertices + 1, dtype=bool
-            )
+        # Scratch meeting map with a slot-0 write sink (see _setup_vertex_state),
+        # cleared in full every round.  Like visit-exchange, the kernel has no
+        # sparse tier: its work is agent-proportional already.
+        self._meeting_flat = np.empty(self.num_trials * graph.num_vertices + 1, dtype=bool)
 
     def step(self, k):
         self._begin_round()
@@ -100,8 +78,7 @@ class MeetExchangeKernel(AgentWalkKernel):
         # meetings: agents stuck on one neither give nor receive the rumor.
         # Dead agents are masked alike.
         informed_here = self._meeting_flat[: k * self.graph.num_vertices + 1]
-        if not self._sparse_clear:
-            informed_here[...] = False
+        informed_here[...] = False
         local_flat = self._position_flat[:k]
         masked = self._masked[:k]
         np.add(self._row_base1[:k], new_positions, out=local_flat)
@@ -115,11 +92,6 @@ class MeetExchangeKernel(AgentWalkKernel):
             met &= vertex_ok
         self.agent_informed[:k] |= met
         self.positions[:k] = new_positions
-        if self._sparse_clear:
-            # Un-set exactly the slots this round set (the same index array,
-            # including the slot-0 sink), restoring the all-False invariant
-            # without touching the other k*n untouched slots.
-            informed_here[masked] = False
 
     def complete_rows(self, k):
         if self._alive is not None:

@@ -67,6 +67,7 @@ def agent_density_experiment() -> ExperimentConfig:
         ),
         trials=5,
         max_rounds=lambda n: int(400 * math.log2(max(n, 2))),
+        claim_ids=("density-order", "density-factor", "density-bound"),
     )
 
 
@@ -93,6 +94,7 @@ def initial_placement_experiment() -> ExperimentConfig:
         ),
         trials=5,
         max_rounds=lambda n: int(400 * math.log2(max(n, 2))),
+        claim_ids=("placement-ratio",),
     )
 
 
@@ -127,6 +129,7 @@ def laziness_experiment() -> ExperimentConfig:
         ),
         trials=5,
         max_rounds=lambda n: int(40 * n),
+        claim_ids=("laziness-ratio",),
     )
 
 

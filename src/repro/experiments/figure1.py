@@ -2,8 +2,8 @@
 
 Each experiment sweeps the graph family over a range of sizes, runs every
 protocol the paper analyses on that family, and records mean broadcast times.
-The shape checks (who wins, and how the gap grows with ``n``) are asserted by
-the corresponding benchmarks and integration tests.
+The shape checks (who wins, and how the gap grows with ``n``) are the claims
+named in ``claim_ids`` (:mod:`repro.theory.predictions`).
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ def fig1a_star_experiment() -> ExperimentConfig:
         ),
         trials=5,
         max_rounds=lambda n: int(40 * n * math.log(max(n, 2))),
-        claim_ids=("lemma2a", "lemma2b", "lemma2c", "lemma2d"),
+        claim_ids=("lemma2a", "lemma2a-vs-visitx", "lemma2a-vs-meetx", "lemma2b", "lemma2c",
+                   "lemma2c-bound", "lemma2d", "lemma2d-bound"),
         notes="meet-exchange uses lazy walks because the star is bipartite.",
     )
 
@@ -98,7 +99,9 @@ def fig1b_double_star_experiment() -> ExperimentConfig:
         ),
         trials=5,
         max_rounds=lambda n: int(60 * n),
-        claim_ids=("lemma3a", "lemma3b", "lemma3c"),
+        claim_ids=("lemma3a", "lemma3a-exponent", "lemma3-separation", "lemma3-vs-visitx",
+                   "lemma3-vs-meetx", "lemma3b", "lemma3b-bound", "lemma3b-exponent", "lemma3c",
+                   "lemma3c-bound", "thm1-nonregular"),
         notes="meet-exchange uses lazy walks because the double star is bipartite.",
     )
 
@@ -142,7 +145,8 @@ def fig1c_heavy_tree_experiment() -> ExperimentConfig:
         ),
         trials=5,
         max_rounds=lambda n: int(80 * n),
-        claim_ids=("lemma4a", "lemma4b", "lemma4c"),
+        claim_ids=("lemma4a", "lemma4a-bound", "lemma4b", "lemma4b-vs-push", "lemma4b-vs-meetx",
+                   "lemma4-separation", "lemma4c", "lemma4c-bound"),
         notes="The source must be a leaf for the meet-exchange O(log n) bound.",
     )
 
@@ -184,7 +188,8 @@ def fig1d_siamese_experiment() -> ExperimentConfig:
         ),
         trials=5,
         max_rounds=lambda n: int(160 * n),
-        claim_ids=("lemma8a", "lemma8b", "lemma8c"),
+        claim_ids=("lemma8a", "lemma8a-bound", "lemma8b", "lemma8b-vs-push", "lemma8c",
+                   "lemma8c-vs-push"),
         notes="The size parameter is the vertex count of each tree copy.",
     )
 
@@ -227,7 +232,8 @@ def fig1e_cycle_stars_experiment() -> ExperimentConfig:
         ),
         trials=5,
         max_rounds=lambda k: int(600 * (k**2) * max(math.log(k), 1.0)),
-        claim_ids=("lemma9a", "lemma9b"),
+        claim_ids=("lemma9a", "lemma9a-exponent", "lemma9a-bound", "lemma9b", "lemma9b-exponent",
+                   "lemma9-order", "lemma9-gap"),
         notes=(
             "The size parameter is k; the graph has k + k^2 + k^3 vertices. "
             "push and push-pull are included for context (the graph is almost "

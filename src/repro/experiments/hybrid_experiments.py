@@ -52,7 +52,8 @@ def hybrid_double_star_experiment() -> ExperimentConfig:
         ),
         trials=5,
         max_rounds=lambda n: int(60 * n),
-        claim_ids=("lemma3a", "lemma3b"),
+        claim_ids=("lemma3a", "lemma3b", "hybrid-ds-vs-ppull", "hybrid-ds-vs-visitx",
+                   "hybrid-bound"),
     )
 
 
@@ -82,7 +83,7 @@ def hybrid_heavy_tree_experiment() -> ExperimentConfig:
         ),
         trials=5,
         max_rounds=lambda n: int(80 * n),
-        claim_ids=("lemma4a", "lemma4b"),
+        claim_ids=("lemma4b", "hybrid-tree-vs-visitx", "hybrid-tree-vs-ppull", "hybrid-bound"),
     )
 
 

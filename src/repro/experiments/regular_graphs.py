@@ -89,7 +89,7 @@ def thm1_random_regular_experiment() -> ExperimentConfig:
         ),
         trials=5,
         max_rounds=lambda n: int(200 * math.log2(max(n, 2))),
-        claim_ids=("thm1",),
+        claim_ids=("thm1", "thm1-trend"),
     )
 
 
@@ -137,7 +137,7 @@ def thm1_clique_cycle_experiment() -> ExperimentConfig:
         ),
         trials=5,
         max_rounds=lambda k: int(400 * k),
-        claim_ids=("thm1",),
+        claim_ids=("thm1", "thm1-slow"),
         notes="The size parameter is the number of cliques on the cycle.",
     )
 
@@ -162,7 +162,7 @@ def thm23_meetx_experiment() -> ExperimentConfig:
         ),
         trials=5,
         max_rounds=lambda n: int(400 * math.log2(max(n, 2))),
-        claim_ids=("thm23",),
+        claim_ids=("thm23", "thm23-visitx-exponent", "thm23-meetx-exponent"),
     )
 
 
@@ -186,7 +186,7 @@ def lower_bound_experiment() -> ExperimentConfig:
         ),
         trials=5,
         max_rounds=lambda n: int(400 * math.log2(max(n, 2))),
-        claim_ids=("thm24", "thm25"),
+        claim_ids=("thm24", "thm24-bound", "thm24-exponent", "thm25", "thm25-bound"),
     )
 
 

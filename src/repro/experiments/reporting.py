@@ -12,6 +12,7 @@ import hashlib
 import html as _html
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..analysis.claims import ClaimVerdict, evaluate_claim
 from ..analysis.statistics import summarize_trials
 from ..analysis.tables import format_float, format_markdown_table, format_table
 from ..store import (
@@ -21,7 +22,7 @@ from ..store import (
     resolve_sweep_plans,
     sweep_payload,
 )
-from ..theory.predictions import PAPER_PREDICTIONS, Prediction
+from ..theory.predictions import GROWTH_CANDIDATES, PAPER_PREDICTIONS, Prediction
 from .config import ExperimentConfig, scaled_sizes
 from .coupling_experiment import CouplingExperimentResult, coupling_cell
 from .fairness_experiment import FairnessExperimentResult, fairness_cell
@@ -33,11 +34,13 @@ __all__ = [
     "coupling_markdown_section",
     "fairness_markdown_section",
     "claims_for_experiment",
+    "claim_verdicts",
     "result_from_store",
     "experiment_markdown_section_from_store",
     "coupling_result_from_store",
     "fairness_result_from_store",
     "report_section_ids",
+    "REPORT_EXTRA_SECTIONS",
     "store_report_payload",
     "report_fingerprint",
     "render_report_html",
@@ -58,6 +61,18 @@ def claims_for_experiment(result: ExperimentResult) -> List[Prediction]:
     """The paper predictions attached to an experiment configuration."""
     wanted = set(result.config.claim_ids)
     return [p for p in PAPER_PREDICTIONS if p.claim_id in wanted]
+
+
+def claim_verdicts(result: ExperimentResult) -> List[ClaimVerdict]:
+    """Evaluate the experiment's declared claims on its cells."""
+    return [evaluate_claim(claim, result.cells) for claim in claims_for_experiment(result)]
+
+
+def _claims_table(verdicts: Sequence[ClaimVerdict]) -> str:
+    rows = [[v.claim.describe(), f"{format_float(v.statistic)} ({v.detail})",
+             None if v.interval is None else "[{}, {}]".format(*map(format_float, v.interval)),
+             f"**{v.verdict}**"] for v in verdicts]
+    return format_markdown_table(["claim", "statistic", "95% interval", "verdict"], rows)
 
 
 def _pivot_rows(result: ExperimentResult) -> List[List[object]]:
@@ -94,10 +109,7 @@ def _growth_lines(result: ExperimentResult) -> List[str]:
     lines = []
     for label in result.protocol_labels():
         exponent = result.growth_exponent(label)
-        fit = result.best_fit(
-            label,
-            candidates=["1", "log n", "n", "n log n", "n^(2/3)", "n^(2/3) log n"],
-        )
+        fit = result.best_fit(label, candidates=GROWTH_CANDIDATES)
         if exponent is None or fit is None:
             lines.append(f"* `{label}`: insufficient completed data for a growth fit")
             continue
@@ -109,8 +121,11 @@ def _growth_lines(result: ExperimentResult) -> List[str]:
     return lines
 
 
-def experiment_markdown_section(result: ExperimentResult) -> str:
-    """Full Markdown section for one sweep experiment."""
+def experiment_markdown_section(
+    result: ExperimentResult, verdicts: Optional[Sequence[ClaimVerdict]] = None
+) -> str:
+    """Full Markdown section for one sweep experiment (``verdicts``: its
+    :func:`claim_verdicts`, evaluated here when not given)."""
     config = result.config
     lines = [
         f"### `{config.experiment_id}` — {config.title}",
@@ -120,11 +135,9 @@ def experiment_markdown_section(result: ExperimentResult) -> str:
         config.description,
         "",
     ]
-    claims = claims_for_experiment(result)
-    if claims:
-        lines.append("Paper claims checked:")
-        lines.extend(f"* {claim.describe()}" for claim in claims)
-        lines.append("")
+    verdicts = claim_verdicts(result) if verdicts is None else verdicts
+    if verdicts:
+        lines.extend(["Paper claims checked:", "", _claims_table(verdicts), ""])
     lines.append(experiment_table(result, markdown=True))
     lines.append("")
     lines.append("Measured growth:")
@@ -452,8 +465,10 @@ def store_report_payload(
                     strict=True,
                 )
                 labels = result.protocol_labels()
+                verdicts = claim_verdicts(result)
                 entry["title"] = config.title
-                entry["markdown"] = experiment_markdown_section(result)
+                entry["markdown"] = experiment_markdown_section(result, verdicts)
+                entry["claims"] = [verdict.as_row() for verdict in verdicts]
                 entry["columns"] = ["size", "n"] + [f"mean T ({label})" for label in labels]
                 entry["rows"] = [
                     [_json_value(value) for value in row] for row in _pivot_rows(result)

@@ -89,6 +89,7 @@ def robustness_star_experiment() -> ExperimentConfig:
         protocols=_rate_specs("push-pull") + _rate_specs("visit-exchange"),
         trials=5,
         max_rounds=lambda n: int(60 * n),
+        claim_ids=("failure-completion",),
         notes="Failure rates are seed-paired: rate f reuses the f=0 trial seeds.",
     )
 
@@ -121,6 +122,7 @@ def robustness_siamese_experiment() -> ExperimentConfig:
         protocols=_rate_specs("push") + _rate_specs("push-pull"),
         trials=5,
         max_rounds=lambda n: int(80 * n),
+        claim_ids=("failure-completion",),
         notes="Failure rates are seed-paired: rate f reuses the f=0 trial seeds.",
     )
 
@@ -168,6 +170,7 @@ def robustness_regular_experiment() -> ExperimentConfig:
         protocols=_rate_specs("push") + _rate_specs("visit-exchange"),
         trials=5,
         max_rounds=lambda n: int(50 * n),
+        claim_ids=("failure-completion",),
         notes="Failure rates are seed-paired: rate f reuses the f=0 trial seeds.",
     )
 

@@ -36,7 +36,7 @@ import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from multiprocessing import get_context
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..analysis.scaling import best_growth_model, power_law_exponent
 from ..analysis.statistics import Summary, summarize_trials
@@ -423,56 +423,6 @@ def run_experiment(
             summary=summarize_trials(cached),
         )
 
-    pool_size = min(resolve_workers(workers), max(len(pending), 1))
-    # When the builder itself crosses the spawn boundary, workers build their
-    # own graphs: each task payload stays a few hundred bytes instead of a
-    # full CSR graph per cell.  Unpicklable builders (lambdas, closures) fall
-    # back to shipping the built case.  A pending plan resolved from a
-    # trusted manifest holds only a stub, so its graph must be (re)built —
-    # deferred to the worker when possible, in the parent otherwise.
-    defer_build = False
-    if pool_size > 1:
-        try:
-            pickle.dumps(config.graph_builder)
-            defer_build = True
-        except Exception:
-            defer_build = False
-
-    tasks = []
-    rebuilt_cases: Dict[int, GraphCase] = {}
-    for sp in pending:
-        if defer_build:
-            case_payload = ("build", (config.graph_builder, sp.size_parameter, sp.case_seed))
-        elif isinstance(sp.plan.graph, GraphStub):
-            if sp.size_parameter not in rebuilt_cases:
-                rebuilt_cases[sp.size_parameter] = config.build_case(
-                    sp.size_parameter, sp.case_seed
-                )
-            case_payload = ("case", rebuilt_cases[sp.size_parameter])
-        else:
-            case_payload = (
-                "case",
-                GraphCase(
-                    graph=sp.plan.graph,
-                    source=sp.plan.source,
-                    size_parameter=sp.size_parameter,
-                ),
-            )
-        tasks.append(
-            (
-                config.experiment_id,
-                base_seed,
-                sp.spec,
-                case_payload,
-                sp.size_parameter,
-                num_trials,
-                sp.budget,
-                dynamics,
-                store_obj,
-                force,
-            )
-        )
-
     def collect(sp, cell: CellResult) -> None:
         cells[sp.index] = cell
         status, key = getattr(cell.trials, "_store_status", ("computed", ""))
@@ -496,18 +446,19 @@ def run_experiment(
             status="cached",
         )
 
-    if pool_size > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(
-            max_workers=pool_size, mp_context=get_context("spawn")
-        ) as pool:
-            # Submission order == serial order, so collecting in submission
-            # order reassembles the exact serial cell sequence.
-            futures = [pool.submit(_run_cell, task) for task in tasks]
-            for sp, future in zip(pending, futures):
-                collect(sp, future.result())
-    else:
-        for sp, task in zip(pending, tasks):
-            collect(sp, _run_cell(task))
+    # A plan resolved from a trusted manifest holds only a stub graph, so its
+    # case must be (re)built.
+    cell_specs = [
+        (sp.spec, sp.size_parameter, sp.case_seed, sp.budget,
+         None if isinstance(sp.plan.graph, GraphStub)
+         else GraphCase(sp.plan.graph, sp.plan.source, sp.size_parameter))
+        for sp in pending
+    ]
+    pool_size = min(resolve_workers(workers), max(len(pending), 1))
+    executed = _execute_cells(config, cell_specs, pool_size, base_seed, num_trials, dynamics,
+                              store_obj, force)
+    for sp, cell in zip(pending, executed):
+        collect(sp, cell)
     journal.finish()
     result.cells = [cells[index] for index in sorted(cells)]
     return result
@@ -530,7 +481,30 @@ def _run_storeless(
     not pay for key resolution, and so ``defer_build`` can keep the parent
     from ever materializing the sweep's graphs when a pool is used.
     """
-    pool_size = min(resolve_workers(workers), len(sweep) * len(config.protocols))
+    cell_specs = []
+    for size_parameter in sweep:
+        case_seed = derive_seed(base_seed, config.experiment_id, "graph", size_parameter)
+        budget = config.round_budget(size_parameter)
+        cell_specs += [(spec, size_parameter, case_seed, budget, None) for spec in config.protocols]
+    pool_size = min(resolve_workers(workers), len(cell_specs))
+    result.cells.extend(_execute_cells(config, cell_specs, pool_size, base_seed, num_trials,
+                                       dynamics, None, force))
+    return result
+
+
+def _execute_cells(
+    config: ExperimentConfig, cells: List[Tuple], pool_size: int, base_seed: int,
+    trials: int, dynamics, store, force: bool,
+) -> Iterator[CellResult]:
+    """Run ``(spec, size, case_seed, budget, case)`` cells serially or on a spawn
+    pool, yielding results in cell order.
+
+    When the builder itself crosses the spawn boundary, workers build their
+    own graphs: each task payload stays a few hundred bytes instead of a full
+    CSR graph per cell.  Otherwise (no pool, or an unpicklable builder such as
+    a lambda) the parent ships ``case``, building it once per size when it is
+    ``None``.
+    """
     defer_build = False
     if pool_size > 1:
         try:
@@ -538,31 +512,19 @@ def _run_storeless(
             defer_build = True
         except Exception:
             defer_build = False
-
+    built: Dict[int, GraphCase] = {}
     tasks = []
-    for size_parameter in sweep:
-        case_seed = derive_seed(base_seed, config.experiment_id, "graph", size_parameter)
+    for spec, size_parameter, case_seed, budget, case in cells:
         if defer_build:
-            case_payload = ("build", (config.graph_builder, size_parameter, case_seed))
+            payload = ("build", (config.graph_builder, size_parameter, case_seed))
         else:
-            case_payload = ("case", config.build_case(size_parameter, case_seed))
-        budget = config.round_budget(size_parameter)
-        for spec in config.protocols:
-            tasks.append(
-                (
-                    config.experiment_id,
-                    base_seed,
-                    spec,
-                    case_payload,
-                    size_parameter,
-                    num_trials,
-                    budget,
-                    dynamics,
-                    None,
-                    force,
-                )
-            )
-
+            if case is None:
+                if size_parameter not in built:
+                    built[size_parameter] = config.build_case(size_parameter, case_seed)
+                case = built[size_parameter]
+            payload = ("case", case)
+        tasks.append((config.experiment_id, base_seed, spec, payload, size_parameter, trials,
+                      budget, dynamics, store, force))
     if pool_size > 1:
         with ProcessPoolExecutor(
             max_workers=pool_size, mp_context=get_context("spawn")
@@ -571,8 +533,7 @@ def _run_storeless(
             # order reassembles the exact serial cell sequence.
             futures = [pool.submit(_run_cell, task) for task in tasks]
             for future in futures:
-                result.cells.append(future.result())
+                yield future.result()
     else:
         for task in tasks:
-            result.cells.append(_run_cell(task))
-    return result
+            yield _run_cell(task)

@@ -13,7 +13,6 @@ from .coupon_collector import (
     expected_collection_time,
     expected_partial_collection_time,
     harmonic_number,
-    simulate_collection_time,
 )
 from .predictions import (
     BoundKind,
@@ -27,8 +26,6 @@ from .walks import (
     expected_hitting_times,
     mixing_time_bound,
     relaxation_time,
-    simulate_cover_time,
-    simulate_meeting_time,
     spectral_gap,
     stationary_distribution,
     transition_matrix,
@@ -45,7 +42,6 @@ __all__ = [
     "expected_collection_time",
     "expected_partial_collection_time",
     "collection_time_tail_bound",
-    "simulate_collection_time",
     "BoundKind",
     "Prediction",
     "PAPER_PREDICTIONS",
@@ -58,6 +54,4 @@ __all__ = [
     "relaxation_time",
     "mixing_time_bound",
     "expected_hitting_times",
-    "simulate_meeting_time",
-    "simulate_cover_time",
 ]

@@ -19,7 +19,6 @@ __all__ = [
     "expected_collection_time",
     "expected_partial_collection_time",
     "collection_time_tail_bound",
-    "simulate_collection_time",
 ]
 
 
@@ -64,28 +63,3 @@ def collection_time_tail_bound(num_coupons: int, deviation: float) -> float:
     if num_coupons < 1:
         raise ValueError("need at least one coupon")
     return float(min(1.0, math.exp(-deviation)))
-
-
-def simulate_collection_time(
-    num_coupons: int, rng: np.random.Generator, *, target: int = None
-) -> int:
-    """Simulate one coupon-collector run; returns the number of draws.
-
-    Used by the property tests to check the closed forms above against
-    empirical means.
-    """
-    if num_coupons < 1:
-        raise ValueError("need at least one coupon")
-    goal = num_coupons if target is None else int(target)
-    if not 0 <= goal <= num_coupons:
-        raise ValueError("target must lie between 0 and num_coupons")
-    seen = np.zeros(num_coupons, dtype=bool)
-    collected = 0
-    draws = 0
-    while collected < goal:
-        draws += 1
-        coupon = int(rng.integers(num_coupons))
-        if not seen[coupon]:
-            seen[coupon] = True
-            collected += 1
-    return draws

@@ -1,4 +1,4 @@
-"""Random-walk quantities on graphs: stationary measure, mixing, hitting, meeting.
+"""Random-walk quantities on graphs: stationary measure, mixing, hitting.
 
 The agent-based protocols are driven by independent random walks, so the
 theory layer provides the standard walk quantities the paper leans on:
@@ -6,17 +6,13 @@ theory layer provides the standard walk quantities the paper leans on:
 * the stationary distribution ``pi(v) = deg(v)/2|E|`` (initial placement of
   agents, Section 3),
 * spectral mixing-time estimates (used to sanity-check the "fast on random
-  regular graphs" intuition),
-* expected hitting and meeting times via the fundamental matrix / simulation
-  (meet-exchange is governed by meeting times, cf. the related-work bound of
-  Dimitriou et al. that ``T_meetx = O(T_meet log n)``), and
-* cover-time estimation, which upper-bounds ``T_visitx`` for a single agent.
+  regular graphs" intuition), and
+* expected hitting times via the fundamental matrix.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -29,8 +25,6 @@ __all__ = [
     "relaxation_time",
     "mixing_time_bound",
     "expected_hitting_times",
-    "simulate_meeting_time",
-    "simulate_cover_time",
 ]
 
 
@@ -114,55 +108,3 @@ def expected_hitting_times(graph: Graph, target: int, *, lazy: bool = False) -> 
     for index, vertex in enumerate(others):
         hitting[vertex] = solution[index]
     return hitting
-
-
-def simulate_meeting_time(
-    graph: Graph,
-    rng: np.random.Generator,
-    *,
-    start_a: Optional[int] = None,
-    start_b: Optional[int] = None,
-    lazy: bool = True,
-    max_steps: int = 10**6,
-) -> int:
-    """Simulate the meeting time of two independent (lazy) random walks.
-
-    Starts are sampled from the stationary distribution unless given.  The
-    walks are lazy by default so that a meeting happens almost surely also on
-    bipartite graphs.
-    """
-    stationary = graph.stationary_distribution()
-    a = int(rng.choice(graph.num_vertices, p=stationary)) if start_a is None else int(start_a)
-    b = int(rng.choice(graph.num_vertices, p=stationary)) if start_b is None else int(start_b)
-    if a == b:
-        return 0
-    for step in range(1, max_steps + 1):
-        if not lazy or rng.random() < 0.5:
-            a = graph.sample_neighbor(a, rng)
-        if not lazy or rng.random() < 0.5:
-            b = graph.sample_neighbor(b, rng)
-        if a == b:
-            return step
-    raise RuntimeError("walks did not meet within the step budget")
-
-
-def simulate_cover_time(
-    graph: Graph,
-    rng: np.random.Generator,
-    *,
-    start: Optional[int] = None,
-    max_steps: int = 10**7,
-) -> int:
-    """Simulate the cover time of a single simple random walk."""
-    position = int(rng.integers(graph.num_vertices)) if start is None else int(start)
-    visited = np.zeros(graph.num_vertices, dtype=bool)
-    visited[position] = True
-    remaining = graph.num_vertices - 1
-    for step in range(1, max_steps + 1):
-        position = graph.sample_neighbor(position, rng)
-        if not visited[position]:
-            visited[position] = True
-            remaining -= 1
-            if remaining == 0:
-                return step
-    raise RuntimeError("walk did not cover the graph within the step budget")

@@ -47,7 +47,15 @@ class TestMarkdownSection:
 
     def test_claims_listed(self, small_fig1a_result):
         claims = claims_for_experiment(small_fig1a_result)
-        assert {c.claim_id for c in claims} == {"lemma2a", "lemma2b", "lemma2c", "lemma2d"}
+        assert {c.claim_id for c in claims} == set(small_fig1a_result.config.claim_ids)
+        assert {"lemma2a", "lemma2b", "lemma2c", "lemma2d"} <= {c.claim_id for c in claims}
+
+    def test_claims_table_has_a_verdict_per_claim(self, small_fig1a_result):
+        text = experiment_markdown_section(small_fig1a_result)
+        assert "| claim | statistic | 95% interval | verdict |" in text
+        assert text.count("**pass**") + text.count("**fail**") + text.count(
+            "**inconclusive**"
+        ) == len(small_fig1a_result.config.claim_ids)
 
     def test_notes_included_when_present(self, small_fig1a_result):
         assert "Notes:" in experiment_markdown_section(small_fig1a_result)

@@ -73,9 +73,10 @@ class TestSparseBitIdentity:
     @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
     def test_identical_across_families(self, protocol):
         seeds = trial_seeds(9, "sparse-identity", protocol, trials=6)
-        # Visit-exchange has no sparse tier (its work is agent-proportional
-        # already); a forced "sparse" records the dense resolution there.
-        expected = "dense" if protocol == "visit-exchange" else "sparse"
+        # The agent protocols have no sparse tier (their work is
+        # agent-proportional already); a forced "sparse" records the dense
+        # resolution there.
+        expected = "dense" if protocol in ("visit-exchange", "meet-exchange") else "sparse"
         for name, graph, source in _family_cases():
             dense = run_batch(
                 protocol, graph, source, seeds=seeds,
@@ -99,7 +100,6 @@ class TestSparseBitIdentity:
             pytest.param("push", star(80), 30, id="push"),
             pytest.param("pull", double_star(80), 20, id="pull"),
             pytest.param("push-pull", heavy_binary_tree(127), 12, id="push-pull"),
-            pytest.param("meet-exchange", double_star(80), 10, id="meet-exchange"),
             pytest.param("hybrid-ppull-visitx", heavy_binary_tree(127), 10, id="hybrid"),
         ],
     )

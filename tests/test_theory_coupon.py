@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from repro.theory.coupon_collector import (
     expected_collection_time,
     expected_partial_collection_time,
     harmonic_number,
-    simulate_collection_time,
 )
 
 
@@ -63,34 +63,35 @@ class TestExpectations:
             expected_collection_time(0)
 
 
+class TestExactLaw:
+    """The expectations against the coupon-collector law, not the closed forms."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+    def test_full_collection_matches_the_law(self, m):
+        # P(T > t) = sum_{j>=1} (-1)^(j+1) C(m,j) (1-j/m)^t, so summing over
+        # t >= 0 gives E[T] = sum_j (-1)^(j+1) C(m,j) m/j exactly.
+        expected = sum(
+            Fraction((-1) ** (j + 1) * math.comb(m, j) * m, j) for j in range(1, m + 1)
+        )
+        assert expected_collection_time(m) == pytest.approx(float(expected), rel=1e-12)
+
+    @pytest.mark.parametrize("m, target", [(4, 0), (4, 1), (4, 3), (6, 5), (7, 7)])
+    def test_partial_collection_matches_the_absorbing_chain(self, m, target):
+        # State k = distinct coupons held; a draw moves k -> k+1 with
+        # probability (m-k)/m and stays otherwise.  Solve (I - Q) E = 1 over
+        # the transient states 0..target-1 for the expected absorption time.
+        if target == 0:
+            assert expected_partial_collection_time(m, 0) == 0.0
+            return
+        stay = np.diag([k / m for k in range(target)])
+        advance = np.diag([(m - k) / m for k in range(target - 1)], k=1)
+        times = np.linalg.solve(np.eye(target) - stay - advance, np.ones(target))
+        assert expected_partial_collection_time(m, target) == pytest.approx(times[0], rel=1e-12)
+
+
 class TestTailBound:
     def test_bound_decreases_with_deviation(self):
         assert collection_time_tail_bound(10, 1.0) > collection_time_tail_bound(10, 3.0)
 
     def test_bound_at_most_one(self):
         assert collection_time_tail_bound(10, -5.0) == 1.0
-
-
-class TestSimulation:
-    def test_simulated_mean_matches_formula(self):
-        n = 20
-        rng = np.random.default_rng(0)
-        samples = [simulate_collection_time(n, rng) for _ in range(300)]
-        expected = expected_collection_time(n)
-        assert abs(np.mean(samples) - expected) < 0.15 * expected
-
-    def test_partial_target(self):
-        rng = np.random.default_rng(1)
-        draws = simulate_collection_time(10, rng, target=3)
-        assert draws >= 3
-
-    def test_zero_target(self):
-        rng = np.random.default_rng(1)
-        assert simulate_collection_time(10, rng, target=0) == 0
-
-    def test_invalid_arguments(self):
-        rng = np.random.default_rng(1)
-        with pytest.raises(ValueError):
-            simulate_collection_time(0, rng)
-        with pytest.raises(ValueError):
-            simulate_collection_time(5, rng, target=9)

@@ -66,7 +66,26 @@ class TestPredictionRecords:
 
     def test_growth_names_are_all_registered(self):
         for prediction in PAPER_PREDICTIONS:
-            assert prediction.growth in GROWTH_FUNCTIONS
+            assert not prediction.growth or prediction.growth in GROWTH_FUNCTIONS
+            assert set(prediction.candidates) <= set(GROWTH_FUNCTIONS)
+
+    def test_relational_claims_are_not_growth_classes(self):
+        by_id = {p.claim_id: p for p in PAPER_PREDICTIONS}
+        assert (by_id["thm1"].check, by_id["thm1"].other) == ("ratio", "visit-exchange")
+        assert (by_id["thm23"].check, by_id["thm23"].other) == ("additive", "meet-exchange")
+        assert "T_visit-exchange <= T_meet-exchange + 4 log2 n" in by_id["thm23"].describe()
+
+    def test_accepted_growths_follow_the_bound_kind(self):
+        def claim(kind):
+            return Prediction("x", "s", "f", "push", kind, "log n", candidates=("1", "log n", "n"))
+
+        assert claim(BoundKind.UPPER).accepted_growths() == ("1", "log n")
+        assert claim(BoundKind.LOWER).accepted_growths() == ("log n", "n")
+        assert claim(BoundKind.TIGHT).accepted_growths() == ("log n",)
+
+    def test_unknown_check_rejected(self):
+        with pytest.raises(ValueError):
+            Prediction("x", "s", "f", "push", check="vibes")
 
     def test_describe_mentions_protocol_and_kind(self):
         prediction = PAPER_PREDICTIONS[0]
@@ -85,7 +104,7 @@ class TestPredictionRecords:
 class TestFiltering:
     def test_filter_by_family(self):
         star_predictions = predictions_for(family="star")
-        assert len(star_predictions) == 4
+        assert {"lemma2a", "lemma2b", "lemma2c", "lemma2d"} <= {p.claim_id for p in star_predictions}
         assert all(p.family == "star" for p in star_predictions)
 
     def test_filter_by_protocol(self):
@@ -95,8 +114,8 @@ class TestFiltering:
 
     def test_filter_by_both(self):
         result = predictions_for(family="heavy-binary-tree", protocol="visit-exchange")
-        assert len(result) == 1
-        assert result[0].claim_id == "lemma4b"
+        assert "lemma4b" in {p.claim_id for p in result}
+        assert all(p.family == "heavy-binary-tree" for p in result)
 
     def test_no_filter_returns_everything(self):
         assert predictions_for() == PAPER_PREDICTIONS

@@ -11,8 +11,6 @@ from repro.theory.walks import (
     expected_hitting_times,
     mixing_time_bound,
     relaxation_time,
-    simulate_cover_time,
-    simulate_meeting_time,
     spectral_gap,
     stationary_distribution,
     transition_matrix,
@@ -93,36 +91,3 @@ class TestHittingTimes:
     def test_invalid_target_rejected(self, small_complete):
         with pytest.raises(Exception):
             expected_hitting_times(small_complete, target=99)
-
-
-class TestSimulatedQuantities:
-    def test_meeting_time_zero_when_same_start(self, small_complete, rng):
-        assert (
-            simulate_meeting_time(small_complete, rng, start_a=3, start_b=3) == 0
-        )
-
-    def test_meeting_time_positive_otherwise(self, small_complete, rng):
-        time = simulate_meeting_time(small_complete, rng, start_a=0, start_b=5)
-        assert time >= 1
-
-    def test_meeting_time_mean_reasonable_on_complete_graph(self):
-        # Two lazy walks on K_n meet within O(n) steps in expectation.
-        rng = np.random.default_rng(3)
-        graph = complete_graph(16)
-        times = [simulate_meeting_time(graph, rng) for _ in range(100)]
-        assert np.mean(times) < 8 * 16
-
-    def test_cover_time_at_least_n_minus_one(self, small_complete, rng):
-        assert simulate_cover_time(small_complete, rng) >= small_complete.num_vertices - 1
-
-    def test_cover_time_mean_near_n_log_n_on_complete_graph(self):
-        rng = np.random.default_rng(5)
-        n = 16
-        graph = complete_graph(n)
-        times = [simulate_cover_time(graph, rng) for _ in range(50)]
-        expected = (n - 1) * sum(1 / k for k in range(1, n))
-        assert 0.6 * expected < np.mean(times) < 1.6 * expected
-
-    def test_cover_time_budget_exhaustion_raises(self, small_cycle, rng):
-        with pytest.raises(RuntimeError):
-            simulate_cover_time(small_cycle, rng, max_steps=2)
