@@ -2,22 +2,27 @@
 
 Each experiment declares its claims (``ExperimentConfig.claim_ids``, stated
 once in :mod:`repro.theory.predictions`); this test runs the experiment on a
-small sweep and evaluates every declared claim with the same evaluator the
-report uses.  A claim must pass, except the growth classes listed in
+small sweep (once, shared by its claims) and evaluates every declared claim
+with the same evaluator the report uses; each (experiment, claim) pair is its
+own test.  A claim must pass, except the growth classes listed in
 ``UNDECIDED``, which such small sweeps cannot separate from a neighbouring
 class; those must still not fail.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+
 import pytest
 
 from repro.analysis.claims import evaluate_claim
 from repro.core.results import RunResult, TrialSet
 from repro.experiments import get_experiment, list_experiment_ids, run_experiment
+from repro.experiments.config import ProtocolSpec
 from repro.experiments.reporting import claim_verdicts
 from repro.experiments.runner import CellResult
-from repro.theory.predictions import BoundKind, Prediction
+from repro.theory.predictions import PAPER_PREDICTIONS, BoundKind, Prediction
 
 #: Experiment id -> (sizes, trials) of the sweep its claims are checked on.
 SMALL_SWEEPS = {
@@ -48,15 +53,47 @@ UNDECIDED = {
 }
 
 
-@pytest.mark.parametrize("experiment_id", list_experiment_ids())
-def test_declared_claims_hold(experiment_id):
+DECLARED = [(e, c) for e in list_experiment_ids() for c in get_experiment(e).claim_ids]
+
+
+@functools.lru_cache(maxsize=None)
+def small_sweep_verdicts(experiment_id):
+    """Claim id -> verdict of the experiment's small sweep (run once per module)."""
     sizes, trials = SMALL_SWEEPS[experiment_id]
     result = run_experiment(get_experiment(experiment_id), sizes=sizes, trials=trials)
-    verdicts = claim_verdicts(result)
-    assert verdicts, f"{experiment_id} declares no claim"
-    for verdict in verdicts:
-        expected = {"pass", "inconclusive"} if verdict.claim.claim_id in UNDECIDED else {"pass"}
-        assert verdict.verdict in expected, verdict
+    return {v.claim.claim_id: v for v in claim_verdicts(result)}
+
+
+def test_every_experiment_declares_known_claims():
+    known = {p.claim_id for p in PAPER_PREDICTIONS}
+    assert set(SMALL_SWEEPS) == set(list_experiment_ids())
+    for experiment_id in list_experiment_ids():
+        declared = get_experiment(experiment_id).claim_ids
+        assert declared, f"{experiment_id} declares no claim"
+        assert set(declared) <= known, experiment_id
+
+
+@pytest.mark.parametrize(
+    "experiment_id, claim_id", DECLARED, ids=[f"{e}-{c}" for e, c in DECLARED]
+)
+def test_declared_claims_hold(experiment_id, claim_id):
+    verdict = small_sweep_verdicts(experiment_id)[claim_id]
+    expected = {"pass", "inconclusive"} if claim_id in UNDECIDED else {"pass"}
+    assert verdict.verdict in expected, verdict
+
+
+def test_push_run_in_place_of_push_pull_fails_lemma2b():
+    """Lemma 2(b) has teeth: label push as push-pull on the star and it fails."""
+    config = get_experiment("fig1a-star")
+    swapped = tuple(
+        ProtocolSpec("push", label="push-pull") if spec.display_label == "push-pull" else spec
+        for spec in config.protocols
+    )
+    sizes, trials = SMALL_SWEEPS["fig1a-star"]
+    result = run_experiment(dataclasses.replace(config, protocols=swapped), sizes=sizes,
+                            trials=trials)
+    verdicts = {v.claim.claim_id: v.verdict for v in claim_verdicts(result)}
+    assert verdicts["lemma2b"] == "fail"
 
 
 def cell(label, n, times):
@@ -103,3 +140,37 @@ class TestEvaluator:
         linear = [cell("a", n, [n, n + 2]) for n in (64, 256, 1024)]
         assert verdict(upper, *logarithmic) == "pass"
         assert verdict(upper, *linear) == "inconclusive"
+
+    def test_ratio_holds_at_every_size_and_bounds_the_spread(self):
+        claim = Prediction("r", "s", "f", "a", check="ratio", other="b", low=0.5, high=4,
+                           spread=2)
+        flat = [cell("a", n, [2 * n, 2 * n + 2]) for n in (64, 256)]
+        drifting = [cell("a", 64, [64, 66]), cell("a", 256, [900, 910])]
+        base = [cell("b", n, [n, n + 1]) for n in (64, 256)]
+        assert verdict(claim, *flat, *base) == "pass"
+        # Every per-size ratio lies in [0.5, 4], but they drift apart by > 2.
+        drift = evaluate_claim(claim, [*drifting, *base])
+        assert (drift.verdict, drift.detail) == ("fail", "max/min ratio")
+
+    def test_completion_rate_reads_every_cell_of_the_protocol(self):
+        claim = Prediction("c", "s", "f", "*", check="completion", low=0.9)
+        complete = cell("a", 64, [5] * 12)
+        assert verdict(claim, complete, cell("b", 64, [6] * 12)) == "pass"
+        assert verdict(claim, complete, cell("b", 64, [None] * 12)) == "fail"
+        assert verdict(claim) == "inconclusive"
+
+    def test_fastest_trial_reduce_ignores_slow_outliers(self):
+        mean = Prediction("m", "s", "f", "a", BoundKind.UPPER, "1", check="additive", high=10)
+        fastest = dataclasses.replace(mean, reduce="min")
+        skewed = cell("a", 64, [4, 5, 4, 60, 70, 80])
+        assert verdict(mean, skewed) == "fail"
+        assert verdict(fastest, skewed) == "pass"
+
+    def test_growth_of_a_ratio_fits_the_quotient(self):
+        claim = Prediction("q", "s", "f", "a", other="b", low=0.8)
+        sizes = (64, 256, 1024)
+        apart = [cell("a", n, [n * 10, n * 10 + 1]) for n in sizes]
+        together = [cell("a", n, [10 * n.bit_length(), 10 * n.bit_length() + 1]) for n in sizes]
+        base = [cell("b", n, [n.bit_length(), n.bit_length() + 1]) for n in sizes]
+        assert verdict(claim, *apart, *base) == "pass"
+        assert verdict(claim, *together, *base) == "fail"
