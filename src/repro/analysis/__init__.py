@@ -14,7 +14,6 @@ from .scaling import (
     best_growth_model,
     fit_growth,
     power_law_exponent,
-    ratio_trend,
 )
 from .statistics import Summary, bootstrap_ci, summarize, summarize_trials
 from .tables import format_float, format_markdown_table, format_table, rows_from_dicts
@@ -28,7 +27,6 @@ __all__ = [
     "fit_growth",
     "best_growth_model",
     "power_law_exponent",
-    "ratio_trend",
     "ClaimVerdict",
     "evaluate_claim",
     "FairnessReport",

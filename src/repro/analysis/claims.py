@@ -18,8 +18,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..theory.predictions import Prediction
-from .scaling import best_growth_index, best_growth_model, power_law_exponent
+from ..theory.predictions import GROWTH_CANDIDATES, Prediction
+from .scaling import best_growth_index, power_law_exponent
 from .statistics import bootstrap_resamples
 
 __all__ = ["ClaimVerdict", "evaluate_claim"]
@@ -126,9 +126,9 @@ def evaluate_claim(claim: Prediction, cells: Sequence) -> ClaimVerdict:
                  ["exponent"])
     if not claim.growth:
         return _verdict(claim, found)
-    chosen = np.take(claim.candidates, best_growth_index(ns, series_boot, claim.candidates))
+    chosen = np.take(GROWTH_CANDIDATES, best_growth_index(ns, series_boot, GROWTH_CANDIDATES))
     share = float(np.isin(chosen, claim.accepted_growths()).mean())
-    best = best_growth_model(ns, series, candidates=claim.candidates).growth
+    best = GROWTH_CANDIDATES[best_growth_index(ns, series, GROWTH_CANDIDATES)]
     detail = f"exponent; best fit {best}, admitted in {share:.0%} of resamples"
     fit = ("pass" if share >= _CONFIDENCE else "inconclusive", share - _CONFIDENCE)
     bounded = claim.low is not None or claim.high is not None

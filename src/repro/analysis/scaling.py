@@ -12,13 +12,13 @@ polynomial from logarithmic growth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..theory.predictions import GROWTH_FUNCTIONS, growth_value
 
-__all__ = ["GrowthFit", "fit_growth", "best_growth_model", "power_law_exponent", "ratio_trend"]
+__all__ = ["GrowthFit", "fit_growth", "best_growth_model", "power_law_exponent"]
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def _least_squares(basis: np.ndarray, times: np.ndarray):
 
 
 def best_growth_index(sizes, times: np.ndarray, candidates: Sequence[str]) -> np.ndarray:
-    """Index into ``candidates`` of :func:`best_growth_model`'s choice per row of ``times``."""
+    """Index into ``candidates`` of the smallest relative-RMSE fit, per row of ``times``."""
     sizes, times = np.asarray(sizes, dtype=float), np.asarray(times, dtype=float)
     return np.argmin([_least_squares(_basis(sizes, c), times)[1] for c in candidates], axis=0)
 
@@ -87,8 +87,7 @@ def best_growth_model(
     names = list(candidates) if candidates is not None else list(GROWTH_FUNCTIONS)
     if not names:
         raise ValueError("need at least one candidate growth function")
-    fits = [fit_growth(sizes, times, name) for name in names]
-    return min(fits, key=lambda fit: fit.relative_rmse)
+    return fit_growth(sizes, times, names[int(best_growth_index(sizes, times, names))])
 
 
 def power_law_exponent(sizes: Sequence[float], times: Sequence[float]) -> float:
@@ -109,33 +108,3 @@ def power_law_exponent(sizes: Sequence[float], times: Sequence[float]) -> float:
     slope, _intercept = np.polyfit(log_n, log_t.T, deg=1)
     return float(slope) if times.ndim == 1 else slope
 
-
-def ratio_trend(
-    sizes: Sequence[float],
-    numerator_times: Sequence[float],
-    denominator_times: Sequence[float],
-) -> Dict[str, float]:
-    """Describe how the ratio of two time series behaves as ``n`` grows.
-
-    Returns the ratio at the smallest and largest size, the max/min ratio over
-    the series, and the slope of ``log(ratio)`` against ``log n``.  Theorem 1
-    predicts a bounded, roughly flat ratio for push vs visit-exchange on
-    regular graphs; Lemma 9 predicts a ratio growing like ``log n`` for
-    meet-exchange vs visit-exchange on the cycle-of-stars graph.
-    """
-    sizes = np.asarray(list(sizes), dtype=float)
-    numerator = np.asarray(list(numerator_times), dtype=float)
-    denominator = np.asarray(list(denominator_times), dtype=float)
-    if not (sizes.size == numerator.size == denominator.size) or sizes.size < 2:
-        raise ValueError("need three equal-length series with at least two points")
-    if np.any(denominator <= 0):
-        raise ValueError("denominator times must be positive")
-    ratios = numerator / denominator
-    slope, _ = np.polyfit(np.log(sizes), np.log(np.maximum(ratios, 1e-12)), deg=1)
-    return {
-        "first_ratio": float(ratios[0]),
-        "last_ratio": float(ratios[-1]),
-        "min_ratio": float(ratios.min()),
-        "max_ratio": float(ratios.max()),
-        "log_log_slope": float(slope),
-    }

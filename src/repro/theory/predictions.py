@@ -3,7 +3,7 @@
 A :class:`Prediction` names a protocol, a graph family and what its broadcast
 times must satisfy; ``check`` is the kind:
 
-* ``growth`` -- the best of ``candidates`` fitted to ``T_protocol`` (or
+* ``growth`` -- the best of ``GROWTH_CANDIDATES`` fitted to ``T_protocol`` (or
   ``T_protocol / T_other``) is a class ``kind`` admits (``O``: no faster than
   ``growth``, ``Omega``: no slower, ``Theta``: equal); ``low``/``high`` bound
   the power-law exponent;
@@ -104,7 +104,6 @@ class Prediction:
     high: Optional[float] = None
     spread: Optional[float] = None
     reduce: str = "mean"
-    candidates: Tuple[str, ...] = GROWTH_CANDIDATES
 
     def __post_init__(self) -> None:
         if self.check not in CHECKS or self.reduce not in ("mean", "min"):
@@ -119,8 +118,8 @@ class Prediction:
         rank = list(GROWTH_FUNCTIONS).index
         side = {BoundKind.UPPER: -1, BoundKind.LOWER: 1, BoundKind.TIGHT: 0}[self.kind]
         own = rank(self.growth)
-        steps = [(rank(c) > own) - (rank(c) < own) for c in self.candidates]
-        return tuple(c for c, step in zip(self.candidates, steps) if step in (0, side))
+        steps = [(rank(c) > own) - (rank(c) < own) for c in GROWTH_CANDIDATES]
+        return tuple(c for c, step in zip(GROWTH_CANDIDATES, steps) if step in (0, side))
 
     def describe(self) -> str:
         """One-line human readable statement of the claim."""
@@ -157,17 +156,16 @@ _ORD, _ADD = "ordering", "additive"
 _ST, _DS, _HT = "star", "double-star", "heavy-binary-tree"
 _SI, _CS, _RG = "siamese-heavy-tree", "cycle-stars-cliques", "regular"
 _PP, _VX, _MX, _HY = "push-pull", "visit-exchange", "meet-exchange", "hybrid-ppull-visitx"
-_LOW3 = ("log n", "n", "n log n")
 
 #: Every claim of the paper's evaluation, in paper order.
 PAPER_PREDICTIONS: List[Prediction] = [
     # --- Lemma 2, star graph, Fig 1(a) ---------------------------------------
     Prediction("lemma2a", "Lemma 2(a)", _ST, "push", _L, "n log n",
-               "coupon collector at the center", candidates=_LOW3, low=0.8),
+               "coupon collector at the center", low=0.8),
     Prediction("lemma2a-vs-visitx", "Lemma 2(a,c)", _ST, "push", check=_ORD, other=_VX, low=10),
     Prediction("lemma2a-vs-meetx", "Lemma 2(a,d)", _ST, "push", check=_ORD, other=_MX, low=10),
     Prediction("lemma2b", "Lemma 2(b)", _ST, _PP, _U, "1", "at most 2 rounds", check=_ADD, high=2),
-    Prediction("lemma2c", "Lemma 2(c)", _ST, _VX, _U, "log n", candidates=_LOW3),
+    Prediction("lemma2c", "Lemma 2(c)", _ST, _VX, _U, "log n"),
     Prediction("lemma2c-bound", "Lemma 2(c)", _ST, _VX, _U, "log n", check=_ADD, high=6),
     Prediction("lemma2d", "Lemma 2(d)", _ST, _MX, _U, "log n", "lazy walks (bipartite graph)"),
     Prediction("lemma2d-bound", "Lemma 2(d)", _ST, _MX, _U, "log n", check=_ADD, high=6),

@@ -11,7 +11,6 @@ from repro.analysis.scaling import (
     best_growth_model,
     fit_growth,
     power_law_exponent,
-    ratio_trend,
 )
 
 
@@ -96,25 +95,3 @@ class TestPowerLawExponent:
         with pytest.raises(ValueError):
             power_law_exponent([10], [5])
 
-
-class TestRatioTrend:
-    def test_flat_ratio_detected(self):
-        numerator = [2.0 * n for n in SIZES]
-        denominator = [1.0 * n for n in SIZES]
-        trend = ratio_trend(SIZES, numerator, denominator)
-        assert trend["log_log_slope"] == pytest.approx(0.0, abs=1e-9)
-        assert trend["min_ratio"] == pytest.approx(2.0)
-        assert trend["max_ratio"] == pytest.approx(2.0)
-
-    def test_growing_ratio_detected(self):
-        numerator = [n * math.log(n) for n in SIZES]
-        denominator = [float(n) for n in SIZES]
-        trend = ratio_trend(SIZES, numerator, denominator)
-        assert trend["log_log_slope"] > 0.05
-        assert trend["last_ratio"] > trend["first_ratio"]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ratio_trend([1, 2], [1.0, 2.0], [1.0])
-        with pytest.raises(ValueError):
-            ratio_trend([1, 2], [1.0, 2.0], [1.0, 0.0])

@@ -8,6 +8,7 @@ import pytest
 
 from repro.theory.predictions import (
     BoundKind,
+    GROWTH_CANDIDATES,
     GROWTH_FUNCTIONS,
     PAPER_PREDICTIONS,
     Prediction,
@@ -67,7 +68,6 @@ class TestPredictionRecords:
     def test_growth_names_are_all_registered(self):
         for prediction in PAPER_PREDICTIONS:
             assert not prediction.growth or prediction.growth in GROWTH_FUNCTIONS
-            assert set(prediction.candidates) <= set(GROWTH_FUNCTIONS)
 
     def test_relational_claims_are_not_growth_classes(self):
         by_id = {p.claim_id: p for p in PAPER_PREDICTIONS}
@@ -77,10 +77,10 @@ class TestPredictionRecords:
 
     def test_accepted_growths_follow_the_bound_kind(self):
         def claim(kind):
-            return Prediction("x", "s", "f", "push", kind, "log n", candidates=("1", "log n", "n"))
+            return Prediction("x", "s", "f", "push", kind, "log n")
 
         assert claim(BoundKind.UPPER).accepted_growths() == ("1", "log n")
-        assert claim(BoundKind.LOWER).accepted_growths() == ("log n", "n")
+        assert claim(BoundKind.LOWER).accepted_growths() == GROWTH_CANDIDATES[1:]
         assert claim(BoundKind.TIGHT).accepted_growths() == ("log n",)
 
     def test_unknown_check_rejected(self):
@@ -104,7 +104,10 @@ class TestPredictionRecords:
 class TestFiltering:
     def test_filter_by_family(self):
         star_predictions = predictions_for(family="star")
-        assert {"lemma2a", "lemma2b", "lemma2c", "lemma2d"} <= {p.claim_id for p in star_predictions}
+        assert {p.claim_id for p in star_predictions} == {
+            "lemma2a", "lemma2a-vs-visitx", "lemma2a-vs-meetx", "lemma2b", "lemma2c",
+            "lemma2c-bound", "lemma2d", "lemma2d-bound", "laziness-ratio",
+        }
         assert all(p.family == "star" for p in star_predictions)
 
     def test_filter_by_protocol(self):
@@ -114,8 +117,11 @@ class TestFiltering:
 
     def test_filter_by_both(self):
         result = predictions_for(family="heavy-binary-tree", protocol="visit-exchange")
-        assert "lemma4b" in {p.claim_id for p in result}
+        assert {p.claim_id for p in result} == {
+            "lemma4b", "lemma4b-vs-push", "lemma4b-vs-meetx", "lemma4-separation",
+        }
         assert all(p.family == "heavy-binary-tree" for p in result)
+        assert all(p.protocol == "visit-exchange" for p in result)
 
     def test_no_filter_returns_everything(self):
         assert predictions_for() == PAPER_PREDICTIONS
