@@ -8,6 +8,7 @@ what ends up in the generated tables of EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -67,9 +68,20 @@ def bootstrap_ci(
 def bootstrap_resamples(values, num_resamples: int = 2000, seed: int = 0, reduce=np.mean):
     """``reduce`` (mean or min) of each of ``num_resamples`` resamples of ``values``."""
     data = np.asarray(values, dtype=float)
-    rng = np.random.default_rng(seed)
-    resample_indices = rng.integers(0, data.size, size=(num_resamples, data.size))
-    return reduce(data[resample_indices], axis=1)
+    return reduce(data[_resample_indices(data.size, num_resamples, seed)], axis=1)
+
+
+@lru_cache(maxsize=8)
+def _resample_indices(size: int, num_resamples: int, seed: int) -> np.ndarray:
+    """The ``(num_resamples, size)`` index matrix seed ``seed`` draws.
+
+    Every cell of one sample size and every claim that reads it resample
+    with the same matrix, so it is drawn once and kept read-only; the memo
+    holds the few sizes a report sees (one per trial count).
+    """
+    indices = np.random.default_rng(seed).integers(0, size, size=(num_resamples, size))
+    indices.setflags(write=False)
+    return indices
 
 
 def summarize(values: Sequence[float], *, confidence: float = 0.95) -> Summary:

@@ -53,13 +53,10 @@ from ..experiments import (
     experiment_table,
     get_experiment,
     list_experiment_ids,
-    run_coupling_experiment,
     run_experiment,
-    run_fairness_experiment,
 )
-from ..experiments.config import scaled_sizes
-from ..experiments.reporting import REPORT_EXTRA_SECTIONS, report_section_ids
-from ..experiments.reporting import coupling_markdown_section, fairness_markdown_section
+from ..experiments.config import sweep_sizes
+from ..experiments.reporting import report_section_ids
 from ..graphs import (
     complete_graph,
     cycle_of_stars_of_cliques,
@@ -628,11 +625,10 @@ def _run_one(
     store=None,
     force: bool = False,
 ):
-    sizes = scaled_sizes(config.sizes, scale) if scale != 1.0 else None
     return run_experiment(
         config,
         base_seed=seed,
-        sizes=sizes,
+        sizes=sweep_sizes(config, scale),
         trials=trials,
         workers=workers,
         dynamics=resolve_dynamics(dynamics),
@@ -776,9 +772,9 @@ def _report_sections(args: argparse.Namespace) -> List[str]:
 
 def _command_report(args: argparse.Namespace) -> int:
     from ..experiments.reporting import (
-        coupling_result_from_store,
-        experiment_markdown_section_from_store,
-        fairness_result_from_store,
+        report_markdown,
+        run_report_sections,
+        store_report_payload,
     )
 
     if args.scenario is not None:
@@ -805,13 +801,13 @@ def _command_report(args: argparse.Namespace) -> int:
         if store is None:
             store = ResultStore(_default_store_path())
         return _serve_loop(store.root, host=args.host, port=args.port, token=None)
-    sections: List[str] = [
-        "# Experiment report",
-        "",
-        "Generated by `rumor report`. Mean broadcast times over independent "
-        "trials; growth fits against the candidate models of the paper.",
-        "",
-    ]
+    options = dict(
+        sections=wanted,
+        base_seed=args.seed,
+        trials=args.trials,
+        scale=args.scale,
+        dynamics=resolve_dynamics(args.dynamics),
+    )
     if args.from_store:
         if args.no_store:
             print(
@@ -820,62 +816,19 @@ def _command_report(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        # Pure store reads: regenerate every section without running a
-        # single simulation.  The store to read defaults to $REPRO_STORE.
+        # Pure store reads: the sections of the JSON report, without running
+        # a single simulation.  The store to read defaults to $REPRO_STORE.
         if store is None:
             store = ResultStore(_default_store_path())
-        try:
-            for experiment_id in wanted:
-                if experiment_id in REPORT_EXTRA_SECTIONS:
-                    continue
-                config = get_experiment(experiment_id)
-                sizes = (
-                    scaled_sizes(config.sizes, args.scale) if args.scale != 1.0 else None
-                )
-                sections.append(
-                    experiment_markdown_section_from_store(
-                        config,
-                        store,
-                        base_seed=args.seed,
-                        sizes=sizes,
-                        trials=args.trials,
-                        dynamics=resolve_dynamics(args.dynamics),
-                    )
-                )
-            if "coupling" in wanted:
-                coupling = coupling_result_from_store(store, base_seed=args.seed)
-                sections.append(coupling_markdown_section(coupling))
-            if "fairness" in wanted:
-                fairness = fairness_result_from_store(store, base_seed=args.seed)
-                sections.append(fairness_markdown_section(fairness))
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
+        payload = store_report_payload(store, **options)
+        missing = [s["detail"] for s in payload["sections"] if s["status"] != "complete"]
+        if missing:
+            print("\n".join(missing), file=sys.stderr)
             return 1
+        sections = [entry["markdown"] for entry in payload["sections"]]
     else:
-        for experiment_id in wanted:
-            if experiment_id in REPORT_EXTRA_SECTIONS:
-                continue
-            result = _run_one(
-                get_experiment(experiment_id),
-                args.seed,
-                args.trials,
-                args.scale,
-                dynamics=args.dynamics,
-                store=store,
-                force=args.force,
-            )
-            sections.append(experiment_markdown_section(result))
-        if "coupling" in wanted:
-            coupling = run_coupling_experiment(
-                base_seed=args.seed, store=store, force=args.force
-            )
-            sections.append(coupling_markdown_section(coupling))
-        if "fairness" in wanted:
-            fairness = run_fairness_experiment(
-                base_seed=args.seed, store=store, force=args.force
-            )
-            sections.append(fairness_markdown_section(fairness))
-    text = "\n".join(sections)
+        sections = run_report_sections(store=store, force=args.force, **options)
+    text = report_markdown(sections)
     if args.output == "-":
         print(text)
     else:
@@ -1063,17 +1016,12 @@ def _command_store(args: argparse.Namespace) -> int:
                     )
                     return 2
                 config = get_experiment(args.experiment_id)
-                sizes = (
-                    scaled_sizes(config.sizes, args.scale)
-                    if args.scale != 1.0
-                    else None
-                )
                 sweep_id, status = submit_sweep(
                     url,
                     config,
                     token=token,
                     base_seed=args.seed,
-                    sizes=sizes,
+                    sizes=sweep_sizes(config, args.scale),
                     trials=args.trials,
                     dynamics=resolve_dynamics(args.dynamics),
                 )

@@ -11,7 +11,7 @@ from .observers import (
     ObserverGroup,
     RoundLimitGuard,
 )
-from .results import RoundRecord, RunResult, TrialSet
+from .results import RunResult, TrialSet
 from .rng import RngFactory, derive_seed, make_rng, spawn_rngs
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "EdgeUsageObserver",
     "RoundLimitGuard",
     "RunResult",
-    "RoundRecord",
     "TrialSet",
     "RngFactory",
     "make_rng",

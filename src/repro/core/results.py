@@ -13,7 +13,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-__all__ = ["RunResult", "TrialSet", "RoundRecord"]
+__all__ = ["RunResult", "TrialSet"]
 
 
 def _json_safe(value: Any, *, strict_floats: bool = False) -> Any:
@@ -59,29 +59,6 @@ def _json_safe(value: Any, *, strict_floats: bool = False) -> Any:
     raise TypeError(
         f"value of type {type(value).__name__} cannot be serialized losslessly"
     )
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    """Per-round snapshot captured by observers.
-
-    Attributes
-    ----------
-    round_index:
-        The round number (round 0 is the initialisation round of Section 3).
-    informed_vertices:
-        Number of informed vertices after this round (protocol dependent; for
-        meet-exchange this stays at most 1, the source).
-    informed_agents:
-        Number of informed agents after this round (0 for push/push-pull).
-    extra:
-        Free-form protocol specific fields (e.g. messages sent this round).
-    """
-
-    round_index: int
-    informed_vertices: int
-    informed_agents: int = 0
-    extra: Dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

@@ -178,7 +178,7 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..graphs.graph import Graph
 
-__all__ = ["GraphCase", "ProtocolSpec", "ExperimentConfig", "scaled_sizes"]
+__all__ = ["GraphCase", "ProtocolSpec", "ExperimentConfig", "scaled_sizes", "sweep_sizes"]
 
 
 @dataclass(frozen=True)
@@ -347,3 +347,8 @@ def scaled_sizes(sizes: Sequence[int], scale: float, *, minimum: int = 4) -> Tup
         scaled.append(value)
         previous = value
     return tuple(scaled)
+
+
+def sweep_sizes(config: ExperimentConfig, scale: float) -> Optional[Tuple[int, ...]]:
+    """The ``sizes`` override of a ``--scale``: None (the configured sweep) at 1.0."""
+    return scaled_sizes(config.sizes, scale) if scale != 1.0 else None

@@ -22,7 +22,7 @@ from ..analysis.congestion import CongestionSummary, summarize_coupled_runs
 from ..core.coupling import CoupledPushVisitExchange, CoupledRunResult
 from ..core.rng import derive_seed
 from ..graphs.regular import random_regular_graph
-from ..store import cell_key, document_cell_payload, resolve_store
+from ..store import cached_document, document_cell_payload
 from .regular_graphs import regular_degree_for
 
 __all__ = [
@@ -137,34 +137,27 @@ def run_coupling_experiment(
     """
     if runs_per_size < 1:
         raise ValueError("runs_per_size must be at least 1")
-    store_obj = resolve_store(store)
-    cell = None
-    key = None
-    if store_obj is not None:
-        cell = coupling_cell(
-            sizes=sizes,
-            runs_per_size=runs_per_size,
-            base_seed=base_seed,
-            agent_density=agent_density,
-        )
-        key = cell_key(cell)
-        if not force:
-            document = store_obj.get_document(key, kind="coupling")
-            if document is not None:
-                return CouplingExperimentResult.from_dict(document)
-    result = CouplingExperimentResult()
-    for size in sizes:
-        degree = regular_degree_for(size)
-        runs: List[CoupledRunResult] = []
-        for run_index in range(runs_per_size):
-            graph_seed = derive_seed(base_seed, "coupling", size, run_index, "graph")
-            run_seed = derive_seed(base_seed, "coupling", size, run_index, "run")
-            graph = random_regular_graph(size, degree, np.random.default_rng(graph_seed))
-            coupled = CoupledPushVisitExchange(agent_density=agent_density)
-            runs.append(coupled.run(graph, source=0, seed=run_seed))
-        result.sizes.append(int(size))
-        result.summaries[int(size)] = summarize_coupled_runs(runs)
-        result.runs[int(size)] = runs
-    if store_obj is not None:
-        store_obj.put_document(key, result.to_dict(), kind="coupling", cell=cell)
+
+    def compute() -> CouplingExperimentResult:
+        result = CouplingExperimentResult()
+        for size in sizes:
+            degree = regular_degree_for(size)
+            runs: List[CoupledRunResult] = []
+            for run_index in range(runs_per_size):
+                graph_seed = derive_seed(base_seed, "coupling", size, run_index, "graph")
+                run_seed = derive_seed(base_seed, "coupling", size, run_index, "run")
+                graph = random_regular_graph(size, degree, np.random.default_rng(graph_seed))
+                coupled = CoupledPushVisitExchange(agent_density=agent_density)
+                runs.append(coupled.run(graph, source=0, seed=run_seed))
+            result.sizes.append(int(size))
+            result.summaries[int(size)] = summarize_coupled_runs(runs)
+            result.runs[int(size)] = runs
+        return result
+
+    cell = coupling_cell(
+        sizes=sizes, runs_per_size=runs_per_size, base_seed=base_seed, agent_density=agent_density
+    )
+    result, _ = cached_document(
+        store, cell, compute, force=force, result_type=CouplingExperimentResult
+    )
     return result

@@ -29,7 +29,7 @@ from ..graphs.double_star import double_star
 from ..graphs.graph import Graph
 from ..graphs.regular import random_regular_graph
 from ..graphs.star import star
-from ..store import cell_key, document_cell_payload, resolve_store
+from ..store import cached_document, document_cell_payload
 from .regular_graphs import regular_degree_for
 
 __all__ = [
@@ -157,40 +157,33 @@ def run_fairness_experiment(
     cell* keyed on its full argument set, so ``report --from-store`` can
     regenerate the fairness section with zero simulation.
     """
-    store_obj = resolve_store(store)
-    cell = None
-    key = None
-    if store_obj is not None:
-        cell = fairness_cell(
-            size=size,
-            walk_rounds=walk_rounds,
-            push_pull_trials=push_pull_trials,
-            base_seed=base_seed,
-        )
-        key = cell_key(cell)
-        if not force:
-            document = store_obj.get_document(key, kind="fairness")
-            if document is not None:
-                return FairnessExperimentResult.from_dict(document)
-    graphs = default_fairness_graphs(size, derive_seed(base_seed, "fairness-graphs", size))
-    result = FairnessExperimentResult(size=size)
-    for label, graph in graphs.items():
-        agent_report = edge_usage_from_walks(
-            graph,
-            rounds=walk_rounds,
-            seed=derive_seed(base_seed, "fairness-walks", label),
-            lazy=graph.is_bipartite(),
-        )
-        ppull_report = _push_pull_edge_usage(
-            graph,
-            source=2 if graph.num_vertices > 2 else 0,
-            seed=derive_seed(base_seed, "fairness-ppull", label),
-            trials=push_pull_trials,
-        )
-        result.reports[label] = {
-            "agents (all traversals)": agent_report,
-            "push-pull (sampled edges)": ppull_report,
-        }
-    if store_obj is not None:
-        store_obj.put_document(key, result.to_dict(), kind="fairness", cell=cell)
+
+    def compute() -> FairnessExperimentResult:
+        graphs = default_fairness_graphs(size, derive_seed(base_seed, "fairness-graphs", size))
+        result = FairnessExperimentResult(size=size)
+        for label, graph in graphs.items():
+            agent_report = edge_usage_from_walks(
+                graph,
+                rounds=walk_rounds,
+                seed=derive_seed(base_seed, "fairness-walks", label),
+                lazy=graph.is_bipartite(),
+            )
+            ppull_report = _push_pull_edge_usage(
+                graph,
+                source=2 if graph.num_vertices > 2 else 0,
+                seed=derive_seed(base_seed, "fairness-ppull", label),
+                trials=push_pull_trials,
+            )
+            result.reports[label] = {
+                "agents (all traversals)": agent_report,
+                "push-pull (sampled edges)": ppull_report,
+            }
+        return result
+
+    cell = fairness_cell(
+        size=size, walk_rounds=walk_rounds, push_pull_trials=push_pull_trials, base_seed=base_seed
+    )
+    result, _ = cached_document(
+        store, cell, compute, force=force, result_type=FairnessExperimentResult
+    )
     return result

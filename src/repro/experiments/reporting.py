@@ -4,29 +4,29 @@ The EXPERIMENTS.md of this repository is (re)generated from the structures in
 this module: every sweep experiment contributes a table of mean broadcast
 times plus the fitted growth exponents, and the coupling and fairness
 experiments contribute their dedicated tables.
+
+Every report path — ``repro report``, ``repro report --from-store`` and the
+``/report`` endpoints — goes through one dispatch, :func:`_sections`, which
+decides once whether a section is a registry sweep or a document cell and
+yields its cell keys, its store load, its compute run and its Markdown/JSON
+entry.
 """
 
 from __future__ import annotations
 
 import hashlib
 import html as _html
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.claims import ClaimVerdict, evaluate_claim
 from ..analysis.statistics import summarize_trials
 from ..analysis.tables import format_float, format_markdown_table, format_table
-from ..store import (
-    SweepJournal,
-    cell_key,
-    resolve_store,
-    resolve_sweep_plans,
-    sweep_payload,
-)
+from ..store import cell_key, resolve_store
 from ..theory.predictions import GROWTH_CANDIDATES, PAPER_PREDICTIONS, Prediction
-from .config import ExperimentConfig, scaled_sizes
-from .coupling_experiment import CouplingExperimentResult, coupling_cell
-from .fairness_experiment import FairnessExperimentResult, fairness_cell
-from .runner import CellResult, ExperimentResult
+from .config import ExperimentConfig, sweep_sizes
+from .coupling_experiment import CouplingExperimentResult, coupling_cell, run_coupling_experiment
+from .fairness_experiment import FairnessExperimentResult, fairness_cell, run_fairness_experiment
+from .runner import CellResult, ExperimentResult, journaled_sweep_plans, run_experiment
 
 __all__ = [
     "experiment_table",
@@ -36,18 +36,40 @@ __all__ = [
     "claims_for_experiment",
     "claim_verdicts",
     "result_from_store",
-    "experiment_markdown_section_from_store",
     "coupling_result_from_store",
     "fairness_result_from_store",
     "report_section_ids",
     "REPORT_EXTRA_SECTIONS",
+    "report_markdown",
+    "run_report_sections",
     "store_report_payload",
     "report_fingerprint",
     "render_report_html",
 ]
 
+
+#: The document sections by id: title, cell payload, loader, runner and
+#: renderer.  The lambdas name their functions when called, so a rebound
+#: module global (a tracer's wrapper, a test's patch) reaches every report path.
+_DOCUMENTS: Dict[str, Tuple[str, Callable, Callable, Callable, Callable]] = {
+    "coupling": (
+        "Coupling / congestion (Lemmas 13/14)",
+        coupling_cell,
+        lambda store, **cell: coupling_result_from_store(store, **cell),
+        lambda **options: run_coupling_experiment(**options),
+        lambda result: coupling_markdown_section(result),
+    ),
+    "fairness": (
+        "Edge-usage fairness (Section 1)",
+        fairness_cell,
+        lambda store, **cell: fairness_result_from_store(store, **cell),
+        lambda **options: run_fairness_experiment(**options),
+        lambda result: fairness_markdown_section(result),
+    ),
+}
+
 #: Non-sweep report sections served alongside the registry experiments.
-REPORT_EXTRA_SECTIONS = ("coupling", "fairness")
+REPORT_EXTRA_SECTIONS = tuple(_DOCUMENTS)
 
 
 def report_section_ids() -> List[str]:
@@ -148,6 +170,15 @@ def experiment_markdown_section(
     return "\n".join(lines)
 
 
+def _enabled_store(store, caller: str):
+    """``store`` resolved to a :class:`~repro.store.ResultStore`; raises
+    ``ValueError`` when it resolves to none."""
+    store_obj = resolve_store(store)
+    if store_obj is None:
+        raise ValueError(f"{caller} needs an enabled result store")
+    return store_obj
+
+
 def result_from_store(
     config: ExperimentConfig,
     store,
@@ -171,19 +202,19 @@ def result_from_store(
     ``KeyError`` naming every absent plan; with ``strict=False`` missing
     cells are skipped, yielding a partial (but honest) result.
     """
-    store_obj = resolve_store(store)
-    if store_obj is None:
-        raise ValueError("result_from_store needs an enabled result store")
+    store_obj = _enabled_store(store, "result_from_store")
+    _, _, plans = journaled_sweep_plans(
+        config, store_obj, base_seed=base_seed, sizes=sizes, trials=trials, dynamics=dynamics
+    )
+    return _sweep_result(config, store_obj, plans, base_seed=base_seed, strict=strict)
+
+
+def _sweep_result(config, store_obj, plans, *, base_seed: int, strict: bool = True):
+    """The :class:`ExperimentResult` of resolved sweep ``plans``, read from the
+    store (see :func:`result_from_store`)."""
     result = ExperimentResult(config=config, base_seed=base_seed)
     missing: List[str] = []
-    for sp in _store_sweep_plans(
-        config,
-        store_obj,
-        base_seed=base_seed,
-        sizes=sizes,
-        trials=trials,
-        dynamics=dynamics,
-    ):
+    for sp in plans:
         trial_set = store_obj.get_trial_set(sp.plan.key)
         if trial_set is None:
             missing.append(
@@ -211,118 +242,63 @@ def result_from_store(
     return result
 
 
-def _store_sweep_plans(
-    config: ExperimentConfig,
-    store_obj,
-    *,
-    base_seed: int,
-    sizes: Optional[Sequence[int]] = None,
-    trials: Optional[int] = None,
-    dynamics=None,
-):
-    """Resolve a sweep's cell plans against a store's journaled manifest.
+def _document_from_store(store, cell: Dict[str, Any], result_type):
+    """Load a document section's cached cell — zero simulation.
 
-    The manifest of the sweep's own journal (when one exists and its builder
-    specs still match) lets the plans resolve from trusted fingerprints,
-    so a warm report derives every key without constructing a single graph.
+    Raises ``KeyError`` naming the absent document and the command that
+    stores it (mirroring :func:`result_from_store`).
     """
-    sweep = tuple(sizes) if sizes is not None else config.sizes
-    num_trials = int(trials) if trials is not None else config.trials
-    journal = SweepJournal(
-        store_obj,
-        sweep_payload(
-            config,
-            base_seed=base_seed,
-            sizes=sweep,
-            trials=num_trials,
-            dynamics=dynamics,
-        ),
-    )
-    manifest_event = journal.last_manifest()
-    manifest = manifest_event.get("cells") if manifest_event is not None else None
-    return resolve_sweep_plans(
-        config,
-        base_seed=base_seed,
-        sizes=sweep,
-        trials=num_trials,
-        dynamics=dynamics,
-        manifest=manifest,
-    )
-
-
-def experiment_markdown_section_from_store(
-    config: ExperimentConfig, store, **kwargs
-) -> str:
-    """Markdown section for one experiment, read straight from the store."""
-    return experiment_markdown_section(result_from_store(config, store, **kwargs))
+    kind = cell["document"]
+    store_obj = _enabled_store(store, f"{kind}_result_from_store")
+    key = cell_key(cell)
+    document = store_obj.get_document(key, kind=kind)
+    if document is None:
+        raise KeyError(
+            f"result store is missing the {kind} document cell; run "
+            f"`repro report --only {kind} --store` first:\n  {kind} key={key[:16]}"
+        )
+    return result_type.from_dict(document)
 
 
 def coupling_result_from_store(
     store, *, base_seed: int = 0, **cell_kwargs
 ) -> CouplingExperimentResult:
-    """Load the coupling experiment's cached document cell — zero simulation.
-
-    Raises ``KeyError`` naming the absent document when the store has no
-    cached run for these parameters (mirroring :func:`result_from_store`).
-    """
-    store_obj = resolve_store(store)
-    if store_obj is None:
-        raise ValueError("coupling_result_from_store needs an enabled result store")
+    """Load the coupling experiment's cached document cell — zero simulation."""
     cell = coupling_cell(base_seed=base_seed, **cell_kwargs)
-    key = cell_key(cell)
-    document = store_obj.get_document(key, kind="coupling")
-    if document is None:
-        raise KeyError(
-            "result store is missing the coupling document cell; run "
-            f"`repro coupling --store` first:\n  coupling key={key[:16]}"
-        )
-    return CouplingExperimentResult.from_dict(document)
+    return _document_from_store(store, cell, CouplingExperimentResult)
 
 
 def fairness_result_from_store(
     store, *, base_seed: int = 0, **cell_kwargs
 ) -> FairnessExperimentResult:
-    """Load the fairness experiment's cached document cell — zero simulation.
-
-    Raises ``KeyError`` naming the absent document when the store has no
-    cached run for these parameters (mirroring :func:`result_from_store`).
-    """
-    store_obj = resolve_store(store)
-    if store_obj is None:
-        raise ValueError("fairness_result_from_store needs an enabled result store")
+    """Load the fairness experiment's cached document cell — zero simulation."""
     cell = fairness_cell(base_seed=base_seed, **cell_kwargs)
-    key = cell_key(cell)
-    document = store_obj.get_document(key, kind="fairness")
-    if document is None:
-        raise KeyError(
-            "result store is missing the fairness document cell; run "
-            f"`repro fairness --store` first:\n  fairness key={key[:16]}"
-        )
-    return FairnessExperimentResult.from_dict(document)
+    return _document_from_store(store, cell, FairnessExperimentResult)
+
+
+def _document_markdown(heading: str, blurb: str, result, *tail: str) -> str:
+    """A document section: its heading, blurb and ``table_rows()`` table, then ``tail``."""
+    rows = result.table_rows()
+    headers = list(rows[0].keys()) if rows else []
+    lines = [heading, "", blurb, ""]
+    if rows:
+        lines.append(format_markdown_table(headers, [[row[h] for h in headers] for row in rows]))
+    return "\n".join(lines + ["", *tail])
 
 
 def coupling_markdown_section(result: CouplingExperimentResult) -> str:
     """Markdown section for the coupling/congestion experiment."""
-    rows = result.table_rows()
-    headers = list(rows[0].keys()) if rows else []
-    lines = [
+    return _document_markdown(
         "### `coupling-congestion` — The Section-5 coupling, Lemmas 13/14",
-        "",
         "Coupled push / visit-exchange runs on random regular graphs. Lemma 13 "
         "(`tau_u <= C_u(t_u)`) is checked exactly on every vertex of every run; "
         "the congestion ratio `max_u C_u(t_u) / T_visitx` is the quantity "
         "Theorem 10 bounds by a constant.",
-        "",
-    ]
-    if rows:
-        lines.append(format_markdown_table(headers, [[row[h] for h in headers] for row in rows]))
-    lines.append("")
-    lines.append(
+        result,
         f"Lemma 13 held in all runs: **{'yes' if result.lemma13_always_holds() else 'NO'}**; "
-        f"largest congestion ratio observed: {format_float(result.max_congestion_ratio())}."
+        f"largest congestion ratio observed: {format_float(result.max_congestion_ratio())}.",
+        "",
     )
-    lines.append("")
-    return "\n".join(lines)
 
 
 def _json_value(value: Any) -> Any:
@@ -338,35 +314,99 @@ def _json_value(value: Any) -> Any:
     return int(as_float) if as_float.is_integer() else as_float
 
 
-def _report_plan_keys(
-    section: str,
-    store_obj,
-    *,
-    base_seed: int,
-    trials: Optional[int],
-    scale: float,
-    dynamics=None,
-) -> List[str]:
-    """Every store key a report section reads, derived without simulating."""
-    if section == "coupling":
-        return [cell_key(coupling_cell(base_seed=base_seed))]
-    if section == "fairness":
-        return [cell_key(fairness_cell(base_seed=base_seed))]
-    from .registry import get_experiment
+class _DocumentSection:
+    """A document section: one cell, keyed, loaded, run and rendered through
+    its :data:`_DOCUMENTS` row."""
 
-    config = get_experiment(section)
-    sizes = scaled_sizes(config.sizes, scale) if scale != 1.0 else None
+    def __init__(self, section: str, base_seed: int) -> None:
+        self.id = section
+        self.base_seed = base_seed
+        self.title, self.cell, self.loader, self.runner, self.render = _DOCUMENTS[section]
+
+    def keys(self, store_obj) -> List[str]:
+        return [cell_key(self.cell(base_seed=self.base_seed))]
+
+    def load(self, store_obj):
+        return self.loader(store_obj, base_seed=self.base_seed)
+
+    def run(self, store, force: bool):
+        return self.runner(base_seed=self.base_seed, store=store, force=force)
+
+    def entry(self, result) -> Dict[str, Any]:
+        return {
+            "title": self.title,
+            "markdown": self.render(result),
+            "rows": [
+                {k: _json_value(v) for k, v in row.items()} for row in result.table_rows()
+            ],
+        }
+
+
+class _SweepSection:
+    """A registry sweep section: its plans resolved against the store's
+    journaled manifest, its cells read or run by the sweep runner."""
+
+    def __init__(
+        self, section: str, base_seed: int, trials: Optional[int], scale: float, dynamics
+    ) -> None:
+        from .registry import get_experiment
+
+        self.id = section
+        self.config = get_experiment(section)
+        sizes = sweep_sizes(self.config, scale)
+        self.sweep = dict(base_seed=base_seed, sizes=sizes, trials=trials, dynamics=dynamics)
+        self.plans = None
+
+    def keys(self, store_obj) -> List[str]:
+        _, _, self.plans = journaled_sweep_plans(self.config, store_obj, **self.sweep)
+        return [sp.plan.key for sp in self.plans]
+
+    def load(self, store_obj) -> ExperimentResult:
+        """The cells of the plans :meth:`keys` resolved."""
+        return _sweep_result(self.config, store_obj, self.plans, base_seed=self.sweep["base_seed"])
+
+    def run(self, store, force: bool) -> ExperimentResult:
+        return run_experiment(self.config, store=store, force=force, **self.sweep)
+
+    def entry(self, result: ExperimentResult) -> Dict[str, Any]:
+        verdicts = claim_verdicts(result)
+        return {
+            "title": self.config.title,
+            "markdown": experiment_markdown_section(result, verdicts),
+            "claims": [verdict.as_row() for verdict in verdicts],
+            "columns": ["size", "n"] + [f"mean T ({label})" for label in result.protocol_labels()],
+            "rows": [[_json_value(value) for value in row] for row in _pivot_rows(result)],
+        }
+
+
+def _sections(sections=None, *, base_seed=0, trials=None, scale=1.0, dynamics=None) -> list:
+    """The report's sections (all of them when ``sections`` is None).
+
+    The one place a section's kind is decided: a document cell or a registry
+    sweep.  Each section has ``keys(store)``, the cell keys it reads;
+    ``load(store)``, its result from those cells; ``run(store, force)``,
+    its result through its runner; and ``entry(result)``, its Markdown and
+    JSON fields.
+    """
+    wanted = list(sections) if sections is not None else report_section_ids()
     return [
-        sp.plan.key
-        for sp in _store_sweep_plans(
-            config,
-            store_obj,
-            base_seed=base_seed,
-            sizes=sizes,
-            trials=trials,
-            dynamics=dynamics,
-        )
+        _DocumentSection(section, base_seed)
+        if section in _DOCUMENTS
+        else _SweepSection(section, base_seed, trials, scale, dynamics)
+        for section in wanted
     ]
+
+
+def _fingerprint(store_obj, section_keys: Sequence[Tuple[str, Sequence[str]]]) -> str:
+    """Hash each ``(section, keys)`` key with its stored object's size."""
+    digest = hashlib.sha256()
+    digest.update(b"repro-report-v1\0")
+    for section, keys in section_keys:
+        for key in keys:
+            size = store_obj.backend.object_size(key)
+            marker = "absent" if size is None else str(int(size))
+            digest.update(f"{section}:{key}:{marker}\n".encode("utf-8"))
+    return digest.hexdigest()
 
 
 def report_fingerprint(
@@ -388,25 +428,9 @@ def report_fingerprint(
     on a warm manifest — no graph construction, so it is cheap enough to
     serve as an HTTP ETag validator.
     """
-    store_obj = resolve_store(store)
-    if store_obj is None:
-        raise ValueError("report_fingerprint needs an enabled result store")
-    wanted = list(sections) if sections is not None else report_section_ids()
-    digest = hashlib.sha256()
-    digest.update(b"repro-report-v1\0")
-    for section in wanted:
-        for key in _report_plan_keys(
-            section,
-            store_obj,
-            base_seed=base_seed,
-            trials=trials,
-            scale=scale,
-            dynamics=dynamics,
-        ):
-            size = store_obj.backend.object_size(key)
-            marker = "absent" if size is None else str(int(size))
-            digest.update(f"{section}:{key}:{marker}\n".encode("utf-8"))
-    return digest.hexdigest()
+    store_obj = _enabled_store(store, "report_fingerprint")
+    chosen = _sections(sections, base_seed=base_seed, trials=trials, scale=scale, dynamics=dynamics)
+    return _fingerprint(store_obj, [(section.id, section.keys(store_obj)) for section in chosen])
 
 
 def store_report_payload(
@@ -420,59 +444,22 @@ def store_report_payload(
 ) -> Dict[str, Any]:
     """Assemble the full report as a JSON-safe payload, purely from the store.
 
-    Each requested section resolves its cell plans (manifest-trusted, so a
-    warm store needs zero graph constructions) and reads cached cells only —
-    zero simulation.  Sections whose cells are absent come back with
-    ``status: "missing"`` and the runner command that would fill them; the
+    Each requested section resolves its cell plans once (manifest-trusted,
+    so a warm store needs zero graph constructions), reads cached cells only
+    — zero simulation — and hashes the same keys into the payload's
+    :func:`report_fingerprint`.  Sections whose cells are absent come back
+    with ``status: "missing"`` and the command that would fill them; the
     report never fails outright because one sweep has not run yet.
     """
-    store_obj = resolve_store(store)
-    if store_obj is None:
-        raise ValueError("store_report_payload needs an enabled result store")
-    wanted = list(sections) if sections is not None else report_section_ids()
-    from .registry import get_experiment
-
+    store_obj = _enabled_store(store, "store_report_payload")
+    chosen = _sections(sections, base_seed=base_seed, trials=trials, scale=scale, dynamics=dynamics)
+    section_keys = []
     rendered: List[Dict[str, Any]] = []
-    for section in wanted:
-        entry: Dict[str, Any] = {"id": section}
+    for section in chosen:
+        section_keys.append((section.id, section.keys(store_obj)))
+        entry: Dict[str, Any] = {"id": section.id}
         try:
-            if section == "coupling":
-                coupling = coupling_result_from_store(store_obj, base_seed=base_seed)
-                entry["title"] = "Coupling / congestion (Lemmas 13/14)"
-                entry["markdown"] = coupling_markdown_section(coupling)
-                entry["rows"] = [
-                    {k: _json_value(v) for k, v in row.items()}
-                    for row in coupling.table_rows()
-                ]
-            elif section == "fairness":
-                fairness = fairness_result_from_store(store_obj, base_seed=base_seed)
-                entry["title"] = "Edge-usage fairness (Section 1)"
-                entry["markdown"] = fairness_markdown_section(fairness)
-                entry["rows"] = [
-                    {k: _json_value(v) for k, v in row.items()}
-                    for row in fairness.table_rows()
-                ]
-            else:
-                config = get_experiment(section)
-                sizes = scaled_sizes(config.sizes, scale) if scale != 1.0 else None
-                result = result_from_store(
-                    config,
-                    store_obj,
-                    base_seed=base_seed,
-                    sizes=sizes,
-                    trials=trials,
-                    dynamics=dynamics,
-                    strict=True,
-                )
-                labels = result.protocol_labels()
-                verdicts = claim_verdicts(result)
-                entry["title"] = config.title
-                entry["markdown"] = experiment_markdown_section(result, verdicts)
-                entry["claims"] = [verdict.as_row() for verdict in verdicts]
-                entry["columns"] = ["size", "n"] + [f"mean T ({label})" for label in labels]
-                entry["rows"] = [
-                    [_json_value(value) for value in row] for row in _pivot_rows(result)
-                ]
+            entry.update(section.entry(section.load(store_obj)))
             entry["status"] = "complete"
         except KeyError as exc:
             entry["status"] = "missing"
@@ -481,7 +468,7 @@ def store_report_payload(
     return {
         "report": "repro-experiment-report",
         "params": {
-            "sections": wanted,
+            "sections": [section.id for section in chosen],
             "base_seed": int(base_seed),
             "trials": None if trials is None else int(trials),
             "scale": float(scale),
@@ -491,15 +478,31 @@ def store_report_payload(
         },
         "complete": all(entry["status"] == "complete" for entry in rendered),
         "sections": rendered,
-        "fingerprint": report_fingerprint(
-            store_obj,
-            sections=wanted,
-            base_seed=base_seed,
-            trials=trials,
-            scale=scale,
-            dynamics=dynamics,
-        ),
+        "fingerprint": _fingerprint(store_obj, section_keys),
     }
+
+
+def run_report_sections(sections=None, *, store=None, force=False, **options) -> List[str]:
+    """Each section's Markdown, run through its runner.
+
+    ``options`` are ``base_seed``, ``trials``, ``scale`` and ``dynamics`` as
+    :func:`store_report_payload` takes them; ``store``/``force`` follow the
+    runners' rules, so cached cells are read, not recomputed.
+    """
+    chosen = _sections(sections, **options)
+    return [section.entry(section.run(store, force))["markdown"] for section in chosen]
+
+
+def report_markdown(sections: Sequence[str]) -> str:
+    """A ``repro report`` file: the report header, then each section's Markdown."""
+    header = [
+        "# Experiment report",
+        "",
+        "Generated by `rumor report`. Mean broadcast times over independent "
+        "trials; growth fits against the candidate models of the paper.",
+        "",
+    ]
+    return "\n".join(header + list(sections))
 
 
 _REPORT_CSS = (
@@ -561,19 +564,12 @@ def render_report_html(payload: Dict[str, Any]) -> str:
 
 def fairness_markdown_section(result: FairnessExperimentResult) -> str:
     """Markdown section for the edge-usage fairness experiment."""
-    rows = result.table_rows()
-    headers = list(rows[0].keys()) if rows else []
-    lines = [
+    return _document_markdown(
         "### `fairness` — Local fairness of bandwidth use (Section 1)",
-        "",
         "Per-edge usage distributions: all traversals of a stationary agent "
         "population versus all sampled push-pull exchanges. The agent "
         "distribution is near-uniform on every graph (small Gini coefficient), "
         "while push-pull starves the bridge edge of the double star — the "
         "paper's local-fairness argument made quantitative.",
-        "",
-    ]
-    if rows:
-        lines.append(format_markdown_table(headers, [[row[h] for h in headers] for row in rows]))
-    lines.append("")
-    return "\n".join(lines)
+        result,
+    )

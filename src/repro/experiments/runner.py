@@ -45,6 +45,7 @@ from ..core.results import TrialSet
 from ..core.rng import derive_seed
 from ..store import (
     GraphStub,
+    SweepCellPlan,
     SweepJournal,
     resolve_cell,
     resolve_store,
@@ -357,8 +358,7 @@ def run_experiment(
     rebuild a graph; construction happens only for cells that actually
     simulate.
     """
-    sweep = tuple(sizes) if sizes is not None else config.sizes
-    num_trials = int(trials) if trials is not None else config.trials
+    sweep, num_trials = _sweep_shape(config, sizes, trials)
     result = ExperimentResult(config=config, base_seed=base_seed)
 
     store_obj = resolve_store(store)
@@ -374,28 +374,14 @@ def run_experiment(
             force=force,
         )
 
-    journal = SweepJournal(
-        store_obj,
-        sweep_payload(
-            config,
-            base_seed=base_seed,
-            sizes=sweep,
-            trials=num_trials,
-            dynamics=dynamics,
-        ),
-    )
-    manifest_entries = None
-    if not force:
-        manifest_event = journal.last_manifest()
-        if manifest_event is not None:
-            manifest_entries = manifest_event.get("cells")
-    plans = resolve_sweep_plans(
+    journal, manifest_entries, plans = journaled_sweep_plans(
         config,
+        store_obj,
         base_seed=base_seed,
         sizes=sweep,
         trials=num_trials,
         dynamics=dynamics,
-        manifest=manifest_entries,
+        force=force,
     )
     journal.start(cells=len(plans))
     new_manifest = [sp.manifest_entry() for sp in plans]
@@ -462,6 +448,36 @@ def run_experiment(
     journal.finish()
     result.cells = [cells[index] for index in sorted(cells)]
     return result
+
+
+def _sweep_shape(config: ExperimentConfig, sizes, trials) -> Tuple[Tuple[int, ...], int]:
+    """The sweep's sizes and trial count: the overrides, else the config's."""
+    sweep = tuple(sizes) if sizes is not None else config.sizes
+    return sweep, int(trials) if trials is not None else config.trials
+
+
+def journaled_sweep_plans(
+    config: ExperimentConfig,
+    store_obj,
+    *,
+    base_seed: int = 0,
+    sizes: Optional[Sequence[int]] = None,
+    trials: Optional[int] = None,
+    dynamics=None,
+    force: bool = False,
+) -> Tuple[SweepJournal, Optional[List[Dict[str, Any]]], List[SweepCellPlan]]:
+    """``(journal, manifest, plans)`` of a store-backed sweep.
+
+    The plans resolve against the manifest of the sweep's own journal, so a
+    warm sweep or report derives every key from trusted fingerprints without
+    constructing a graph; ``force`` ignores the manifest (it is then None).
+    """
+    sweep, num_trials = _sweep_shape(config, sizes, trials)
+    shape = dict(base_seed=base_seed, sizes=sweep, trials=num_trials, dynamics=dynamics)
+    journal = SweepJournal(store_obj, sweep_payload(config, **shape))
+    event = None if force else journal.last_manifest()
+    manifest = event.get("cells") if event is not None else None
+    return journal, manifest, resolve_sweep_plans(config, manifest=manifest, **shape)
 
 
 def _run_storeless(

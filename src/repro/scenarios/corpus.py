@@ -396,10 +396,16 @@ def _run_rumor_cell(
     }
 
 
-def _rumor_key(params: Dict[str, Any]) -> str:
-    from ..store.keys import cell_key, document_cell_payload
+def _rumor_payload(params: Dict[str, Any]) -> Dict[str, Any]:
+    from ..store.keys import document_cell_payload
 
-    return cell_key(document_cell_payload("multi-rumor", params))
+    return document_cell_payload("multi-rumor", params)
+
+
+def _rumor_key(params: Dict[str, Any]) -> str:
+    from ..store.keys import cell_key
+
+    return cell_key(_rumor_payload(params))
 
 
 def run_corpus(
@@ -423,7 +429,7 @@ def run_corpus(
     scenarios; ``force`` recomputes even cached cells.
     """
     from ..experiments.runner import run_experiment
-    from ..store import resolve_store
+    from ..store import cached_document, resolve_store
 
     corpus = _as_corpus(corpus)
     store_obj = resolve_store(store)
@@ -462,12 +468,13 @@ def run_corpus(
         )
         for params in rumor_plans:
             row.rumor_cells += 1
-            key = _rumor_key(params)
-            if not force and store_obj.get_document(key, kind="multi-rumor") is not None:
-                continue
-            document = _run_rumor_cell(params, config)
-            store_obj.put_document(key, document, kind="multi-rumor")
-            row.rumor_computed += 1
+            _, computed = cached_document(
+                store_obj,
+                _rumor_payload(params),
+                lambda: _run_rumor_cell(params, config),
+                force=force,
+            )
+            row.rumor_computed += computed
         summary.scenarios.append(row)
     summary.graph_constructions = Graph.construction_count - constructed_before
     return summary
@@ -485,7 +492,7 @@ def corpus_status(
     journaled manifest when one exists, so a warm status probe is also
     zero-construction.
     """
-    from ..experiments.reporting import _store_sweep_plans
+    from ..experiments.runner import journaled_sweep_plans
     from ..store import resolve_store
 
     corpus = _as_corpus(corpus)
@@ -497,7 +504,7 @@ def corpus_status(
     constructed_before = Graph.construction_count
     for spec in corpus.scenarios:
         config = spec.to_config()
-        plans = _store_sweep_plans(config, store_obj, base_seed=base_seed)
+        _, _, plans = journaled_sweep_plans(config, store_obj, base_seed=base_seed)
         cached = sum(1 for sp in plans if sp.plan.key in store_obj)
         row = ScenarioRunSummary(
             name=spec.name,
@@ -559,7 +566,7 @@ def corpus_report(
     table for scenarios that declare contention.  ``strict=True`` raises
     on missing cells; the default renders what the store holds.
     """
-    from ..experiments.reporting import experiment_markdown_section_from_store
+    from ..experiments.reporting import experiment_markdown_section, result_from_store
     from ..store import resolve_store
 
     corpus = _as_corpus(corpus)
@@ -571,8 +578,8 @@ def corpus_report(
     for spec in corpus.scenarios:
         config = spec.to_config()
         try:
-            section = experiment_markdown_section_from_store(
-                config, store_obj, base_seed=base_seed, strict=strict
+            section = experiment_markdown_section(
+                result_from_store(config, store_obj, base_seed=base_seed, strict=strict)
             )
         except KeyError as exc:
             if strict:

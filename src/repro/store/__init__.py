@@ -37,6 +37,7 @@ from .artifacts import (
     StoreCorruptionError,
     StoreError,
     StoreUnavailableError,
+    cached_document,
     resolve_store,
 )
 from .backends import (
@@ -93,6 +94,7 @@ __all__ = [
     "SweepJournal",
     "UnknownLeaseError",
     "UnknownSweepError",
+    "cached_document",
     "canonical_json",
     "cell_key",
     "document_cell_payload",

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence,
 import numpy as np
 
 from ..core.results import TrialSet
-from .keys import STORE_FORMAT_VERSION
+from .keys import STORE_FORMAT_VERSION, cell_key
 
 if TYPE_CHECKING:  # the backends package imports this module's exceptions,
     # so the runtime import lives inside ResultStore.__init__.
@@ -57,6 +57,7 @@ __all__ = [
     "StoreCorruptionError",
     "StoreError",
     "StoreUnavailableError",
+    "cached_document",
     "resolve_store",
 ]
 
@@ -705,3 +706,31 @@ def resolve_store(store: Any) -> Optional[ResultStore]:
     if isinstance(store, ResultStore):
         return store
     return ResultStore(store)
+
+
+def cached_document(
+    store: Any, cell: Dict[str, Any], compute, *, force: bool = False, result_type: Any = None
+) -> Tuple[Any, bool]:
+    """Read the document ``cell`` addresses from ``store``, or compute and store it.
+
+    ``cell`` is a :func:`~repro.store.keys.document_cell_payload`; the sidecar
+    records it, so the hub can check that it hashes to the key.  With
+    ``result_type`` the document is ``compute().to_dict()`` and a hit returns
+    ``result_type.from_dict(document)``; without, ``compute()`` returns the
+    document itself.  Returns ``(result, computed)``, a computed result as
+    computed.  ``store`` follows :func:`resolve_store` (none: always
+    compute); ``force`` recomputes a cached document.
+    """
+    store_obj = resolve_store(store)
+    if store_obj is None:
+        return compute(), True
+    kind = cell["document"]
+    key = cell_key(cell)
+    if not force:
+        document = store_obj.get_document(key, kind=kind)
+        if document is not None:
+            return (document if result_type is None else result_type.from_dict(document)), False
+    result = compute()
+    document = result if result_type is None else result.to_dict()
+    store_obj.put_document(key, document, kind=kind, cell=cell)
+    return result, True

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.statistics import bootstrap_ci, summarize, summarize_trials
+from repro.analysis.statistics import bootstrap_ci, bootstrap_resamples, summarize, summarize_trials
 from repro.core.results import RunResult, TrialSet
 
 
@@ -80,6 +80,15 @@ class TestBootstrapCi:
     def test_deterministic_given_seed(self):
         data = [1, 5, 3, 8, 2]
         assert bootstrap_ci(data, seed=4) == bootstrap_ci(data, seed=4)
+
+    def test_resamples_match_a_direct_draw(self):
+        # The index matrix is drawn once per (size, resamples, seed) and
+        # reused; every call must still equal a fresh draw.
+        values = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
+        indices = np.random.default_rng(7).integers(0, 5, size=(300, 5))
+        for _ in range(2):
+            drawn = bootstrap_resamples(values, 300, seed=7, reduce=np.min)
+            assert np.array_equal(drawn, values[indices].min(axis=1))
 
     def test_invalid_confidence_rejected(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.core.results import RoundRecord, RunResult, TrialSet
+from repro.core.results import RunResult, TrialSet
 
 
 def make_result(
@@ -60,13 +60,6 @@ class TestRunResult:
     def test_to_json_is_valid_json(self):
         text = make_result().to_json()
         assert json.loads(text)["protocol"] == "push"
-
-
-class TestRoundRecord:
-    def test_defaults(self):
-        record = RoundRecord(round_index=3, informed_vertices=5)
-        assert record.informed_agents == 0
-        assert record.extra == {}
 
 
 class TestTrialSet:
