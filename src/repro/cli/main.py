@@ -56,6 +56,7 @@ from ..experiments import (
     run_experiment,
 )
 from ..experiments.config import sweep_sizes
+from ..experiments.regular_graphs import regular_degree_for
 from ..experiments.reporting import report_section_ids
 from ..graphs import (
     complete_graph,
@@ -134,12 +135,7 @@ def _build_graph(family: str, size: int, seed: int):
     if family == "hypercube":
         return hypercube(size)
     if family == "random-regular":
-        import math
-
-        degree = max(4, int(2 * math.log2(max(size, 2))))
-        if (size * degree) % 2:
-            degree += 1
-        return random_regular_graph(size, degree, np.random.default_rng(seed))
+        return random_regular_graph(size, regular_degree_for(size), np.random.default_rng(seed))
     raise SystemExit(f"unknown graph family {family!r}")
 
 

@@ -17,14 +17,13 @@ seed-paired with its failure-free baseline.
 
 from __future__ import annotations
 
-import math
-
 from ..graphs.builders import with_case_spec
 from ..graphs.regular import random_regular_graph
 from ..graphs.siamese_tree import left_leaves, siamese_heavy_binary_tree
 from ..graphs.star import star
 from .config import ExperimentConfig, GraphCase, ProtocolSpec
 from .registry import register
+from .regular_graphs import regular_degree_for
 
 __all__ = [
     "FAILURE_RATES",
@@ -127,28 +126,18 @@ def robustness_siamese_experiment() -> ExperimentConfig:
     )
 
 
-def _robust_degree(num_vertices: int) -> int:
-    degree = max(4, int(math.ceil(2 * math.log2(max(num_vertices, 2)))))
-    # Clamp for the scaled-down sweeps of tests and quick runs, keeping
-    # n * d even (a d-regular graph's existence condition).
-    degree = min(degree, num_vertices - 1)
-    if (num_vertices * degree) % 2:
-        degree = degree + 1 if degree + 1 < num_vertices else degree - 1
-    return degree
-
-
 @with_case_spec(
     "random_regular_graph",
     lambda size, seed: {
         "num_vertices": size,
-        "degree": _robust_degree(size),
+        "degree": regular_degree_for(size),
         "seed": seed,
     },
 )
 def _build_regular_case(num_vertices: int, seed: int) -> GraphCase:
     import numpy as np
 
-    degree = _robust_degree(num_vertices)
+    degree = regular_degree_for(num_vertices)
     graph = random_regular_graph(num_vertices, degree, np.random.default_rng(seed))
     return GraphCase(graph=graph, source=0, size_parameter=num_vertices)
 

@@ -51,6 +51,7 @@ from ..store import (
     resolve_store,
     resolve_sweep_plans,
     sweep_payload,
+    sweep_shape,
 )
 from ..telemetry import span
 from .config import ExperimentConfig, GraphCase, ProtocolSpec
@@ -358,7 +359,7 @@ def run_experiment(
     rebuild a graph; construction happens only for cells that actually
     simulate.
     """
-    sweep, num_trials = _sweep_shape(config, sizes, trials)
+    sweep, num_trials = sweep_shape(config, sizes, trials)
     result = ExperimentResult(config=config, base_seed=base_seed)
 
     store_obj = resolve_store(store)
@@ -450,12 +451,6 @@ def run_experiment(
     return result
 
 
-def _sweep_shape(config: ExperimentConfig, sizes, trials) -> Tuple[Tuple[int, ...], int]:
-    """The sweep's sizes and trial count: the overrides, else the config's."""
-    sweep = tuple(sizes) if sizes is not None else config.sizes
-    return sweep, int(trials) if trials is not None else config.trials
-
-
 def journaled_sweep_plans(
     config: ExperimentConfig,
     store_obj,
@@ -472,7 +467,7 @@ def journaled_sweep_plans(
     warm sweep or report derives every key from trusted fingerprints without
     constructing a graph; ``force`` ignores the manifest (it is then None).
     """
-    sweep, num_trials = _sweep_shape(config, sizes, trials)
+    sweep, num_trials = sweep_shape(config, sizes, trials)
     shape = dict(base_seed=base_seed, sizes=sweep, trials=num_trials, dynamics=dynamics)
     journal = SweepJournal(store_obj, sweep_payload(config, **shape))
     event = None if force else journal.last_manifest()

@@ -49,14 +49,6 @@ from .random_graphs import (
     erdos_renyi,
     preferential_attachment,
 )
-from .validation import (
-    GraphReport,
-    degree_histogram,
-    inspect_graph,
-    require_connected,
-    require_degree_at_least_log,
-    require_regular,
-)
 
 __all__ = [
     "Graph",
@@ -92,10 +84,4 @@ __all__ = [
     "erdos_renyi",
     "connected_erdos_renyi",
     "preferential_attachment",
-    "GraphReport",
-    "inspect_graph",
-    "require_connected",
-    "require_regular",
-    "require_degree_at_least_log",
-    "degree_histogram",
 ]

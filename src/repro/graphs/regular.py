@@ -13,7 +13,7 @@ with qualitatively different broadcast times:
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 

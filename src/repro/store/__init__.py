@@ -67,6 +67,7 @@ from .orchestrator import (
     resolve_cell,
     resolve_sweep_plans,
     sweep_payload,
+    sweep_shape,
 )
 from .service import StoreService, serve
 from .worker import run_worker, submit_sweep, sweep_status
@@ -109,6 +110,7 @@ __all__ = [
     "submit_sweep",
     "sweep_id",
     "sweep_payload",
+    "sweep_shape",
     "sweep_status",
     "trial_cell_payload",
 ]

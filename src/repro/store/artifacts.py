@@ -39,16 +39,15 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.results import TrialSet
-from .keys import STORE_FORMAT_VERSION, cell_key
-
-if TYPE_CHECKING:  # the backends package imports this module's exceptions,
-    # so the runtime import lives inside ResultStore.__init__.
-    from .backends import StoreBackend
+from .backends import StoreBackend, resolve_backend
+from .backends.base import check_payload, parse_sidecar, payload_sha256
+from .journal import journal_events
+from .keys import STORE_FORMAT_VERSION, canonical_json, cell_key
 
 __all__ = [
     "STORE_ENV_VAR",
@@ -124,12 +123,6 @@ class StoreUnavailableError(StoreError):
         )
 
 
-def _sha256(data: bytes) -> str:
-    import hashlib
-
-    return hashlib.sha256(data).hexdigest()
-
-
 def _flatten_histories(histories: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
     """Encode a ragged list of int lists as (flat values, per-trial lengths)."""
     lengths = np.asarray([len(h) for h in histories], dtype=np.int64)
@@ -163,13 +156,11 @@ class ResultStore:
 
     def __init__(
         self,
-        root: Union[str, Path, "StoreBackend", None] = None,
+        root: Union[str, Path, StoreBackend, None] = None,
         *,
-        backend: Optional["StoreBackend"] = None,
+        backend: Optional[StoreBackend] = None,
         cache: Union[str, Path, None] = None,
     ) -> None:
-        from .backends import resolve_backend
-
         if backend is None:
             if root is None:
                 raise StoreError("ResultStore needs a root path, URL or backend")
@@ -261,18 +252,24 @@ class ResultStore:
             }
             for r in results
         ]
+        # trial_set: protocol / graph_name / num_vertices / backend
+        return self._commit(key, npz_bytes, cell, trial_set=payload, results=rest)
+
+    def _commit(
+        self, key: str, payload: bytes, cell: Optional[Dict[str, Any]], **fields: Any
+    ) -> Path:
+        """Write ``payload`` and its sidecar: the shared fields plus ``fields``."""
         sidecar = {
             "format": STORE_FORMAT_VERSION,
             "key": key,
             "created_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-            "npz_sha256": _sha256(npz_bytes),
-            "npz_bytes": len(npz_bytes),
+            "npz_sha256": payload_sha256(payload),
+            "npz_bytes": len(payload),
             "cell": cell,
-            "trial_set": payload,  # protocol / graph_name / num_vertices / backend
-            "results": rest,
+            **fields,
         }
         return self.backend.write_object(
-            key, npz_bytes, json.dumps(sidecar, sort_keys=True).encode("utf-8")
+            key, payload, json.dumps(sidecar, sort_keys=True).encode("utf-8")
         )
 
     def read_sidecar(self, key: str) -> Optional[Dict[str, Any]]:
@@ -281,19 +278,16 @@ class ResultStore:
         if raw is None:
             return None
         try:
-            sidecar = json.loads(raw.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise StoreCorruptionError(
-                f"store object {key} has an unparsable sidecar: {exc}"
-            ) from exc
-        return sidecar
+            return parse_sidecar(raw)
+        except ValueError as exc:
+            raise StoreCorruptionError(f"store object {key} has an {exc}") from exc
 
-    def get_trial_set(self, key: str) -> Optional[TrialSet]:
-        """Load the trial set stored under ``key`` (None if absent).
+    def _verified_read(self, key: str, kind: str) -> Optional[Tuple[Dict[str, Any], bytes]]:
+        """``(sidecar, payload)`` of a ``kind`` object, checksum-verified.
 
-        The NPZ bytes are checked against the sidecar's SHA-256 before being
-        parsed; any mismatch, missing member or trial-count inconsistency
-        raises :class:`StoreCorruptionError`.
+        None when the object is absent.  A stale format or a lost or
+        mismatching payload raises :class:`StoreCorruptionError`; an object
+        of another kind raises :class:`StoreError`.
         """
         sidecar = self.read_sidecar(key)
         if sidecar is None:
@@ -304,24 +298,40 @@ class ResultStore:
                 f"this build reads format {STORE_FORMAT_VERSION} "
                 "(run 'repro store gc --all' to drop stale objects)"
             )
-        if sidecar.get("kind", "trial-set") != "trial-set":
+        stored_kind = sidecar.get("kind", "trial-set")
+        if stored_kind != kind:
+            reader = "get_trial_set" if stored_kind == "trial-set" else "get_document"
             raise StoreError(
-                f"store object {key} holds a {sidecar.get('kind')!r} document, "
-                "not a trial set (read it with get_document)"
+                f"store object {key} holds a {stored_kind!r} object, not a {kind!r} one "
+                f"(read it with {reader})"
             )
-        npz_bytes = self.backend.read_npz_bytes(key)
-        if npz_bytes is None:
+        payload = self.backend.read_npz_bytes(key)
+        if payload is None:
             if self.backend.read_sidecar_bytes(key) is None:
                 # A concurrent gc deleted the whole object between our
-                # sidecar read and the NPZ read: that is a plain cache miss,
-                # not corruption.
+                # sidecar read and the payload read: that is a plain cache
+                # miss, not corruption.
                 return None
-            raise StoreCorruptionError(f"store object {key} lost its NPZ payload")
-        if _sha256(npz_bytes) != sidecar.get("npz_sha256"):
+            raise StoreCorruptionError(f"store object {key} lost its payload")
+        try:
+            check_payload(sidecar, payload)
+        except ValueError as exc:
             raise StoreCorruptionError(
-                f"store object {key} failed its integrity check: NPZ bytes do "
-                "not match the sidecar checksum"
-            )
+                f"store object {key} failed its integrity check: {exc}"
+            ) from exc
+        return sidecar, payload
+
+    def get_trial_set(self, key: str) -> Optional[TrialSet]:
+        """Load the trial set stored under ``key`` (None if absent).
+
+        The NPZ bytes are checked against the sidecar's SHA-256 before being
+        parsed; any mismatch, missing member or trial-count inconsistency
+        raises :class:`StoreCorruptionError`.
+        """
+        read = self._verified_read(key, "trial-set")
+        if read is None:
+            return None
+        sidecar, npz_bytes = read
         try:
             with np.load(io.BytesIO(npz_bytes), allow_pickle=False) as npz:
                 arrays = {name: npz[name] for name in npz.files}
@@ -387,21 +397,7 @@ class ResultStore:
         :meth:`get_document` and :meth:`get_trial_set` reject cross-kind
         reads loudly instead of mis-decoding bytes.
         """
-        from .keys import canonical_json
-
-        payload_bytes = canonical_json(document).encode("utf-8")
-        sidecar = {
-            "format": STORE_FORMAT_VERSION,
-            "key": key,
-            "kind": kind,
-            "created_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-            "npz_sha256": _sha256(payload_bytes),
-            "npz_bytes": len(payload_bytes),
-            "cell": cell,
-        }
-        return self.backend.write_object(
-            key, payload_bytes, json.dumps(sidecar, sort_keys=True).encode("utf-8")
-        )
+        return self._commit(key, canonical_json(document).encode("utf-8"), cell, kind=kind)
 
     def get_document(self, key: str, *, kind: str) -> Optional[Dict[str, Any]]:
         """Load the ``kind``-tagged document under ``key`` (None if absent).
@@ -410,32 +406,11 @@ class ResultStore:
         :meth:`get_trial_set`; a kind mismatch or undecodable payload raises
         :class:`StoreError` / :class:`StoreCorruptionError`.
         """
-        sidecar = self.read_sidecar(key)
-        if sidecar is None:
+        read = self._verified_read(key, kind)
+        if read is None:
             return None
-        if sidecar.get("format") != STORE_FORMAT_VERSION:
-            raise StoreCorruptionError(
-                f"store object {key} has format {sidecar.get('format')!r}; "
-                f"this build reads format {STORE_FORMAT_VERSION} "
-                "(run 'repro store gc --all' to drop stale objects)"
-            )
-        if sidecar.get("kind", "trial-set") != kind:
-            raise StoreError(
-                f"store object {key} holds a {sidecar.get('kind', 'trial-set')!r} "
-                f"object, not a {kind!r} document"
-            )
-        payload_bytes = self.backend.read_npz_bytes(key)
-        if payload_bytes is None:
-            if self.backend.read_sidecar_bytes(key) is None:
-                return None  # raced gc: a plain miss, not corruption
-            raise StoreCorruptionError(f"store object {key} lost its payload")
-        if _sha256(payload_bytes) != sidecar.get("npz_sha256"):
-            raise StoreCorruptionError(
-                f"store object {key} failed its integrity check: document bytes "
-                "do not match the sidecar checksum"
-            )
         try:
-            document = json.loads(payload_bytes.decode("utf-8"))
+            document = json.loads(read[1].decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise StoreCorruptionError(f"store object {key} could not be decoded: {exc}") from exc
         self.backend.mark_read(key)
@@ -451,46 +426,37 @@ class ResultStore:
     def _entry_row(self, key: str, sidecar: Optional[Dict[str, Any]]) -> Dict[str, Any]:
         """One ``ls`` row from a parsed sidecar (None → corrupt placeholder)."""
         size = self.backend.object_size(key)
+        row: Dict[str, Any] = {
+            "key": key,
+            "protocol": "<corrupt sidecar>",
+            "graph": None,
+            "n": None,
+            "trials": 0,
+            "backend": None,
+            "max_rounds": None,
+            "bytes": size or 0,
+            "created_at": None,
+        }
         if sidecar is None:
-            return {
-                "key": key,
-                "protocol": "<corrupt sidecar>",
-                "graph": None,
-                "n": None,
-                "trials": 0,
-                "backend": None,
-                "max_rounds": None,
-                "bytes": size or 0,
-                "created_at": None,
-            }
-        trial_set = sidecar.get("trial_set", {})
+            return row
         cell = sidecar.get("cell") or {}
-        if size is None:
-            size = sidecar.get("npz_bytes")
+        row["bytes"] = (sidecar.get("npz_bytes") if size is None else size) or 0
+        row["created_at"] = sidecar.get("created_at")
         if sidecar.get("kind", "trial-set") != "trial-set":
             params = cell.get("params") or {}
-            return {
-                "key": key,
-                "protocol": f"<{sidecar['kind']} document>",
-                "graph": None,
-                "n": params.get("size") or (params.get("sizes") or [None])[-1],
-                "trials": 0,
-                "backend": None,
-                "max_rounds": None,
-                "bytes": size or 0,
-                "created_at": sidecar.get("created_at"),
-            }
-        return {
-            "key": key,
-            "protocol": trial_set.get("protocol"),
-            "graph": trial_set.get("graph_name"),
-            "n": trial_set.get("num_vertices"),
-            "trials": len(sidecar.get("results", [])),
-            "backend": trial_set.get("backend"),
-            "max_rounds": cell.get("max_rounds"),
-            "bytes": size or 0,
-            "created_at": sidecar.get("created_at"),
-        }
+            row["protocol"] = f"<{sidecar['kind']} document>"
+            row["n"] = params.get("size") or (params.get("sizes") or [None])[-1]
+            return row
+        trial_set = sidecar.get("trial_set", {})
+        row.update(
+            protocol=trial_set.get("protocol"),
+            graph=trial_set.get("graph_name"),
+            n=trial_set.get("num_vertices"),
+            trials=len(sidecar.get("results", [])),
+            backend=trial_set.get("backend"),
+            max_rounds=cell.get("max_rounds"),
+        )
+        return row
 
     def entries(self) -> List[Dict[str, Any]]:
         """One summary row per object — the ``repro store ls`` view.
@@ -525,31 +491,21 @@ class ResultStore:
                     continue  # pragma: no cover - raced deletion
             else:
                 try:
-                    sidecar = json.loads(raw.decode("utf-8"))
-                except (json.JSONDecodeError, UnicodeDecodeError):
+                    sidecar = parse_sidecar(raw)
+                except ValueError:
                     sidecar = None  # corrupt: reported, not raised
             rows.append(self._entry_row(key, sidecar))
         return rows
 
     def referenced_keys(self) -> set:
         """Keys referenced by any sweep journal under ``sweeps/``."""
-        referenced = set()
-        for sweep in self.backend.local.list_sweeps():
-            text = self.backend.local.read_sweep_text(sweep)
-            if text is None:  # pragma: no cover - raced deletion
-                continue
-            for line in text.splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # a torn tail line from an interrupted run
-                key = event.get("key")
-                if isinstance(key, str):
-                    referenced.add(key)
-        return referenced
+        local = self.backend.local
+        return {
+            event["key"]
+            for sweep in local.list_sweeps()
+            for event in journal_events(local.read_sweep_text(sweep))
+            if isinstance(event.get("key"), str)
+        }
 
     def gc(
         self,

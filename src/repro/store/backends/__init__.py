@@ -21,6 +21,7 @@ from .base import (
     OBJECT_FRAME_MAGIC,
     StoreBackend,
     check_key,
+    check_sweep_id,
     decode_object_frame,
     encode_object_frame,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "RemoteBackend",
     "StoreBackend",
     "check_key",
+    "check_sweep_id",
     "decode_object_frame",
     "default_cache_root",
     "encode_object_frame",

@@ -18,6 +18,12 @@ Every backend upholds the two store-wide contracts:
   :meth:`~repro.store.ResultStore.get_trial_set` always runs against exactly
   the bytes that were persisted, end to end across any transport.
 
+The checksum rule itself — a sidecar parses to a JSON object whose
+``npz_sha256`` is the SHA-256 of the payload — is stated once here, beside
+the publish wire frame, as :func:`parse_sidecar` and :func:`check_payload`:
+the store's verified read, the remote backend's cache fill and the
+service's publish route all apply it.
+
 Backends are cheap, stateless-ish value objects: only configuration (paths,
 URLs) crosses process boundaries, so they pickle cleanly into the
 process-parallel cell scheduler's workers.
@@ -25,18 +31,25 @@ process-parallel cell scheduler's workers.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import re
 import struct
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "KEY_HEX_LENGTH",
     "OBJECT_FRAME_MAGIC",
     "StoreBackend",
     "check_key",
+    "check_payload",
+    "check_sweep_id",
     "decode_object_frame",
     "encode_object_frame",
+    "parse_sidecar",
+    "payload_sha256",
 ]
 
 #: Length of a cell key: a SHA-256 hex digest.
@@ -46,6 +59,10 @@ KEY_HEX_LENGTH = 64
 OBJECT_FRAME_MAGIC = b"repro-object-1\n"
 
 _FRAME_LENGTHS = struct.Struct(">QQ")
+
+#: Sweep ids are 16 hex digits (:func:`repro.store.journal.sweep_id`); the
+#: accepted charset has no ``.`` or ``/``, so an id never leaves ``sweeps/``.
+_SWEEP_ID_RE = re.compile(r"[A-Za-z0-9_-]{1,64}")
 
 
 def encode_object_frame(npz_bytes: bytes, sidecar_bytes: bytes) -> bytes:
@@ -87,6 +104,28 @@ def decode_object_frame(body: bytes) -> Tuple[bytes, bytes]:
     return npz_bytes, sidecar_bytes
 
 
+def payload_sha256(payload: bytes) -> str:
+    """The checksum a sidecar records for its payload (``npz_sha256``)."""
+    return hashlib.sha256(payload).hexdigest()
+
+
+def parse_sidecar(sidecar_bytes: bytes) -> Dict[str, Any]:
+    """Parse sidecar bytes; ``ValueError`` unless they hold a UTF-8 JSON object."""
+    try:
+        sidecar = json.loads(sidecar_bytes.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"unparsable sidecar ({exc})") from exc
+    if not isinstance(sidecar, dict):
+        raise ValueError("unparsable sidecar (not a JSON object)")
+    return sidecar
+
+
+def check_payload(sidecar: Dict[str, Any], payload: bytes) -> None:
+    """``ValueError`` unless ``payload`` hashes to the sidecar's ``npz_sha256``."""
+    if payload_sha256(payload) != sidecar.get("npz_sha256"):
+        raise ValueError("payload bytes do not match the sidecar checksum")
+
+
 def check_key(key: str) -> str:
     """Validate a cell key (64 lowercase hex digits); returns it unchanged.
 
@@ -99,6 +138,21 @@ def check_key(key: str) -> str:
     if len(key) != KEY_HEX_LENGTH or any(c not in "0123456789abcdef" for c in key):
         raise StoreError(f"malformed cell key {key!r}")
     return key
+
+
+def check_sweep_id(sweep_id: str) -> str:
+    """Validate a sweep id (1-64 of ``[A-Za-z0-9_-]``); returns it unchanged.
+
+    Raises :class:`~repro.store.StoreError` otherwise, exactly like
+    :func:`check_key`: a journal path is built from the id, so an id such as
+    ``../x`` must never reach the filesystem.
+    """
+    from ..artifacts import StoreError
+
+    sweep_id = str(sweep_id)
+    if not _SWEEP_ID_RE.fullmatch(sweep_id):
+        raise StoreError(f"malformed sweep id {sweep_id!r}")
+    return sweep_id
 
 
 class StoreBackend(ABC):

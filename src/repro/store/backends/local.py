@@ -27,7 +27,7 @@ import threading
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
-from .base import KEY_HEX_LENGTH, StoreBackend, check_key
+from .base import _SWEEP_ID_RE, KEY_HEX_LENGTH, StoreBackend, check_key, check_sweep_id
 
 __all__ = ["LocalBackend"]
 
@@ -106,7 +106,7 @@ class LocalBackend(StoreBackend):
 
     def sweep_path(self, sweep_id: str) -> Path:
         """Journal path of a sweep id (whether or not it exists)."""
-        return self.sweeps_dir / f"{sweep_id}.jsonl"
+        return self.sweeps_dir / f"{check_sweep_id(sweep_id)}.jsonl"
 
     # ------------------------------------------------------------------
     # objects
@@ -197,4 +197,9 @@ class LocalBackend(StoreBackend):
     def list_sweeps(self) -> List[str]:
         if not self.sweeps_dir.is_dir():
             return []
-        return sorted(path.stem for path in self.sweeps_dir.glob("*.jsonl"))
+        # A stray file with an invalid id is not a journal (gc would fail on it).
+        return sorted(
+            path.stem
+            for path in self.sweeps_dir.glob("*.jsonl")
+            if _SWEEP_ID_RE.fullmatch(path.stem)
+        )

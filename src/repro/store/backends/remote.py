@@ -65,7 +65,14 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ...telemetry import default_registry, get_logger, kv, metrics_enabled, span
-from .base import StoreBackend, check_key, encode_object_frame
+from .base import (
+    StoreBackend,
+    check_key,
+    check_payload,
+    check_sweep_id,
+    encode_object_frame,
+    parse_sidecar,
+)
 from .local import LocalBackend
 
 __all__ = ["CACHE_ENV_VAR", "RemoteBackend", "default_cache_root", "is_store_url"]
@@ -574,16 +581,11 @@ class RemoteBackend(StoreBackend):
         # Verify before the cache commit: a truncated or corrupted transfer
         # must fail loudly here, never become a cached "valid" object.
         try:
-            expected = json.loads(sidecar_bytes).get("npz_sha256")
-        except json.JSONDecodeError as exc:
+            check_payload(parse_sidecar(sidecar_bytes), npz_bytes)
+        except ValueError as exc:
             raise StoreCorruptionError(
-                f"store service at {self.url} sent an unparsable sidecar for {key}"
+                f"object {key} fetched from {self.url} failed its integrity check: {exc}"
             ) from exc
-        if hashlib.sha256(npz_bytes).hexdigest() != expected:
-            raise StoreCorruptionError(
-                f"object {key} fetched from {self.url} failed its integrity "
-                "check: NPZ bytes do not match the sidecar checksum"
-            )
         self.cache.write_object(key, npz_bytes, sidecar_bytes)
         return npz_bytes
 
@@ -656,8 +658,9 @@ class RemoteBackend(StoreBackend):
         """
         from ..artifacts import StoreUnavailableError
 
+        sweep_id = check_sweep_id(sweep_id)
         try:
-            payload = self._get_conditional(f"/sweeps/{urllib.parse.quote(sweep_id)}")
+            payload = self._get_conditional(f"/sweeps/{sweep_id}")
         except StoreUnavailableError as exc:
             if self._degraded(exc):
                 payload = None

@@ -39,7 +39,6 @@ these method calls.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import threading
@@ -49,7 +48,7 @@ from typing import Any, Dict, List, Optional
 
 from ..telemetry import MetricsRegistry, default_registry, get_logger, kv
 from .artifacts import ResultStore, StoreError
-from .journal import SweepJournal, sweep_id as compute_sweep_id
+from .journal import SweepJournal, journal_events, latest_manifest, sweep_id as compute_sweep_id
 
 __all__ = ["FarmCell", "FarmError", "SweepFarm", "UnknownLeaseError", "UnknownSweepError"]
 
@@ -110,6 +109,16 @@ class FarmCell:
             "protocol": self.protocol,
             "key": self.key,
         }
+
+    @classmethod
+    def from_entry(cls, entry: Dict[str, Any]) -> "FarmCell":
+        """A pending cell from its manifest entry (inverts :meth:`manifest_entry`)."""
+        return cls(
+            index=int(entry["index"]),
+            size=int(entry["size"]),
+            protocol=str(entry["protocol"]),
+            key=str(entry["key"]),
+        )
 
 
 @dataclass
@@ -176,15 +185,7 @@ class SweepFarm:
         means mixed code versions across the fleet.
         """
         sid = compute_sweep_id(payload)
-        rows = [
-            FarmCell(
-                index=int(c["index"]),
-                size=int(c["size"]),
-                protocol=str(c["protocol"]),
-                key=str(c["key"]),
-            )
-            for c in cells
-        ]
+        rows = [FarmCell.from_entry(c) for c in cells]
         with self._lock:
             known = self._sweeps.get(sid)
             if known is not None:
@@ -216,28 +217,10 @@ class SweepFarm:
         text = self.store.backend.local.read_sweep_text(sid)
         if text is None:
             raise UnknownSweepError(f"unknown sweep {sid} (not submitted, no journal)")
-        manifest = None
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if event.get("event") == "manifest":
-                manifest = event
+        manifest = latest_manifest(journal_events(text))
         if manifest is None:
             raise UnknownSweepError(f"sweep {sid} has a journal but no manifest (not farmed)")
-        rows = [
-            FarmCell(
-                index=int(c["index"]),
-                size=int(c["size"]),
-                protocol=str(c["protocol"]),
-                key=str(c["key"]),
-            )
-            for c in manifest.get("cells", [])
-        ]
+        rows = [FarmCell.from_entry(c) for c in manifest.get("cells", [])]
         sweep = _FarmSweep(sweep_id=sid, payload=manifest.get("sweep", {}), cells=rows)
         self._sweeps[sid] = sweep
         self._absorb_store(sweep, journal_recovered=False)

@@ -29,17 +29,43 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from typing import Any, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional
 
-from .artifacts import ResultStore
 from .keys import canonical_json
 
-__all__ = ["SweepJournal", "sweep_id"]
+if TYPE_CHECKING:  # artifacts reads journals through journal_events
+    from .artifacts import ResultStore
+
+__all__ = ["SweepJournal", "journal_events", "latest_manifest", "sweep_id"]
 
 
 def sweep_id(payload: Dict[str, Any]) -> str:
     """Stable 16-hex-digit id of a sweep description (canonical-JSON hash)."""
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()[:16]
+
+
+def journal_events(text: Optional[str]) -> Iterator[Dict[str, Any]]:
+    """The events of a journal's text, skipping blank and torn lines.
+
+    ``None`` (no journal) yields nothing.  A line that does not parse as a
+    JSON object is the torn tail of an interrupted append and is skipped.
+    """
+    for line in (text or "").splitlines():
+        try:
+            event = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if isinstance(event, dict):
+            yield event
+
+
+def latest_manifest(events: Iterable[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
+    """The last ``manifest`` event among ``events`` (None if there is none)."""
+    manifest = None
+    for event in events:
+        if event.get("event") == "manifest":
+            manifest = event
+    return manifest
 
 
 class SweepJournal:
@@ -49,7 +75,7 @@ class SweepJournal:
         self.store = store
         self.sweep = sweep
         self.sweep_id = sweep_id(sweep)
-        self.path = store.sweeps_dir / f"{self.sweep_id}.jsonl"
+        self.path = store.backend.local.sweep_path(self.sweep_id)
 
     def record(self, event: str, **fields: Any) -> None:
         """Append one event line (creates the journal on first use)."""
@@ -104,11 +130,7 @@ class SweepJournal:
 
     def last_manifest(self) -> Optional[Dict[str, Any]]:
         """The most recent manifest event (None if this sweep has none)."""
-        manifest = None
-        for event in self.events():
-            if event.get("event") == "manifest":
-                manifest = event
-        return manifest
+        return latest_manifest(self.events())
 
     def finish(self) -> None:
         """Record that the sweep ran to completion."""
@@ -119,17 +141,7 @@ class SweepJournal:
     # ------------------------------------------------------------------
     def events(self) -> Iterator[Dict[str, Any]]:
         """Parsed journal events, tolerating a torn tail line."""
-        text = self.store.backend.read_sweep_text(self.sweep_id)
-        if text is None:
-            return
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError:
-                continue
+        return journal_events(self.store.backend.read_sweep_text(self.sweep_id))
 
     def cell_events(self) -> List[Dict[str, Any]]:
         """All recorded cell completions, in journal order."""

@@ -47,6 +47,7 @@ __all__ = [
     "resolve_cell",
     "resolve_sweep_plans",
     "sweep_payload",
+    "sweep_shape",
 ]
 
 
@@ -349,6 +350,14 @@ def resolve_sweep_plans(
             )
             index += 1
     return plans
+
+
+def sweep_shape(
+    config: "ExperimentConfig", sizes: Optional[Sequence[int]], trials: Optional[int]
+) -> Tuple[Tuple[int, ...], int]:
+    """The sweep's sizes and trial count: the overrides, else the config's."""
+    sweep = tuple(sizes) if sizes is not None else config.sizes
+    return sweep, int(trials) if trials is not None else config.trials
 
 
 def sweep_payload(

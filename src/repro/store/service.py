@@ -95,20 +95,16 @@ import time
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from ..telemetry import MetricsRegistry, span
 from .artifacts import ResultStore, StoreError
-from .backends import KEY_HEX_LENGTH, decode_object_frame
+from .backends import check_key, check_sweep_id, decode_object_frame
+from .backends.base import check_payload, parse_sidecar
 from .farm import FarmError, SweepFarm, UnknownLeaseError, UnknownSweepError
 from .keys import SEMANTICS_VERSION, STORE_FORMAT_VERSION, cell_key
 
 __all__ = ["StoreRequestHandler", "StoreService", "serve"]
-
-_KEY_RE = re.compile(rf"^[0-9a-f]{{{KEY_HEX_LENGTH}}}$")
-#: Journal names are 16-hex sweep ids; the charset also rules out any path
-#: traversal in the URL.
-_SWEEP_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
 
 #: Upper bound on accepted request bodies (a publish of one cell object; the
 #: largest registry cells are a few MB, so this is generous headroom while
@@ -195,6 +191,15 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
 
     def _error(self, status: int, message: str) -> None:
         self._send_json(status, {"error": message})
+
+    def _valid(self, check, value: str, *, write: bool = False) -> bool:
+        """Run a key or sweep-id check; on failure answer 400 and return False."""
+        try:
+            check(value)
+        except StoreError as exc:
+            (self._reject_write if write else self._error)(400, str(exc))
+            return False
+        return True
 
     # ------------------------------------------------------------------
     # request plumbing
@@ -290,8 +295,7 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
         match = re.fullmatch(r"/cells/([^/]+)(/object)?", route)
         if match:
             key, want_object = match.group(1), bool(match.group(2))
-            if not _KEY_RE.fullmatch(key):
-                self._error(400, f"malformed cell key {key!r}")
+            if not self._valid(check_key, key):
                 return
             # The sidecar is the commit marker: an object without one is
             # invisible, payload included, so a half-written cell can never
@@ -327,8 +331,7 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
         match = re.fullmatch(r"/sweeps/([^/]+)/status", route)
         if match:
             sweep = match.group(1)
-            if not _SWEEP_RE.fullmatch(sweep):
-                self._error(400, f"malformed sweep id {sweep!r}")
+            if not self._valid(check_sweep_id, sweep):
                 return
             try:
                 self._send_json(200, self.server.farm.status(sweep))
@@ -339,8 +342,7 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
         match = re.fullmatch(r"/sweeps/([^/]+)", route)
         if match:
             sweep = match.group(1)
-            if not _SWEEP_RE.fullmatch(sweep):
-                self._error(400, f"malformed sweep id {sweep!r}")
+            if not self._valid(check_sweep_id, sweep):
                 return
             text = store.backend.local.read_sweep_text(sweep)
             if text is None:
@@ -402,19 +404,23 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
         kwargs = dict(sections=sections, base_seed=base_seed, trials=trials, scale=scale)
         params = (tuple(sections), base_seed, trials, scale)
         try:
-            # The fingerprint is cheap (key derivation + stat calls, no
-            # simulation) and pins the exact cell set: it validates the
-            # in-memory render cache *and* doubles as the HTTP ETag.
-            fingerprint = reporting.report_fingerprint(self.server.store, **kwargs)
-            cached = self.server.report_cache_get(params, fingerprint)
+            # The cell-set fingerprint pins the exact cells a report reads:
+            # it validates the in-memory render cache *and* doubles as the
+            # HTTP ETag.  A cached entry is validated by report_fingerprint
+            # (key derivation + stat calls); a render takes it from the
+            # payload, so a cold report resolves its sweep plans once.
+            cached = self.server.report_cache_get(
+                params, lambda: reporting.report_fingerprint(self.server.store, **kwargs)
+            )
             if cached is None:
                 with span("report.render", sections=",".join(sections)):
                     payload = reporting.store_report_payload(self.server.store, **kwargs)
                     json_bytes = json.dumps(payload, sort_keys=True).encode("utf-8")
                     html_bytes = reporting.render_report_html(payload).encode("utf-8")
+                fingerprint = payload["fingerprint"]
                 self.server.report_cache_put(params, fingerprint, json_bytes, html_bytes)
             else:
-                json_bytes, html_bytes = cached
+                fingerprint, json_bytes, html_bytes = cached
         except StoreError as exc:
             self._error(500, f"report failed: {exc}")
             return
@@ -452,8 +458,7 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
             self._reject_write(404, f"unknown write route {route!r}")
             return
         key = match.group(1)
-        if not _KEY_RE.fullmatch(key):
-            self._reject_write(400, f"malformed cell key {key!r}")
+        if not self._valid(check_key, key, write=True):
             return
         if not self._authorized():
             self._reject_write(401, "missing or invalid auth token")
@@ -473,18 +478,17 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
         # payload bytes, and a self-describing sidecar must hash back to the
         # key it claims — a corrupted or mislabeled publish never commits.
         try:
-            sidecar = json.loads(sidecar_bytes.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            self._error(400, f"rejected publish of {key}: unparsable sidecar ({exc})")
+            sidecar = parse_sidecar(sidecar_bytes)
+        except ValueError as exc:
+            self._error(400, f"rejected publish of {key}: {exc}")
             return
         if sidecar.get("key") != key:
             self._error(400, f"rejected publish of {key}: sidecar names key {sidecar.get('key')!r}")
             return
-        if hashlib.sha256(npz_bytes).hexdigest() != sidecar.get("npz_sha256"):
-            self._error(
-                400,
-                f"rejected publish of {key}: payload bytes do not match the sidecar checksum",
-            )
+        try:
+            check_payload(sidecar, npz_bytes)
+        except ValueError as exc:
+            self._error(400, f"rejected publish of {key}: {exc}")
             return
         if sidecar.get("cell") is not None:
             try:
@@ -554,8 +558,7 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
             self._error(404, f"unknown write route {route!r}")
             return
         sweep_id, action = match.group(1), match.group(2)
-        if not _SWEEP_RE.fullmatch(sweep_id):
-            self._error(400, f"malformed sweep id {sweep_id!r}")
+        if not self._valid(check_sweep_id, sweep_id):
             return
         try:
             if action == "lease":
@@ -671,13 +674,19 @@ class _StoreHTTPServer(ThreadingHTTPServer):
     # ------------------------------------------------------------------
     # rendered-report cache (validated by the cell-set fingerprint)
     # ------------------------------------------------------------------
-    def report_cache_get(self, params: tuple, fingerprint: str) -> Optional[Tuple[bytes, bytes]]:
-        """Cached (json, html) bytes for ``params`` iff still fingerprint-fresh."""
+    def report_cache_get(
+        self, params: tuple, fingerprint: Callable[[], str]
+    ) -> Optional[Tuple[str, bytes, bytes]]:
+        """Cached ``(fingerprint, json, html)`` for ``params`` iff still fresh.
+
+        ``fingerprint`` computes the current cell-set fingerprint; it runs
+        only when there is an entry to validate.
+        """
         with self._report_lock:
             entry = self._report_cache.get(params)
-            if entry is not None and entry[0] == fingerprint:
-                self._report_cache_hits.inc()
-                return entry[1], entry[2]
+        if entry is not None and entry[0] == fingerprint():
+            self._report_cache_hits.inc()
+            return entry
         self._report_cache_misses.inc()
         return None
 

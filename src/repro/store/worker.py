@@ -46,8 +46,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..telemetry import default_registry, get_logger, kv, metrics_enabled, span
 from .artifacts import ResultStore, StoreError, StoreUnavailableError
 from .backends.remote import RemoteBackend
-from .journal import sweep_id as compute_sweep_id
-from .orchestrator import SweepCellPlan, resolve_sweep_plans
+from .journal import journal_events, latest_manifest, sweep_id as compute_sweep_id
+from .orchestrator import SweepCellPlan, resolve_sweep_plans, sweep_payload, sweep_shape
 
 __all__ = ["run_worker", "submit_sweep", "sweep_status", "STALL_ENV_VAR"]
 
@@ -101,17 +101,7 @@ def _last_manifest(backend: RemoteBackend, sid: str) -> Dict[str, Any]:
     text = backend.read_sweep_text(sid)
     if text is None:
         raise StoreError(f"hub has no journal for sweep {sid} (was it submitted?)")
-    manifest = None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if event.get("event") == "manifest":
-            manifest = event
+    manifest = latest_manifest(journal_events(text))
     if manifest is None:
         raise StoreError(f"sweep {sid} has a journal but no manifest (not submitted to the farm)")
     return manifest
@@ -134,24 +124,10 @@ def submit_sweep(
     sweep id hashes the payload, and the hub conflicts loudly if the same
     payload ever maps to different cell keys.
     """
-    from .orchestrator import sweep_payload
-
-    sweep = tuple(sizes) if sizes is not None else config.sizes
-    num_trials = int(trials) if trials is not None else config.trials
-    payload = sweep_payload(
-        config,
-        base_seed=base_seed,
-        sizes=sweep,
-        trials=num_trials,
-        dynamics=dynamics,
-    )
-    plans = resolve_sweep_plans(
-        config,
-        base_seed=base_seed,
-        sizes=sweep,
-        trials=num_trials,
-        dynamics=dynamics,
-    )
+    sweep, num_trials = sweep_shape(config, sizes, trials)
+    shape = dict(base_seed=base_seed, sizes=sweep, trials=num_trials, dynamics=dynamics)
+    payload = sweep_payload(config, **shape)
+    plans = resolve_sweep_plans(config, **shape)
     remote = RemoteBackend(url, token=token, publish=True, cache=cache)
     status = remote.post_json(
         "/sweeps/submit",

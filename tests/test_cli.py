@@ -202,6 +202,14 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "agents = 80" in output
 
+    def test_simulate_random_regular_uses_the_experiments_degree_rule(self, capsys):
+        # n=4 clamps to d=3 (K4) instead of dying on an impossible d=4.
+        assert main(["simulate", "push", "random-regular", "4", "--no-store"]) == 0
+        assert "random_regular(n=4, d=3)" in capsys.readouterr().out
+        # n=1000 gets the experiments' ceil(2 log2 n) = 20, not a floored 19.
+        assert main(["simulate", "push", "random-regular", "1000", "--no-store"]) == 0
+        assert "random_regular(n=1000, d=20)" in capsys.readouterr().out
+
     def test_simulate_every_family_builds(self, capsys):
         families_and_sizes = [
             ("star", "20"),

@@ -125,6 +125,11 @@ class TestServiceEndpoints:
         status, _body = http_get(f"{service.url}/cells/not-a-key")
         assert status == 400
 
+    def test_malformed_sweep_id_is_400(self, service):
+        for route in ("/sweeps/..%2Fx", "/sweeps/..%2Fx/status", "/sweeps/a.b"):
+            status, _body = http_get(service.url + route)
+            assert status == 400
+
     def test_uncommitted_object_is_invisible(self, service, served):
         # An NPZ whose sidecar never landed is not committed; the service
         # must not serve the payload half of it.

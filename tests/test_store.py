@@ -8,10 +8,13 @@ pins those three properties.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+
+import repro.store.worker as worker_module
 
 from repro.experiments.config import ExperimentConfig, GraphCase, ProtocolSpec
 from repro.experiments.registry import get_experiment
@@ -19,8 +22,12 @@ from repro.experiments.reporting import result_from_store
 from repro.experiments.runner import run_experiment, run_trial_set
 from repro.graphs import complete_graph, star
 from repro.store import (
+    STORE_FORMAT_VERSION,
+    LocalBackend,
     ResultStore,
     StoreCorruptionError,
+    StoreError,
+    SweepFarm,
     SweepJournal,
     canonical_json,
     graph_fingerprint,
@@ -29,6 +36,10 @@ from repro.store import (
     sweep_payload,
     trial_cell_payload,
 )
+from repro.store.journal import journal_events, latest_manifest
+
+#: The per-trial fields a trial-set sidecar keeps (the rest live in the NPZ).
+RESIDUAL_FIELDS = ("protocol", "graph_name", "num_vertices", "edge_traversals", "metadata")
 
 
 def star_case(size=30):
@@ -628,3 +639,131 @@ class TestParallelSweepWithStore:
         rerun = run_experiment(TOY_CONFIG, base_seed=3, store=store)
         assert [c.trials.store_status[0] for c in rerun.cells] == ["cached"] * 4
         assert [c.trials for c in rerun.cells] == [c.trials for c in plain.cells]
+
+
+class TestStoreFormats:
+    """Each store format is stated once; these pin what the one statement says."""
+
+    MANIFEST_ONE = {"event": "manifest", "cells": [{"index": 0, "key": "a" * 64}], "sweep": {}}
+    MANIFEST_TWO = {
+        "event": "manifest",
+        "cells": [
+            {"index": 0, "size": 8, "protocol": "push", "key": "a" * 64},
+            {"index": 1, "size": 8, "protocol": "pull", "key": "b" * 64},
+        ],
+        "sweep": {"experiment_id": "toy"},
+    }
+
+    def journal_text(self):
+        lines = [
+            json.dumps({"event": "sweep-start", "cells": 1}),
+            json.dumps(self.MANIFEST_ONE),
+            "",
+            json.dumps({"event": "cell", "key": "a" * 64, "status": "computed"}),
+            json.dumps(self.MANIFEST_TWO),
+            '{"event": "cell", "key": "torn',
+        ]
+        return "\n".join(lines)
+
+    def test_journal_reader_skips_blank_and_torn_lines(self):
+        events = list(journal_events(self.journal_text()))
+        assert [e["event"] for e in events] == ["sweep-start", "manifest", "cell", "manifest"]
+        assert latest_manifest(events) == self.MANIFEST_TWO
+        assert list(journal_events(None)) == []
+        assert latest_manifest(journal_events("")) is None
+
+    def test_farm_recovery_reads_the_last_manifest(self, store):
+        store.backend.write_sweep_text("0123456789abcdef", self.journal_text())
+        status = SweepFarm(store).status("0123456789abcdef")
+        assert (status["cells"], status["pending"]) == (2, 2)
+
+    def test_worker_start_up_reads_the_last_manifest(self):
+        class Hub:
+            def __init__(self, text):
+                self.text = text
+
+            def read_sweep_text(self, sid):
+                return self.text
+
+        assert worker_module._last_manifest(Hub(self.journal_text()), "s") == self.MANIFEST_TWO
+        with pytest.raises(StoreError, match="no journal"):
+            worker_module._last_manifest(Hub(None), "s")
+        with pytest.raises(StoreError, match="no manifest"):
+            worker_module._last_manifest(Hub('{"event": "cell"}\n'), "s")
+
+    def test_cross_kind_reads_raise(self, store):
+        trial_key = TestIntegrity()._one_key(store)
+        document_key = "d" * 64
+        store.put_document(document_key, {"value": 1}, kind="coupling")
+        assert store.get_document(document_key, kind="coupling") == {"value": 1}
+        with pytest.raises(StoreError):
+            store.get_trial_set(document_key)
+        with pytest.raises(StoreError):
+            store.get_document(trial_key, kind="coupling")
+        with pytest.raises(StoreError):
+            store.get_document(document_key, kind="fairness")
+
+    def test_corrupt_document_fails_loudly(self, store):
+        key = "d" * 64
+        store.put_document(key, {"value": 1}, kind="coupling")
+        payload_path, _ = store.object_paths(key)
+        payload_path.write_bytes(b'{"value": 2}')
+        with pytest.raises(StoreCorruptionError):
+            store.get_document(key, kind="coupling")
+
+    def test_sidecar_bytes_keep_their_layout(self, store):
+        trial_set = run_trial_set(
+            ProtocolSpec("push"), star_case(), trials=2, base_seed=0, store=False
+        )
+        cell = {"probe": 1}
+        key = "c" * 64
+        store.put_trial_set(key, trial_set, cell=cell)
+        npz_path, sidecar_path = store.object_paths(key)
+        written = sidecar_path.read_bytes()
+        npz_bytes = npz_path.read_bytes()
+        payload = trial_set.to_dict()
+        results = payload.pop("results")
+        expected = {
+            "format": STORE_FORMAT_VERSION,
+            "key": key,
+            "created_at": json.loads(written)["created_at"],
+            "npz_sha256": hashlib.sha256(npz_bytes).hexdigest(),
+            "npz_bytes": len(npz_bytes),
+            "cell": cell,
+            "trial_set": payload,
+            "results": [{name: r[name] for name in RESIDUAL_FIELDS} for r in results],
+        }
+        assert written == json.dumps(expected, sort_keys=True).encode("utf-8")
+
+        doc_key = "d" * 64
+        store.put_document(doc_key, {"b": 1, "a": [2]}, kind="coupling", cell=cell)
+        payload_path, sidecar_path = store.object_paths(doc_key)
+        written = sidecar_path.read_bytes()
+        assert payload_path.read_bytes() == b'{"a":[2],"b":1}'
+        expected = {
+            "format": STORE_FORMAT_VERSION,
+            "key": doc_key,
+            "kind": "coupling",
+            "created_at": json.loads(written)["created_at"],
+            "npz_sha256": hashlib.sha256(b'{"a":[2],"b":1}').hexdigest(),
+            "npz_bytes": len(b'{"a":[2],"b":1}'),
+            "cell": cell,
+        }
+        assert written == json.dumps(expected, sort_keys=True).encode("utf-8")
+
+    def test_traversing_sweep_id_is_rejected(self, tmp_path):
+        backend = LocalBackend(tmp_path / "root")
+        for sweep in ("../../outside", "../x", "a/b", "", "x.y"):
+            with pytest.raises(StoreError, match="malformed sweep id"):
+                backend.append_sweep_line(sweep, "{}\n")
+            with pytest.raises(StoreError, match="malformed sweep id"):
+                backend.read_sweep_text(sweep)
+        assert list(tmp_path.iterdir()) == []
+        assert not (tmp_path.parent / "outside.jsonl").exists()
+
+    def test_stray_journal_file_never_breaks_gc(self, store):
+        TestIntegrity()._one_key(store)
+        store.sweeps_dir.mkdir(parents=True)
+        (store.sweeps_dir / "not.a.sweep.jsonl").write_text('{"key": "x"}\n')
+        assert store.backend.list_sweeps() == []
+        assert len(store.gc(keep_referenced=True)) == 1

@@ -19,7 +19,6 @@ import urllib.error
 import urllib.request
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.experiments.config import ExperimentConfig, GraphCase, ProtocolSpec, scaled_sizes
@@ -323,6 +322,27 @@ class TestReportEndpoints:
                 "report rendering must resolve keys from the manifest, "
                 "not rebuild graphs"
             )
+
+    def test_cold_and_warm_reports_resolve_plans_once(self, warmed, monkeypatch):
+        # A cold request takes its ETag from the payload it renders; only a
+        # cached entry needs report_fingerprint to validate it.
+        import repro.experiments.runner as runner_module
+
+        calls = {"n": 0}
+        real_resolve = runner_module.resolve_sweep_plans
+
+        def counting_resolve(*args, **kwargs):
+            calls["n"] += 1
+            return real_resolve(*args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "resolve_sweep_plans", counting_resolve)
+        with StoreService(warmed, port=0) as service:
+            url = self.report_url(service, "fig1a-star")
+            status, _, cold_headers = http_get(url)
+            assert (status, calls["n"]) == (200, 1)
+            status, _, warm_headers = http_get(url)
+            assert (status, calls["n"]) == (200, 2)
+            assert warm_headers["ETag"] == cold_headers["ETag"]
 
     def test_warm_rerender_is_fast(self, warmed):
         with StoreService(warmed, port=0) as service:
