@@ -7,6 +7,7 @@ from .fairness import (
     edge_usage_from_walks,
     expected_uniform_share,
     fairness_from_counts,
+    fairness_from_usage,
     gini_coefficient,
 )
 from .scaling import (
@@ -31,6 +32,7 @@ __all__ = [
     "evaluate_claim",
     "FairnessReport",
     "fairness_from_counts",
+    "fairness_from_usage",
     "edge_usage_from_walks",
     "gini_coefficient",
     "expected_uniform_share",

@@ -24,7 +24,9 @@ from ..graphs.graph import Graph
 __all__ = [
     "FairnessReport",
     "fairness_from_counts",
+    "fairness_from_usage",
     "edge_usage_from_walks",
+    "walk_edge_usage",
     "gini_coefficient",
     "expected_uniform_share",
 ]
@@ -78,18 +80,10 @@ class FairnessReport:
         )
 
 
-def fairness_from_counts(graph: Graph, counts: Dict[Tuple[int, int], int]) -> FairnessReport:
-    """Build a :class:`FairnessReport` from per-edge usage counts.
-
-    Edges absent from ``counts`` contribute zero uses; keys are canonicalized
-    to ``(min(u, v), max(u, v))``.
-    """
-    usage = np.zeros(graph.num_edges, dtype=float)
-    canonical = {}
-    for (u, v), value in counts.items():
-        canonical[(min(u, v), max(u, v))] = canonical.get((min(u, v), max(u, v)), 0) + value
-    for index, edge in enumerate(graph.edges()):
-        usage[index] = canonical.get(edge, 0)
+def fairness_from_usage(graph: Graph, usage) -> FairnessReport:
+    """Build a :class:`FairnessReport` from per-edge usage counts aligned with
+    ``graph.edges()`` iteration order."""
+    usage = np.asarray(usage, dtype=float)
     total = float(usage.sum())
     shares = usage / total if total > 0 else usage
     mean = usage.mean() if usage.size else 0.0
@@ -105,6 +99,21 @@ def fairness_from_counts(graph: Graph, counts: Dict[Tuple[int, int], int]) -> Fa
     )
 
 
+def fairness_from_counts(graph: Graph, counts: Dict[Tuple[int, int], int]) -> FairnessReport:
+    """Build a :class:`FairnessReport` from per-edge usage counts.
+
+    Edges absent from ``counts`` contribute zero uses; ``(u, v)`` and
+    ``(v, u)`` count for the same edge, and pairs that are not edges of
+    ``graph`` are ignored.
+    """
+    pairs = np.array(list(counts), dtype=np.int64).reshape(-1, 2)
+    values = np.array(list(counts.values()), dtype=float)
+    ids = graph.edge_ids(pairs[:, 0], pairs[:, 1])
+    found = ids >= 0
+    usage = np.bincount(ids[found], weights=values[found], minlength=graph.num_edges)
+    return fairness_from_usage(graph, usage)
+
+
 def edge_usage_from_walks(
     graph: Graph,
     *,
@@ -118,9 +127,26 @@ def edge_usage_from_walks(
     This is the "bandwidth" view of fairness: it counts every traversal of the
     agents of a visit-exchange-style population, regardless of whether the
     traversal carried new information.  The paper's fairness claim is exactly
-    that this distribution is (near) uniform over edges.  The walk draws
-    from one ``Generator``: stationary placement, then per round a neighbor
-    sample for every agent and, when ``lazy``, one stay-put coin per agent.
+    that this distribution is (near) uniform over edges.
+    """
+    usage = walk_edge_usage(graph, num_agents=num_agents, rounds=rounds, seed=seed, lazy=lazy)
+    return fairness_from_usage(graph, usage)
+
+
+def walk_edge_usage(
+    graph: Graph,
+    *,
+    num_agents: Optional[int] = None,
+    rounds: int = 200,
+    seed=0,
+    lazy: bool = False,
+) -> np.ndarray:
+    """Per-edge traversal counts (``graph.edges()`` order) of the walks of
+    :func:`edge_usage_from_walks`.
+
+    The walk draws from one ``Generator``: stationary placement, then per
+    round a neighbor sample for every agent and, when ``lazy``, one stay-put
+    coin per agent.  The traversals are counted once, after the walk.
     """
     rng = make_rng(seed)
     count = int(num_agents if num_agents is not None else graph.num_vertices)
@@ -129,17 +155,16 @@ def edge_usage_from_walks(
     positions = rng.choice(
         graph.num_vertices, size=count, p=graph.stationary_distribution()
     )
-    edge_index = {edge: i for i, edge in enumerate(graph.edges())}
-    usage = np.zeros(graph.num_edges, dtype=np.int64)
-
+    steps = [positions]
     for _ in range(int(rounds)):
         moved = graph.sample_neighbors(positions, rng)
         if lazy:
             moved = np.where(rng.random(count) < 0.5, positions, moved)
-        for old, new in zip(positions.tolist(), moved.tolist()):
-            if old != new:
-                usage[edge_index[(min(old, new), max(old, new))]] += 1
+        steps.append(moved)
         positions = moved
-
-    counts = {edge: int(usage[i]) for edge, i in edge_index.items()}
-    return fairness_from_counts(graph, counts)
+    # Row r of the walk is every agent's position after r rounds; a step that
+    # moves traverses the edge between consecutive rows.
+    walk = np.stack(steps)
+    old, new = walk[:-1].ravel(), walk[1:].ravel()
+    moves = old != new
+    return np.bincount(graph.edge_ids(old[moves], new[moves]), minlength=graph.num_edges)

@@ -291,8 +291,9 @@ def run_batch(
 
     round_index = 0
     # Strided per-round trace samples: computed only when REPRO_TRACE is set,
-    # and assembled from side-effect-free reads (informed counts, frontier row
-    # lengths) so trajectories and store keys stay bit-identical either way.
+    # and assembled from side-effect-free reads (informed counts, the size of
+    # the flat sparse frontier) so trajectories and store keys stay
+    # bit-identical either way.
     sample_stride = max(1, budget // 64) if trace_enabled() else 0
     with span(
         "kernel.rounds",
@@ -314,11 +315,9 @@ def run_batch(
                         np.asarray(kernel.informed_vertex_counts(active)).sum()
                     ),
                 }
-                frontier_rows = getattr(kernel, "_frontier_rows", None)
-                if kernel.tier == "sparse" and frontier_rows is not None:
-                    sample["frontier"] = int(
-                        sum(len(rows) for rows in frontier_rows[:active])
-                    )
+                frontier = getattr(kernel, "_frontier", None)
+                if kernel.tier == "sparse" and frontier is not None:
+                    sample["frontier"] = int(frontier.ids.size)
                 trace_event("kernel.round", **sample)
             if track_counts:
                 record_round(active, round_index)

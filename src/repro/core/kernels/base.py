@@ -228,9 +228,6 @@ class BatchKernel:
         self._trial_to_row = np.arange(self.num_trials, dtype=np.int64)
         self._gens = list(gens)
         self._row_arrays: List[np.ndarray] = [self.trial_ids]
-        #: Ragged per-trial state (Python lists of per-row arrays — the sparse
-        #: tier's frontiers); swapped alongside the row arrays.
-        self._row_lists: List[list] = []
         self._row_base = (
             np.arange(self.num_trials, dtype=np.int64) * graph.num_vertices
         )[:, None]
@@ -309,8 +306,6 @@ class BatchKernel:
                 array[j] = tmp
             else:
                 array[i], array[j] = array[j], array[i]
-        for row_list in self._row_lists:
-            row_list[i], row_list[j] = row_list[j], row_list[i]
         self._gens[i], self._gens[j] = self._gens[j], self._gens[i]
         self._trial_to_row[self.trial_ids[i]] = i
         self._trial_to_row[self.trial_ids[j]] = j
@@ -334,10 +329,6 @@ class BatchKernel:
     def _row_of(self, trial: int) -> int:
         """Row currently holding ``trial`` (rows are a permutation of trials)."""
         return int(self._trial_to_row[trial])
-
-    def _register_row_list(self, row_list: list) -> None:
-        """A Python list with one (ragged) entry per trial, kept compact by swaps."""
-        self._row_lists.append(row_list)
 
     def _raw_stream(self, width: int, bits: int) -> Dict[str, Any]:
         """Allocate and register a block-drawn raw-bit stream.

@@ -33,7 +33,8 @@ class HybridKernel(VisitRule, VertexKernel, AgentWalkKernel):
     :class:`~repro.core.kernels.vertex.VertexKernel`, in either tier.  The
     agent half is the visit rule of
     :class:`~repro.core.kernels.visit_exchange.VisitRule`.  The kernel only
-    orders them and counts messages.
+    orders them; every vertex calls every round, and agent visits send no
+    messages.
     """
 
     name = "hybrid-ppull-visitx"
@@ -73,10 +74,6 @@ class HybridKernel(VisitRule, VertexKernel, AgentWalkKernel):
         self._visit(k, new_positions, self._vertex_ok_rows(k, new_positions))
         # The sparse index lists reconcile the writes of both halves.
         self._settle(k, pushed)
-
-    def _count_messages(self, k):
-        # Every vertex calls every round; agent visits send no messages.
-        self._messages[:k] += self.graph.num_vertices
 
     def _report_edges(self, k, callees, ok):
         """The hybrid reports no edges; observers see its per-round counts."""

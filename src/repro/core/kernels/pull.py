@@ -28,10 +28,6 @@ class PullKernel(VertexKernel):
     name = "pull"
     _pulls = True
 
-    def _count_messages(self, k):
-        # One message per uninformed puller.
-        self._messages[:k] += self.graph.num_vertices - self.counts[:k]
-
     def _report_edges(self, k, callees, ok):
         """Report every successful pull as a (puller, callee) edge."""
         for row in range(k):

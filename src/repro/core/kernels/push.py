@@ -25,10 +25,6 @@ class PushKernel(VertexKernel):
     name = "push"
     _pushes = True
 
-    def _count_messages(self, k):
-        # One message per caller informed before the round.
-        self._messages[:k] += self.counts[:k]
-
     def _report_edges(self, k, callees, ok):
         """Report each newly informed vertex with the first sender (in vertex
         order) that hit it.  Runs before the scatter so ``informed`` is still

@@ -34,10 +34,6 @@ class PushPullKernel(VertexKernel):
         #: the informing transmissions.
         self.track_all_exchanges = bool(track_all_exchanges)
 
-    def _count_messages(self, k):
-        # Every vertex calls every round.
-        self._messages[:k] += self.graph.num_vertices
-
     def _report_edges(self, k, callees, ok):
         """Report exchanges before any update (pre-round informed state);
         exchanges blocked by the round's topology masks are not reported."""

@@ -8,7 +8,6 @@ code knowing anything about what is being measured.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -136,30 +135,66 @@ class EdgeUsageObserver(Observer):
     Used by the fairness analysis (Section 1 of the paper): the agent-based
     protocols use every edge with the same frequency, whereas push-pull on the
     double star funnels nearly all useful traffic through the bridge edge.
+    Uses arrive as whole arrays (:meth:`on_edges_used`) and are buffered as
+    canonical ``(min, max)`` pairs, folded into per-edge counts once the
+    buffer grows and whenever the counts are read.
     """
 
+    #: Buffered uses beyond which they are folded into the counts.
+    _FOLD_AT = 1 << 16
+
     def __init__(self) -> None:
-        self._counts: Counter = Counter()
+        self._reset()
+
+    def _reset(self) -> None:
+        self._pairs = np.empty((0, 2), dtype=np.int64)
+        self._weights = np.empty(0, dtype=np.int64)
+        self._pending: List[np.ndarray] = []
+        self._buffered = 0
 
     def on_run_start(self, graph, source: int) -> None:
-        self._counts = Counter()
+        self._reset()
 
     def on_edge_used(self, u: int, v: int) -> None:
-        key = (min(u, v), max(u, v))
-        self._counts[key] += 1
+        self.on_edges_used([u], [v])
+
+    def on_edges_used(self, us, vs) -> None:
+        us = np.asarray(us, dtype=np.int64)
+        vs = np.asarray(vs, dtype=np.int64)
+        self._pending.append(np.column_stack((np.minimum(us, vs), np.maximum(us, vs))))
+        self._buffered += us.size
+        if self._buffered >= self._FOLD_AT:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Merge the buffered uses into the distinct pairs and their counts."""
+        if not self._pending:
+            return
+        pairs = np.concatenate([self._pairs, *self._pending])
+        weights = np.concatenate([self._weights, np.ones(self._buffered, dtype=np.int64)])
+        self._pairs, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        self._weights = np.bincount(inverse.ravel(), weights=weights).astype(np.int64)
+        self._pending = []
+        self._buffered = 0
 
     @property
     def counts(self) -> Dict[Tuple[int, int], int]:
         """Mapping from canonical edge to usage count."""
-        return dict(self._counts)
+        self._fold()
+        return dict(zip(map(tuple, self._pairs.tolist()), self._weights.tolist()))
 
     def total_uses(self) -> int:
         """Total number of edge uses recorded."""
-        return int(sum(self._counts.values()))
+        return int(self._weights.sum()) + self._buffered
 
     def usage_array(self, graph) -> np.ndarray:
         """Per-edge usage counts aligned with ``graph.edges()`` iteration order."""
-        return np.array([self._counts.get(edge, 0) for edge in graph.edges()], dtype=np.int64)
+        self._fold()
+        ids = graph.edge_ids(self._pairs[:, 0], self._pairs[:, 1])
+        found = ids >= 0
+        return np.bincount(
+            ids[found], weights=self._weights[found], minlength=graph.num_edges
+        ).astype(np.int64)
 
 
 class RoundLimitGuard(Observer):

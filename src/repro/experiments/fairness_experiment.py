@@ -21,7 +21,7 @@ from typing import Any, Dict, List
 
 import numpy as np
 
-from ..analysis.fairness import FairnessReport, edge_usage_from_walks, fairness_from_counts
+from ..analysis.fairness import FairnessReport, edge_usage_from_walks, fairness_from_usage
 from ..core.batch import run_batch
 from ..core.observers import EdgeUsageObserver, ObserverGroup
 from ..core.rng import derive_seed, make_rng
@@ -115,11 +115,9 @@ def _push_pull_edge_usage(graph: Graph, source: int, seed: int, trials: int) -> 
         observers=[ObserverGroup([observer]) for observer in observers],
         track_all_exchanges=True,
     )
-    combined: Dict[tuple, int] = {}
-    for observer in observers:
-        for edge, count in observer.counts.items():
-            combined[edge] = combined.get(edge, 0) + count
-    return fairness_from_counts(graph, combined)
+    return fairness_from_usage(
+        graph, sum(observer.usage_array(graph) for observer in observers)
+    )
 
 
 def fairness_cell(

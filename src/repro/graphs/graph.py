@@ -286,6 +286,25 @@ class Graph:
             self._narrow_indices.flags.writeable = False
         return self._narrow_indices
 
+    def edge_ids(self, us, vs) -> np.ndarray:
+        """Index in :meth:`edges` order of each pair ``{us[i], vs[i]}``, or
+        ``-1`` where the pair is not an edge.
+
+        The forward CSR slots (``u < v``) in CSR order are the edges in
+        :meth:`edges` order, so their keys ``u * n + v`` are sorted and one
+        binary search per pair finds its index.
+        """
+        sources = self.slot_sources()
+        forward = sources < self._indices
+        keys = sources[forward] * self._n + self._indices[forward]
+        us = np.asarray(us, dtype=np.int64)
+        vs = np.asarray(vs, dtype=np.int64)
+        query = np.minimum(us, vs) * self._n + np.maximum(us, vs)
+        if not keys.size:
+            return np.full(query.shape, -1, dtype=np.int64)
+        ids = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+        return np.where(keys[ids] == query, ids, -1)
+
     def slot_edge_ids(self) -> np.ndarray:
         """Canonical undirected-edge index of every directed CSR slot, cached.
 

@@ -134,11 +134,16 @@ def random_regular_graph(
 ) -> Graph:
     """Sample a random d-regular graph via the configuration (pairing) model.
 
-    Pairings with self loops or parallel edges are rejected and resampled,
-    which for ``d = O(polylog n)`` succeeds after O(1) expected attempts per
-    simple-graph restriction; if the budget is exhausted a final attempt uses a
-    local edge-switching repair so the function always returns a simple
-    d-regular graph.
+    Pairings with self loops or parallel edges are rejected and resampled, up
+    to ``max_attempts`` times; if every attempt fails, a final pairing is
+    made simple by local edge switches, so the function always returns a
+    simple d-regular graph.  A uniform pairing is simple with probability
+    about ``exp(-(d^2 - 1) / 4)`` (Bender and Canfield 1978; Bollobás 1980):
+    0.135 at ``d = 3``, 1.6e-4 at ``d = 6``, 1.4e-7 at ``d = 8`` and 3e-16
+    at ``d = 12``.  So the attempts pay off only for small ``d``; from about
+    ``d = 6`` up the default 200 attempts nearly always all fail, and at the
+    experiments' ``d >= 12`` every graph comes from the repair after 200
+    wasted attempts.
     """
     n, d = int(num_vertices), int(degree)
     if n * d % 2 != 0:

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from .builders import register_builder
 from .graph import Graph, GraphError
-from .heavy_binary_tree import complete_binary_tree_edges
+from .heavy_binary_tree import _heap_leaves, complete_binary_tree_edges
 
 __all__ = [
     "siamese_heavy_binary_tree",
@@ -34,11 +36,6 @@ BUILDER_VERSION = 1
 register_builder("siamese_heavy_binary_tree", BUILDER_VERSION)
 
 
-def _heap_leaves(num_vertices: int) -> List[int]:
-    n = int(num_vertices)
-    return [v for v in range(n) if 2 * v + 1 >= n]
-
-
 def siamese_heavy_binary_tree(tree_vertices: int) -> Graph:
     """Build the siamese heavy binary tree from two ``B_n`` copies.
 
@@ -53,32 +50,28 @@ def siamese_heavy_binary_tree(tree_vertices: int) -> Graph:
         raise GraphError("each tree copy needs at least 3 vertices")
     n_tree = int(tree_vertices)
     n_total = 2 * n_tree - 1
-
-    def remap(vertex: int, side: int) -> int:
-        """Map heap-order vertex ids of one copy into the merged id space."""
-        if vertex == 0:
-            return ROOT
-        return vertex if side == 0 else vertex + (n_tree - 1)
-
-    edges = set()
     leaves = _heap_leaves(n_tree)
-    for side in (0, 1):
-        for u, v in complete_binary_tree_edges(n_tree):
-            edges.add((remap(u, side), remap(v, side)))
-        mapped_leaves = [remap(leaf, side) for leaf in leaves]
-        for i, u in enumerate(mapped_leaves):
-            for v in mapped_leaves[i + 1 :]:
-                edges.add((u, v))
-    return Graph(n_total, sorted(edges), name=f"siamese_heavy_binary_tree(n={n_total})")
+    li, lj = np.triu_indices(leaves.size, k=1)
+    # One copy in heap order (it is the left copy as is), then the right
+    # copy: every vertex but the shared root shifts past the left copy.
+    left = np.concatenate(
+        [complete_binary_tree_edges(n_tree), np.column_stack((leaves[li], leaves[lj]))]
+    )
+    right = np.where(left == ROOT, ROOT, left + (n_tree - 1))
+    return Graph(
+        n_total,
+        np.concatenate([left, right]),
+        name=f"siamese_heavy_binary_tree(n={n_total})",
+    )
 
 
 def left_leaves(graph: Graph) -> List[int]:
     """Return the leaf-clique vertices of the left copy."""
     n_tree = (graph.num_vertices + 1) // 2
-    return [leaf for leaf in _heap_leaves(n_tree) if leaf != 0]
+    return _heap_leaves(n_tree).tolist()
 
 
 def right_leaves(graph: Graph) -> List[int]:
     """Return the leaf-clique vertices of the right copy."""
     n_tree = (graph.num_vertices + 1) // 2
-    return [leaf + (n_tree - 1) for leaf in _heap_leaves(n_tree) if leaf != 0]
+    return (_heap_leaves(n_tree) + (n_tree - 1)).tolist()

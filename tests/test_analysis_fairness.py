@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.analysis.fairness import (
     edge_usage_from_walks,
     expected_uniform_share,
     fairness_from_counts,
+    fairness_from_usage,
     gini_coefficient,
+    walk_edge_usage,
 )
+from repro.core.observers import EdgeUsageObserver
+from repro.core.rng import make_rng
 from repro.graphs import complete_graph, double_star, random_regular_graph, star
 
 
@@ -101,3 +106,53 @@ class TestEdgeUsageFromWalks:
         graph = star(10)
         report = edge_usage_from_walks(graph, num_agents=5, rounds=50, seed=0)
         assert report.total_uses <= 5 * 50
+
+
+def _loop_walk_usage(graph, *, rounds, seed, lazy):
+    """Edge traversal counts of the fairness walk, one step at a time."""
+    rng = make_rng(seed)
+    count = graph.num_vertices
+    positions = rng.choice(count, size=count, p=graph.stationary_distribution())
+    index = {edge: i for i, edge in enumerate(graph.edges())}
+    usage = [0] * graph.num_edges
+    for _ in range(rounds):
+        moved = graph.sample_neighbors(positions, rng)
+        if lazy:
+            moved = np.where(rng.random(count) < 0.5, positions, moved)
+        for old, new in zip(positions.tolist(), moved.tolist()):
+            if old != new:
+                usage[index[(min(old, new), max(old, new))]] += 1
+        positions = moved
+    return usage
+
+
+class TestVectorizedCounts:
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_walk_usage_equals_plain_loop(self, lazy):
+        graph = double_star(40)
+        usage = walk_edge_usage(graph, rounds=60, seed=5, lazy=lazy)
+        assert usage.tolist() == _loop_walk_usage(graph, rounds=60, seed=5, lazy=lazy)
+
+    def test_counts_dict_equals_usage_array(self):
+        graph = star(6)
+        counts = {(0, 1): 2, (3, 0): 4, (0, 3): 1, (2, 5): 9}  # (2, 5) is no edge
+        usage = [0] * graph.num_edges
+        for (u, v), count in counts.items():
+            if graph.has_edge(u, v):
+                usage[list(graph.edges()).index((min(u, v), max(u, v)))] += count
+        assert fairness_from_counts(graph, counts) == fairness_from_usage(graph, usage)
+
+    def test_observer_batches_equal_single_edges(self):
+        graph = double_star(20)
+        rng = np.random.default_rng(4)
+        batched, single = EdgeUsageObserver(), EdgeUsageObserver()
+        batched._FOLD_AT = 7  # fold mid-run too
+        for _ in range(12):
+            us = rng.integers(0, graph.num_vertices, size=5)
+            vs = graph.sample_neighbors(us, rng)
+            batched.on_edges_used(us, vs)
+            for u, v in zip(us.tolist(), vs.tolist()):
+                single.on_edge_used(v, u)
+        assert batched.counts == single.counts
+        assert batched.total_uses() == single.total_uses() == 60
+        assert np.array_equal(batched.usage_array(graph), single.usage_array(graph))

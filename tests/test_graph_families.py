@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.graphs import GraphError, cycle_of_stars_of_cliques, double_star, heavy_binary_tree, siamese_heavy_binary_tree, star
+from repro.graphs import Graph, GraphError, cycle_of_stars_of_cliques, double_star, heavy_binary_tree, siamese_heavy_binary_tree, star
 from repro.graphs.cycle_stars_cliques import cycle_stars_layout, parameter_for_target_size
 from repro.graphs.double_star import CENTER_A, CENTER_B, leaves_of
 from repro.graphs.heavy_binary_tree import (
@@ -15,6 +16,7 @@ from repro.graphs.heavy_binary_tree import (
 )
 from repro.graphs.siamese_tree import left_leaves, right_leaves
 from repro.graphs.star import CENTER, leaf_vertices
+from repro.store.keys import graph_fingerprint
 
 
 class TestStar:
@@ -155,6 +157,29 @@ class TestSiameseTree:
     def test_rejects_too_small(self):
         with pytest.raises(GraphError):
             siamese_heavy_binary_tree(2)
+
+    @pytest.mark.parametrize("tree_vertices", [3, 4, 7, 10, 31, 64, 127])
+    def test_matches_edge_set_construction(self, tree_vertices):
+        """The array builder emits exactly the graph of a per-edge set of
+        tuples: two heap-order copies whose roots merge into vertex 0."""
+        shift = tree_vertices - 1
+        leaves = [v for v in range(tree_vertices) if 2 * v + 1 >= tree_vertices]
+        edges = set()
+        for side in (0, 1):
+            def remap(v):
+                return v if v == 0 or side == 0 else v + shift
+            for u, v in complete_binary_tree_edges(tree_vertices).tolist():
+                edges.add((remap(u), remap(v)))
+            for i, u in enumerate(leaves):
+                for v in leaves[i + 1 :]:
+                    edges.add((remap(u), remap(v)))
+        expected = Graph(2 * tree_vertices - 1, sorted(edges))
+        graph = siamese_heavy_binary_tree(tree_vertices)
+        assert np.array_equal(graph.indptr, expected.indptr)
+        assert np.array_equal(graph.indices, expected.indices)
+        assert graph_fingerprint(graph) == graph_fingerprint(expected)
+        assert left_leaves(graph) == leaves
+        assert right_leaves(graph) == [leaf + shift for leaf in leaves]
 
 
 class TestCycleStarsCliques:

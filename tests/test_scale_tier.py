@@ -112,19 +112,55 @@ class TestSparseBitIdentity:
         assert dense.completion_rate < 1.0  # the budget actually truncated
 
     @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
-    def test_paper_sized_graphs_never_leave_dense(self, protocol):
-        # A sparse row's fixed cost alone outweighs the entry share of a dense
-        # row for n <= 2048, so auto never engages the sparse tier on the
-        # paper's graph sizes.
-        seeds = trial_seeds(5, "paper-sized", trials=3)
-        rng = np.random.default_rng(3)
-        for graph, budget in (
-            (hypercube(11), None),
-            (random_regular_graph(2048, 12, rng, max_attempts=1), None),
-            (star(2048), 40),
-        ):
-            batch = run_batch(protocol, graph, seeds=seeds, max_rounds=budget)
-            assert batch.frontier_resolved == "dense", graph.name
+    def test_paper_sized_tier_decisions(self, protocol):
+        # The coupon-collector push of Figure 1(a)/(b) runs sparse from the
+        # opening round: one or two pushing centres per trial.  Below the
+        # size where a sparse row's fixed cost and draw refill outweigh the
+        # entry share of a dense row, and for every protocol whose callers
+        # stay numerous, the run stays dense.  Either way auto is dense bit
+        # for bit.
+        seeds = trial_seeds(5, "paper-sized", trials=5)
+        sparse_push = (star(1024), double_star(1024))
+        for graph in (*sparse_push, star(128), double_star(128), hypercube(7), heavy_binary_tree(127)):
+            auto = run_batch(protocol, graph, seeds=seeds, max_rounds=3000, record_history=True)
+            expected = "sparse" if protocol == "push" and graph in sparse_push else "dense"
+            assert auto.frontier_resolved == expected, graph.name
+            dense = run_batch(
+                protocol, graph, seeds=seeds, max_rounds=3000, record_history=True,
+                frontier="dense",
+            )
+            assert _batch_fingerprint(auto) == _batch_fingerprint(dense), graph.name
+
+    @pytest.mark.parametrize("graph", [double_star(64), heavy_binary_tree(63)], ids=str)
+    def test_traced_sparse_rounds_report_the_frontier(self, graph, tmp_path, monkeypatch):
+        # Every round of a 64-round budget is sampled; each sparse sample's
+        # ``frontier`` must be the number of informed vertices with an
+        # uninformed neighbor over the running rows, counted from scratch.
+        # On the tree, rows retire while the others keep running.
+        expected = {}
+        step = VertexKernel.step
+
+        def counting_step(kernel, k):
+            step(kernel, k)
+            frontier = 0
+            for row in kernel.vertex_informed[:k]:
+                for v in np.flatnonzero(row).tolist():
+                    frontier += not row[graph.neighbors(v)].all()
+            expected[kernel._round_count] = (k, frontier)
+
+        monkeypatch.setattr(VertexKernel, "step", counting_step)
+        monkeypatch.setenv(TRACE_ENV_VAR, str(tmp_path))
+        run_batch("push", graph, 2, seeds=trial_seeds(3, "frontier", trials=4),
+                  max_rounds=64, frontier="sparse")
+        monkeypatch.delenv(TRACE_ENV_VAR)
+        samples = [
+            e["attrs"] for e in read_events(trace_files(str(tmp_path)))
+            if e["name"] == "kernel.round"
+        ]
+        assert samples and all(sample["tier"] == "sparse" for sample in samples)
+        for sample in samples:
+            assert (sample["active"], sample["frontier"]) == expected[sample["round"]], sample
+        assert len({sample["active"] for sample in samples}) > 1 or graph.num_vertices == 64
 
     def test_expander_push_visits_both_tiers(self, tmp_path, monkeypatch):
         # Theorem 1's regime at 2^16: a thin start, a hot phase in which
