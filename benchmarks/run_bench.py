@@ -45,6 +45,7 @@ from repro.experiments.config import (  # noqa: E402
     GraphCase,
     ProtocolSpec,
 )
+from repro.experiments.figure1 import HEAVY_TREE_CASE, STAR_CASE  # noqa: E402
 from repro.experiments.runner import run_experiment, run_trial_set  # noqa: E402
 from repro.graphs import (  # noqa: E402
     cycle_of_stars_of_cliques,
@@ -53,10 +54,8 @@ from repro.graphs import (  # noqa: E402
     hypercube,
     random_regular_graph,
     star,
-    with_case_spec,
 )
 from repro.graphs.dynamic import StaticSchedule  # noqa: E402
-from repro.graphs.heavy_binary_tree import tree_leaves  # noqa: E402
 from repro.store import ResultStore  # noqa: E402
 
 TRIALS = 50
@@ -88,11 +87,6 @@ def extra_cases():
     return [GraphCase(graph=star(N - 1), source=1, size_parameter=N)]
 
 
-def _build_heavy_tree_case(size: int, seed: int) -> GraphCase:
-    graph = heavy_binary_tree(size)
-    return GraphCase(graph=graph, source=tree_leaves(graph)[0], size_parameter=size)
-
-
 WORKERS_CONFIG = ExperimentConfig(
     experiment_id="bench-workers",
     title="Process-parallel cell scheduler benchmark",
@@ -101,7 +95,7 @@ WORKERS_CONFIG = ExperimentConfig(
         "visit-exchange on heavy binary trees from a leaf source: the most "
         "expensive Figure-1 cells (broadcast time is Omega(n))"
     ),
-    graph_builder=_build_heavy_tree_case,
+    graph_builder=HEAVY_TREE_CASE,
     sizes=(511, 767, 1023, 1279),
     protocols=(ProtocolSpec("visit-exchange"),),
     trials=30,
@@ -301,11 +295,6 @@ def measure_dynamics(case):
     return cells
 
 
-@with_case_spec("star", lambda size, seed: {"num_leaves": size})
-def _build_star_case(size: int, seed: int) -> GraphCase:
-    return GraphCase(graph=star(size), source=1, size_parameter=size)
-
-
 STORE_CONFIG = ExperimentConfig(
     experiment_id="bench-store",
     title="Result-store cold/warm benchmark",
@@ -315,7 +304,7 @@ STORE_CONFIG = ExperimentConfig(
         "time, so the cells are simulation-dominated), run cold (empty "
         "store) and warm (fully cached)"
     ),
-    graph_builder=_build_star_case,
+    graph_builder=STAR_CASE,
     sizes=(511, 1023),
     protocols=(ProtocolSpec("push"),),
     trials=30,

@@ -12,8 +12,9 @@ Sub-commands
     Run every registered experiment and print all tables; with
     ``--scenario FILE`` the manifest's scenarios join the roster.
 ``simulate``
-    Run one protocol on one graph and print the result.  Takes the same
-    ``--store/--workers/--dynamics`` flags as ``run``, so a one-off
+    Run one protocol on one graph and print the result.  The graph is built
+    through the same case builders as the registered experiments' sweeps.
+    Takes the same ``--store/--dynamics`` flags as ``run``, so a one-off
     simulation can hit the cache.
 ``corpus run|status|report <manifest>``
     Run (resumably), probe or render a scenario-corpus manifest — every
@@ -55,19 +56,16 @@ from ..experiments import (
     list_experiment_ids,
     run_experiment,
 )
-from ..experiments.config import sweep_sizes
-from ..experiments.regular_graphs import regular_degree_for
-from ..experiments.reporting import report_section_ids
-from ..graphs import (
-    complete_graph,
-    cycle_of_stars_of_cliques,
-    double_star,
-    heavy_binary_tree,
-    hypercube,
-    random_regular_graph,
-    siamese_heavy_binary_tree,
-    star,
+from ..experiments.config import CaseBuilder, sweep_sizes
+from ..experiments.figure1 import (
+    CYCLE_STARS_CASE,
+    DOUBLE_STAR_CASE,
+    HEAVY_TREE_CASE,
+    SIAMESE_CASE,
+    STAR_CASE,
 )
+from ..experiments.regular_graphs import HYPERCUBE_CASE, RANDOM_REGULAR_CASE
+from ..experiments.reporting import report_section_ids
 from ..scenarios import resolve_dynamics
 from ..store import STORE_ENV_VAR, ResultStore
 
@@ -115,40 +113,18 @@ def parse_byte_size(value: str) -> int:
     return count
 
 
-def _build_graph(family: str, size: int, seed: int):
-    """Build one of the named graph families for the ``simulate`` sub-command."""
-    import numpy as np
-
-    if family == "star":
-        return star(size)
-    if family == "double-star":
-        return double_star(size)
-    if family == "heavy-binary-tree":
-        return heavy_binary_tree(size)
-    if family == "siamese-heavy-tree":
-        return siamese_heavy_binary_tree(size)
-    if family == "cycle-stars-cliques":
-        graph, _layout = cycle_of_stars_of_cliques(size)
-        return graph
-    if family == "complete":
-        return complete_graph(size)
-    if family == "hypercube":
-        return hypercube(size)
-    if family == "random-regular":
-        return random_regular_graph(size, regular_degree_for(size), np.random.default_rng(seed))
-    raise SystemExit(f"unknown graph family {family!r}")
-
-
-GRAPH_FAMILIES = [
-    "star",
-    "double-star",
-    "heavy-binary-tree",
-    "siamese-heavy-tree",
-    "cycle-stars-cliques",
-    "complete",
-    "hypercube",
-    "random-regular",
-]
+#: The graph families of ``simulate``: the registered experiments' case
+#: builders (their sources are replaced by ``--source``).
+SIMULATE_CASES = {
+    "star": STAR_CASE,
+    "double-star": DOUBLE_STAR_CASE,
+    "heavy-binary-tree": HEAVY_TREE_CASE,
+    "siamese-heavy-tree": SIAMESE_CASE,
+    "cycle-stars-cliques": CYCLE_STARS_CASE,
+    "complete": CaseBuilder("complete_graph", "num_vertices"),
+    "hypercube": HYPERCUBE_CASE,
+    "random-regular": RANDOM_REGULAR_CASE,
+}
 
 
 def _add_seed_option(parser: argparse.ArgumentParser) -> None:
@@ -295,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", help="run a single protocol on a single graph"
     )
     simulate_parser.add_argument("protocol", choices=sorted(KERNEL_REGISTRY))
-    simulate_parser.add_argument("family", choices=GRAPH_FAMILIES)
+    simulate_parser.add_argument("family", choices=list(SIMULATE_CASES))
     simulate_parser.add_argument("size", type=int, help="family size parameter")
     simulate_parser.add_argument("--source", type=int, default=0)
     _add_seed_option(simulate_parser)
@@ -306,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="independent trials to run (default: 1; >1 prints summary stats)",
     )
-    _add_execution_options(simulate_parser)
+    _add_dynamics_option(simulate_parser)
+    _add_store_options(simulate_parser)
 
     report_parser = subparsers.add_parser(
         "report", help="regenerate the Markdown experiment report"
@@ -706,11 +683,7 @@ def _command_simulate(args: argparse.Namespace) -> int:
     from ..experiments.config import GraphCase, ProtocolSpec
     from ..experiments.runner import run_trial_set
 
-    if args.workers is not None:
-        # Accepted for flag parity with run/run-all; a single cell has
-        # nothing to spread over a pool.
-        print("simulate runs one cell in-process; ignoring --workers", file=sys.stderr)
-    graph = _build_graph(args.family, args.size, args.seed)
+    graph = SIMULATE_CASES[args.family](args.size, args.seed).graph
     kwargs = {}
     if args.protocol in ("visit-exchange", "meet-exchange", "hybrid-ppull-visitx"):
         kwargs["agent_density"] = args.agent_density

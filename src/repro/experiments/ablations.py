@@ -16,35 +16,16 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from ..graphs.builders import with_case_spec
-from ..graphs.regular import random_regular_graph
-from ..graphs.star import star
-from .config import ExperimentConfig, GraphCase, ProtocolSpec
+from .config import ExperimentConfig, ProtocolSpec
+from .figure1 import STAR_CASE
 from .registry import register
-from .regular_graphs import regular_degree_for
+from .regular_graphs import RANDOM_REGULAR_CASE
 
 __all__ = [
     "agent_density_experiment",
     "initial_placement_experiment",
     "laziness_experiment",
 ]
-
-
-@with_case_spec(
-    "random_regular_graph",
-    lambda size, seed: {
-        "num_vertices": size,
-        "degree": regular_degree_for(size),
-        "seed": seed,
-    },
-)
-def _build_random_regular_case(num_vertices: int, seed: int) -> GraphCase:
-    degree = regular_degree_for(num_vertices)
-    rng = np.random.default_rng(seed)
-    graph = random_regular_graph(num_vertices, degree, rng)
-    return GraphCase(graph=graph, source=0, size_parameter=num_vertices, metadata={"degree": degree})
 
 
 def agent_density_experiment() -> ExperimentConfig:
@@ -58,7 +39,7 @@ def agent_density_experiment() -> ExperimentConfig:
             "Any constant density yields the same logarithmic growth; only the "
             "constant factor changes (fewer agents, slower constants)."
         ),
-        graph_builder=_build_random_regular_case,
+        graph_builder=RANDOM_REGULAR_CASE,
         sizes=(256, 512, 1024),
         protocols=(
             ProtocolSpec("visit-exchange", kwargs={"agent_density": 0.5}, label="visitx-alpha-0.5"),
@@ -82,7 +63,7 @@ def initial_placement_experiment() -> ExperimentConfig:
             "two initialisations should be statistically indistinguishable; "
             "the experiment confirms the broadcast-time distributions match."
         ),
-        graph_builder=_build_random_regular_case,
+        graph_builder=RANDOM_REGULAR_CASE,
         sizes=(256, 512, 1024),
         protocols=(
             ProtocolSpec("visit-exchange", label="visitx-stationary"),
@@ -96,11 +77,6 @@ def initial_placement_experiment() -> ExperimentConfig:
         max_rounds=lambda n: int(400 * math.log2(max(n, 2))),
         claim_ids=("placement-ratio",),
     )
-
-
-@with_case_spec("star", lambda size, seed: {"num_leaves": size})
-def _build_star_case(num_leaves: int, seed: int) -> GraphCase:
-    return GraphCase(graph=star(num_leaves), source=1, size_parameter=num_leaves)
 
 
 def laziness_experiment() -> ExperimentConfig:
@@ -120,7 +96,7 @@ def laziness_experiment() -> ExperimentConfig:
             "exchange with lazy walks should be roughly twice as slow, while "
             "remaining logarithmic."
         ),
-        graph_builder=_build_star_case,
+        graph_builder=STAR_CASE,
         sizes=(256, 512, 1024),
         protocols=(
             ProtocolSpec("visit-exchange", label="visitx-simple"),

@@ -42,19 +42,24 @@ Builder versions and manifest trust
 -----------------------------------
 The graph fingerprint is a hash of the *built* arrays, so deriving a cell
 key normally requires building the graph.  To let a fully warm sweep skip
-construction entirely, every graph builder registers a
-``(family, builder_version)`` pair with :mod:`repro.graphs.builders` (see
-:func:`repro.graphs.register_builder` and the ``with_case_spec``
-decorator).  The sweep journal's manifest records, for each cell, the
-builder spec (family + parameters + version + case revision) next to the
-fingerprint it produced.  On a warm start
+construction entirely, a sweep point's graph is a function of its *builder
+spec* alone: every graph family registers a ``(family, builder_version)``
+pair and a build from params in one family table
+(:func:`repro.graphs.register_builder`), and every registered experiment
+and compiled scenario builds its cases through one :class:`CaseBuilder` —
+a family, a params rule and a source rule.  Its ``case_spec(size,
+case_seed)`` derives the builder spec (family + parameters + version +
+case revision) without building; its call builds from exactly those
+params.  The sweep journal's manifest records, for each cell, that spec
+next to the fingerprint it produced.  On a warm start
 :func:`repro.store.orchestrator.resolve_sweep_plans` matches the current
 spec against the manifest and, on an exact match, trusts the recorded
 fingerprint via a :class:`~repro.store.orchestrator.GraphStub` — zero
-constructions.  Changing what a builder emits **must** come with a
+constructions.  Changing what a build emits **must** come with a
 version bump in its module's ``BUILDER_VERSION`` (or ``BUILDER_VERSIONS``
 entry); the spec then no longer matches and affected cells rebuild and
-re-fingerprint honestly.
+re-fingerprint honestly.  A plain callable ``graph_builder`` still works;
+it just has no spec, so its sweeps always build.
 
 Scenario specs and the corpus manifest
 --------------------------------------
@@ -174,11 +179,19 @@ POST, authenticated — like publishes — with ``Authorization: Bearer
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
+from ..graphs.builders import build_graph, builder_spec
 from ..graphs.graph import Graph
 
-__all__ = ["GraphCase", "ProtocolSpec", "ExperimentConfig", "scaled_sizes", "sweep_sizes"]
+__all__ = [
+    "CaseBuilder",
+    "GraphCase",
+    "ProtocolSpec",
+    "ExperimentConfig",
+    "scaled_sizes",
+    "sweep_sizes",
+]
 
 
 @dataclass(frozen=True)
@@ -193,12 +206,60 @@ class GraphCase:
     graph: Graph
     source: int
     size_parameter: int
-    metadata: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def num_vertices(self) -> int:
         """Number of vertices of the instance."""
         return self.graph.num_vertices
+
+
+@dataclass(frozen=True)
+class CaseBuilder:
+    """A sweep point's :class:`GraphCase` as a function of its builder spec.
+
+    ``params`` maps ``(size_parameter, case_seed)`` to the family's builder
+    params: a string names the one param the size parameter fills, a
+    callable ``(size, case_seed) -> dict`` derives them all (a random
+    family's ``seed`` included).  ``source`` is a vertex id or a callable
+    ``(graph, params, case_seed) -> vertex``.  :meth:`case_spec` describes a
+    point without building it; calling the builder builds from exactly
+    those params through the family table, or through ``build(params)``
+    for a family whose params do not determine its input (an ingested file
+    is named by content hash, not path).  Module-level callables and
+    ``functools.partial`` objects over them pickle by reference, so runs
+    on a process pool keep deferring their builds to the workers.
+    """
+
+    family: str
+    params: Union[str, Callable[[int, int], Dict[str, Any]]]
+    source: Union[int, Callable[[Graph, Dict[str, Any], int], int]] = 0
+    case_revision: int = 1
+    build: Optional[Callable[[Dict[str, Any]], Graph]] = None
+
+    def builder_params(self, size_parameter: int, case_seed: int) -> Dict[str, Any]:
+        """The family's builder params for one sweep point."""
+        if isinstance(self.params, str):
+            return {self.params: int(size_parameter)}
+        return self.params(int(size_parameter), int(case_seed))
+
+    def case_spec(self, size_parameter: int, case_seed: int) -> Dict[str, Any]:
+        """Canonical builder spec of one sweep point — no construction."""
+        return builder_spec(
+            self.family,
+            self.builder_params(size_parameter, case_seed),
+            case_revision=self.case_revision,
+        )
+
+    def __call__(self, size_parameter: int, case_seed: int) -> GraphCase:
+        params = self.builder_params(size_parameter, case_seed)
+        if self.build is None:
+            graph = build_graph(self.family, params)
+        else:
+            graph = self.build(params)
+        source = self.source
+        if callable(source):
+            source = source(graph, params, int(case_seed))
+        return GraphCase(graph=graph, source=int(source), size_parameter=int(size_parameter))
 
 
 @dataclass(frozen=True)
@@ -278,7 +339,8 @@ class ExperimentConfig:
         Human readable context for the generated report.
     graph_builder:
         Callable mapping a size parameter (and a seed, for random families) to
-        a :class:`GraphCase`.
+        a :class:`GraphCase` — a :class:`CaseBuilder` for every registered
+        experiment, so warm sweeps can trust their manifests.
     sizes:
         The sweep of size parameters, smallest first.
     protocols:

@@ -10,16 +10,18 @@ from __future__ import annotations
 
 import math
 
-from ..graphs.builders import with_case_spec
-from ..graphs.cycle_stars_cliques import cycle_of_stars_of_cliques
-from ..graphs.double_star import double_star
-from ..graphs.heavy_binary_tree import heavy_binary_tree, tree_leaves
-from ..graphs.siamese_tree import left_leaves, siamese_heavy_binary_tree
-from ..graphs.star import star
-from .config import ExperimentConfig, GraphCase, ProtocolSpec
+from ..graphs.cycle_stars_cliques import cycle_stars_layout
+from ..graphs.heavy_binary_tree import tree_leaves
+from ..graphs.siamese_tree import left_leaves
+from .config import CaseBuilder, ExperimentConfig, ProtocolSpec
 from .registry import register
 
 __all__ = [
+    "STAR_CASE",
+    "DOUBLE_STAR_CASE",
+    "HEAVY_TREE_CASE",
+    "SIAMESE_CASE",
+    "CYCLE_STARS_CASE",
     "fig1a_star_experiment",
     "fig1b_double_star_experiment",
     "fig1c_heavy_tree_experiment",
@@ -28,16 +30,32 @@ __all__ = [
 ]
 
 
+def _first_leaf(graph, params, case_seed) -> int:
+    return tree_leaves(graph)[0]
+
+
+def _first_left_leaf(graph, params, case_seed) -> int:
+    return left_leaves(graph)[0]
+
+
+def _first_clique_member(graph, params, case_seed) -> int:
+    return cycle_stars_layout(params["k"]).clique_members[0][0][0]
+
+
+#: The Figure 1 families' sweep points, shared by every experiment on them.
+#: Star: a leaf source (push is slow regardless, push-pull needs 2 rounds).
+STAR_CASE = CaseBuilder("star", "num_leaves", source=1)
+#: Double star: a leaf of the first star, the hardest natural starting point.
+DOUBLE_STAR_CASE = CaseBuilder("double_star", "num_vertices", source=2)
+#: Heavy tree: a leaf source, needed for the meet-exchange O(log n) bound.
+HEAVY_TREE_CASE = CaseBuilder("heavy_binary_tree", "num_vertices", source=_first_leaf)
+SIAMESE_CASE = CaseBuilder("siamese_heavy_binary_tree", "tree_vertices", source=_first_left_leaf)
+CYCLE_STARS_CASE = CaseBuilder("cycle_of_stars_of_cliques", "k", source=_first_clique_member)
+
+
 # ---------------------------------------------------------------------------
 # Figure 1(a): the star graph
 # ---------------------------------------------------------------------------
-@with_case_spec("star", lambda size, seed: {"num_leaves": size})
-def _build_star_case(num_leaves: int, seed: int) -> GraphCase:
-    graph = star(num_leaves)
-    # Use a leaf source: push is slow regardless, push-pull needs 2 rounds.
-    return GraphCase(graph=graph, source=1, size_parameter=num_leaves)
-
-
 def fig1a_star_experiment() -> ExperimentConfig:
     """Lemma 2: push is Omega(n log n) on the star, all others are fast."""
     return ExperimentConfig(
@@ -50,7 +68,7 @@ def fig1a_star_experiment() -> ExperimentConfig:
             "finishes in two rounds and the agent-based protocols finish in "
             "O(log n) rounds."
         ),
-        graph_builder=_build_star_case,
+        graph_builder=STAR_CASE,
         sizes=(128, 256, 512, 1024),
         protocols=(
             ProtocolSpec("push"),
@@ -69,13 +87,6 @@ def fig1a_star_experiment() -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # Figure 1(b): the double star
 # ---------------------------------------------------------------------------
-@with_case_spec("double_star", lambda size, seed: {"num_vertices": size})
-def _build_double_star_case(num_vertices: int, seed: int) -> GraphCase:
-    graph = double_star(num_vertices)
-    # Source is a leaf of the first star, the hardest natural starting point.
-    return GraphCase(graph=graph, source=2, size_parameter=num_vertices)
-
-
 def fig1b_double_star_experiment() -> ExperimentConfig:
     """Lemma 3: push-pull is Omega(n) on the double star, agents are O(log n)."""
     return ExperimentConfig(
@@ -89,7 +100,7 @@ def fig1b_double_star_experiment() -> ExperimentConfig:
             "round, so the agent protocols cross the bridge in O(1) expected "
             "rounds — the local-fairness advantage."
         ),
-        graph_builder=_build_double_star_case,
+        graph_builder=DOUBLE_STAR_CASE,
         sizes=(128, 256, 512, 1024),
         protocols=(
             ProtocolSpec("push"),
@@ -109,18 +120,6 @@ def fig1b_double_star_experiment() -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # Figure 1(c): the heavy binary tree
 # ---------------------------------------------------------------------------
-@with_case_spec("heavy_binary_tree", lambda size, seed: {"num_vertices": size})
-def _build_heavy_tree_case(num_vertices: int, seed: int) -> GraphCase:
-    graph = heavy_binary_tree(num_vertices)
-    leaf_source = tree_leaves(graph)[0]
-    return GraphCase(
-        graph=graph,
-        source=leaf_source,
-        size_parameter=num_vertices,
-        metadata={"source_role": "leaf"},
-    )
-
-
 def fig1c_heavy_tree_experiment() -> ExperimentConfig:
     """Lemma 4: push and meet-exchange are fast, visit-exchange is Omega(n)."""
     return ExperimentConfig(
@@ -135,7 +134,7 @@ def fig1c_heavy_tree_experiment() -> ExperimentConfig:
             "rounds, and meet-exchange only needs the agents to meet inside "
             "the clique."
         ),
-        graph_builder=_build_heavy_tree_case,
+        graph_builder=HEAVY_TREE_CASE,
         sizes=(127, 255, 511, 1023),
         protocols=(
             ProtocolSpec("push"),
@@ -154,18 +153,6 @@ def fig1c_heavy_tree_experiment() -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # Figure 1(d): siamese heavy binary trees
 # ---------------------------------------------------------------------------
-@with_case_spec("siamese_heavy_binary_tree", lambda size, seed: {"tree_vertices": size})
-def _build_siamese_case(tree_vertices: int, seed: int) -> GraphCase:
-    graph = siamese_heavy_binary_tree(tree_vertices)
-    leaf_source = left_leaves(graph)[0]
-    return GraphCase(
-        graph=graph,
-        source=leaf_source,
-        size_parameter=tree_vertices,
-        metadata={"source_role": "left leaf"},
-    )
-
-
 def fig1d_siamese_experiment() -> ExperimentConfig:
     """Lemma 8: both agent protocols are Omega(n), push is O(log n)."""
     return ExperimentConfig(
@@ -178,7 +165,7 @@ def fig1d_siamese_experiment() -> ExperimentConfig:
             "only cross through the rarely-visited root, so both agent "
             "protocols need Omega(n) rounds while push needs O(log n)."
         ),
-        graph_builder=_build_siamese_case,
+        graph_builder=SIAMESE_CASE,
         sizes=(127, 255, 511),
         protocols=(
             ProtocolSpec("push"),
@@ -197,18 +184,6 @@ def fig1d_siamese_experiment() -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # Figure 1(e): cycle of stars of cliques
 # ---------------------------------------------------------------------------
-@with_case_spec("cycle_of_stars_of_cliques", lambda size, seed: {"k": size})
-def _build_cycle_stars_case(k: int, seed: int) -> GraphCase:
-    graph, layout = cycle_of_stars_of_cliques(k)
-    source = layout.clique_members[0][0][0]
-    return GraphCase(
-        graph=graph,
-        source=source,
-        size_parameter=k,
-        metadata={"k": k, "source_role": "clique member"},
-    )
-
-
 def fig1e_cycle_stars_experiment() -> ExperimentConfig:
     """Lemma 9: visit-exchange beats meet-exchange by a log factor."""
     return ExperimentConfig(
@@ -222,7 +197,7 @@ def fig1e_cycle_stars_experiment() -> ExperimentConfig:
             "hop instead of Theta(k), giving E[T_meetx] = Omega(n^{2/3} log n) "
             "versus E[T_visitx] = O(n^{2/3})."
         ),
-        graph_builder=_build_cycle_stars_case,
+        graph_builder=CYCLE_STARS_CASE,
         sizes=(5, 7, 9, 11),
         protocols=(
             ProtocolSpec("visit-exchange"),

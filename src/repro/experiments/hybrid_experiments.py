@@ -17,19 +17,11 @@ In both cases the hybrid should track the faster constituent up to constants.
 
 from __future__ import annotations
 
-
-from ..graphs.builders import with_case_spec
-from ..graphs.double_star import double_star
-from ..graphs.heavy_binary_tree import heavy_binary_tree, tree_leaves
-from .config import ExperimentConfig, GraphCase, ProtocolSpec
+from .config import ExperimentConfig, ProtocolSpec
+from .figure1 import DOUBLE_STAR_CASE, HEAVY_TREE_CASE
 from .registry import register
 
 __all__ = ["hybrid_double_star_experiment", "hybrid_heavy_tree_experiment"]
-
-
-@with_case_spec("double_star", lambda size, seed: {"num_vertices": size})
-def _build_double_star_case(num_vertices: int, seed: int) -> GraphCase:
-    return GraphCase(graph=double_star(num_vertices), source=2, size_parameter=num_vertices)
 
 
 def hybrid_double_star_experiment() -> ExperimentConfig:
@@ -43,7 +35,7 @@ def hybrid_double_star_experiment() -> ExperimentConfig:
             "visit-exchange needs O(log n); the hybrid inherits the agents' "
             "logarithmic broadcast time."
         ),
-        graph_builder=_build_double_star_case,
+        graph_builder=DOUBLE_STAR_CASE,
         sizes=(128, 256, 512, 1024),
         protocols=(
             ProtocolSpec("push-pull"),
@@ -57,12 +49,6 @@ def hybrid_double_star_experiment() -> ExperimentConfig:
     )
 
 
-@with_case_spec("heavy_binary_tree", lambda size, seed: {"num_vertices": size})
-def _build_heavy_tree_case(num_vertices: int, seed: int) -> GraphCase:
-    graph = heavy_binary_tree(num_vertices)
-    return GraphCase(graph=graph, source=tree_leaves(graph)[0], size_parameter=num_vertices)
-
-
 def hybrid_heavy_tree_experiment() -> ExperimentConfig:
     """Hybrid vs its constituents on the heavy tree (push-pull rescues agents)."""
     return ExperimentConfig(
@@ -74,7 +60,7 @@ def hybrid_heavy_tree_experiment() -> ExperimentConfig:
             "rounds while push-pull needs O(log n); the hybrid inherits "
             "push-pull's logarithmic broadcast time."
         ),
-        graph_builder=_build_heavy_tree_case,
+        graph_builder=HEAVY_TREE_CASE,
         sizes=(127, 255, 511, 1023),
         protocols=(
             ProtocolSpec("push-pull"),

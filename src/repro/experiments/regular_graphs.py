@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from ..graphs.builders import with_case_spec
-from ..graphs.regular import clique_cycle, hypercube, random_regular_graph
-from .config import ExperimentConfig, GraphCase, ProtocolSpec
+from .config import CaseBuilder, ExperimentConfig, ProtocolSpec
 from .registry import register
 
 __all__ = [
+    "RANDOM_REGULAR_CASE",
+    "CLIQUE_CYCLE_CASE",
+    "HYPERCUBE_CASE",
     "thm1_random_regular_experiment",
     "thm1_clique_cycle_experiment",
     "thm23_meetx_experiment",
@@ -47,24 +46,23 @@ def regular_degree_for(num_vertices: int, *, factor: float = 2.0) -> int:
     return min(degree, n - 1)
 
 
-@with_case_spec(
-    "random_regular_graph",
-    lambda size, seed: {
-        "num_vertices": size,
-        "degree": regular_degree_for(size),
-        "seed": seed,
-    },
-)
-def _build_random_regular_case(num_vertices: int, seed: int) -> GraphCase:
-    degree = regular_degree_for(num_vertices)
-    rng = np.random.default_rng(seed)
-    graph = random_regular_graph(num_vertices, degree, rng)
-    return GraphCase(
-        graph=graph,
-        source=0,
-        size_parameter=num_vertices,
-        metadata={"degree": degree},
-    )
+def _random_regular_params(num_vertices: int, seed: int) -> dict:
+    return {"num_vertices": num_vertices, "degree": regular_degree_for(num_vertices), "seed": seed}
+
+
+def _clique_cycle_params(num_cliques: int, seed: int) -> dict:
+    # Clique size grows logarithmically with the total size so that the degree
+    # assumption d = Omega(log n) holds along the sweep.
+    total_target = num_cliques * max(8, int(2 * math.log2(max(num_cliques, 2))))
+    clique_size = max(8, int(2 * math.log2(max(total_target, 2))))
+    return {"num_cliques": num_cliques, "clique_size": clique_size}
+
+
+#: The regular families' sweep points (source vertex 0), shared by every
+#: experiment on them.
+RANDOM_REGULAR_CASE = CaseBuilder("random_regular_graph", _random_regular_params)
+CLIQUE_CYCLE_CASE = CaseBuilder("clique_cycle", _clique_cycle_params)
+HYPERCUBE_CASE = CaseBuilder("hypercube", "dimension")
 
 
 def thm1_random_regular_experiment() -> ExperimentConfig:
@@ -80,7 +78,7 @@ def thm1_random_regular_experiment() -> ExperimentConfig:
             "the measured T_push / T_visitx ratio should stay bounded by a "
             "constant across the sweep."
         ),
-        graph_builder=_build_random_regular_case,
+        graph_builder=RANDOM_REGULAR_CASE,
         sizes=(128, 256, 512, 1024, 2048),
         protocols=(
             ProtocolSpec("push"),
@@ -90,28 +88,6 @@ def thm1_random_regular_experiment() -> ExperimentConfig:
         trials=5,
         max_rounds=lambda n: int(200 * math.log2(max(n, 2))),
         claim_ids=("thm1", "thm1-trend"),
-    )
-
-
-def _clique_cycle_size(num_cliques: int) -> int:
-    # Clique size grows logarithmically with the total size so that the degree
-    # assumption d = Omega(log n) holds along the sweep.
-    total_target = num_cliques * max(8, int(2 * math.log2(max(num_cliques, 2))))
-    return max(8, int(2 * math.log2(max(total_target, 2))))
-
-
-@with_case_spec(
-    "clique_cycle",
-    lambda size, seed: {"num_cliques": size, "clique_size": _clique_cycle_size(size)},
-)
-def _build_clique_cycle_case(num_cliques: int, seed: int) -> GraphCase:
-    clique_size = _clique_cycle_size(num_cliques)
-    graph = clique_cycle(num_cliques, clique_size)
-    return GraphCase(
-        graph=graph,
-        source=0,
-        size_parameter=num_cliques,
-        metadata={"clique_size": clique_size, "degree": clique_size + 1},
     )
 
 
@@ -128,7 +104,7 @@ def thm1_clique_cycle_experiment() -> ExperimentConfig:
             "that push and visit-exchange remain within constant factors of "
             "each other even in this polynomial-time regime."
         ),
-        graph_builder=_build_clique_cycle_case,
+        graph_builder=CLIQUE_CYCLE_CASE,
         sizes=(8, 16, 32, 64),
         protocols=(
             ProtocolSpec("push"),
@@ -154,7 +130,7 @@ def thm23_meetx_experiment() -> ExperimentConfig:
             "needs only O(log n) further rounds to cover every vertex, so "
             "T_visitx is at most T_meetx plus an additive logarithm."
         ),
-        graph_builder=_build_random_regular_case,
+        graph_builder=RANDOM_REGULAR_CASE,
         sizes=(128, 256, 512, 1024),
         protocols=(
             ProtocolSpec("visit-exchange"),
@@ -178,7 +154,7 @@ def lower_bound_experiment() -> ExperimentConfig:
             "vertices receive no agent visit at all (and some agents meet "
             "nobody) during the first c log n rounds."
         ),
-        graph_builder=_build_random_regular_case,
+        graph_builder=RANDOM_REGULAR_CASE,
         sizes=(256, 512, 1024, 2048),
         protocols=(
             ProtocolSpec("visit-exchange"),
@@ -187,17 +163,6 @@ def lower_bound_experiment() -> ExperimentConfig:
         trials=5,
         max_rounds=lambda n: int(400 * math.log2(max(n, 2))),
         claim_ids=("thm24", "thm24-bound", "thm24-exponent", "thm25", "thm25-bound"),
-    )
-
-
-@with_case_spec("hypercube", lambda size, seed: {"dimension": size})
-def _build_hypercube_case(dimension: int, seed: int) -> GraphCase:
-    graph = hypercube(dimension)
-    return GraphCase(
-        graph=graph,
-        source=0,
-        size_parameter=dimension,
-        metadata={"degree": dimension},
     )
 
 
@@ -212,7 +177,7 @@ def thm1_hypercube_experiment() -> ExperimentConfig:
             "exactly at the boundary of the theorem's degree assumption; both "
             "protocols should need Theta(log n) rounds and track each other."
         ),
-        graph_builder=_build_hypercube_case,
+        graph_builder=HYPERCUBE_CASE,
         sizes=(7, 8, 9, 10, 11),
         protocols=(
             ProtocolSpec("push"),

@@ -17,13 +17,10 @@ seed-paired with its failure-free baseline.
 
 from __future__ import annotations
 
-from ..graphs.builders import with_case_spec
-from ..graphs.regular import random_regular_graph
-from ..graphs.siamese_tree import left_leaves, siamese_heavy_binary_tree
-from ..graphs.star import star
-from .config import ExperimentConfig, GraphCase, ProtocolSpec
+from .config import ExperimentConfig, ProtocolSpec
+from .figure1 import SIAMESE_CASE, STAR_CASE
 from .registry import register
-from .regular_graphs import regular_degree_for
+from .regular_graphs import RANDOM_REGULAR_CASE
 
 __all__ = [
     "FAILURE_RATES",
@@ -65,11 +62,6 @@ def _rate_specs(protocol: str, rates=FAILURE_RATES, **kwargs) -> tuple:
     return tuple(specs)
 
 
-@with_case_spec("star", lambda size, seed: {"num_leaves": size})
-def _build_star_case(num_leaves: int, seed: int) -> GraphCase:
-    return GraphCase(graph=star(num_leaves), source=1, size_parameter=num_leaves)
-
-
 def robustness_star_experiment() -> ExperimentConfig:
     """Edge failures on the star: push-pull degrades ~1/(1-f), agents too."""
     return ExperimentConfig(
@@ -83,24 +75,13 @@ def robustness_star_experiment() -> ExperimentConfig:
             "families degrade by roughly the retransmission factor 1/(1-f); "
             "the point of the cell is that neither collapses."
         ),
-        graph_builder=_build_star_case,
+        graph_builder=STAR_CASE,
         sizes=(128, 256),
         protocols=_rate_specs("push-pull") + _rate_specs("visit-exchange"),
         trials=5,
         max_rounds=lambda n: int(60 * n),
         claim_ids=("failure-completion",),
         notes="Failure rates are seed-paired: rate f reuses the f=0 trial seeds.",
-    )
-
-
-@with_case_spec("siamese_heavy_binary_tree", lambda size, seed: {"tree_vertices": size})
-def _build_siamese_case(tree_vertices: int, seed: int) -> GraphCase:
-    graph = siamese_heavy_binary_tree(tree_vertices)
-    return GraphCase(
-        graph=graph,
-        source=left_leaves(graph)[0],
-        size_parameter=tree_vertices,
-        metadata={"source_role": "left leaf"},
     )
 
 
@@ -116,7 +97,7 @@ def robustness_siamese_experiment() -> ExperimentConfig:
             "advantage on this family (Lemma 8) survives transient failures "
             "at the cost of a constant retransmission factor."
         ),
-        graph_builder=_build_siamese_case,
+        graph_builder=SIAMESE_CASE,
         sizes=(127, 255),
         protocols=_rate_specs("push") + _rate_specs("push-pull"),
         trials=5,
@@ -124,22 +105,6 @@ def robustness_siamese_experiment() -> ExperimentConfig:
         claim_ids=("failure-completion",),
         notes="Failure rates are seed-paired: rate f reuses the f=0 trial seeds.",
     )
-
-
-@with_case_spec(
-    "random_regular_graph",
-    lambda size, seed: {
-        "num_vertices": size,
-        "degree": regular_degree_for(size),
-        "seed": seed,
-    },
-)
-def _build_regular_case(num_vertices: int, seed: int) -> GraphCase:
-    import numpy as np
-
-    degree = regular_degree_for(num_vertices)
-    graph = random_regular_graph(num_vertices, degree, np.random.default_rng(seed))
-    return GraphCase(graph=graph, source=0, size_parameter=num_vertices)
 
 
 def robustness_regular_experiment() -> ExperimentConfig:
@@ -154,7 +119,7 @@ def robustness_regular_experiment() -> ExperimentConfig:
             "push and visit-exchange are both logarithmic at f=0 and should "
             "degrade smoothly, not catastrophically, as f grows."
         ),
-        graph_builder=_build_regular_case,
+        graph_builder=RANDOM_REGULAR_CASE,
         sizes=(64, 128),
         protocols=_rate_specs("push") + _rate_specs("visit-exchange"),
         trials=5,

@@ -9,11 +9,11 @@ paper's claims for it.
 
 from .graph import Graph, GraphError
 from .builders import (
+    build_graph,
     builder_spec,
     builder_version,
     register_builder,
     registered_builders,
-    with_case_spec,
 )
 from .dynamic import (
     BernoulliEdgeFailures,
@@ -57,7 +57,7 @@ __all__ = [
     "builder_version",
     "builder_spec",
     "registered_builders",
-    "with_case_spec",
+    "build_graph",
     "TopologySchedule",
     "RoundActivity",
     "StaticSchedule",

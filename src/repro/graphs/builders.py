@@ -1,24 +1,21 @@
-"""Versioned graph-builder registry: the trust anchor for warm manifests.
+"""The family table: each graph family's version and its build from params.
 
-A warm sweep wants to resolve its store cell keys *without building any
-graph*: the keys only need the graph fingerprint, and a previous run's
-sweep-journal manifest already recorded spec→fingerprint for every cell.
-Trusting that record is only sound while "same builder description ⇒ same
-instance" still holds, which is what this registry versions:
+A sweep point's graph is a function of its *builder spec* alone.  Every
+graph family in :mod:`repro.graphs` (and the corpus generators) registers,
+next to its construction code, a ``(family, builder_version)`` pair and a
+build that constructs the instance from the family's builder params.  A
+:class:`repro.experiments.config.CaseBuilder` maps a sweep point (size
+parameter, case seed) to those params — without building anything — and
+builds through this table, so the spec ``{"family", "version", "params",
+"case_revision"}`` it reports is exactly what the build consumed.
 
-* every graph family in :mod:`repro.graphs` registers a ``(family,
-  builder_version)`` pair next to its construction code;
-* an experiment's case builder declares — via :func:`with_case_spec` — how a
-  sweep point maps to builder parameters, yielding a canonical *builder
-  spec* ``{"family", "version", "params", "case_revision"}``;
-* the sweep journal stores that spec alongside the resulting fingerprint,
-  and :func:`repro.store.orchestrator.resolve_sweep_plans` trusts a manifest
-  entry only when the spec it recomputes today matches the recorded one
-  bit for bit.
-
-Bump a family's registered version whenever the construction algorithm
-changes the instance it emits for the same parameters; bump an experiment's
-``case_revision`` when its source-selection or parameter-derivation logic
+That is the trust anchor of warm manifests: the sweep journal stores the
+spec next to the graph fingerprint it produced, and
+:func:`repro.store.orchestrator.resolve_sweep_plans` trusts a manifest
+entry only when the spec it recomputes today matches the recorded one bit
+for bit.  Bump a family's registered version whenever its construction
+changes the instance it emits for the same parameters; bump a case
+builder's ``case_revision`` when its parameter or source derivation
 changes.  Either bump makes every previously recorded spec mismatch, so the
 warm path falls back to really building the graph — a stale manifest can
 slow a run down, never corrupt it.  ``REPRO_VERIFY_MANIFEST=1`` adds a
@@ -27,25 +24,31 @@ paranoia mode that rebuilds anyway and cross-checks the fingerprint.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Optional
 
 __all__ = [
+    "build_graph",
     "builder_spec",
     "builder_version",
     "register_builder",
     "registered_builders",
-    "with_case_spec",
 ]
 
 _REGISTRY: Dict[str, int] = {}
+_BUILDS: Dict[str, Callable[[Dict[str, Any]], Any]] = {}
 
 
-def register_builder(family: str, version: int) -> None:
+def register_builder(
+    family: str, version: int, build: Optional[Callable[[Dict[str, Any]], Any]] = None
+) -> None:
     """Register (or re-register, idempotently) one graph family's version.
 
-    Re-registering the same family with a *different* version raises — two
-    modules disagreeing about a family's version would make manifest trust
-    depend on import order.
+    ``build(params)`` constructs the family's instance from its builder
+    params, reading the keys it needs by name (random families read their
+    ``seed`` there, so a build is a pure function of the spec).  Re-registering
+    the same family with a *different* version raises — two modules
+    disagreeing about a family's version would make manifest trust depend
+    on import order.
     """
     version = int(version)
     if version < 1:
@@ -57,6 +60,17 @@ def register_builder(family: str, version: int) -> None:
             f"{existing}, cannot re-register as {version}"
         )
     _REGISTRY[family] = version
+    if build is not None:
+        _BUILDS[family] = build
+
+
+def build_graph(family: str, params: Dict[str, Any]):
+    """Build one family's instance from its builder params (the family table)."""
+    try:
+        build = _BUILDS[family]
+    except KeyError:
+        raise KeyError(f"graph builder family {family!r} has no registered build") from None
+    return build(params)
 
 
 def builder_version(family: str) -> int:
@@ -87,34 +101,3 @@ def builder_spec(
         "params": {str(k): params[k] for k in sorted(params)},
         "case_revision": int(case_revision),
     }
-
-
-def with_case_spec(
-    family: str,
-    params_fn: Callable[[int, int], Dict[str, Any]],
-    *,
-    case_revision: int = 1,
-) -> Callable:
-    """Decorator attaching a ``case_spec(size, seed)`` hook to a case builder.
-
-    ``params_fn(size_parameter, case_seed)`` must derive exactly the builder
-    parameters the decorated function passes to the family's constructor
-    (including the seed, for random families — deterministic families simply
-    ignore it).  The attached hook lets
-    :func:`repro.store.orchestrator.resolve_sweep_plans` describe the build
-    without performing it.  Function attributes pickle by reference, so
-    decorated builders remain usable with the process-parallel scheduler.
-    """
-
-    def decorate(fn: Callable) -> Callable:
-        def case_spec(size_parameter: int, case_seed: int) -> Dict[str, Any]:
-            return builder_spec(
-                family,
-                params_fn(int(size_parameter), int(case_seed)),
-                case_revision=case_revision,
-            )
-
-        fn.case_spec = case_spec
-        return fn
-
-    return decorate

@@ -34,7 +34,11 @@ __all__ = [
 #: layout numbering) it emits for the same ``k`` (invalidates
 #: manifest-trusted warm starts, never results).
 BUILDER_VERSION = 1
-register_builder("cycle_of_stars_of_cliques", BUILDER_VERSION)
+register_builder(
+    "cycle_of_stars_of_cliques",
+    BUILDER_VERSION,
+    lambda p: cycle_of_stars_of_cliques(p["k"])[0],
+)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ CENTER_B = 1
 #: Bump when :func:`double_star` changes the instance it emits for the same
 #: parameters (invalidates manifest-trusted warm starts, never results).
 BUILDER_VERSION = 1
-register_builder("double_star", BUILDER_VERSION)
+register_builder("double_star", BUILDER_VERSION, lambda p: double_star(p["num_vertices"]))
 
 
 def double_star(num_vertices: int) -> Graph:

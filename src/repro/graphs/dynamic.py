@@ -88,23 +88,16 @@ def edge_index_of(graph: Graph, pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
     """Canonical edge indices of explicit ``(u, v)`` pairs.
 
     The index aligns with :meth:`Graph.edges` iteration order, which is how
-    ``edge_state`` arrays are addressed.  Raises for pairs that are not edges.
-    Reads the graph's cached slot→edge map: the CSR slot holding ``v`` in
-    ``u``'s (sorted) adjacency row already knows its undirected edge id.
+    ``edge_state`` arrays are addressed (:meth:`Graph.edge_ids`).  Raises for
+    pairs that are not edges.
     """
-    slot_edge_ids = graph.slot_edge_ids()
-    indptr, indices = graph.indptr, graph.indices
-    out = np.empty(len(pairs), dtype=np.int64)
-    for i, (u, v) in enumerate(pairs):
-        u, v = int(u), int(v)
-        if u == v:
-            raise GraphError(f"({u}, {v}) is not an edge of {graph.name}")
-        start, stop = indptr[u], indptr[u + 1]
-        pos = start + np.searchsorted(indices[start:stop], v)
-        if pos >= stop or int(indices[pos]) != v:
-            raise GraphError(f"({u}, {v}) is not an edge of {graph.name}")
-        out[i] = slot_edge_ids[pos]
-    return out
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    ids = graph.edge_ids(pairs[:, 0], pairs[:, 1])
+    missing = np.flatnonzero(ids < 0)
+    if missing.size:
+        u, v = (int(x) for x in pairs[missing[0]])
+        raise GraphError(f"({u}, {v}) is not an edge of {graph.name}")
+    return ids
 
 
 def _round_rng(seed: int, round_index: int) -> np.random.Generator:

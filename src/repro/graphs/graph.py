@@ -292,14 +292,16 @@ class Graph:
 
         The forward CSR slots (``u < v``) in CSR order are the edges in
         :meth:`edges` order, so their keys ``u * n + v`` are sorted and one
-        binary search per pair finds its index.
+        binary search per pair finds its index.  Self pairs and vertex ids
+        outside ``[0, n)`` are never edges.
         """
         sources = self.slot_sources()
         forward = sources < self._indices
         keys = sources[forward] * self._n + self._indices[forward]
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
-        query = np.minimum(us, vs) * self._n + np.maximum(us, vs)
+        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+        query = np.where((lo >= 0) & (hi < self._n), lo * self._n + hi, -1)
         if not keys.size:
             return np.full(query.shape, -1, dtype=np.int64)
         ids = np.minimum(np.searchsorted(keys, query), keys.size - 1)
@@ -314,10 +316,7 @@ class Graph:
         undirected edge states onto the samplers' flat offsets.
         """
         if self._slot_edge_ids is None:
-            src = self.slot_sources()
-            dst = self._indices
-            keys = np.minimum(src, dst) * self._n + np.maximum(src, dst)
-            self._slot_edge_ids = np.searchsorted(np.unique(keys), keys)
+            self._slot_edge_ids = self.edge_ids(self.slot_sources(), self._indices)
             self._slot_edge_ids.flags.writeable = False
         return self._slot_edge_ids
 

@@ -35,7 +35,9 @@ ROOT = 0
 #: Bump when :func:`heavy_binary_tree` changes the instance it emits for the
 #: same parameters (invalidates manifest-trusted warm starts, never results).
 BUILDER_VERSION = 1
-register_builder("heavy_binary_tree", BUILDER_VERSION)
+register_builder(
+    "heavy_binary_tree", BUILDER_VERSION, lambda p: heavy_binary_tree(p["num_vertices"])
+)
 
 
 def complete_binary_tree_edges(num_vertices: int) -> np.ndarray:

@@ -30,8 +30,20 @@ BUILDER_VERSIONS = {
     "connected_erdos_renyi": 1,
     "preferential_attachment": 1,
 }
+#: Each family's build from its builder params (``seed`` seeds the draw).
+_BUILDS = {
+    "erdos_renyi": lambda p: erdos_renyi(
+        p["num_vertices"], p["edge_probability"], np.random.default_rng(p["seed"])
+    ),
+    "connected_erdos_renyi": lambda p: connected_erdos_renyi(
+        p["num_vertices"], p["edge_probability"], np.random.default_rng(p["seed"])
+    ),
+    "preferential_attachment": lambda p: preferential_attachment(
+        p["num_vertices"], p["edges_per_vertex"], np.random.default_rng(p["seed"])
+    ),
+}
 for _family, _version in BUILDER_VERSIONS.items():
-    register_builder(_family, _version)
+    register_builder(_family, _version, _BUILDS[_family])
 
 
 def erdos_renyi(num_vertices: int, edge_probability: float, rng: np.random.Generator) -> Graph:

@@ -45,8 +45,22 @@ BUILDER_VERSIONS = {
     "clique_cycle": 1,
     "circulant_graph": 1,
 }
+#: Each family's build from its builder params (random families read
+#: ``seed``).
+_BUILDS = {
+    "complete_graph": lambda p: complete_graph(p["num_vertices"]),
+    "cycle_graph": lambda p: cycle_graph(p["num_vertices"]),
+    "hypercube": lambda p: hypercube(p["dimension"]),
+    "torus_grid": lambda p: torus_grid(p["rows"], p["cols"]),
+    "random_regular_graph": lambda p: random_regular_graph(
+        p["num_vertices"], p["degree"], np.random.default_rng(p["seed"])
+    ),
+    "clique_path": lambda p: clique_path(p["num_cliques"], p["clique_size"]),
+    "clique_cycle": lambda p: clique_cycle(p["num_cliques"], p["clique_size"]),
+    "circulant_graph": lambda p: circulant_graph(p["num_vertices"], p["offsets"]),
+}
 for _family, _version in BUILDER_VERSIONS.items():
-    register_builder(_family, _version)
+    register_builder(_family, _version, _BUILDS[_family])
 
 
 def complete_graph(num_vertices: int) -> Graph:

@@ -33,7 +33,11 @@ ROOT = 0
 #: Bump when :func:`siamese_heavy_binary_tree` changes the instance it emits
 #: for the same parameters (invalidates manifest-trusted warm starts).
 BUILDER_VERSION = 1
-register_builder("siamese_heavy_binary_tree", BUILDER_VERSION)
+register_builder(
+    "siamese_heavy_binary_tree",
+    BUILDER_VERSION,
+    lambda p: siamese_heavy_binary_tree(p["tree_vertices"]),
+)
 
 
 def siamese_heavy_binary_tree(tree_vertices: int) -> Graph:

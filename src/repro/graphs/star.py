@@ -24,7 +24,7 @@ CENTER = 0
 #: Bump when :func:`star` changes the instance it emits for the same
 #: parameters (invalidates manifest-trusted warm starts, never results).
 BUILDER_VERSION = 1
-register_builder("star", BUILDER_VERSION)
+register_builder("star", BUILDER_VERSION, lambda p: star(p["num_leaves"]))
 
 
 def star(num_leaves: int) -> Graph:

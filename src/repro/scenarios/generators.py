@@ -46,8 +46,24 @@ BUILDER_VERSIONS = {
     "stochastic_block_model": 1,
     "random_geometric": 1,
 }
+#: Each family's build from its builder params (``seed`` seeds the draw).
+_BUILDS = {
+    "powerlaw_configuration": lambda p: powerlaw_configuration(
+        p["num_vertices"],
+        p["exponent"],
+        np.random.default_rng(p["seed"]),
+        min_degree=p["min_degree"],
+        max_degree=p.get("max_degree"),
+    ),
+    "stochastic_block_model": lambda p: stochastic_block_model(
+        p["num_vertices"], p["num_blocks"], p["p_in"], p["p_out"], np.random.default_rng(p["seed"])
+    ),
+    "random_geometric": lambda p: random_geometric(
+        p["num_vertices"], p["radius"], np.random.default_rng(p["seed"])
+    ),
+}
 for _family, _version in BUILDER_VERSIONS.items():
-    register_builder(_family, _version)
+    register_builder(_family, _version, _BUILDS[_family])
 
 
 def _dedupe_undirected(num_vertices: int, us: np.ndarray, vs: np.ndarray):

@@ -23,9 +23,11 @@ sizes × trials × source policy × round budget) under a stable name and
 converts to a plain :class:`~repro.experiments.config.ExperimentConfig`
 via :meth:`ScenarioSpec.to_config` — from there the existing runner,
 store, farm and reporting machinery applies unchanged.  The generated
-case builder is a picklable class instance carrying a versioned builder
-spec (:mod:`repro.graphs.builders`), so scenario sweeps keep the
-process-pool ``defer_build`` path and the zero-construction warm start.
+case builder is the same picklable
+:class:`~repro.experiments.config.CaseBuilder` the registered experiments
+use, building through the family table (:mod:`repro.graphs.builders`), so
+scenario sweeps keep the process-pool ``defer_build`` path and the
+zero-construction warm start.
 
 The source-vertex policy is recorded *inside* the builder-spec params
 (key ``"source"``): changing the policy changes the spec, so a stale
@@ -36,34 +38,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..experiments.config import ExperimentConfig, GraphCase, ProtocolSpec
-from ..graphs import (
-    complete_graph,
-    cycle_graph,
-    cycle_of_stars_of_cliques,
-    double_star,
-    erdos_renyi,
-    heavy_binary_tree,
-    hypercube,
-    preferential_attachment,
-    random_regular_graph,
-    siamese_heavy_binary_tree,
-    star,
-    torus_grid,
-)
-from ..graphs.builders import builder_spec
+from ..experiments.config import CaseBuilder, ExperimentConfig, ProtocolSpec
 from ..graphs.dynamic import TopologySchedule, _resolve_dynamics
 from ..graphs.graph import Graph
 from ..specs import SpecError, parse_spec_string
-from .generators import (
-    powerlaw_configuration,
-    random_geometric,
-    stochastic_block_model,
-)
 from .ingest import file_builder_params, ingest_graph
 
 __all__ = [
@@ -111,21 +94,14 @@ class _GraphKind:
     """One resolvable graph-source kind.
 
     ``derive(options, size, seed)`` maps a scenario's graph options plus
-    one sweep point to the canonical builder params — without building
-    anything (the warm path calls only this).  ``build(options, params)``
-    performs the construction from those params; random families read
-    their ``seed`` back out of the params, so build is a pure function of
-    the derived spec.
+    one sweep point to the family's canonical builder params — without
+    building anything (the warm path calls only this); the family table
+    builds from those params.
     """
 
     family: str
     options: Tuple[str, ...]
     derive: Callable[[Dict[str, Any], int, int], Dict[str, Any]]
-    build: Callable[[Dict[str, Any], Dict[str, Any]], Graph]
-
-
-def _rng_of(params: Dict[str, Any]) -> np.random.Generator:
-    return np.random.default_rng(int(params["seed"]))
 
 
 def _erdos_renyi_derive(options, size, seed):
@@ -162,11 +138,6 @@ def _powerlaw_derive(options, size, seed):
     return params
 
 
-def _powerlaw_build(options, params):
-    kwargs = {k: v for k, v in params.items() if k != "seed"}
-    return powerlaw_configuration(rng=_rng_of(params), **kwargs)
-
-
 def _sbm_derive(options, size, seed):
     return {
         "num_vertices": size,
@@ -187,57 +158,25 @@ def _file_derive(options, size, seed):
     )
 
 
-def _file_build(options, params):
-    return ingest_graph(
-        options["path"],
-        format=params["format"],
-        canonicalize=params["canonicalize"],
-    )
+def _file_build(path, params):
+    # The file family's params name the content, not the path, so its build
+    # is the one that is not a function of the params alone.
+    return ingest_graph(path, format=params["format"], canonicalize=params["canonicalize"])
 
 
-def _simple_size_kind(family, option_keys, size_key, build):
-    return _GraphKind(
-        family=family,
-        options=option_keys,
-        derive=lambda options, size, seed: {size_key: size},
-        build=build,
-    )
+def _size_kind(family, size_key):
+    return _GraphKind(family, (), lambda options, size, seed: {size_key: size})
 
 
 _GRAPH_KINDS: Dict[str, _GraphKind] = {
-    "star": _simple_size_kind(
-        "star", (), "num_leaves", lambda o, p: star(p["num_leaves"])
-    ),
-    "double-star": _simple_size_kind(
-        "double_star", (), "num_vertices", lambda o, p: double_star(p["num_vertices"])
-    ),
-    "heavy-tree": _simple_size_kind(
-        "heavy_binary_tree",
-        (),
-        "num_vertices",
-        lambda o, p: heavy_binary_tree(p["num_vertices"]),
-    ),
-    "siamese-tree": _simple_size_kind(
-        "siamese_heavy_binary_tree",
-        (),
-        "tree_vertices",
-        lambda o, p: siamese_heavy_binary_tree(p["tree_vertices"]),
-    ),
-    "cycle-stars-cliques": _simple_size_kind(
-        "cycle_of_stars_of_cliques",
-        (),
-        "k",
-        lambda o, p: cycle_of_stars_of_cliques(p["k"])[0],
-    ),
-    "complete": _simple_size_kind(
-        "complete_graph", (), "num_vertices", lambda o, p: complete_graph(p["num_vertices"])
-    ),
-    "cycle": _simple_size_kind(
-        "cycle_graph", (), "num_vertices", lambda o, p: cycle_graph(p["num_vertices"])
-    ),
-    "hypercube": _simple_size_kind(
-        "hypercube", (), "dimension", lambda o, p: hypercube(p["dimension"])
-    ),
+    "star": _size_kind("star", "num_leaves"),
+    "double-star": _size_kind("double_star", "num_vertices"),
+    "heavy-tree": _size_kind("heavy_binary_tree", "num_vertices"),
+    "siamese-tree": _size_kind("siamese_heavy_binary_tree", "tree_vertices"),
+    "cycle-stars-cliques": _size_kind("cycle_of_stars_of_cliques", "k"),
+    "complete": _size_kind("complete_graph", "num_vertices"),
+    "cycle": _size_kind("cycle_graph", "num_vertices"),
+    "hypercube": _size_kind("hypercube", "dimension"),
     "torus": _GraphKind(
         family="torus_grid",
         options=("cols",),
@@ -245,7 +184,6 @@ _GRAPH_KINDS: Dict[str, _GraphKind] = {
             "rows": size,
             "cols": int(options.get("cols", size)),
         },
-        build=lambda o, p: torus_grid(p["rows"], p["cols"]),
     ),
     "random-regular": _GraphKind(
         family="random_regular_graph",
@@ -255,17 +193,11 @@ _GRAPH_KINDS: Dict[str, _GraphKind] = {
             "degree": int(options.get("degree", 4)),
             "seed": seed,
         },
-        build=lambda o, p: random_regular_graph(
-            p["num_vertices"], p["degree"], _rng_of(p)
-        ),
     ),
     "erdos-renyi": _GraphKind(
         family="erdos_renyi",
         options=("edge_probability", "avg_degree"),
         derive=_erdos_renyi_derive,
-        build=lambda o, p: erdos_renyi(
-            p["num_vertices"], p["edge_probability"], _rng_of(p)
-        ),
     ),
     "preferential-attachment": _GraphKind(
         family="preferential_attachment",
@@ -275,37 +207,26 @@ _GRAPH_KINDS: Dict[str, _GraphKind] = {
             "edges_per_vertex": int(options.get("edges_per_vertex", 2)),
             "seed": seed,
         },
-        build=lambda o, p: preferential_attachment(
-            p["num_vertices"], p["edges_per_vertex"], _rng_of(p)
-        ),
     ),
     "powerlaw": _GraphKind(
         family="powerlaw_configuration",
         options=("exponent", "min_degree", "max_degree"),
         derive=_powerlaw_derive,
-        build=_powerlaw_build,
     ),
     "sbm": _GraphKind(
         family="stochastic_block_model",
         options=("num_blocks", "p_in", "p_out"),
         derive=_sbm_derive,
-        build=lambda o, p: stochastic_block_model(
-            p["num_vertices"], p["num_blocks"], p["p_in"], p["p_out"], _rng_of(p)
-        ),
     ),
     "geometric": _GraphKind(
         family="random_geometric",
         options=("radius", "avg_degree"),
         derive=_geometric_derive,
-        build=lambda o, p: random_geometric(
-            p["num_vertices"], p["radius"], _rng_of(p)
-        ),
     ),
     "file": _GraphKind(
         family="file",
         options=("path", "format", "canonicalize"),
         derive=_file_derive,
-        build=_file_build,
     ),
 }
 
@@ -349,7 +270,8 @@ def resolve_graph_spec(spec) -> Dict[str, Any]:
     return {"kind": kind, **spec}
 
 
-def _resolve_source_vertex(graph: Graph, policy, rng: np.random.Generator) -> int:
+def _resolve_source_vertex(policy, graph: Graph, params, case_seed: int) -> int:
+    """A scenario's source rule: a vertex id or a named policy."""
     if isinstance(policy, bool):
         raise ScenarioError(f"invalid source policy {policy!r}")
     if isinstance(policy, int):
@@ -366,6 +288,7 @@ def _resolve_source_vertex(graph: Graph, policy, rng: np.random.Generator) -> in
     if policy == "min-degree":
         return int(degrees.argmin())
     if policy == "random":
+        rng = np.random.default_rng([int(case_seed), 0x5CE7A110])
         return int(rng.integers(graph.num_vertices))
     raise ScenarioError(
         f"unknown source policy {policy!r}; expected a vertex id or one of "
@@ -373,44 +296,25 @@ def _resolve_source_vertex(graph: Graph, policy, rng: np.random.Generator) -> in
     )
 
 
-class _ScenarioCaseBuilder:
-    """The picklable case builder a :class:`ScenarioSpec` compiles to.
+def _scenario_params(kind: str, options: Dict[str, Any], source, size: int, seed: int):
+    """A scenario's params rule: the kind's derived params plus the source
+    policy, so a changed policy changes the spec and no stale manifest can
+    smuggle an old source vertex into new cell keys."""
+    params = _GRAPH_KINDS[kind].derive(options, size, seed)
+    params["source"] = source
+    return params
 
-    Instances carry only plain data (kind name, options dict, source
-    policy), so they cross the runner's spawn boundary cheaply
-    (``defer_build``) and expose the ``case_spec`` hook that unlocks the
-    zero-construction warm path: the derived builder spec embeds the
-    source policy next to the family params, making manifest trust cover
-    the complete case derivation.
-    """
 
-    def __init__(self, kind: str, options: Dict[str, Any], source) -> None:
-        self.kind = kind
-        self.options = dict(options)
-        self.source = source
-
-    def _kind(self) -> _GraphKind:
-        return _GRAPH_KINDS[self.kind]
-
-    def case_spec(self, size_parameter: int, case_seed: int) -> Dict[str, Any]:
-        """Canonical builder spec of one sweep point — no construction."""
-        kind = self._kind()
-        params = kind.derive(self.options, int(size_parameter), int(case_seed))
-        params["source"] = self.source
-        return builder_spec(kind.family, params, case_revision=CASE_REVISION)
-
-    def __call__(self, size_parameter: int, case_seed: int) -> GraphCase:
-        kind = self._kind()
-        params = kind.derive(self.options, int(size_parameter), int(case_seed))
-        graph = kind.build(self.options, params)
-        source_rng = np.random.default_rng([int(case_seed), 0x5CE7A110])
-        source = _resolve_source_vertex(graph, self.source, source_rng)
-        return GraphCase(
-            graph=graph,
-            source=source,
-            size_parameter=int(size_parameter),
-            metadata={"graph_kind": self.kind, "source_policy": str(self.source)},
-        )
+def _scenario_case_builder(kind: str, options: Dict[str, Any], source) -> CaseBuilder:
+    """The case builder a scenario compiles to: plain data and partials over
+    module-level functions, so it crosses the runner's spawn boundary."""
+    return CaseBuilder(
+        _GRAPH_KINDS[kind].family,
+        partial(_scenario_params, kind, dict(options), source),
+        source=partial(_resolve_source_vertex, source),
+        case_revision=CASE_REVISION,
+        build=partial(_file_build, options["path"]) if kind == "file" else None,
+    )
 
 
 class _RoundBudget:
@@ -540,7 +444,7 @@ class ScenarioSpec:
             paper_reference="scenario corpus",
             description=self.description
             or f"Corpus scenario on the {kind} graph source.",
-            graph_builder=_ScenarioCaseBuilder(kind, graph, self.source),
+            graph_builder=_scenario_case_builder(kind, graph, self.source),
             sizes=tuple(int(s) for s in self.sizes),
             protocols=tuple(protocols),
             trials=int(self.trials),

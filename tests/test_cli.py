@@ -80,7 +80,7 @@ class TestParser:
         ],
         "simulate": [
             "simulate", "push", "star", "100", "--source", "2", "--seed", "3",
-            "--agent-density", "2.0", "--trials", "4", "--workers", "2",
+            "--agent-density", "2.0", "--trials", "4",
             "--dynamics", "bernoulli-edges:rate=0.1", "--store", "/tmp/s", "--no-store",
             "--force",
         ],
@@ -147,6 +147,10 @@ class TestParser:
         argv = self.FULL_COMMAND_LINES[name]
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv + ["--backend", "batched"])
+
+    def test_simulate_workers_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["simulate", "push", "star", "10", "--workers", "2"])
 
     def test_worker_cache_alias_is_gone(self):
         with pytest.raises(SystemExit):

@@ -37,7 +37,6 @@ class TestGraphCase:
         case = simple_builder(10, 0)
         assert case.num_vertices == 11
         assert case.size_parameter == 10
-        assert case.metadata == {}
 
 
 class TestProtocolSpec:

@@ -77,6 +77,25 @@ class TestQueries:
         assert not small_star.has_edge(1, 2)
         assert not small_star.has_edge(3, 3)
 
+    def test_edge_ids_follow_edges_order(self, small_heavy_tree):
+        pairs = np.array(list(small_heavy_tree.edges()))
+        expected = np.arange(len(pairs))
+        assert np.array_equal(small_heavy_tree.edge_ids(pairs[:, 0], pairs[:, 1]), expected)
+        assert np.array_equal(small_heavy_tree.edge_ids(pairs[:, 1], pairs[:, 0]), expected)
+        slots = small_heavy_tree.slot_edge_ids()
+        assert np.array_equal(
+            pairs[slots], np.sort(np.column_stack((small_heavy_tree.slot_sources(),
+                                                   small_heavy_tree.indices)), axis=1)
+        )
+
+    def test_edge_ids_of_non_edges(self, small_star):
+        n = small_star.num_vertices
+        # Self pairs, non-adjacent leaves and ids outside [0, n) are never
+        # edges, even where u * n + v aliases a real edge's key: (-1, n + 5)
+        # has the key of the edge (0, 5).
+        ids = small_star.edge_ids([3, 1, -1, 0, 0], [3, 2, n + 5, n, 5])
+        assert ids.tolist() == [-1, -1, -1, -1, 4]
+
     def test_vertices_iterable(self, small_star):
         assert list(small_star.vertices()) == list(range(21))
 

@@ -21,7 +21,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig, GraphCase, ProtocolSpec, scaled_sizes
+from repro.experiments.config import (
+    CaseBuilder,
+    ExperimentConfig,
+    GraphCase,
+    ProtocolSpec,
+    scaled_sizes,
+)
 from repro.experiments.registry import get_experiment
 from repro.experiments.reporting import (
     render_report_html,
@@ -34,11 +40,9 @@ from repro.experiments.runner import run_experiment
 from repro.graphs import (
     builder_spec,
     builder_version,
-    complete_graph,
     register_builder,
     registered_builders,
     star,
-    with_case_spec,
 )
 from repro.graphs.builders import _REGISTRY
 from repro.graphs.graph import Graph
@@ -59,9 +63,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 from run_bench import rss_multiplier  # noqa: E402
 
 
-@with_case_spec("complete_graph", lambda size, seed: {"num_vertices": size})
-def complete_builder(size, seed):
-    return GraphCase(graph=complete_graph(size), source=0, size_parameter=size)
+complete_builder = CaseBuilder("complete_graph", "num_vertices")
 
 
 TOY_CONFIG = ExperimentConfig(
