@@ -403,8 +403,9 @@ def measure_workers():
 
 
 #: Protocols of the scale curve: one vertex protocol (push, sparse-frontier
-#: tier) and one agent protocol (visit-exchange, agent-proportional already).
-SCALE_PROTOCOLS = ("push", "visit-exchange")
+#: tier), one agent protocol (visit-exchange, agent-proportional already) and
+#: the hybrid of the two, the largest working set per cell.
+SCALE_PROTOCOLS = ("push", "visit-exchange", "hybrid-ppull-visitx")
 SCALE_MIN_N = 1 << 10
 SCALE_MAX_N = 1 << 20
 SCALE_DEGREE = 12
@@ -424,7 +425,8 @@ def measure_scale(max_n: int = SCALE_MAX_N):
     tier curve).
 
     Random 12-regular graphs (the family of Theorems 1-3) on the two
-    representative protocols of the two kernel shapes.  Push picks its tier
+    representative protocols of the two kernel shapes and the hybrid, which
+    holds both shapes' state and so the largest working set.  Push picks its tier
     before every round (sparse frontiers in the thin phases, dense rows in
     the hot phase, never sparse below a few thousand vertices); the recorded
     frontier mode is ``"sparse"`` for a cell once any round ran sparse, so

@@ -294,7 +294,8 @@ def run_batch(
     # and assembled from side-effect-free reads (informed counts, the size of
     # the flat sparse frontier) so trajectories and store keys stay
     # bit-identical either way.
-    sample_stride = max(1, budget // 64) if trace_enabled() else 0
+    traced = trace_enabled()
+    sample_stride = max(1, budget // 64) if traced else 0
     with span(
         "kernel.rounds",
         protocol=kernel.name,
@@ -302,7 +303,7 @@ def run_batch(
         trials=num_trials,
         budget=budget,
         frontier=kernel.frontier_resolved,
-    ):
+    ) as rounds_span:
         while active and round_index < budget:
             round_index += 1
             kernel.step(active)
@@ -324,6 +325,10 @@ def run_batch(
             finished = np.flatnonzero(kernel.complete_rows(active))
             if finished.size:
                 retire(finished, round_index)
+        if traced:
+            # The cell's memory, read once the rounds have claimed every
+            # lazily allocated buffer.
+            rounds_span.attrs["working_set_bytes"] = kernel.working_set_bytes()
     # Trials still running at budget exhaustion executed every round.
     for row in range(active):
         rounds_executed[int(kernel.trial_ids[row])] = round_index

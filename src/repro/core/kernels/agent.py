@@ -179,14 +179,12 @@ class AgentWalkKernel(BatchKernel):
         return slot_sources[slots]
 
     def _setup_walk(self, uses_lazy: bool) -> None:
-        shape = (self.num_trials, self._num_agents)
-        # ``_masked`` aliases the walk sampler's offset buffer, dead by the
-        # time the scatter mask is built (smaller resident set).
-        self._walk_sampler = NeighborSampler(self, self._num_agents, lazy=uses_lazy)
-        self._position_flat = np.empty(shape, dtype=np.int64)
-        self._masked = self._walk_sampler.offsets
-        self._gathered = np.empty(shape, dtype=bool)
-        self._row_base1 = self._flat_row_base(self._num_agents)
+        width = self._num_agents
+        self._walk_sampler = NeighborSampler(self, width, lazy=uses_lazy)
+        self._position_flat = self._scratch("flat", np.int64, width)
+        self._masked = self._scratch("offsets", np.int64, width)
+        self._gathered = self._scratch("gathered", bool, width)
+        self._row_base1 = self._flat_row_base(width)
         # Lazily allocated on the first round with a materialized vertex mask.
         self._vertex_ok = None
 
@@ -257,9 +255,7 @@ class AgentWalkKernel(BatchKernel):
         if self._vertex_active is None:
             return self._alive_rows
         if self._vertex_ok is None:
-            self._vertex_ok = np.empty(
-                (self.num_trials, self._num_agents), dtype=bool
-            )
+            self._vertex_ok = self._scratch("vertex_ok", bool, self._num_agents)
         out = self._vertex_ok[:k]
         np.take(self._vertex_active, positions, out=out, mode="clip")
         if self._alive_rows is not None:

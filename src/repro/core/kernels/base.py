@@ -66,6 +66,27 @@ Design notes
   n = 511 (66 300 slots, kept int64) ran 3% slower narrowed, the
   1021-vertex siamese tree (132 600 slots) 17% faster, n = 1023 (263 676
   slots) even.
+* **Scratch arena.**  A kernel's per-round scratch — the samplers' scaled
+  draws, CSR slots (``offsets``) and sampled ids, the flat state indices and
+  scatter masks, the gathered flags — comes from one arena
+  (:meth:`BatchKernel._scratch`): flat buffers keyed by role and dtype, each
+  handed out as contiguous ``(num_trials, width)`` views and sized for its
+  widest user.  The lifetime rule: a buffer is borrowed within one phase of
+  a round and never read across phases, so no scratch carries state from
+  one round (or row swap) to the next.  Within a phase one role may serve
+  two users in turn when the first is dead before the second writes: the
+  scatter masks reuse the ``offsets`` role, whose CSR slots are dead once
+  the neighbors and the slot activity are gathered.  The hybrid's
+  vertex half (the push-pull exchange) and agent half (walk and visit) are
+  two phases, so they share every buffer; its initialize sizes the arena for
+  the wider half (:attr:`BatchKernel._arena_width`) before either claims.
+  Measured at ``n = 2**16``, 8 trials, seed 0 (VmRSS polled every 0.5 ms
+  per cell, 2-vCPU x86 VM), the hybrid's cell peaked at 105.9 MB on a
+  power-law graph and 101.1 MB on a random 12-regular graph with one set of
+  scratch per half, and at 92.4 and 90.2 MB sharing it; every other
+  protocol's cell stays at or below 88.3 MB.  At 32-bit precision the
+  per-vertex chain also runs in ``offsets`` itself instead of a separate
+  int64 ``scaled`` buffer, so that sampler claims no ``scaled`` at all.
 """
 
 from __future__ import annotations
@@ -231,6 +252,13 @@ class BatchKernel:
         self._row_base = (
             np.arange(self.num_trials, dtype=np.int64) * graph.num_vertices
         )[:, None]
+        self._row_bases: Dict[int, np.ndarray] = {}
+        #: The scratch arena: one flat buffer per (role, dtype).
+        self._arena: Dict[Tuple[str, np.dtype], np.ndarray] = {}
+        #: Values per row every arena buffer holds at least; a kernel whose
+        #: users of one role differ in width sets it to the widest before
+        #: the first claim (see "Scratch arena" in the module notes).
+        self._arena_width = 0
         #: The adjacency every sampler of this kernel gathers from.
         self._adjacency = sampling_adjacency(graph)
         self._round_count = 0
@@ -310,9 +338,35 @@ class BatchKernel:
         self._trial_to_row[self.trial_ids[i]] = i
         self._trial_to_row[self.trial_ids[j]] = j
 
+    def _scratch(self, role: str, dtype, width: int) -> np.ndarray:
+        """A ``(num_trials, width)`` view of the arena buffer of ``role`` and
+        ``dtype``, borrowed for one phase of a round.
+
+        The first claim of a role allocates its buffer for
+        ``max(width, _arena_width)`` values per row; later claims view the
+        same memory and may not be wider.
+        """
+        key = (role, np.dtype(dtype))
+        size = self.num_trials * width
+        buffer = self._arena.get(key)
+        if buffer is None:
+            buffer = np.empty(self.num_trials * max(width, self._arena_width), dtype=key[1])
+            self._arena[key] = buffer
+        elif buffer.size < size:
+            raise ValueError(
+                f"scratch role {role!r} claimed {width} wide, beyond its buffer; "
+                "set _arena_width to the widest user before the first claim"
+            )
+        return buffer[:size].reshape(self.num_trials, width)
+
+    def working_set_bytes(self) -> int:
+        """Bytes of the kernel's arrays: the registered row state (draw
+        streams included) plus the scratch arena."""
+        return sum(array.nbytes for array in (*self._row_arrays, *self._arena.values()))
+
     def _flat_row_base(self, width: int) -> np.ndarray:
         """Flat-index row offsets, shifted past the slot-0 write sink, to add
-        to ``(T, width)`` vertex ids.
+        to ``(T, width)`` vertex ids (cached per width).
 
         Materialized as a ``(T, width)`` array only below the vertex-id width
         crossover (see :func:`vertex_id_dtype`), where an aligned int64 add
@@ -321,10 +375,13 @@ class BatchKernel:
         either way, and the ``(T, 1)`` column is faster and saves
         ``8 T width`` bytes (8 trials, n = 8192: 89 vs 102 µs).
         """
-        base = self._row_base + 1
-        if self._adjacency.dtype != np.int64:
-            return base
-        return np.ascontiguousarray(np.broadcast_to(base, (self.num_trials, width)))
+        base = self._row_bases.get(width)
+        if base is None:
+            base = self._row_base + 1
+            if self._adjacency.dtype == np.int64:
+                base = np.ascontiguousarray(np.broadcast_to(base, (self.num_trials, width)))
+            self._row_bases[width] = base
+        return base
 
     def _row_of(self, trial: int) -> int:
         """Row currently holding ``trial`` (rows are a permutation of trials)."""
@@ -391,7 +448,8 @@ class NeighborSampler:
     """Uniform fixed-point neighbor sampling over the graph's CSR adjacency.
 
     One sampler owns one draw stream of ``width`` values per trial per round
-    plus all the scratch the sampling ufunc chain needs.  Kernels create one
+    and borrows the scratch of the sampling ufunc chain from its kernel's
+    arena (see "Scratch arena" in the module notes).  Kernels create one
     sampler per logical stream (the walk stream of an agent protocol, the
     callee stream of a vertex protocol — the hybrid kernel has both) and must
     consume every sampler exactly once per round, after a single
@@ -420,20 +478,19 @@ class NeighborSampler:
         self.offset_bits, self._regular_degree, self._degrees_wide = (
             fixed_point_degrees(graph)
         )
-        wide = self._degrees_wide.dtype.type
-        shape = (kernel.num_trials, self.width)
         self._stream = kernel._raw_stream(self.width, self.offset_bits)
         # Laziness is one extra 16-bit coin per value ("stay put" at p = 1/2).
         self._lazy_stream = kernel._raw_stream(self.width, 16) if lazy else None
-        self._stay = np.empty(shape, dtype=bool) if lazy else None
+        self._stay = kernel._scratch("stay", bool, self.width) if lazy else None
         self._adjacency = kernel._adjacency
-        self._scaled = np.empty(shape, dtype=wide)
-        #: Dead after sampling; kernels reuse it as int64 scatter scratch.
-        self.offsets = np.empty(shape, dtype=np.int64)
+        # Claimed on first use: 32-bit per-vertex sampling never needs it.
+        self._scaled = None
+        #: The sampled CSR slots, int64.
+        self.offsets = kernel._scratch("offsets", np.int64, self.width)
         #: The sampled vertex ids, in the adjacency's width.
-        self.sampled = np.empty(shape, dtype=self._adjacency.dtype)
-        # Per-sample activity of the round's topology masks; allocated lazily
-        # on the first round whose masks are materialized (see round_ok), so
+        self.sampled = kernel._scratch("sampled", self._adjacency.dtype, self.width)
+        # Per-sample activity of the round's topology masks; claimed on the
+        # first round whose masks are materialized (see round_ok), so
         # all-active schedules cost nothing here.
         self.active = None
         self._blocked = None
@@ -449,7 +506,7 @@ class NeighborSampler:
         """
         graph = self._kernel.graph
         raw = self._kernel._raw_values(k, self._stream)
-        scaled = self._scaled[:k]
+        scaled = self._scaled_rows(k)
         offsets = self.offsets[:k]
         out = self.sampled[:k]
         # Row starts go straight into ``offsets``; the offset within the row
@@ -489,9 +546,13 @@ class NeighborSampler:
         kernels simply ignore the draws of vertices that do not act.
         """
         raw = self._kernel._raw_values(k, self._stream)
-        scaled = self._scaled[:k]
         offsets = self.offsets[:k]
         out = self.sampled[:k]
+        # At 32 bits the wide type is int64 and the chain runs in ``offsets``
+        # itself; at 16 bits the int32 chain beats writing int64 (8 trials,
+        # n = 2**16, 2-vCPU x86 VM: 32 bits 0.91 in place vs 1.15 ms with a
+        # separate buffer, 16 bits 0.80 ms int32 vs 0.91 ms int64).
+        scaled = offsets if self.offset_bits == 32 else self._scaled_rows(k)
         # A scalar degree on regular graphs, the degree array otherwise.
         np.multiply(raw, self._degrees_wide, out=scaled)
         np.right_shift(scaled, self.offset_bits, out=scaled)
@@ -499,6 +560,14 @@ class NeighborSampler:
         np.take(self._adjacency, offsets, out=out, mode="clip")
         self._gather_active(k)
         return out
+
+    def _scaled_rows(self, k: int) -> np.ndarray:
+        """The first ``k`` rows of the wide-typed fixed-point scratch."""
+        if self._scaled is None:
+            self._scaled = self._kernel._scratch(
+                "scaled", self._degrees_wide.dtype, self.width
+            )
+        return self._scaled[:k]
 
     def _gather_active(self, k: int) -> None:
         """Gather this round's slot activity at the sampled offsets.
@@ -510,9 +579,8 @@ class NeighborSampler:
         self._active_valid = slot_active is not None
         if self._active_valid:
             if self.active is None:
-                shape = (self._kernel.num_trials, self.width)
-                self.active = np.empty(shape, dtype=bool)
-                self._blocked = np.empty(shape, dtype=bool)
+                self.active = self._kernel._scratch("active", bool, self.width)
+                self._blocked = self._kernel._scratch("blocked", bool, self.width)
             np.take(slot_active, self.offsets[:k], out=self.active[:k], mode="clip")
 
     def round_ok(self, k: int) -> Optional[np.ndarray]:

@@ -58,6 +58,8 @@ class HybridKernel(VisitRule, VertexKernel, AgentWalkKernel):
         self._setup_common(graph, gens)
         mode = self._resolve_frontier(supported=not self.churn.enabled)
         self._place_agents(graph, source, gens)
+        # The halves borrow the same scratch in different phases of a round.
+        self._arena_width = max(graph.num_vertices, self._num_agents)
         # Two draw streams per round: the callee stream of the vertex half and
         # the walk stream of the agents.  The sparse tier of the vertex half
         # merely reads the callee stream at frontier positions, so both tiers

@@ -51,12 +51,14 @@ class MeetExchangeKernel(AgentWalkKernel):
         # cleared in full every round.  Like visit-exchange, the kernel has no
         # sparse tier: its work is agent-proportional already.
         self._meeting_flat = np.empty(self.num_trials * graph.num_vertices + 1, dtype=bool)
+        self._informed_before = self._scratch("informed_before", bool, self._num_agents)
 
     def step(self, k):
         self._begin_round()
         new_positions = self._walk_rows(k)
         vertex_ok = self._vertex_ok_rows(k, new_positions)
-        informed_before = self.agent_informed[:k].copy()
+        informed_before = self._informed_before[:k]
+        np.copyto(informed_before, self.agent_informed[:k])
 
         # The source hands the rumor to its first visitor(s), then goes silent.
         # Agents informed directly by the source may not spread further this

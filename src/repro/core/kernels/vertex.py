@@ -277,18 +277,14 @@ class VertexKernel(SparseVertexMixin, BatchKernel):
         #: estimates of the next round's count decrements and settle.
         self._newly_total = 0
         self._hit_share = 0.0
-        # Both tiers read this sampler's stream.  Scratch reused every round
-        # to avoid allocator churn on the dense hot path; ``_callee_masked``
-        # aliases the sampler's offset buffer, which is dead by the time the
-        # scatter mask is built (smaller resident set, fewer cache evictions).
-        shape = (self.num_trials, n)
+        # Both tiers read this sampler's stream.
         self._callee_sampler = NeighborSampler(self, n)
-        self._callee_flat = np.empty(shape, dtype=np.int64)
-        self._callee_masked = self._callee_sampler.offsets
+        self._callee_flat = self._scratch("flat", np.int64, n)
+        self._callee_masked = self._scratch("offsets", np.int64, n)
         self._callee_row_base1 = self._flat_row_base(n)
         if self._pulls:
-            self._callee_informed = np.empty(shape, dtype=bool)
-            self._pulled = np.empty(shape, dtype=bool)
+            self._callee_informed = self._scratch("gathered", bool, n)
+            self._pulled = self._scratch("pulled", bool, n)
         self.tier = "dense"
         self._sparse_work = 0
         # The sparse tier never pays below this size: a row's fixed cost and
