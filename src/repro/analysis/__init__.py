@@ -17,7 +17,7 @@ from .scaling import (
     power_law_exponent,
 )
 from .statistics import Summary, bootstrap_ci, summarize, summarize_trials
-from .tables import format_float, format_markdown_table, format_table, rows_from_dicts
+from .tables import format_float, format_markdown_table, format_table
 
 __all__ = [
     "Summary",
@@ -41,5 +41,4 @@ __all__ = [
     "format_table",
     "format_markdown_table",
     "format_float",
-    "rows_from_dicts",
 ]

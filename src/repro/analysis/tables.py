@@ -8,9 +8,9 @@ here means the experiment modules only deal with numbers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Sequence
 
-__all__ = ["format_table", "format_markdown_table", "format_float", "rows_from_dicts"]
+__all__ = ["format_table", "format_markdown_table", "format_float"]
 
 
 def format_float(value, *, precision: int = 2) -> str:
@@ -30,19 +30,6 @@ def format_float(value, *, precision: int = 2) -> str:
     if abs(value) >= 1000 or (abs(value) < 0.01 and value != 0):
         return f"{value:.3g}"
     return f"{value:.{precision}f}"
-
-
-def rows_from_dicts(
-    records: Sequence[Dict[str, object]], columns: Optional[Sequence[str]] = None
-) -> List[List[str]]:
-    """Convert dict records to string rows using the given column order."""
-    if not records:
-        return []
-    keys = list(columns) if columns is not None else list(records[0].keys())
-    rows = []
-    for record in records:
-        rows.append([format_float(record.get(key)) for key in keys])
-    return rows
 
 
 def format_table(

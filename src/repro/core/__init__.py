@@ -9,10 +9,9 @@ from .observers import (
     InformedCountObserver,
     Observer,
     ObserverGroup,
-    RoundLimitGuard,
 )
 from .results import RunResult, TrialSet
-from .rng import RngFactory, derive_seed, make_rng, spawn_rngs
+from .rng import derive_seed, make_rng
 
 __all__ = [
     "default_agent_count",
@@ -28,11 +27,8 @@ __all__ = [
     "ObserverGroup",
     "InformedCountObserver",
     "EdgeUsageObserver",
-    "RoundLimitGuard",
     "RunResult",
     "TrialSet",
-    "RngFactory",
     "make_rng",
-    "spawn_rngs",
     "derive_seed",
 ]

@@ -17,7 +17,6 @@ __all__ = [
     "ObserverGroup",
     "InformedCountObserver",
     "EdgeUsageObserver",
-    "RoundLimitGuard",
 ]
 
 
@@ -196,24 +195,3 @@ class EdgeUsageObserver(Observer):
             ids[found], weights=self._weights[found], minlength=graph.num_edges
         ).astype(np.int64)
 
-
-class RoundLimitGuard(Observer):
-    """Safety observer that raises if a run exceeds an absolute round limit.
-
-    Experiments on slow protocol/graph pairs (e.g. visit-exchange on the heavy
-    binary tree) use generous ``max_rounds`` values; this guard exists for unit
-    tests that want a hard failure instead of a silent truncation.
-    """
-
-    def __init__(self, hard_limit: int) -> None:
-        if hard_limit <= 0:
-            raise ValueError("hard_limit must be positive")
-        self.hard_limit = int(hard_limit)
-
-    def on_round_end(
-        self, round_index: int, informed_vertices: int, informed_agents: int
-    ) -> None:
-        if round_index > self.hard_limit:
-            raise RuntimeError(
-                f"run exceeded the hard round limit of {self.hard_limit}"
-            )

@@ -2,21 +2,19 @@
 
 Every stochastic component in this package draws from a
 :class:`numpy.random.Generator`.  Experiments need reproducibility across
-processes and across trials, so instead of passing raw integer seeds around we
-use numpy's ``SeedSequence`` spawning discipline: a single experiment seed
-deterministically derives an independent stream for every (trial, component)
-pair.
+processes and across trials, so a single experiment seed deterministically
+derives (through a ``SeedSequence``) an independent seed for every (trial,
+component) pair.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Union
+from typing import Union
 
 import numpy as np
 
-__all__ = ["RngFactory", "make_rng", "spawn_rngs", "derive_seed"]
+__all__ = ["make_rng", "derive_seed"]
 
 SeedLike = Union[int, None, np.random.SeedSequence, np.random.Generator]
 
@@ -29,21 +27,7 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: SeedLike, count: int) -> List[np.random.Generator]:
-    """Derive ``count`` statistically independent generators from one seed."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if isinstance(seed, np.random.Generator):
-        # Derive children from the generator's own bit stream.
-        children = seed.integers(0, 2**63 - 1, size=count)
-        return [np.random.default_rng(int(child)) for child in children]
-    sequence = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in sequence.spawn(count)]
 
 
 def derive_seed(base_seed: int, *components: Union[int, str]) -> int:
@@ -65,35 +49,3 @@ def derive_seed(base_seed: int, *components: Union[int, str]) -> int:
     sequence = np.random.SeedSequence(entropy)
     return int(sequence.generate_state(1, dtype=np.uint64)[0] & 0x7FFFFFFFFFFFFFFF)
 
-
-@dataclass
-class RngFactory:
-    """Named, reproducible generator factory for an experiment run.
-
-    Each distinct ``(name, index)`` request yields an independent stream that
-    is stable across runs with the same base seed.  The factory records which
-    streams were requested, which makes it easy to assert in tests that two
-    code paths did not accidentally share randomness.
-    """
-
-    base_seed: int
-    _issued: Dict[str, int] = field(default_factory=dict)
-
-    def generator(self, name: str, index: int = 0) -> np.random.Generator:
-        """Return the generator for stream ``name``/``index``."""
-        key = f"{name}#{index}"
-        self._issued[key] = self._issued.get(key, 0) + 1
-        return make_rng(derive_seed(self.base_seed, name, index))
-
-    def generators(self, name: str, count: int) -> List[np.random.Generator]:
-        """Return ``count`` generators for consecutively indexed streams."""
-        return [self.generator(name, index) for index in range(count)]
-
-    @property
-    def issued_streams(self) -> Dict[str, int]:
-        """Mapping from stream key to the number of times it was requested."""
-        return dict(self._issued)
-
-    def duplicated_streams(self) -> List[str]:
-        """Return stream keys that were requested more than once."""
-        return [key for key, count in self._issued.items() if count > 1]

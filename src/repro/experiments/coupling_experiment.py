@@ -16,14 +16,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Sequence
 
-import numpy as np
-
 from ..analysis.congestion import CongestionSummary, summarize_coupled_runs
 from ..core.coupling import CoupledPushVisitExchange, CoupledRunResult
 from ..core.rng import derive_seed
-from ..graphs.regular import random_regular_graph
 from ..store import cached_document, document_cell_payload
-from .regular_graphs import regular_degree_for
+from .regular_graphs import RANDOM_REGULAR_CASE
 
 __all__ = [
     "CouplingExperimentResult",
@@ -141,12 +138,11 @@ def run_coupling_experiment(
     def compute() -> CouplingExperimentResult:
         result = CouplingExperimentResult()
         for size in sizes:
-            degree = regular_degree_for(size)
             runs: List[CoupledRunResult] = []
             for run_index in range(runs_per_size):
                 graph_seed = derive_seed(base_seed, "coupling", size, run_index, "graph")
                 run_seed = derive_seed(base_seed, "coupling", size, run_index, "run")
-                graph = random_regular_graph(size, degree, np.random.default_rng(graph_seed))
+                graph = RANDOM_REGULAR_CASE(size, graph_seed).graph
                 coupled = CoupledPushVisitExchange(agent_density=agent_density)
                 runs.append(coupled.run(graph, source=0, seed=run_seed))
             result.sizes.append(int(size))

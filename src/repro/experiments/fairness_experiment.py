@@ -19,18 +19,14 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List
 
-import numpy as np
-
 from ..analysis.fairness import FairnessReport, edge_usage_from_walks, fairness_from_usage
 from ..core.batch import run_batch
 from ..core.observers import EdgeUsageObserver, ObserverGroup
 from ..core.rng import derive_seed, make_rng
-from ..graphs.double_star import double_star
 from ..graphs.graph import Graph
-from ..graphs.regular import random_regular_graph
-from ..graphs.star import star
 from ..store import cached_document, document_cell_payload
-from .regular_graphs import regular_degree_for
+from .figure1 import DOUBLE_STAR_CASE, STAR_CASE
+from .regular_graphs import RANDOM_REGULAR_CASE
 
 __all__ = [
     "FairnessExperimentResult",
@@ -41,13 +37,11 @@ __all__ = [
 
 
 def default_fairness_graphs(size: int, seed: int) -> Dict[str, Graph]:
-    """The three graphs the fairness experiment compares."""
-    degree = regular_degree_for(size)
-    rng = np.random.default_rng(seed)
+    """The three graphs the fairness experiment compares, from the shared cases."""
     return {
-        "star": star(size),
-        "double-star": double_star(size),
-        "random-regular": random_regular_graph(size, degree, rng),
+        "star": STAR_CASE(size, seed).graph,
+        "double-star": DOUBLE_STAR_CASE(size, seed).graph,
+        "random-regular": RANDOM_REGULAR_CASE(size, seed).graph,
     }
 
 

@@ -136,19 +136,3 @@ def cycle_of_stars_of_cliques(k: int) -> Tuple[Graph, CycleStarsLayout]:
     )
     return graph, layout
 
-
-def parameter_for_target_size(num_vertices: int) -> int:
-    """Return the ``k`` whose graph size ``k + k^2 + k^3`` is closest to ``num_vertices``."""
-    if num_vertices < 39:  # size at k = 3
-        raise GraphError("target size too small for the construction (k >= 3)")
-    best_k, best_gap = 3, abs(39 - num_vertices)
-    k = 3
-    while True:
-        size = k + k**2 + k**3
-        gap = abs(size - num_vertices)
-        if gap < best_gap:
-            best_k, best_gap = k, gap
-        if size > num_vertices and k > 3:
-            break
-        k += 1
-    return best_k

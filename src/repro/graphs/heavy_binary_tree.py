@@ -88,13 +88,3 @@ def internal_vertices(graph: Graph) -> List[int]:
     """Return the internal (non-leaf) vertices of a heavy binary tree."""
     return list(range(graph.num_vertices // 2))
 
-
-def leaf_volume_fraction(graph: Graph) -> float:
-    """Fraction of total degree concentrated on the leaf clique.
-
-    Lemma 4(b) relies on this fraction being ``1 - O(1/n)``; exposing it makes
-    the property easy to verify in tests.
-    """
-    leaves = _heap_leaves(graph.num_vertices)
-    degs = graph.degrees
-    return float(np.sum(degs[leaves]) / np.sum(degs))

@@ -59,41 +59,45 @@ def erdos_renyi(num_vertices: int, edge_probability: float, rng: np.random.Gener
     if not 0.0 <= p <= 1.0:
         raise GraphError("edge probability must lie in [0, 1]")
 
-    edges: List[Tuple[int, int]] = []
-    # Sample each potential edge via geometric skipping, O(n + m) expected time.
-    if p > 0:
-        if p >= 1.0:
-            edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        else:
-            total_pairs = n * (n - 1) // 2
-            index = -1
-            log_1mp = np.log1p(-p)
-            while True:
-                gap = int(np.floor(np.log(1.0 - rng.random()) / log_1mp)) + 1
-                index += gap
-                if index >= total_pairs:
-                    break
-                u, v = _pair_from_index(index, n)
-                edges.append((u, v))
-    return Graph(n, edges, name=f"erdos_renyi(n={n}, p={p:g})")
+    # Sample the linear indices of the edges via geometric skipping, O(n + m)
+    # expected time, then map them to pairs in one call.
+    total_pairs = n * (n - 1) // 2
+    skipped_to: List[int] = []
+    if 0.0 < p < 1.0:
+        index = -1
+        log_1mp = np.log1p(-p)
+        while True:
+            gap = int(np.floor(np.log(1.0 - rng.random()) / log_1mp)) + 1
+            index += gap
+            if index >= total_pairs:
+                break
+            skipped_to.append(index)
+    indices = np.arange(total_pairs) if p >= 1.0 else np.asarray(skipped_to, dtype=np.int64)
+    u, v = _triangular_pairs(indices, n)
+    return Graph(n, np.column_stack((u, v)), name=f"erdos_renyi(n={n}, p={p:g})")
 
 
-def _pair_from_index(index: int, n: int) -> Tuple[int, int]:
-    """Map a linear index in [0, n(n-1)/2) to the corresponding (u, v), u < v."""
-    # Row u starts at offset u*n - u*(u+1)/2 - u ... simpler to solve by search.
-    u = int((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8 * index)) // 2)
-    # Adjust for rounding errors at row boundaries.
-    while _row_offset(u + 1, n) <= index:
-        u += 1
-    while _row_offset(u, n) > index:
-        u -= 1
-    v = index - _row_offset(u, n) + u + 1
-    return u, int(v)
+def _triangular_pairs(indices: np.ndarray, n: int):
+    """Map linear indices in ``[0, n(n-1)/2)`` to pairs ``(u, v)``, ``u < v``.
 
-
-def _row_offset(u: int, n: int) -> int:
-    """Number of pairs (a, b) with a < u <= b or a < b < u... i.e. pairs before row u."""
-    return u * n - u * (u + 1) // 2
+    Row ``u`` holds the pairs ``(u, u+1 .. n-1)`` and starts at index
+    ``u*n - u(u+1)/2``.  The closed-form root gives the row up to float
+    rounding at row boundaries, which an integer correction pass repairs.
+    """
+    idx = indices.astype(np.int64)
+    u = ((2 * n - 1 - np.sqrt((2.0 * n - 1.0) ** 2 - 8.0 * idx)) // 2).astype(np.int64)
+    np.clip(u, 0, n - 2, out=u)
+    offset = u * np.int64(n) - u * (u + 1) // 2
+    # Row u covers [offset(u), offset(u+1)); nudge until idx lands inside.
+    for _ in range(3):
+        too_low = offset + (n - 1 - u) <= idx
+        too_high = offset > idx
+        if not (too_low.any() or too_high.any()):
+            break
+        u = u + too_low.astype(np.int64) - too_high.astype(np.int64)
+        offset = u * np.int64(n) - u * (u + 1) // 2
+    v = idx - offset + u + 1
+    return u, v
 
 
 def connected_erdos_renyi(

@@ -30,6 +30,7 @@ import numpy as np
 
 from ..graphs.builders import register_builder
 from ..graphs.graph import Graph, GraphError
+from ..graphs.random_graphs import _triangular_pairs
 
 __all__ = [
     "BUILDER_VERSIONS",
@@ -157,29 +158,6 @@ def _sample_pair_indices(total: int, p: float, rng: np.random.Generator) -> np.n
         extra = rng.geometric(p, size=batch).astype(np.int64).cumsum()
         positions = np.concatenate([positions, positions[-1] + extra]) if positions.size else extra - 1
     return positions[positions < total]
-
-
-def _triangular_pairs(indices: np.ndarray, n: int):
-    """Map linear indices in ``[0, n(n-1)/2)`` to pairs ``(u, v)``, ``u < v``.
-
-    Vectorized counterpart of the scalar mapping in
-    :mod:`repro.graphs.random_graphs`, with an integer correction pass that
-    repairs float rounding at row boundaries.
-    """
-    idx = indices.astype(np.int64)
-    u = ((2 * n - 1 - np.sqrt((2.0 * n - 1.0) ** 2 - 8.0 * idx)) // 2).astype(np.int64)
-    np.clip(u, 0, n - 2, out=u)
-    offset = u * np.int64(n) - u * (u + 1) // 2
-    # Row u covers [offset(u), offset(u+1)); nudge until idx lands inside.
-    for _ in range(3):
-        too_low = offset + (n - 1 - u) <= idx
-        too_high = offset > idx
-        if not (too_low.any() or too_high.any()):
-            break
-        u = u + too_low.astype(np.int64) - too_high.astype(np.int64)
-        offset = u * np.int64(n) - u * (u + 1) // 2
-    v = idx - offset + u + 1
-    return u, v
 
 
 def stochastic_block_model(

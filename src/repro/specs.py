@@ -16,16 +16,14 @@ Grammar of the string form::
     value       := int | float | "true" | "false" | bare string
 
 Values are coerced in that order (ints before floats before strings), which
-matches how the dynamics CLI strings have always parsed; dicts and strings
-round-trip through :func:`parse_spec_string` / :func:`format_spec_string`
-for any spec whose values are scalars.
+matches how the dynamics CLI strings have always parsed.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict
 
-__all__ = ["SpecError", "coerce_scalar", "parse_spec_string", "format_spec_string"]
+__all__ = ["SpecError", "coerce_scalar", "parse_spec_string"]
 
 
 class SpecError(ValueError):
@@ -68,29 +66,3 @@ def parse_spec_string(text: str) -> Dict[str, Any]:
             spec[key.strip()] = coerce_scalar(value.strip())
     return spec
 
-
-def format_spec_string(spec: Dict[str, Any]) -> str:
-    """Render a scalar-valued spec dict in the compact ``kind:k=v,...`` form.
-
-    The inverse of :func:`parse_spec_string` for dicts whose values are
-    ints/floats/bools/strings; nested values raise :class:`SpecError`
-    (nested specs only exist in the dict form).
-    """
-    params = dict(spec)
-    kind = params.pop("kind", None)
-    if not kind:
-        raise SpecError(f"spec dict {spec!r} has no 'kind'")
-    items = []
-    for key in sorted(params):
-        value = params[key]
-        if isinstance(value, bool):
-            rendered = "true" if value else "false"
-        elif isinstance(value, (int, float, str)):
-            rendered = str(value)
-        else:
-            raise SpecError(
-                f"spec value {key}={value!r} is not a scalar; "
-                "use the dict form for nested specs"
-            )
-        items.append(f"{key}={rendered}")
-    return str(kind) + (":" + ",".join(items) if items else "")

@@ -21,6 +21,9 @@ with probability ``death_rate`` (and, in round ``failure_round``, with
 probability ``failure_fraction``); then a Poisson number of newborns joins
 at stationary vertices, uninformed.
 
+Push from the centre of a star is the coupon-collector problem (Lemma 2(a)),
+so :func:`expected_collection_time` gives its exact expected broadcast time.
+
 Stream family
 -------------
 Each trial draws from a splitmix64 stream seeded through
@@ -37,7 +40,14 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["AGENT_PROTOCOLS", "PROTOCOLS", "broadcast_time", "multi_rumor_completion_rounds"]
+__all__ = [
+    "AGENT_PROTOCOLS",
+    "PROTOCOLS",
+    "broadcast_time",
+    "expected_collection_time",
+    "harmonic_number",
+    "multi_rumor_completion_rounds",
+]
 
 #: Protocols with a reference runner — the full kernel registry.
 PROTOCOLS = (
@@ -412,3 +422,23 @@ def multi_rumor_completion_rounds(
         _walk_step(g, stream, pos, lazy)
         exchange(t)
     return done
+
+
+def harmonic_number(n: int) -> float:
+    """Return ``H_n = sum_{i=1}^{n} 1/i`` (exact summation for moderate n)."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if n == 0:
+        return 0.0
+    if n <= 10**6:
+        return float(np.sum(1.0 / np.arange(1, n + 1)))
+    # Asymptotic expansion for very large n.
+    gamma = 0.5772156649015328606
+    return math.log(n) + gamma + 1.0 / (2 * n) - 1.0 / (12 * n**2)
+
+
+def expected_collection_time(num_coupons: int) -> float:
+    """Expected draws to collect all ``num_coupons`` coupons: ``n * H_n``."""
+    if num_coupons < 1:
+        raise ValueError("need at least one coupon")
+    return num_coupons * harmonic_number(num_coupons)

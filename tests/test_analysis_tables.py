@@ -9,7 +9,6 @@ from repro.analysis.tables import (
     format_float,
     format_markdown_table,
     format_table,
-    rows_from_dicts,
 )
 
 
@@ -67,20 +66,3 @@ class TestFormatMarkdownTable:
         with pytest.raises(ValueError):
             format_markdown_table(["a"], [[1, 2]])
 
-
-class TestRowsFromDicts:
-    def test_respects_column_order(self):
-        records = [{"a": 1, "b": 2}, {"a": 3, "b": 4}]
-        rows = rows_from_dicts(records, columns=["b", "a"])
-        assert rows == [["2", "1"], ["4", "3"]]
-
-    def test_missing_keys_become_dash(self):
-        rows = rows_from_dicts([{"a": 1}], columns=["a", "zzz"])
-        assert rows == [["1", "-"]]
-
-    def test_empty_records(self):
-        assert rows_from_dicts([]) == []
-
-    def test_default_columns_from_first_record(self):
-        rows = rows_from_dicts([{"x": 1.5, "y": None}])
-        assert rows == [["1.50", "-"]]

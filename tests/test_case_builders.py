@@ -7,6 +7,10 @@ builder spec, the structural graph fingerprint and the source vertex.  A
 change that moves any of them orphans the manifests and cells of existing
 stores, so these literals must never be regenerated without a builder
 version or case-revision bump.
+
+The coupling and fairness documents build their graphs from the same cases
+at seeds of their own; their points are pinned the same way, and each
+document at default arguments by the SHA-256 of its ``to_dict()``.
 """
 
 from __future__ import annotations
@@ -18,6 +22,10 @@ import pytest
 
 from repro.core.rng import derive_seed
 from repro.experiments import get_experiment, list_experiment_ids
+from repro.experiments.coupling_experiment import DEFAULT_COUPLING_SIZES, run_coupling_experiment
+from repro.experiments.fairness_experiment import run_fairness_experiment
+from repro.experiments.figure1 import DOUBLE_STAR_CASE, STAR_CASE
+from repro.experiments.regular_graphs import RANDOM_REGULAR_CASE
 from repro.scenarios import resolve_scenario
 from repro.store.keys import canonical_json, graph_fingerprint
 
@@ -88,6 +96,38 @@ PINNED_POINTS = {
     ("thm24-25-lower", 2048): "e207a728bb38126b",
 }
 
+#: The coupling document's random regular graphs, by (size, run index).
+PINNED_COUPLING_POINTS = {
+    (64, 0): "04f82eb3f9598b1b",
+    (64, 1): "8077dc4758b11029",
+    (64, 2): "e97345182f8e7771",
+    (128, 0): "4054e701187614c3",
+    (128, 1): "5852f68953187422",
+    (128, 2): "c7d9946d41619ab1",
+    (256, 0): "7a5acc3040c3553e",
+    (256, 1): "0d89c1102cec15f6",
+    (256, 2): "225809d76f4edc3f",
+}
+
+#: The fairness document's three graphs at its default size 256.
+PINNED_FAIRNESS_POINTS = {
+    "star": (STAR_CASE, "85d535c64fc0b226"),
+    "double-star": (DOUBLE_STAR_CASE, "b6e7f5c90ac18383"),
+    "random-regular": (RANDOM_REGULAR_CASE, "b492b72261554d7d"),
+}
+
+#: SHA-256 of each document's ``to_dict()`` at default arguments.
+PINNED_DOCUMENTS = {
+    "coupling": (
+        run_coupling_experiment,
+        "ecb176eabe2bb6f739aa5bebeb254c986ee8f41452bfe9377ac7d6bd8542a718",
+    ),
+    "fairness": (
+        run_fairness_experiment,
+        "81b5897abd1187e0be0535c5772df741f0ac0429bd541aac27f6c5a4c2c959ef",
+    ),
+}
+
 
 def _point_digest(builder, size: int, case_seed: int) -> str:
     """Digest of one sweep point: builder spec, graph fingerprint, source."""
@@ -116,6 +156,29 @@ def test_sweep_points_match_their_pins(experiment_id):
         case_seed = derive_seed(0, experiment_id, "graph", size)
         digest = _point_digest(config.graph_builder, size, case_seed)
         assert digest == PINNED_POINTS[(experiment_id, size)], (experiment_id, size)
+
+
+def test_coupling_points_match_their_pins():
+    assert set(PINNED_COUPLING_POINTS) == {
+        (size, run) for size in DEFAULT_COUPLING_SIZES for run in range(3)
+    }
+    for (size, run), pinned in PINNED_COUPLING_POINTS.items():
+        graph_seed = derive_seed(0, "coupling", size, run, "graph")
+        assert _point_digest(RANDOM_REGULAR_CASE, size, graph_seed) == pinned, (size, run)
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_FAIRNESS_POINTS))
+def test_fairness_points_match_their_pins(label):
+    builder, pinned = PINNED_FAIRNESS_POINTS[label]
+    seed = derive_seed(0, "fairness-graphs", 256)
+    assert _point_digest(builder, 256, seed) == pinned
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DOCUMENTS))
+def test_documents_match_their_pins(name):
+    run, pinned = PINNED_DOCUMENTS[name]
+    document = canonical_json(run().to_dict()).encode()
+    assert hashlib.sha256(document).hexdigest() == pinned
 
 
 def _assert_survives_pickle(builder, size: int, case_seed: int) -> None:

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.observers import (
     EdgeUsageObserver,
     InformedCountObserver,
     Observer,
     ObserverGroup,
-    RoundLimitGuard,
 )
 from repro.graphs import star
 
@@ -117,14 +114,3 @@ class TestEdgeUsageObserver:
         observer.on_run_start(None, 0)
         assert observer.total_uses() == 0
 
-
-class TestRoundLimitGuard:
-    def test_raises_past_limit(self):
-        guard = RoundLimitGuard(hard_limit=5)
-        guard.on_round_end(5, 1, 0)
-        with pytest.raises(RuntimeError):
-            guard.on_round_end(6, 1, 0)
-
-    def test_rejects_non_positive_limit(self):
-        with pytest.raises(ValueError):
-            RoundLimitGuard(hard_limit=0)

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from oracle import expected_collection_time
 from repro import simulate
 from repro.core.observers import EdgeUsageObserver, ObserverGroup
 from repro.graphs import Graph, complete_graph, double_star, star
-from repro.theory import expected_collection_time
 
 
 class TestBasicBehaviour:

@@ -7,10 +7,45 @@ import pytest
 
 from repro.graphs import GraphError
 from repro.graphs.random_graphs import (
+    _triangular_pairs,
     connected_erdos_renyi,
     erdos_renyi,
     preferential_attachment,
 )
+from repro.store.keys import graph_fingerprint
+
+#: ``graph_fingerprint`` of G(n, p) samples by (builder, n, p, seed).  Any
+#: change to the draws or to the index-to-pair map moves them.
+PINNED_GNP = {
+    ("erdos_renyi", 200, 0.05, 1): "1cc621c25e1baca197e41d4670e037252ba28e0de53fb8ae9aa12491f90c9c15",
+    ("erdos_renyi", 1000, 0.004, 2): "d39e80330976c41d926655b84bc14abb9d9ade346e399973b699657cee6aa1ea",
+    ("erdos_renyi", 17, 1.0, 3): "8d0a4cb520482fb35b3195f48c5b0d6c4cad7aafe4e94f7733e7ae3e74bfc357",
+    ("connected_erdos_renyi", 200, 0.05, 4): "3c30295ce857b5c62f9b8e9b23973fbe912371170af1cca115489ba4ef7c79cd",
+    ("connected_erdos_renyi", 1000, 0.01, 5): "94140d10a30629f23f41a4258ba3cc6c48933384da31e2d56cb7c73a487c466a",
+    ("connected_erdos_renyi", 17, 1.0, 6): "8d0a4cb520482fb35b3195f48c5b0d6c4cad7aafe4e94f7733e7ae3e74bfc357",
+}
+_GNP_BUILDERS = {"erdos_renyi": erdos_renyi, "connected_erdos_renyi": connected_erdos_renyi}
+
+
+@pytest.mark.parametrize("builder, n, p, seed", sorted(PINNED_GNP))
+def test_gnp_samples_match_their_pins(builder, n, p, seed):
+    graph = _GNP_BUILDERS[builder](n, p, np.random.default_rng(seed))
+    assert graph_fingerprint(graph) == PINNED_GNP[(builder, n, p, seed)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 17, 100])
+def test_triangular_pairs_enumerate_the_upper_triangle(n):
+    u, v = _triangular_pairs(np.arange(n * (n - 1) // 2), n)
+    assert list(zip(u.tolist(), v.tolist())) == [(a, b) for a in range(n) for b in range(a + 1, n)]
+
+
+@pytest.mark.parametrize("n", [4097, 2**20 + 3])
+def test_triangular_pairs_exact_at_row_boundaries(n):
+    rows = np.arange(n - 1, dtype=np.int64)
+    starts = rows * n - rows * (rows + 1) // 2
+    u, v = _triangular_pairs(np.concatenate([starts, starts + (n - 2 - rows)]), n)
+    assert np.array_equal(u, np.concatenate([rows, rows]))
+    assert np.array_equal(v, np.concatenate([rows + 1, np.full(n - 1, n - 1)]))
 
 
 class TestErdosRenyi:

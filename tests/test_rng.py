@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.core.rng import RngFactory, derive_seed, make_rng, spawn_rngs
+from repro.core.rng import derive_seed, make_rng
 
 
 class TestMakeRng:
@@ -23,30 +22,6 @@ class TestMakeRng:
         sequence = np.random.SeedSequence(99)
         generator = make_rng(sequence)
         assert isinstance(generator, np.random.Generator)
-
-
-class TestSpawnRngs:
-    def test_count_and_independence(self):
-        generators = spawn_rngs(3, 4)
-        assert len(generators) == 4
-        draws = [g.integers(10**9) for g in generators]
-        assert len(set(draws)) == 4
-
-    def test_deterministic_across_calls(self):
-        first = [g.integers(10**9) for g in spawn_rngs(5, 3)]
-        second = [g.integers(10**9) for g in spawn_rngs(5, 3)]
-        assert first == second
-
-    def test_spawn_from_generator(self):
-        generators = spawn_rngs(np.random.default_rng(0), 2)
-        assert len(generators) == 2
-
-    def test_zero_count(self):
-        assert spawn_rngs(1, 0) == []
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(1, -1)
 
 
 class TestDeriveSeed:
@@ -67,30 +42,3 @@ class TestDeriveSeed:
         assert isinstance(seed, int)
         assert seed >= 0
 
-
-class TestRngFactory:
-    def test_named_streams_are_reproducible(self):
-        factory_a = RngFactory(base_seed=10)
-        factory_b = RngFactory(base_seed=10)
-        assert factory_a.generator("walks", 0).integers(10**9) == factory_b.generator(
-            "walks", 0
-        ).integers(10**9)
-
-    def test_different_names_differ(self):
-        factory = RngFactory(base_seed=10)
-        a = factory.generator("walks", 0).integers(10**9)
-        b = factory.generator("push", 0).integers(10**9)
-        assert a != b
-
-    def test_issued_streams_recorded(self):
-        factory = RngFactory(base_seed=0)
-        factory.generator("x", 0)
-        factory.generator("x", 1)
-        factory.generators("y", 2)
-        assert set(factory.issued_streams) == {"x#0", "x#1", "y#0", "y#1"}
-
-    def test_duplicated_streams_detected(self):
-        factory = RngFactory(base_seed=0)
-        factory.generator("x", 0)
-        factory.generator("x", 0)
-        assert factory.duplicated_streams() == ["x#0"]
