@@ -18,14 +18,18 @@ from __future__ import annotations
 import hashlib
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.rng import derive_seed
 from repro.experiments import get_experiment, list_experiment_ids
 from repro.experiments.coupling_experiment import DEFAULT_COUPLING_SIZES, run_coupling_experiment
-from repro.experiments.fairness_experiment import run_fairness_experiment
+from repro.experiments.fairness_experiment import default_fairness_graphs, run_fairness_experiment
 from repro.experiments.figure1 import DOUBLE_STAR_CASE, STAR_CASE
-from repro.experiments.regular_graphs import RANDOM_REGULAR_CASE
+from repro.experiments.regular_graphs import RANDOM_REGULAR_CASE, regular_degree_for
+from repro.graphs.double_star import double_star
+from repro.graphs.regular import random_regular_graph
+from repro.graphs.star import star
 from repro.scenarios import resolve_scenario
 from repro.store.keys import canonical_json, graph_fingerprint
 
@@ -158,13 +162,17 @@ def test_sweep_points_match_their_pins(experiment_id):
         assert digest == PINNED_POINTS[(experiment_id, size)], (experiment_id, size)
 
 
-def test_coupling_points_match_their_pins():
+def test_every_coupling_point_is_pinned():
     assert set(PINNED_COUPLING_POINTS) == {
         (size, run) for size in DEFAULT_COUPLING_SIZES for run in range(3)
     }
-    for (size, run), pinned in PINNED_COUPLING_POINTS.items():
-        graph_seed = derive_seed(0, "coupling", size, run, "graph")
-        assert _point_digest(RANDOM_REGULAR_CASE, size, graph_seed) == pinned, (size, run)
+
+
+@pytest.mark.parametrize("size, run", sorted(PINNED_COUPLING_POINTS))
+def test_coupling_points_match_their_pins(size, run):
+    graph_seed = derive_seed(0, "coupling", size, run, "graph")
+    digest = _point_digest(RANDOM_REGULAR_CASE, size, graph_seed)
+    assert digest == PINNED_COUPLING_POINTS[(size, run)]
 
 
 @pytest.mark.parametrize("label", sorted(PINNED_FAIRNESS_POINTS))
@@ -172,6 +180,34 @@ def test_fairness_points_match_their_pins(label):
     builder, pinned = PINNED_FAIRNESS_POINTS[label]
     seed = derive_seed(0, "fairness-graphs", 256)
     assert _point_digest(builder, 256, seed) == pinned
+
+
+@pytest.mark.parametrize("size, run", sorted(PINNED_COUPLING_POINTS))
+def test_coupling_case_builds_the_direct_constructor_graph(size, run):
+    """The case graph is the one ``random_regular_graph`` gives at the same seed."""
+    graph_seed = derive_seed(0, "coupling", size, run, "graph")
+    direct = random_regular_graph(size, regular_degree_for(size), np.random.default_rng(graph_seed))
+    case = RANDOM_REGULAR_CASE(size, graph_seed).graph
+    assert graph_fingerprint(case) == graph_fingerprint(direct)
+
+
+#: The constructor calls the fairness document made before it used the cases.
+DIRECT_FAIRNESS_GRAPHS = {
+    "star": lambda size, seed: star(size),
+    "double-star": lambda size, seed: double_star(size),
+    "random-regular": lambda size, seed: random_regular_graph(
+        size, regular_degree_for(size), np.random.default_rng(seed)
+    ),
+}
+
+
+@pytest.mark.parametrize("size", DEFAULT_COUPLING_SIZES)
+@pytest.mark.parametrize("label", sorted(DIRECT_FAIRNESS_GRAPHS))
+def test_fairness_graphs_are_the_direct_constructor_graphs(label, size):
+    seed = derive_seed(0, "fairness-graphs", size)
+    graph = default_fairness_graphs(size, seed)[label]
+    direct = DIRECT_FAIRNESS_GRAPHS[label](size, seed)
+    assert graph_fingerprint(graph) == graph_fingerprint(direct)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_DOCUMENTS))

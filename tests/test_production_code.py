@@ -12,8 +12,11 @@ references).  The few user-facing helpers kept on purpose are listed in
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
@@ -85,3 +88,59 @@ def test_every_public_definition_has_a_caller():
 def test_kept_helpers_still_exist():
     defined, _ = _definitions_and_uses()
     assert KEPT_FOR_USERS <= set(defined)
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+#: Every package of ``repro``: its ``__all__`` is the public API it re-exports.
+PACKAGES = sorted(_module_name(path) for path in PACKAGE.rglob("__init__.py"))
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_package_exports_resolve(package):
+    """A trimmed re-export list names only what the package still provides, once."""
+    module = importlib.import_module(package)
+    exported = module.__all__
+    assert len(exported) == len(set(exported)), f"{package}.__all__ repeats a name"
+    missing = [name for name in exported if not hasattr(module, name)]
+    assert not missing, f"{package}.__all__ names what it does not provide: {missing}"
+
+
+def test_module_exports_name_their_own_definitions():
+    """Each module's ``__all__`` lists names that module binds at top level."""
+    stale = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = importlib.import_module(_module_name(path))
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        if missing:
+            stale[_module_name(path)] = missing
+    assert not stale, f"__all__ entries with no definition: {stale}"
+
+
+def test_theory_holds_only_the_claims():
+    """``repro.theory`` is the paper's claims as data, and nothing else."""
+    modules = {path.name for path in (PACKAGE / "theory").glob("*.py")}
+    assert modules == {"__init__.py", "predictions.py"}
+
+
+@pytest.mark.parametrize("module", ["coupling_experiment", "fairness_experiment"])
+def test_documents_import_no_graph_constructor(module):
+    """The coupling and fairness documents build their graphs through the shared cases.
+
+    Only the ``Graph`` data type may come from ``repro.graphs``; a graph
+    built by a direct constructor call would sit outside the family table
+    and the pinned sweep points.
+    """
+    tree = ast.parse((PACKAGE / "experiments" / f"{module}.py").read_text(encoding="utf-8"))
+    imported = [
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.module
+        and node.module.split(".")[0] in ("graphs", "repro")
+        and "graphs" in node.module.split(".")
+    ]
+    assert set(imported) <= {"graphs.graph"}, imported
