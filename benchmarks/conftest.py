@@ -9,9 +9,10 @@ this directory:
   and fairness documents, which are not sweep cells;
 * ``test_bench_extensions.py`` checks the multi-rumor and agent-churn
   extensions;
-* ``test_bench_throughput.py`` times kernel rounds with pytest-benchmark;
-* ``run_bench.py`` measures and gates batching, dynamics overhead, the warm
-  store, scale and telemetry cost (``BENCH_batch.json``).
+* ``run_bench.py`` gates batching, static-dynamics overhead, the warm store,
+  scale and telemetry cost, each ratio a median of interleaved paired runs
+  (``BENCH_batch.json``).  Per-kernel step times, graph builds and masking
+  cost are ``perfbench/``'s.
 
 Run the pytest part with ``pytest benchmarks/``.
 """

@@ -1,38 +1,52 @@
-"""Fixed-size benchmark of multi-trial batching in :func:`repro.core.batch.run_batch`.
+"""Gated performance harness for what ``perfbench/`` does not measure.
 
-Runs 50-trial sweeps at ``n = 1024`` on a random regular graph (the graph
-family of the paper's Theorems 1-3) two ways — 50 one-seed ``run_batch``
-calls against one 50-seed call, with the same per-trial seeds — for **all
-six protocol kernels**, and writes the wall-clock times and speedups to
-``BENCH_batch.json`` at the repository root.  The file is checked in so later
-PRs have a perf baseline to regress against::
+Five gates, one row each in :data:`GATES`:
+
+* **sweep** — 50 one-seed ``run_batch`` calls against one 50-seed call, for
+  the acceptance pair (visit-exchange + push-pull) on a random 12-regular
+  graph at ``n = 1024``: batching must be >= 4x faster, with identical
+  per-trial results;
+* **dynamics** — the same runner cells with a static all-active topology
+  schedule against none: < 15% overhead for each protocol, bit-identical
+  results;
+* **store** — a sweep into a fresh result store (cold) against one that is
+  fully cached (warm): >= 10x faster warm, with zero recomputed cells, zero
+  graph constructions and identical results;
+* **scale** — rounds/sec and per-cell peak RSS for push, visit-exchange and
+  the hybrid on random 12-regular graphs, ``n = 2^10 .. 2^20``: >= 1 round/s,
+  with every trial complete, at the top size;
+* **telemetry** — the round loop with ``REPRO_TRACE`` set against unset:
+  <= 3% overhead, identical broadcast times.
+
+The four ratio gates time their two legs with :func:`paired`: interleaved
+pairs until they cover ``MIN_PAIRED_SECONDS`` (and number at least
+``MIN_PAIRS``); the gated value is the median per-pair ratio, recorded with
+its interquartile range.  Two sections are informational: ``workers`` (a
+sweep serially and on the process-parallel cell scheduler; its speedup is
+marked not applicable on fewer CPUs than workers) and ``construction``
+(graph builders at scale-tier sizes).  Every timed leg runs without a result
+store, so ``REPRO_STORE`` cannot turn a timing into a cache read::
 
     PYTHONPATH=src python benchmarks/run_bench.py
 
-Star-graph cells are measured as supplementary data: the batch advantage is
-smaller on heavily skewed degree distributions, and recording that honestly
-keeps the baseline useful.  Per-trial seed purity makes both ways produce
-the same trials, which the sweep cells record.
-
-A ``workers > 1`` configuration of the process-parallel cell scheduler is
-also measured (a heavy-binary-tree visit-exchange sweep, the most expensive
-Figure-1 style cells).  Its speedup is recorded for information alongside the
-machine's CPU count — on a single-core container it is expectedly ≈ 1× or
-below — and does not gate the exit code.  The acceptance criterion stays the
-within-cell batching speedup on the original visit-exchange + push-pull pair,
-so the number is comparable across baseline refreshes.
+``BENCH_batch.json`` at the repository root is rewritten only when every
+section ran and every gate passed; ``--sections`` runs and gates a subset
+and writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import platform
 import resource
 import sys
 import tempfile
 import time
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -56,50 +70,23 @@ from repro.graphs import (  # noqa: E402
     star,
 )
 from repro.graphs.dynamic import StaticSchedule  # noqa: E402
+from repro.graphs.graph import Graph  # noqa: E402
 from repro.store import ResultStore  # noqa: E402
+from repro.telemetry import TRACE_ENV_VAR  # noqa: E402
 
 TRIALS = 50
 N = 1024
+DEGREE = 12
 BASE_SEED = 0
-REPEATS = 5
 WORKERS = 4
+#: The paired sampler adds pairs until there are at least ``MIN_PAIRS`` and
+#: both legs together have run for ``MIN_PAIRED_SECONDS``.
+MIN_PAIRS = 10
+MIN_PAIRED_SECONDS = 3.0
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_batch.json"
-
-#: All six registry protocols; the first two are the acceptance pair that the
-#: exit criterion (and cross-PR comparability) is pinned to.
-PROTOCOLS = (
-    "visit-exchange",
-    "push-pull",
-    "push",
-    "pull",
-    "meet-exchange",
-    "hybrid-ppull-visitx",
-)
+#: The protocols the sweep and dynamics gates are pinned to, so the numbers
+#: stay comparable across baseline refreshes.
 ACCEPTANCE_PROTOCOLS = ("visit-exchange", "push-pull")
-
-
-def sweep_cases():
-    regular = random_regular_graph(N, 12, np.random.default_rng(0))
-    return [GraphCase(graph=regular, source=0, size_parameter=N)]
-
-
-def extra_cases():
-    return [GraphCase(graph=star(N - 1), source=1, size_parameter=N)]
-
-
-WORKERS_CONFIG = ExperimentConfig(
-    experiment_id="bench-workers",
-    title="Process-parallel cell scheduler benchmark",
-    paper_reference="Figure 1(c)-style sweep",
-    description=(
-        "visit-exchange on heavy binary trees from a leaf source: the most "
-        "expensive Figure-1 cells (broadcast time is Omega(n))"
-    ),
-    graph_builder=HEAVY_TREE_CASE,
-    sizes=(511, 767, 1023, 1279),
-    protocols=(ProtocolSpec("visit-exchange"),),
-    trials=30,
-)
 
 
 def rss_multiplier(platform_name: str = sys.platform) -> int:
@@ -150,149 +137,145 @@ def peak_rss_bytes() -> int:
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss) * rss_multiplier()
 
 
-def _total_rounds(trial_set) -> int:
-    """Total simulated rounds across all trials of a cell."""
-    return sum(int(r.rounds_executed) for r in trial_set.results)
+def paired(label_a, leg_a, label_b, leg_b):
+    """Time two no-argument legs in interleaved pairs: the ``a / b`` ratio.
 
+    Both legs run once untimed (warm-up), then in pairs whose order
+    alternates: the second run of a pair tends to be slightly faster
+    (caches, frequency governor), and a fixed order would fold that bias
+    into every ratio.  The two runs of a pair share the machine's state, so
+    their ratio cancels the drift that comparing separate best-of timings
+    leaves in.
 
-def time_cell(spec, case, dynamics=None, *, trials=TRIALS, repeats=REPEATS):
-    """Best-of-``repeats`` wall clock of one runner cell (first call doubles as warm-up)."""
-    elapsed = float("inf")
-    trial_set = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        trial_set = run_trial_set(
-            spec,
-            case,
-            trials=trials,
-            base_seed=BASE_SEED,
-            experiment_id="bench-batch",
-            dynamics=dynamics,
-        )
-        elapsed = min(elapsed, time.perf_counter() - start)
-    return elapsed, trial_set
-
-
-def time_batches(protocol, case, seed_groups, *, repeats=REPEATS):
-    """Best-of-``repeats`` wall clock of one ``run_batch`` call per seed group.
-
-    Returns the time and the concatenated per-trial broadcast times.
+    Returns the statistic — the median per-pair ratio as ``value``, its
+    interquartile range, the pair count and each leg's median seconds — and
+    each leg's last return value.
     """
-    elapsed = float("inf")
-    times = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        batches = [
-            run_batch(protocol, case.graph, case.source, seeds=seeds) for seeds in seed_groups
-        ]
-        elapsed = min(elapsed, time.perf_counter() - start)
-        times = np.concatenate([batch.broadcast_times for batch in batches])
-    return elapsed, times
+    legs = {label_a: leg_a, label_b: leg_b}
+    outputs = {label: leg() for label, leg in legs.items()}
+    seconds = {label_a: [], label_b: []}
+    total = 0.0
+    while len(seconds[label_a]) < MIN_PAIRS or total < MIN_PAIRED_SECONDS:
+        order = legs if len(seconds[label_a]) % 2 == 0 else reversed(legs)
+        for label in order:
+            start = time.perf_counter()
+            outputs[label] = legs[label]()
+            elapsed = time.perf_counter() - start
+            seconds[label].append(elapsed)
+            total += elapsed
+    ratios = np.array(seconds[label_a]) / np.array(seconds[label_b])
+    q1, median, q3 = np.percentile(ratios, [25, 50, 75])
+    stat = {
+        "value": round(float(median), 4),
+        "iqr": [round(float(q1), 4), round(float(q3), 4)],
+        "pairs": len(ratios),
+    }
+    for label, times in seconds.items():
+        stat[f"{label}_seconds"] = round(float(np.median(times)), 4)
+    return stat, outputs[label_a], outputs[label_b]
 
 
-def measure_cells(cases):
-    cells = []
-    for case in cases:
-        for protocol in PROTOCOLS:
-            reset_peak_rss()
-            seeds = trial_seeds(BASE_SEED, "bench-batch", protocol, trials=TRIALS)
-            single_time, single_times = time_batches(
-                protocol, case, [[seed] for seed in seeds]
-            )
-            bat_time, bat_times = time_batches(protocol, case, [seeds])
-            completed = bat_times >= 0
-            cell = {
-                "protocol": protocol,
-                "graph": case.graph.name,
-                "n": case.graph.num_vertices,
-                "trials": TRIALS,
-                "one_seed_calls_seconds": round(single_time, 4),
-                "batched_seconds": round(bat_time, 4),
-                "speedup": round(single_time / bat_time, 2),
-                "batched_mean_time": (
-                    float(bat_times[completed].mean()) if completed.any() else None
-                ),
-                "batched_completion_rate": float(completed.mean()),
-                "results_identical": single_times.tolist() == bat_times.tolist(),
-                "peak_rss_bytes": peak_rss_bytes(),
-            }
-            cells.append(cell)
-            print(
-                f"{protocol:20s} {case.graph.name:28s} "
-                f"{TRIALS} x 1 seed {single_time * 1000:8.1f} ms   "
-                f"1 x {TRIALS} seeds {bat_time * 1000:7.1f} ms   "
-                f"speedup {cell['speedup']:5.2f}x"
-            )
-    return cells
+def as_overhead(stat):
+    """A ratio statistic of :func:`paired` restated as overhead, ratio - 1."""
+    return {
+        **stat,
+        "value": round(stat["value"] - 1.0, 4),
+        "iqr": [round(q - 1.0, 4) for q in stat["iqr"]],
+    }
 
 
-def measure_dynamics(case):
-    """Overhead of the dynamic-topology layer on the acceptance pair.
-
-    Four configurations of the same cell:
-
-    * no dynamics (the reference);
-    * a *static all-active* schedule with fully materialized masks — this is
-      the acceptance cell.  ``DynamicsRuntime`` detects the all-active round
-      and hands the kernels the maskless fast path, so what is measured here
-      is the whole static-schedule overhead as a user experiences it (one
-      mask expansion + one ``all()`` check per run, identity-cached per
-      round), and it must stay < 15% with bit-identical results;
-    * a static schedule with a single edge down — the cheapest schedule that
-      cannot collapse, so every round pays the real per-sample masking
-      gathers.  Recorded as ``masked_overhead`` (informational: it tracks
-      the cost of the masking machinery itself, which the collapsed static
-      cell deliberately avoids);
-    * a Bernoulli failure schedule (informational: adds per-round mask
-      generation; its broadcast times legitimately differ).
-    """
-    graph = case.graph
-    all_active = StaticSchedule(
-        edge_state=np.ones(graph.num_edges, dtype=bool),
-        vertex_state=np.ones(graph.num_vertices, dtype=bool),
+def run_cell(spec, case, *, trials=TRIALS, dynamics=None):
+    """One runner cell, never through a result store."""
+    return run_trial_set(
+        spec,
+        case,
+        trials=trials,
+        base_seed=BASE_SEED,
+        experiment_id="bench-batch",
+        dynamics=dynamics,
+        store=False,
     )
-    # One arbitrary down edge keeps the masks materialized every round while
-    # perturbing the process as little as possible.
-    one_down = StaticSchedule(down_edges=[(0, int(graph.neighbors(0)[0]))])
+
+
+def regular_case(n: int) -> GraphCase:
+    """A random ``DEGREE``-regular graph on ``n`` vertices, source 0.
+
+    ``max_attempts=1``: a 12-regular pairing is essentially never simple, so
+    the build goes straight to the vectorized repair path instead of burning
+    200 doomed shuffles.
+    """
+    graph = random_regular_graph(n, DEGREE, np.random.default_rng(0), max_attempts=1)
+    return GraphCase(graph=graph, source=0, size_parameter=n)
+
+
+def measure_sweep():
+    """Batching: both acceptance protocols as one-seed calls against one batch
+    each, with the same per-trial seeds."""
+    case = regular_case(N)
+    seeds = {
+        protocol: trial_seeds(BASE_SEED, "bench-batch", protocol, trials=TRIALS)
+        for protocol in ACCEPTANCE_PROTOCOLS
+    }
+
+    def times(protocol, seed_groups):
+        batches = [run_batch(protocol, case.graph, case.source, seeds=g) for g in seed_groups]
+        return np.concatenate([batch.broadcast_times for batch in batches]).tolist()
+
+    def one_seed_calls():
+        return {p: times(p, [[seed] for seed in group]) for p, group in seeds.items()}
+
+    def batched():
+        return {p: times(p, [group]) for p, group in seeds.items()}
+
+    speedup, single, batch = paired("one_seed_calls", one_seed_calls, "batched", batched)
+    return {
+        "protocols": list(ACCEPTANCE_PROTOCOLS),
+        "graph": case.graph.name,
+        "trials": TRIALS,
+        "speedup": speedup,
+        "checks": {"results_identical": single == batch},
+    }
+
+
+def measure_dynamics():
+    """Overhead of a static all-active schedule on the acceptance pair.
+
+    ``DynamicsRuntime`` detects the all-active round and hands the kernels
+    the maskless fast path, so this is the whole static-schedule overhead as
+    a user sees it (one mask expansion and one ``all()`` check per run).
+    The gated value is the worse protocol's.
+    """
+    case = regular_case(N)
+    all_active = StaticSchedule(
+        edge_state=np.ones(case.graph.num_edges, dtype=bool),
+        vertex_state=np.ones(case.graph.num_vertices, dtype=bool),
+    )
     cells = []
     for protocol in ACCEPTANCE_PROTOCOLS:
-        reset_peak_rss()
         spec = ProtocolSpec(protocol)
-        plain_time, plain_trials = time_cell(spec, case)
-        static_time, static_trials = time_cell(spec, case, dynamics=all_active)
-        masked_time, _ = time_cell(spec, case, dynamics=one_down)
-        bernoulli_time, _ = time_cell(
-            spec,
-            case,
-            dynamics={"kind": "bernoulli-edges", "rate": 0.1, "seed": 5},
+        ratio, static, plain = paired(
+            "static",
+            partial(run_cell, spec, case, dynamics=all_active),
+            "plain",
+            partial(run_cell, spec, case),
         )
-        overhead = static_time / plain_time - 1.0
-        cell = {
-            "protocol": protocol,
-            "graph": graph.name,
-            "n": graph.num_vertices,
-            "trials": TRIALS,
-            "plain_seconds": round(plain_time, 4),
-            "static_masked_seconds": round(static_time, 4),
-            "one_edge_down_seconds": round(masked_time, 4),
-            "bernoulli_seconds": round(bernoulli_time, 4),
-            "static_overhead": round(overhead, 4),
-            "masked_overhead": round(masked_time / plain_time - 1.0, 4),
-            "static_results_identical": (
-                plain_trials.broadcast_times() == static_trials.broadcast_times()
-            ),
-            "rounds_per_second": round(_total_rounds(plain_trials) / plain_time, 1),
-            "peak_rss_bytes": peak_rss_bytes(),
-        }
-        cells.append(cell)
-        print(
-            f"{protocol:20s} {'dynamics overhead':28s} "
-            f"plain {plain_time * 1000:7.1f} ms   static "
-            f"{static_time * 1000:7.1f} ms ({overhead * 100:+5.1f}%)   masked "
-            f"{masked_time * 1000:7.1f} ms ({cell['masked_overhead'] * 100:+5.1f}%)   "
-            f"bernoulli {bernoulli_time * 1000:7.1f} ms"
+        cells.append(
+            {
+                "protocol": protocol,
+                "static_overhead": as_overhead(ratio),
+                "static_results_identical": plain.broadcast_times() == static.broadcast_times(),
+            }
         )
-    return cells
+    worst = max(cells, key=lambda cell: cell["static_overhead"]["value"])
+    return {
+        "graph": case.graph.name,
+        "trials": TRIALS,
+        "cells": cells,
+        "static_overhead": {"protocol": worst["protocol"], **worst["static_overhead"]},
+        "checks": {
+            "static_results_identical": all(c["static_results_identical"] for c in cells)
+        },
+    }
 
 
 STORE_CONFIG = ExperimentConfig(
@@ -314,90 +297,87 @@ STORE_CONFIG = ExperimentConfig(
 def measure_store():
     """Cold vs. warm sweep through the content-addressed result store.
 
-    The cold run executes (and persists) every cell of a Figure-1-style
-    sweep; the warm runs (best of ``REPEATS``) must execute **zero**
-    simulation cells — and, via the journaled builder manifest, **zero**
-    graph constructions — and return a bit-identical ``ExperimentResult``.
-    The acceptance threshold is warm >= 10x faster than cold — the warm path
-    is key derivation plus NPZ/JSON decoding, so on simulation-dominated
-    cells it lands orders of magnitude beyond the gate.  The warm-report
-    timing (``result_from_store`` over the same sweep, best of ``REPEATS``)
-    records the latency floor of the zero-compute report path.
+    Every cold leg computes and persists the sweep into a fresh store; every
+    warm leg reruns it against the last filled store and must execute zero
+    cells and, through the journaled builder manifest, build zero graphs.
     """
-    from repro.experiments.reporting import result_from_store
-    from repro.graphs.graph import Graph
-
+    warm_work = []  # (cells computed, graphs built) per warm leg
     with tempfile.TemporaryDirectory() as tmp:
-        store = ResultStore(Path(tmp) / "store")
-        start = time.perf_counter()
-        cold = run_experiment(STORE_CONFIG, base_seed=BASE_SEED, store=store)
-        cold_seconds = time.perf_counter() - start
-        warm_seconds = float("inf")
-        warm = None
-        constructions_before = Graph.construction_count
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            warm = run_experiment(STORE_CONFIG, base_seed=BASE_SEED, store=store)
-            warm_seconds = min(warm_seconds, time.perf_counter() - start)
-        warm_constructions = Graph.construction_count - constructions_before
-        report_seconds = float("inf")
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            result_from_store(STORE_CONFIG, store, base_seed=BASE_SEED)
-            report_seconds = min(report_seconds, time.perf_counter() - start)
-        statuses = [c.trials.store_status[0] for c in warm.cells]
-        identical = [c.trials for c in warm.cells] == [c.trials for c in cold.cells]
-        cell = {
-            "experiment": STORE_CONFIG.experiment_id,
-            "sizes": list(STORE_CONFIG.sizes),
-            "trials": STORE_CONFIG.trials,
-            "protocols": [s.name for s in STORE_CONFIG.protocols],
-            "cold_seconds": round(cold_seconds, 4),
-            "warm_seconds": round(warm_seconds, 4),
-            "warm_speedup": round(cold_seconds / warm_seconds, 2),
-            "warm_cells_computed": statuses.count("computed"),
-            "warm_graph_constructions": warm_constructions,
-            "warm_report_seconds": round(report_seconds, 4),
-            "warm_results_identical_to_cold": identical,
-        }
-        print(
-            f"{'store cold/warm':20s} {'star push x2 cells':28s} "
-            f"cold {cold_seconds * 1000:7.1f} ms   warm {warm_seconds * 1000:7.1f} ms   "
-            f"speedup {cell['warm_speedup']:7.2f}x   "
-            f"recomputed {cell['warm_cells_computed']} cells   "
-            f"rebuilt {cell['warm_graph_constructions']} graphs   "
-            f"report {report_seconds * 1000:6.1f} ms"
-        )
-        return cell
+        stores = []
+
+        def cold():
+            stores.append(ResultStore(Path(tmp) / f"store-{len(stores)}"))
+            return run_experiment(STORE_CONFIG, base_seed=BASE_SEED, store=stores[-1])
+
+        def warm():
+            built = Graph.construction_count
+            result = run_experiment(STORE_CONFIG, base_seed=BASE_SEED, store=stores[-1])
+            computed = [c.trials.store_status[0] for c in result.cells].count("computed")
+            warm_work.append((computed, Graph.construction_count - built))
+            return result
+
+        speedup, cold_result, warm_result = paired("cold", cold, "warm", warm)
+    return {
+        "experiment": STORE_CONFIG.experiment_id,
+        "sizes": list(STORE_CONFIG.sizes),
+        "trials": STORE_CONFIG.trials,
+        "protocols": [s.name for s in STORE_CONFIG.protocols],
+        "warm_speedup": speedup,
+        "checks": {
+            "warm_results_identical_to_cold": (
+                [c.trials for c in warm_result.cells] == [c.trials for c in cold_result.cells]
+            ),
+            "zero_warm_cells_computed": all(computed == 0 for computed, _ in warm_work),
+            "zero_warm_graph_constructions": all(built == 0 for _, built in warm_work),
+        },
+    }
+
+
+WORKERS_CONFIG = ExperimentConfig(
+    experiment_id="bench-workers",
+    title="Process-parallel cell scheduler benchmark",
+    paper_reference="Figure 1(c)-style sweep",
+    description=(
+        "visit-exchange on heavy binary trees from a leaf source: the most "
+        "expensive Figure-1 cells (broadcast time is Omega(n))"
+    ),
+    graph_builder=HEAVY_TREE_CASE,
+    sizes=(511, 767, 1023, 1279),
+    protocols=(ProtocolSpec("visit-exchange"),),
+    trials=30,
+)
 
 
 def measure_workers():
-    """Time the same multi-cell sweep serially and on the process pool."""
+    """The same multi-cell sweep serially and on ``WORKERS`` processes.
+
+    Informational: the speedup only means something with at least
+    ``WORKERS`` CPUs, so the cell says whether it is ``applicable``.
+    """
+    cpus = os.cpu_count() or 1
     start = time.perf_counter()
-    serial = run_experiment(WORKERS_CONFIG, base_seed=BASE_SEED)
+    serial = run_experiment(WORKERS_CONFIG, base_seed=BASE_SEED, store=False)
     serial_seconds = time.perf_counter() - start
     start = time.perf_counter()
-    parallel = run_experiment(WORKERS_CONFIG, base_seed=BASE_SEED, workers=WORKERS)
+    parallel = run_experiment(WORKERS_CONFIG, base_seed=BASE_SEED, workers=WORKERS, store=False)
     parallel_seconds = time.perf_counter() - start
-    identical = [c.mean_time for c in serial.cells] == [
-        c.mean_time for c in parallel.cells
-    ]
     cell = {
         "experiment": WORKERS_CONFIG.experiment_id,
         "sizes": list(WORKERS_CONFIG.sizes),
         "trials": WORKERS_CONFIG.trials,
         "workers": WORKERS,
-        "cpu_count": os.cpu_count(),
+        "cpu_count": cpus,
+        "applicable": cpus >= WORKERS,
         "serial_seconds": round(serial_seconds, 4),
         "parallel_seconds": round(parallel_seconds, 4),
         "speedup": round(serial_seconds / parallel_seconds, 2),
-        "results_identical_to_serial": identical,
+        "results_identical_to_serial": (
+            [c.trials for c in serial.cells] == [c.trials for c in parallel.cells]
+        ),
     }
     print(
-        f"{'workers sweep':20s} {'heavy_binary_tree x4':28s} "
-        f"serial {serial_seconds * 1000:6.1f} ms   workers={WORKERS} "
-        f"{parallel_seconds * 1000:7.1f} ms   speedup {cell['speedup']:5.2f}x "
-        f"(cpus: {cell['cpu_count']})"
+        f"workers={WORKERS} speedup {cell['speedup']:.2f}x on {cpus} CPUs "
+        f"({'applicable' if cell['applicable'] else 'not applicable'})"
     )
     return cell
 
@@ -408,11 +388,6 @@ def measure_workers():
 SCALE_PROTOCOLS = ("push", "visit-exchange", "hybrid-ppull-visitx")
 SCALE_MIN_N = 1 << 10
 SCALE_MAX_N = 1 << 20
-SCALE_DEGREE = 12
-#: Minimum batched rounds/second at the largest scale size for the gate.  The
-#: bound is deliberately conservative (a 2^20-vertex push round is ~1M draws);
-#: it exists to catch order-of-magnitude regressions, not small drift.
-SCALE_MIN_ROUNDS_PER_SECOND = 1.0
 
 
 def _scale_trials(n: int) -> int:
@@ -421,45 +396,34 @@ def _scale_trials(n: int) -> int:
 
 
 def measure_scale(max_n: int = SCALE_MAX_N):
-    """Rounds/sec and per-cell peak RSS across n = 2^10 .. ``max_n`` (kernel
-    tier curve).
+    """Rounds/sec and per-cell peak RSS across n = 2^10 .. ``max_n``, one
+    timed run per cell.
 
-    Random 12-regular graphs (the family of Theorems 1-3) on the two
-    representative protocols of the two kernel shapes and the hybrid, which
-    holds both shapes' state and so the largest working set.  Push picks its tier
-    before every round (sparse frontiers in the thin phases, dense rows in
-    the hot phase, never sparse below a few thousand vertices); the recorded
-    frontier mode is ``"sparse"`` for a cell once any round ran sparse, so
-    the curve documents what actually ran.  The
-    graph build uses ``max_attempts=1``: a 12-regular pairing is essentially
-    never simple, so the benchmark goes straight to the vectorized repair
-    path instead of burning 200 doomed shuffles per size.
+    Push picks its tier before every round (sparse frontiers in the thin
+    phases, dense rows in the hot phase, never sparse below a few thousand
+    vertices); a cell's recorded frontier is ``"sparse"`` once any round ran
+    sparse.  The gated value is the slowest protocol at the top size.
     """
     cells = []
     n = SCALE_MIN_N
     while n <= max_n:
-        graph = random_regular_graph(
-            n, SCALE_DEGREE, np.random.default_rng(0), max_attempts=1
-        )
-        case = GraphCase(graph=graph, source=0, size_parameter=n)
+        case = regular_case(n)
         trials = _scale_trials(n)
         for protocol in SCALE_PROTOCOLS:
             reset_peak_rss()
-            spec = ProtocolSpec(protocol)
-            repeats = 3 if n <= (1 << 16) else 1
-            elapsed, trial_set = time_cell(spec, case, trials=trials, repeats=repeats)
-            rounds = _total_rounds(trial_set)
+            start = time.perf_counter()
+            trial_set = run_cell(ProtocolSpec(protocol), case, trials=trials)
+            elapsed = time.perf_counter() - start
+            rounds = sum(int(r.rounds_executed) for r in trial_set.results)
             cell = {
                 "protocol": protocol,
-                "graph": graph.name,
                 "n": n,
                 "trials": trials,
                 "seconds": round(elapsed, 4),
-                "rounds": rounds,
                 "rounds_per_second": round(rounds / elapsed, 1),
                 "mean_time": trial_set.mean_broadcast_time(),
                 "completion_rate": trial_set.completion_rate,
-                "frontier": trial_set.results[0].metadata.get("frontier", None),
+                "frontier": trial_set.results[0].metadata.get("frontier"),
                 "peak_rss_bytes": peak_rss_bytes(),
             }
             cells.append(cell)
@@ -470,106 +434,53 @@ def measure_scale(max_n: int = SCALE_MAX_N):
                 f"frontier={cell['frontier']}"
             )
         n <<= 1
-    return cells
+    top = [c for c in cells if c["n"] == cells[-1]["n"]]
+    return {
+        "degree": DEGREE,
+        "cells": cells,
+        "top_rounds_per_second": {
+            "n": top[0]["n"],
+            "value": min(c["rounds_per_second"] for c in top),
+        },
+        "checks": {"top_size_complete": all(c["completion_rate"] == 1.0 for c in top)},
+    }
 
 
-#: Size of the telemetry-overhead cell: large enough that a round does real
-#: vectorized work, small enough to keep the best-of timing loops cheap.
+#: Size of the telemetry cell: large enough that a round does real vectorized
+#: work, small enough to keep the paired runs cheap.
 TELEMETRY_N = 1 << 14
 
 
 def measure_telemetry():
-    """Overhead of the instrumented round loop with tracing enabled.
-
-    push on a random 12-regular graph at ``n = 2^14``: the bare configuration
-    (``REPRO_TRACE`` unset — spans are the shared no-op singleton) against the
-    traced one (spans plus strided per-round samples land in a scratch JSONL
-    directory).  The two legs are
-    *interleaved* — ``2 * REPEATS`` bare/traced pairs — so ambient machine
-    drift cannot masquerade as telemetry cost, and the gated statistic is
-    the **median of the per-pair traced/bare ratios**: adjacent runs share
-    whatever frequency/scheduler state the machine is in, so the pairwise
-    ratio cancels drift that a best-of-each-leg comparison (also recorded,
-    as ``trace_overhead_best``) leaves in.  The acceptance gate is <= 3%
-    overhead with bit-identical broadcast times — telemetry observes, it
-    never participates.
-    """
-    from repro.telemetry import TRACE_ENV_VAR
-
-    reset_peak_rss()
-    graph = random_regular_graph(
-        TELEMETRY_N, SCALE_DEGREE, np.random.default_rng(0), max_attempts=1
-    )
-    case = GraphCase(graph=graph, source=0, size_parameter=TELEMETRY_N)
-    spec = ProtocolSpec("push")
-    trials = _scale_trials(TELEMETRY_N)
-
-    def run_once():
-        start = time.perf_counter()
-        trial_set = run_trial_set(
-            spec,
-            case,
-            trials=trials,
-            base_seed=BASE_SEED,
-            experiment_id="bench-batch",
-        )
-        return time.perf_counter() - start, trial_set
-
+    """Overhead of the instrumented round loop: push with ``REPRO_TRACE``
+    set (spans plus strided per-round samples land in a scratch JSONL
+    directory) against unset (spans are the shared no-op singleton)."""
+    case = regular_case(TELEMETRY_N)
+    bare = partial(run_cell, ProtocolSpec("push"), case, trials=_scale_trials(TELEMETRY_N))
     saved = os.environ.pop(TRACE_ENV_VAR, None)
-    bare_times = []
-    traced_times = []
-    bare_trials = traced_trials = None
     try:
-        run_once()  # warm-up, outside the timed comparison
         with tempfile.TemporaryDirectory() as tmp:
-            # Alternate which leg runs first within each pair: the second
-            # run of a pair tends to be slightly faster (caches, frequency
-            # governor), and a fixed order would fold that bias into every
-            # ratio.
-            for pair in range(2 * REPEATS):
-                legs = ["bare", "traced"] if pair % 2 == 0 else ["traced", "bare"]
-                for leg in legs:
-                    if leg == "bare":
-                        os.environ.pop(TRACE_ENV_VAR, None)
-                        elapsed, bare_trials = run_once()
-                        bare_times.append(elapsed)
-                    else:
-                        os.environ[TRACE_ENV_VAR] = tmp
-                        elapsed, traced_trials = run_once()
-                        traced_times.append(elapsed)
+
+            def traced():
+                os.environ[TRACE_ENV_VAR] = tmp
+                try:
+                    return bare()
+                finally:
+                    os.environ.pop(TRACE_ENV_VAR)
+
+            ratio, traced_set, bare_set = paired("traced", traced, "bare", bare)
     finally:
         if saved is not None:
             os.environ[TRACE_ENV_VAR] = saved
-        else:
-            os.environ.pop(TRACE_ENV_VAR, None)
-    ratios = sorted(t / b for t, b in zip(traced_times, bare_times))
-    mid = len(ratios) // 2
-    median_ratio = (
-        ratios[mid] if len(ratios) % 2 else (ratios[mid - 1] + ratios[mid]) / 2.0
-    )
-    overhead = median_ratio - 1.0
-    bare_seconds, traced_seconds = min(bare_times), min(traced_times)
-    cell = {
+    return {
         "protocol": "push",
-        "graph": graph.name,
-        "n": TELEMETRY_N,
-        "trials": trials,
-        "pairs": len(ratios),
-        "bare_seconds": round(bare_seconds, 4),
-        "traced_seconds": round(traced_seconds, 4),
-        "trace_overhead": round(overhead, 4),
-        "trace_overhead_best": round(traced_seconds / bare_seconds - 1.0, 4),
-        "traced_results_identical": (
-            bare_trials.broadcast_times() == traced_trials.broadcast_times()
-        ),
-        "peak_rss_bytes": peak_rss_bytes(),
+        "graph": case.graph.name,
+        "trials": _scale_trials(TELEMETRY_N),
+        "trace_overhead": as_overhead(ratio),
+        "checks": {
+            "traced_results_identical": bare_set.broadcast_times() == traced_set.broadcast_times()
+        },
     }
-    print(
-        f"{'telemetry overhead':20s} {graph.name:28s} "
-        f"bare {bare_seconds * 1000:7.1f} ms   traced {traced_seconds * 1000:7.1f} ms "
-        f"(median pair {overhead * 100:+5.1f}%)"
-    )
-    return cell
 
 
 #: Construction-time cells: the Figure-1 families at representative sizes.
@@ -579,12 +490,7 @@ CONSTRUCTION_CASES = (
     ("double_star", lambda: double_star(1 << 20)),
     ("heavy_binary_tree", lambda: heavy_binary_tree(1 << 12)),
     ("cycle_of_stars_of_cliques", lambda: cycle_of_stars_of_cliques(64)),
-    (
-        "random_regular",
-        lambda: random_regular_graph(
-            1 << 20, SCALE_DEGREE, np.random.default_rng(0), max_attempts=1
-        ),
-    ),
+    ("random_regular", lambda: regular_case(1 << 20).graph),
     ("hypercube", lambda: hypercube(20)),
 )
 
@@ -615,6 +521,49 @@ def measure_construction():
         )
     return cells
 
+
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">=": operator.ge}
+
+
+@dataclass(frozen=True)
+class Gate:
+    """A gate: ``record[statistic]["value"] <op> threshold`` on its section's
+    record, with every entry of the record's ``checks`` true."""
+
+    section: str
+    statistic: str
+    op: str
+    threshold: float
+
+    @property
+    def name(self) -> str:
+        return f"{self.section}: {self.statistic} {self.op} {self.threshold:g}"
+
+    def evaluate(self, record) -> dict:
+        stat = record[self.statistic]
+        value = stat["value"]
+        return {
+            "name": self.name,
+            "threshold": self.threshold,
+            "value": value,
+            "iqr": stat.get("iqr"),
+            "pairs": stat.get("pairs"),
+            "checks": record["checks"],
+            "pass": bool(
+                _COMPARE[self.op](value, self.threshold) and all(record["checks"].values())
+            ),
+        }
+
+
+GATES = (
+    Gate("sweep", "speedup", ">=", 4.0),
+    Gate("dynamics", "static_overhead", "<", 0.15),
+    Gate("store", "warm_speedup", ">=", 10.0),
+    # Deliberately conservative (a 2^20-vertex push round is ~1M draws): it
+    # catches order-of-magnitude regressions, not drift.
+    Gate("scale", "top_rounds_per_second", ">=", 1.0),
+    Gate("telemetry", "trace_overhead", "<=", 0.03),
+)
 
 ALL_SECTIONS = (
     "sweep",
@@ -657,99 +606,31 @@ def run_sections(sections, *, scale_max_n: int = SCALE_MAX_N) -> int:
     ``BENCH_batch.json`` is rewritten only by a full run in which every gate
     passed: a failing gate never lands in the committed baseline.
     """
-    failed = []
-    sweep_cells = extra_cells = dynamics_cells = None
-    workers_cell = store_cell = telemetry_cell = None
-    scale_cells = construction_cells = None
-    overall = sweep_single = sweep_bat = None
+    measures = {
+        "sweep": measure_sweep,
+        "dynamics": measure_dynamics,
+        "workers": measure_workers,
+        "store": measure_store,
+        "scale": partial(measure_scale, scale_max_n),
+        "telemetry": measure_telemetry,
+        "construction": measure_construction,
+    }
+    records, gates = {}, []
+    for section in ALL_SECTIONS:
+        if section not in sections:
+            continue
+        print(f"-- {section} --")
+        records[section] = measures[section]()
+        for gate in GATES:
+            if gate.section == section:
+                row = gate.evaluate(records[section])
+                gates.append(row)
+                spread = f"   IQR {row['iqr']}, {row['pairs']} pairs" if row["iqr"] else ""
+                print(f"{'PASS' if row['pass'] else 'FAIL'} {row['name']}: {row['value']}{spread}")
+                if not all(row["checks"].values()):
+                    print(f"     checks: {row['checks']}")
 
-    if "sweep" in sections:
-        print(f"-- acceptance sweep: {TRIALS} trials, n={N}, all six protocol kernels --")
-        cases = sweep_cases()
-        sweep_cells = measure_cells(cases)
-        print("-- supplementary cells (skewed-degree family) --")
-        extra_cells = measure_cells(extra_cases())
-        acceptance = [c for c in sweep_cells if c["protocol"] in ACCEPTANCE_PROTOCOLS]
-        sweep_single = sum(c["one_seed_calls_seconds"] for c in acceptance)
-        sweep_bat = sum(c["batched_seconds"] for c in acceptance)
-        overall = round(sweep_single / sweep_bat, 2)
-        print(f"{'acceptance pair overall':49s} 1-seed calls {sweep_single * 1000:8.1f} ms   "
-              f"batch {sweep_bat * 1000:7.1f} ms   speedup {overall:5.2f}x")
-        # The ratio measures the per-trial round-loop overhead that batching
-        # removes: both sides run the same kernels on the same seeds.
-        if overall < 4.0:
-            print("FAIL: acceptance-pair batching speedup below 4x")
-            failed.append("sweep: batching speedup >= 4x")
-
-    if "dynamics" in sections:
-        print("-- dynamic-topology masked-sampler overhead --")
-        dynamics_cells = measure_dynamics(sweep_cases()[0])
-        # The dynamic-topology layer must be near-free when nothing fails: a
-        # static (all-active, fully materialized) schedule may cost < 15%
-        # over the maskless path, and must not change a single result.
-        overhead_ok = max(
-            c["static_overhead"] for c in dynamics_cells
-        ) < 0.15 and all(c["static_results_identical"] for c in dynamics_cells)
-        if not overhead_ok:
-            print("FAIL: static-schedule masking overhead exceeds 15% "
-                  "or changed results")
-            failed.append("dynamics: static-schedule overhead < 15%")
-
-    if "workers" in sections:
-        print(f"-- process-parallel cell scheduler (workers={WORKERS}) --")
-        workers_cell = measure_workers()
-
-    if "store" in sections:
-        print("-- content-addressed result store (cold vs. warm sweep) --")
-        store_cell = measure_store()
-        # A warm store must skip every simulation cell AND every graph
-        # construction (the manifest trust path), return the exact cold
-        # results, and be at least an order of magnitude faster.
-        store_ok = (
-            store_cell["warm_speedup"] >= 10.0
-            and store_cell["warm_cells_computed"] == 0
-            and store_cell["warm_graph_constructions"] == 0
-            and store_cell["warm_results_identical_to_cold"]
-        )
-        if not store_ok:
-            print("FAIL: warm result-store sweep must be >= 10x faster than "
-                  "cold with zero recomputed cells, zero graph constructions "
-                  "and bit-identical results")
-            failed.append("store: warm sweep >= 10x with zero recompute")
-
-    if "scale" in sections:
-        print(f"-- scale curve: n = 2^10 .. {scale_max_n} (d={SCALE_DEGREE} regular) --")
-        scale_cells = measure_scale(scale_max_n)
-        top_n = max(c["n"] for c in scale_cells)
-        top_cells = [c for c in scale_cells if c["n"] == top_n]
-        scale_ok = all(
-            c["rounds_per_second"] >= SCALE_MIN_ROUNDS_PER_SECOND
-            and c["completion_rate"] == 1.0
-            for c in top_cells
-        )
-        if not scale_ok:
-            print(f"FAIL: scale curve below {SCALE_MIN_ROUNDS_PER_SECOND} "
-                  f"rounds/s (or incomplete trials) at n={top_n}")
-            failed.append(f"scale: >= {SCALE_MIN_ROUNDS_PER_SECOND} rounds/s at n={top_n}")
-
-    if "telemetry" in sections:
-        print(f"-- telemetry overhead: traced vs. bare round loop (n={TELEMETRY_N}) --")
-        telemetry_cell = measure_telemetry()
-        # Tracing must be effectively free on the round loop: <= 3% overhead
-        # against the better of two bare measurements, and the traced run
-        # must not perturb a single broadcast time.
-        telemetry_ok = (
-            telemetry_cell["trace_overhead"] <= 0.03
-            and telemetry_cell["traced_results_identical"]
-        )
-        if not telemetry_ok:
-            print("FAIL: traced round loop exceeds 3% overhead or changed results")
-            failed.append("telemetry: trace overhead <= 3%")
-
-    if "construction" in sections:
-        print("-- graph construction at scale-tier sizes --")
-        construction_cells = measure_construction()
-
+    failed = [row["name"] for row in gates if not row["pass"]]
     if failed:
         print(f"gates failed: {'; '.join(failed)}")
     if set(sections) != set(ALL_SECTIONS):
@@ -761,53 +642,14 @@ def run_sections(sections, *, scale_max_n: int = SCALE_MAX_N) -> int:
 
     payload = {
         "benchmark": "bench-batch",
-        "description": (
-            f"{TRIALS}-trial sweeps at n={N} over all six protocol kernels on a "
-            f"random 12-regular graph: {TRIALS} one-seed run_batch calls vs. one "
-            f"{TRIALS}-seed call (best of {REPEATS} runs each); star-graph "
-            "cells recorded as supplementary data; acceptance speedup pinned "
-            "to the visit-exchange + push-pull pair for cross-PR comparability; "
-            "workers cell records the process-parallel cell scheduler; "
-            "dynamics cells record the dynamic-topology layer's overhead: the "
-            "static all-active schedule (collapsed to the maskless fast path) "
-            "must stay < 15% with bit-identical results, and a one-edge-down "
-            "schedule records the true per-sample masking cost as "
-            "informational masked_overhead; the store cell times a cold "
-            "(computing + persisting) vs. warm (fully cached) sweep through "
-            "the content-addressed result store, which must be >= 10x faster "
-            "warm with zero recomputed cells, zero graph constructions (the "
-            "journaled builder manifest resolves keys from trusted "
-            "fingerprints) and bit-identical results, and records the "
-            "warm-report (result_from_store) latency floor; the "
-            "scale cells trace rounds/sec and per-cell peak RSS "
-            "(peak_rss_source) for push and "
-            "visit-exchange on random 12-regular graphs from 2^10 up to the "
-            "million-vertex tier (the batched sparse-frontier representation "
-            "engages automatically above the sparse threshold), gated "
-            "conservatively at >= 1 round/s at the top size; the telemetry "
-            "cell gates the instrumented round loop (REPRO_TRACE spans plus "
-            "strided per-round samples) at <= 3% overhead over the better of "
-            "two bare measurements with bit-identical broadcast times; the "
-            "construction cells time the vectorized graph builders at "
-            "scale-tier sizes"
-        ),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
         "peak_rss_source": PEAK_RSS_SOURCE,
-        "sweep_cells": sweep_cells,
-        "extra_cells": extra_cells,
-        "dynamics_cells": dynamics_cells,
-        "workers_cell": workers_cell,
-        "store_cell": store_cell,
-        "telemetry_cell": telemetry_cell,
-        "scale_cells": scale_cells,
-        "construction_cells": construction_cells,
-        "sweep_one_seed_calls_seconds": round(sweep_single, 4),
-        "sweep_batched_seconds": round(sweep_bat, 4),
-        "overall_speedup": overall,
-        "max_static_dynamics_overhead": max(
-            c["static_overhead"] for c in dynamics_cells
-        ),
+        "min_pairs": MIN_PAIRS,
+        "min_paired_seconds": MIN_PAIRED_SECONDS,
+        "gates": gates,
+        **records,
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {OUTPUT}")
