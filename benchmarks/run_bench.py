@@ -24,8 +24,9 @@ pairs until they cover ``MIN_PAIRED_SECONDS`` (and number at least
 its interquartile range.  Two sections are informational: ``workers`` (a
 sweep serially and on the process-parallel cell scheduler; its speedup is
 marked not applicable on fewer CPUs than workers) and ``construction``
-(graph builders at scale-tier sizes).  Every timed leg runs without a result
-store, so ``REPRO_STORE`` cannot turn a timing into a cache read::
+(graph builders at scale-tier sizes, each with its own heap peak).  Every
+timed leg runs without a result store, so ``REPRO_STORE`` cannot turn a
+timing into a cache read::
 
     PYTHONPATH=src python benchmarks/run_bench.py
 
@@ -45,6 +46,7 @@ import resource
 import sys
 import tempfile
 import time
+import tracemalloc
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -135,6 +137,21 @@ def peak_rss_bytes() -> int:
     if PEAK_RSS_SOURCE == "VmHWM":
         return _vm_hwm_bytes()
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss) * rss_multiplier()
+
+
+def heap_peak_bytes(build) -> int:
+    """The tracemalloc peak of one ``build()`` above the heap it started on.
+
+    It needs no ``/proc`` and no reset, so it measures the one build on any
+    platform; tracing slows allocation, so callers time a separate build.
+    """
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def paired(label_a, leg_a, label_b, leg_b):
@@ -496,7 +513,8 @@ CONSTRUCTION_CASES = (
 
 
 def measure_construction():
-    """Wall-clock of the vectorized graph builders at scale-tier sizes."""
+    """Wall-clock of the vectorized graph builders at scale-tier sizes, and
+    the heap peak of a second, untimed build."""
     cells = []
     for label, build in CONSTRUCTION_CASES:
         reset_peak_rss()
@@ -514,9 +532,11 @@ def measure_construction():
             "edges_per_second": round(graph.num_edges / elapsed, 1),
             "peak_rss_bytes": peak_rss_bytes(),
         }
+        del graph
+        cell["heap_peak_bytes"] = heap_peak_bytes(build)
         cells.append(cell)
         print(
-            f"{label:26s} n={graph.num_vertices:>9d} m={graph.num_edges:>9d}   "
+            f"{label:26s} n={cell['n']:>9d} m={cell['m']:>9d}   "
             f"{elapsed * 1000:9.1f} ms   {cell['edges_per_second'] / 1e6:6.2f} M edges/s"
         )
     return cells

@@ -8,12 +8,14 @@ inconclusive otherwise -- as is a claim the cells cannot decide.  A growth
 class passes when 95% of the resampled best fits are admitted;
 a fit outside it can be a lower-order term at small sizes, so it never fails.
 Orderings are checked at the largest size, where a separation is widest.
+A document claim bounds a column of a coupling or fairness document's table
+as it is stored, with no resampling: it passes or fails on the values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,8 +73,28 @@ def _verdict(claim: Prediction, rows: List[Tuple]) -> ClaimVerdict:
     return ClaimVerdict(claim, verdict, point, (lo, hi), label)
 
 
+def _document_verdict(claim: Prediction, document) -> ClaimVerdict:
+    """The claim's statistic in every matching row of ``document.table_rows()``,
+    each row named by its first column."""
+    wanted = {"graph": claim.family, "mechanism": claim.protocol}
+    chosen = [row for row in document.table_rows()
+              if all(row.get(col, want) == want or want == "any" for col, want in wanted.items())]
+    if not chosen or any(claim.statistic not in row for row in chosen):
+        return ClaimVerdict(claim, "inconclusive", detail=f"no {claim.statistic!r} rows")
+    values = np.array([float(row[claim.statistic]) for row in chosen])
+    labels = ["{}={}".format(*next(iter(row.items()))) for row in chosen]
+    found = _rows(values, values[None], labels, claim.low, claim.high)
+    if claim.spread is not None:
+        drift = values[-1] / max(values[0], 1.0)
+        found += _rows(drift, [[drift]], ["last/max(first, 1)"], None, claim.spread)
+    return replace(_verdict(claim, found), interval=None)
+
+
 def evaluate_claim(claim: Prediction, cells: Sequence) -> ClaimVerdict:
-    """Evaluate one claim on an experiment's cells (``ExperimentResult.cells``)."""
+    """Evaluate one claim on an experiment's cells (``ExperimentResult.cells``);
+    a document claim reads the coupling or fairness document passed instead."""
+    if claim.check == "document":
+        return _document_verdict(claim, cells)
 
     def rows(point, samples, labels, low=claim.low, high=claim.high):
         return _rows(point, samples, labels, low, high)

@@ -6,7 +6,7 @@ machinery produces, for every vertex, the C-counter value ``C_u(t_u)`` at the
 moment the vertex is informed; by Lemma 13 this dominates ``tau_u``, and by
 Lemma 14 it equals the congestion of a canonical walk.  The summaries here
 aggregate those per-vertex quantities over repeated coupled runs so the
-benchmark for the ``coupling-congestion`` experiment can report them.
+report's ``coupling-congestion`` section can table them and check its claims.
 """
 
 from __future__ import annotations

@@ -9,12 +9,15 @@ proof of Theorem 10 relies on:
 * the congestion bound empirically: ``max_u C_u(t_u) / T_visitx`` stays
   bounded by a constant across graph sizes (this is the quantity Theorem 10
   bounds by the constant ``beta``).
+
+Both facts are claims in :data:`~repro.theory.predictions.PAPER_PREDICTIONS`
+that the result declares, so the report gives a verdict for each.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Sequence
+from typing import Any, ClassVar, Dict, List, Sequence, Tuple
 
 from ..analysis.congestion import CongestionSummary, summarize_coupled_runs
 from ..core.coupling import CoupledPushVisitExchange, CoupledRunResult
@@ -39,6 +42,9 @@ DEFAULT_COUPLING_SIZES = (64, 128, 256)
 class CouplingExperimentResult:
     """Per-size congestion summaries of the coupling experiment."""
 
+    #: The document claims the report checks on :meth:`table_rows`.
+    claim_ids: ClassVar[Tuple[str, ...]] = (
+        "coupling-lemma13", "coupling-congestion", "coupling-broadcast-ratio")
     sizes: List[int] = field(default_factory=list)
     summaries: Dict[int, CongestionSummary] = field(default_factory=dict)
     runs: Dict[int, List[CoupledRunResult]] = field(default_factory=dict)

@@ -17,7 +17,7 @@ the maximum single-edge share of the total traffic.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List
+from typing import Any, ClassVar, Dict, List, Tuple
 
 from ..analysis.fairness import FairnessReport, edge_usage_from_walks, fairness_from_usage
 from ..core.batch import run_batch
@@ -49,6 +49,10 @@ def default_fairness_graphs(size: int, seed: int) -> Dict[str, Graph]:
 class FairnessExperimentResult:
     """Fairness reports keyed by (graph label, mechanism label)."""
 
+    #: The document claims the report checks on :meth:`table_rows`.
+    claim_ids: ClassVar[Tuple[str, ...]] = (
+        "fairness-agents-gini", "fairness-agents-unused", "fairness-agents-bridge",
+        "fairness-ppull-bridge", "fairness-ppull-regular")
     size: int
     reports: Dict[str, Dict[str, FairnessReport]] = field(default_factory=dict)
 
@@ -70,6 +74,7 @@ class FairnessExperimentResult:
                         "gini": report.gini,
                         "max edge share": report.max_share,
                         "min edge share": report.min_share,
+                        "min share / uniform": report.min_share * report.num_edges,
                         "unused edges": report.unused_edges,
                     }
                 )

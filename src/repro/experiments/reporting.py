@@ -3,7 +3,8 @@
 The EXPERIMENTS.md of this repository is (re)generated from the structures in
 this module: every sweep experiment contributes a table of mean broadcast
 times plus the fitted growth exponents, and the coupling and fairness
-experiments contribute their dedicated tables.
+experiments contribute their dedicated tables; every section checks its
+declared paper claims in one claims table.
 
 Every report path — ``repro report``, ``repro report --from-store`` and the
 ``/report`` endpoints — goes through one dispatch, :func:`_sections`, which
@@ -79,15 +80,18 @@ def report_section_ids() -> List[str]:
     return list_experiment_ids() + list(REPORT_EXTRA_SECTIONS)
 
 
-def claims_for_experiment(result: ExperimentResult) -> List[Prediction]:
-    """The paper predictions attached to an experiment configuration."""
-    wanted = set(result.config.claim_ids)
+def claims_for_experiment(result) -> List[Prediction]:
+    """The paper predictions a section declares: a sweep in its configuration,
+    a coupling or fairness document in its class."""
+    sweep = isinstance(result, ExperimentResult)
+    wanted = set(result.config.claim_ids if sweep else result.claim_ids)
     return [p for p in PAPER_PREDICTIONS if p.claim_id in wanted]
 
 
-def claim_verdicts(result: ExperimentResult) -> List[ClaimVerdict]:
-    """Evaluate the experiment's declared claims on its cells."""
-    return [evaluate_claim(claim, result.cells) for claim in claims_for_experiment(result)]
+def claim_verdicts(result) -> List[ClaimVerdict]:
+    """Evaluate a section's declared claims on its cells (a document: on itself)."""
+    source = result.cells if isinstance(result, ExperimentResult) else result
+    return [evaluate_claim(claim, source) for claim in claims_for_experiment(result)]
 
 
 def _claims_table(verdicts: Sequence[ClaimVerdict]) -> str:
@@ -276,14 +280,15 @@ def fairness_result_from_store(
     return _document_from_store(store, cell, FairnessExperimentResult)
 
 
-def _document_markdown(heading: str, blurb: str, result, *tail: str) -> str:
-    """A document section: its heading, blurb and ``table_rows()`` table, then ``tail``."""
+def _document_markdown(heading: str, blurb: str, result) -> str:
+    """A document section: its heading, blurb, claims table and ``table_rows()`` table."""
     rows = result.table_rows()
     headers = list(rows[0].keys()) if rows else []
-    lines = [heading, "", blurb, ""]
+    claims = _claims_table(claim_verdicts(result))
+    lines = [heading, "", blurb, "", "Paper claims checked:", "", claims, ""]
     if rows:
         lines.append(format_markdown_table(headers, [[row[h] for h in headers] for row in rows]))
-    return "\n".join(lines + ["", *tail])
+    return "\n".join(lines + ["", ""])
 
 
 def coupling_markdown_section(result: CouplingExperimentResult) -> str:
@@ -295,9 +300,6 @@ def coupling_markdown_section(result: CouplingExperimentResult) -> str:
         "the congestion ratio `max_u C_u(t_u) / T_visitx` is the quantity "
         "Theorem 10 bounds by a constant.",
         result,
-        f"Lemma 13 held in all runs: **{'yes' if result.lemma13_always_holds() else 'NO'}**; "
-        f"largest congestion ratio observed: {format_float(result.max_congestion_ratio())}.",
-        "",
     )
 
 
@@ -336,6 +338,7 @@ class _DocumentSection:
         return {
             "title": self.title,
             "markdown": self.render(result),
+            "claims": [verdict.as_row() for verdict in claim_verdicts(result)],
             "rows": [
                 {k: _json_value(v) for k, v in row.items()} for row in result.table_rows()
             ],

@@ -1,7 +1,8 @@
-"""The paper's claims (Lemmas 2-4, 8, 9, Theorems 1, 23-25), one record each.
+"""The paper's claims (Lemmas 2-4, 8, 9, 13, Theorems 1, 10, 23-25), one record each.
 
 A :class:`Prediction` names a protocol, a graph family and what its broadcast
-times must satisfy; ``check`` is the kind:
+times (or, for a document claim, its ``statistic``) must satisfy; ``check`` is
+the kind:
 
 * ``growth`` -- the best of ``GROWTH_CANDIDATES`` fitted to ``T_protocol`` (or
   ``T_protocol / T_other``) is a class ``kind`` admits (``O``: no faster than
@@ -13,11 +14,15 @@ times must satisfy; ``check`` is the kind:
   size (``T_other = 0`` without ``other``; ``u(n) = log2 n`` when ``growth``
   is ``"log n"``, else 1);
 * ``completion`` -- every cell of ``protocol`` (``"*"``: all) completes at
-  least a fraction ``low`` of its trials.
+  least a fraction ``low`` of its trials;
+* ``document`` -- ``low <= statistic <= high``, a column of a coupling or
+  fairness document's table, in each row whose ``graph`` / ``mechanism`` (if
+  any) are ``family`` (``"any"``: all) / ``protocol``; last / max(first, 1)
+  <= ``spread``.
 
 ``reduce="min"`` measures a cell by its fastest trial (w.h.p. lower bounds).
-Experiments name their claims in ``ExperimentConfig.claim_ids``;
-:mod:`repro.analysis.claims` evaluates them on the cells.
+Experiments (and the document result classes) name their claims in
+``claim_ids``; :mod:`repro.analysis.claims` evaluates them.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ GROWTH_CANDIDATES: Tuple[str, ...] = (
 )
 
 #: The claim kinds (see the module docstring).
-CHECKS = ("growth", "ordering", "ratio", "additive", "completion")
+CHECKS = ("growth", "ordering", "ratio", "additive", "completion", "document")
 
 
 def growth_value(name: str, n: float) -> float:
@@ -104,10 +109,13 @@ class Prediction:
     high: Optional[float] = None
     spread: Optional[float] = None
     reduce: str = "mean"
+    statistic: str = ""
 
     def __post_init__(self) -> None:
         if self.check not in CHECKS or self.reduce not in ("mean", "min"):
             raise ValueError(f"claim {self.claim_id!r}: unknown check or reduce")
+        if (self.check == "document") != bool(self.statistic):
+            raise ValueError(f"claim {self.claim_id!r}: a statistic is for document claims")
 
     def evaluate(self, n: float) -> float:
         """Evaluate the growth function at ``n`` (no constant factor)."""
@@ -136,6 +144,10 @@ class Prediction:
             text += " at every size" if self.check == "ratio" else " at the largest size"
             if self.spread is not None:
                 text += f", max/min ratio <= {self.spread:g}"
+        elif self.check == "document":
+            text = _bounded(f"{self.statistic} of {self.protocol}", self.low, self.high)
+            if self.spread is not None:
+                text += f", last/max(first, 1) <= {self.spread:g}"
         elif self.check == "additive":
             offset = f"T_{self.other} + " if self.other else ""
             unit = " log2 n" if self.growth == "log n" else ""
@@ -156,6 +168,9 @@ _ORD, _ADD = "ordering", "additive"
 _ST, _DS, _HT = "star", "double-star", "heavy-binary-tree"
 _SI, _CS, _RG = "siamese-heavy-tree", "cycle-stars-cliques", "regular"
 _PP, _VX, _MX, _HY = "push-pull", "visit-exchange", "meet-exchange", "hybrid-ppull-visitx"
+_DOC, _EMPIRICAL = "document", "the repo's empirical bound; the paper gives no constant"
+_COUPLED, _SHARE = "coupled push/visit-exchange", "min share / uniform"
+_AGENTS, _PP_SAMPLED = "agents (all traversals)", "push-pull (sampled edges)"
 
 #: Every claim of the paper's evaluation, in paper order.
 PAPER_PREDICTIONS: List[Prediction] = [
@@ -242,6 +257,24 @@ PAPER_PREDICTIONS: List[Prediction] = [
     Prediction("hybrid-tree-vs-visitx", "Section 1", _HT, _HY, check=_ORD, other=_VX, high=1),
     Prediction("hybrid-tree-vs-ppull", "Section 1", _HT, _HY, check=_ORD, other=_PP, high=2.5),
     Prediction("hybrid-bound", "Section 1", "any", _HY, _U, "log n", check=_ADD, high=8),
+    # --- The Section-5 coupling and local fairness (document sections) ----------
+    Prediction("coupling-lemma13", "Lemma 13", _RG, _COUPLED, notes="tau_u <= C_u(t_u), exact",
+               check=_DOC, high=0, statistic="lemma13 violations"),
+    Prediction("coupling-congestion", "Theorem 10", _RG, _COUPLED, notes=_EMPIRICAL, check=_DOC,
+               high=15, spread=3, statistic="max congestion/T_visitx"),
+    Prediction("coupling-broadcast-ratio", "Theorem 10", _RG, _COUPLED, notes=_EMPIRICAL,
+               check=_DOC, low=0.2, high=5, statistic="mean T_push/T_visitx"),
+    Prediction("fairness-agents-gini", "Section 1", "any", _AGENTS, notes=_EMPIRICAL, check=_DOC,
+               high=0.3, statistic="gini"),
+    Prediction("fairness-agents-unused", "Section 1", "any", _AGENTS, check=_DOC, high=0,
+               statistic="unused edges"),
+    Prediction("fairness-agents-bridge", "Section 1", _DS, _AGENTS, notes=_EMPIRICAL, check=_DOC,
+               low=0.2, statistic=_SHARE),
+    Prediction("fairness-ppull-bridge", "Section 1", _DS, _PP_SAMPLED, check=_DOC, high=0.1,
+               notes="bridge edge sampled with probability O(1/n); " + _EMPIRICAL,
+               statistic=_SHARE),
+    Prediction("fairness-ppull-regular", "Section 1", "random-regular", _PP_SAMPLED,
+               notes=_EMPIRICAL, check=_DOC, high=0.35, statistic="gini"),
 ]
 
 

@@ -7,6 +7,8 @@ must be fully deterministic.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,17 @@ def small_hypercube():
 def small_regular(rng):
     """A random 6-regular graph on 48 vertices."""
     return random_regular_graph(48, 6, rng)
+
+
+@pytest.fixture(scope="session")
+def regular_512():
+    """The random regular graph on 512 vertices (degree 2 log2 n) the
+    extension scale checks share."""
+    n = 512
+    degree = max(4, int(2 * math.log2(n)))
+    if (n * degree) % 2:
+        degree += 1
+    return random_regular_graph(n, degree, np.random.default_rng(17))
 
 
 @pytest.fixture

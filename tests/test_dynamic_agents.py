@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,19 @@ class TestChurn:
         ]
         assert np.mean(churn_times) < 4 * np.mean(static_times) + 10
 
+    def test_churn_costs_only_a_constant_factor_at_scale(self, regular_512):
+        static = np.mean([
+            DynamicAgentsSimulation(death_rate=0.0, birth_rate=0.0)
+            .run(regular_512, 0, seed=s)
+            .broadcast_time
+            for s in range(3)
+        ])
+        churned = np.mean([
+            DynamicAgentsSimulation(death_rate=0.05).run(regular_512, 0, seed=s).broadcast_time
+            for s in range(3)
+        ])
+        assert churned < 4 * static + 10
+
     def test_histories_have_matching_lengths(self, rng):
         graph = random_regular_graph(64, 8, rng)
         result = DynamicAgentsSimulation(death_rate=0.02).run(graph, 0, seed=5)
@@ -142,6 +157,13 @@ class TestFailureInjection:
         # ...but births replenish the population and the broadcast completes.
         assert result.completed
         assert result.population_history[-1] > population_after
+
+    def test_recovery_from_mass_failure_at_scale(self, regular_512):
+        result = DynamicAgentsSimulation(
+            death_rate=0.05, failure_round=5, failure_fraction=0.8
+        ).run(regular_512, 0, seed=9)
+        assert result.completed
+        assert result.broadcast_time < 20 * math.log2(regular_512.num_vertices)
 
     def test_failure_without_births_still_completes_if_some_agents_survive(self, rng):
         graph = complete_graph(64)

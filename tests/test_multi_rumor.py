@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,17 @@ class TestManyRumors:
         assert max(times) < 80
         assert result.mean_broadcast_time() is not None
         assert result.max_broadcast_time() == max(times)
+
+    def test_pipeline_latency_stays_logarithmic(self, regular_512):
+        # Ten rumors injected five rounds apart into one shared population:
+        # each is still delivered within O(log n) of its injection.
+        rng = np.random.default_rng(1)
+        injections = [
+            RumorInjection(5 * i, int(rng.integers(regular_512.num_vertices))) for i in range(10)
+        ]
+        result = MultiRumorVisitExchange().run(regular_512, injections, seed=2)
+        assert result.all_completed
+        assert result.max_broadcast_time() < 10 * math.log2(regular_512.num_vertices)
 
     def test_statistics_with_incomplete_runs(self):
         graph = double_star(60)

@@ -8,6 +8,9 @@ own test and must pass.  The growth classes in ``UNDECIDED`` are left out:
 such small sweeps cannot separate them from a neighbouring class, so they read
 ``inconclusive``, and a growth class without exponent bounds cannot read
 ``fail``, so no assertion on them could fail.  The report still evaluates them.
+
+The coupling and fairness documents declare theirs in their result class;
+each is checked on the report's default document and on a second input.
 """
 
 from __future__ import annotations
@@ -18,9 +21,18 @@ import functools
 import pytest
 
 from repro.analysis.claims import evaluate_claim
+from repro.analysis.fairness import expected_uniform_share
 from repro.core.results import RunResult, TrialSet
 from repro.experiments import get_experiment, list_experiment_ids, run_experiment
 from repro.experiments.config import ProtocolSpec
+from repro.experiments.coupling_experiment import (
+    CouplingExperimentResult,
+    run_coupling_experiment,
+)
+from repro.experiments.fairness_experiment import (
+    FairnessExperimentResult,
+    run_fairness_experiment,
+)
 from repro.experiments.reporting import claim_verdicts
 from repro.experiments.runner import CellResult
 from repro.theory.predictions import PAPER_PREDICTIONS, BoundKind, Prediction
@@ -99,6 +111,85 @@ def test_push_run_in_place_of_push_pull_fails_lemma2b():
                             trials=trials)
     verdicts = {v.claim.claim_id: v.verdict for v in claim_verdicts(result)}
     assert verdicts["lemma2b"] == "fail"
+
+
+#: Document id -> (result class, runner keyword arguments): the report's
+#: default documents, and a second coupling seed at two sizes and a second
+#: fairness seed with three push-pull trials.
+DOCUMENTS = {
+    "coupling-default": (CouplingExperimentResult, {}),
+    "coupling-seed5": (CouplingExperimentResult, {"sizes": (128, 256), "base_seed": 5}),
+    "fairness-default": (FairnessExperimentResult, {}),
+    "fairness-seed1": (FairnessExperimentResult, {"base_seed": 1, "push_pull_trials": 3}),
+}
+RUNNERS = {
+    CouplingExperimentResult: run_coupling_experiment,
+    FairnessExperimentResult: run_fairness_experiment,
+}
+DOCUMENT_CLAIMS = [(d, c) for d, (kind, _) in DOCUMENTS.items() for c in kind.claim_ids]
+
+
+@functools.lru_cache(maxsize=None)
+def stored_document(document_id):
+    """The document's ``to_dict()`` form (computed once per module)."""
+    kind, kwargs = DOCUMENTS[document_id]
+    return RUNNERS[kind](**kwargs).to_dict()
+
+
+def document(document_id):
+    """A fresh copy of the document, safe to alter."""
+    return DOCUMENTS[document_id][0].from_dict(stored_document(document_id))
+
+
+def document_verdict(claim_id, result):
+    [claim] = [p for p in PAPER_PREDICTIONS if p.claim_id == claim_id]
+    return evaluate_claim(claim, result)
+
+
+@pytest.mark.parametrize(
+    "document_id, claim_id", DOCUMENT_CLAIMS, ids=[f"{d}-{c}" for d, c in DOCUMENT_CLAIMS]
+)
+def test_document_claims_hold(document_id, claim_id):
+    verdict = document_verdict(claim_id, document(document_id))
+    assert verdict.verdict == "pass", verdict
+
+
+class TestDocumentClaimsHaveTeeth:
+    def test_a_lemma13_violation_fails_lemma13(self):
+        result = document("coupling-default")
+        size = result.sizes[-1]
+        result.summaries[size] = dataclasses.replace(
+            result.summaries[size], lemma13_violation_count=1
+        )
+        verdict = document_verdict("coupling-lemma13", result)
+        assert (verdict.verdict, verdict.detail) == ("fail", f"n={size}")
+
+    def test_congestion_growing_with_size_fails_theorem10(self):
+        result = document("coupling-default")
+        first, last = result.sizes[0], result.sizes[-1]
+        grown = 3.5 * result.summaries[first].max_congestion_ratio
+        result.summaries[last] = dataclasses.replace(
+            result.summaries[last], max_congestion_ratio=grown
+        )
+        verdict = document_verdict("coupling-congestion", result)
+        assert (verdict.verdict, verdict.detail) == ("fail", "last/max(first, 1)")
+
+    def test_a_bridge_with_a_uniform_share_fails_the_bridge_claim(self):
+        result = document("fairness-default")
+        cells = result.reports["double-star"]
+        ppull = cells["push-pull (sampled edges)"]
+        cells["push-pull (sampled edges)"] = dataclasses.replace(
+            ppull, min_share=expected_uniform_share(ppull.num_edges)
+        )
+        verdict = document_verdict("fairness-ppull-bridge", result)
+        assert (verdict.verdict, verdict.detail) == ("fail", "graph=double-star")
+
+    def test_a_document_without_the_statistic_is_inconclusive(self):
+        verdict = document_verdict("fairness-agents-gini", document("coupling-default"))
+        assert verdict.verdict == "inconclusive"
+        result = document("fairness-default")
+        del result.reports["double-star"]
+        assert document_verdict("fairness-ppull-bridge", result).verdict == "inconclusive"
 
 
 def cell(label, n, times):

@@ -18,6 +18,8 @@ import pytest
 import repro.store.orchestrator as orchestrator
 from repro.cli.main import build_parser, main
 from repro.experiments import reporting
+from repro.experiments.coupling_experiment import CouplingExperimentResult
+from repro.experiments.fairness_experiment import FairnessExperimentResult
 from repro.experiments.reporting import (
     REPORT_EXTRA_SECTIONS,
     coupling_result_from_store,
@@ -108,6 +110,18 @@ class TestDocumentCells:
         args = build_parser().parse_args(argv[1:])
         assert args.command == "report"
         assert args.only == [section]
+
+    def test_document_entries_carry_their_claim_rows(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        run_report_sections(["coupling", "fairness"], store=store)
+        payload = store_report_payload(store, sections=["coupling", "fairness"])
+        kinds = {"coupling": CouplingExperimentResult, "fairness": FairnessExperimentResult}
+        for section in payload["sections"]:
+            rows = section["claims"]
+            assert [row["id"] for row in rows] == list(kinds[section["id"]].claim_ids)
+            assert {row["kind"] for row in rows} == {"document"}
+            assert {row["verdict"] for row in rows} == {"pass"}
+            assert "Paper claims checked:" in section["markdown"]
 
     def test_sidecar_cell_hashes_to_its_key(self, tmp_path):
         store = ResultStore(tmp_path / "store")

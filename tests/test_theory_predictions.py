@@ -87,6 +87,15 @@ class TestPredictionRecords:
         with pytest.raises(ValueError):
             Prediction("x", "s", "f", "push", check="vibes")
 
+    def test_a_statistic_belongs_to_document_claims_only(self):
+        with pytest.raises(ValueError):
+            Prediction("x", "s", "f", "push", check="document")
+        with pytest.raises(ValueError):
+            Prediction("x", "s", "f", "push", check="ordering", statistic="gini")
+        claim = Prediction("x", "s", "f", "m", check="document", high=0.3, spread=3,
+                           statistic="gini")
+        assert "gini of m <= 0.3, last/max(first, 1) <= 3 on f" in claim.describe()
+
     def test_describe_mentions_protocol_and_kind(self):
         prediction = PAPER_PREDICTIONS[0]
         text = prediction.describe()
