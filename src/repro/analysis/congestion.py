@@ -34,11 +34,6 @@ class CongestionSummary:
     mean_congestion_ratio: float
     max_congestion_ratio: float
 
-    @property
-    def lemma13_always_holds(self) -> bool:
-        """True when no run violated ``tau_u <= C_u(t_u)`` for any vertex."""
-        return self.lemma13_violation_count == 0
-
     def describe(self) -> str:
         """One-line human readable rendering."""
         return (

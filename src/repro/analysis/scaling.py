@@ -30,10 +30,6 @@ class GrowthFit:
     relative_rmse: float
     r_squared: float
 
-    def predict(self, n: float) -> float:
-        """Predicted broadcast time at size ``n``."""
-        return self.constant * growth_value(self.growth, n)
-
 
 def fit_growth(
     sizes: Sequence[float], times: Sequence[float], growth: str

@@ -58,10 +58,6 @@ class NeighborChoices:
             bucket.append(int(self._graph.sample_neighbor(int(vertex), self._rng)))
         return bucket[index - 1]
 
-    def issued(self, vertex: int) -> int:
-        """Number of choices generated so far for ``vertex``."""
-        return len(self._choices.get(int(vertex), []))
-
 
 @dataclass
 class CoupledRunResult:

@@ -119,14 +119,6 @@ class InformedCountObserver(Observer):
     def on_run_end(self, broadcast_time: Optional[int]) -> None:
         self.broadcast_time = broadcast_time
 
-    def rounds_to_fraction(self, total: int, fraction: float) -> Optional[int]:
-        """First round index at which at least ``fraction * total`` vertices are informed."""
-        threshold = fraction * total
-        for round_index, count in enumerate(self.vertex_history):
-            if count >= threshold:
-                return round_index
-        return None
-
 
 class EdgeUsageObserver(Observer):
     """Counts how many times each edge carried information.

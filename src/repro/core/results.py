@@ -8,7 +8,6 @@ EXPERIMENTS.md report generator.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
@@ -93,13 +92,6 @@ class RunResult:
         if not self.completed and self.broadcast_time is not None:
             raise ValueError("incomplete runs must not record a broadcast time")
 
-    @property
-    def normalized_broadcast_time(self) -> Optional[float]:
-        """Broadcast time divided by ``log2(n)`` — a convenient scale-free view."""
-        if self.broadcast_time is None:
-            return None
-        return self.broadcast_time / max(math.log2(max(self.num_vertices, 2)), 1.0)
-
     def to_dict(self) -> Dict[str, Any]:
         """Return a JSON-serializable dictionary representation.
 
@@ -109,10 +101,6 @@ class RunResult:
         and tuples are normalized to plain Python types on the way out.
         """
         return _json_safe(asdict(self))
-
-    def to_json(self) -> str:
-        """Serialize the result to a JSON string."""
-        return json.dumps(self.to_dict())
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "RunResult":
@@ -189,11 +177,6 @@ class TrialSet:
         times = self.broadcast_times()
         return max(times) if times else None
 
-    def min_broadcast_time(self) -> Optional[int]:
-        """Minimum broadcast time over completed runs."""
-        times = self.broadcast_times()
-        return min(times) if times else None
-
     def to_dict(self) -> Dict[str, Any]:
         """Return a JSON-serializable dictionary representation.
 
@@ -212,10 +195,6 @@ class TrialSet:
             "results": [r.to_dict() for r in self.results],
         }
 
-    def to_json(self) -> str:
-        """Serialize the trial set to a JSON string."""
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "TrialSet":
         """Reconstruct a :class:`TrialSet` from :meth:`to_dict` output.
@@ -233,11 +212,6 @@ class TrialSet:
         for result_payload in payload["results"]:
             trials.add(RunResult.from_dict(result_payload))
         return trials
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrialSet":
-        """Reconstruct a :class:`TrialSet` from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))
 
     @classmethod
     def from_results(cls, results: Sequence[RunResult]) -> "TrialSet":

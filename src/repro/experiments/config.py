@@ -142,12 +142,6 @@ these is set — fixed-seed runs are bit-identical either way.
     structured key=value logs from the worker, farm, and remote-store
     layers go to stderr at that level.  Unset, the ``repro`` loggers stay
     unconfigured (silent under the stdlib default handling).
-``REPRO_METRICS``
-    Set to ``"0"`` to switch off *optional* background metric collection —
-    client-side counters (remote retry/degraded-read accounting) and the
-    workers' fleet-snapshot pushes to the hub.  The store service's own
-    request accounting and ``GET /metrics`` endpoint are unconditional:
-    they are part of the service contract, not an option.
 
 Publish wire format
 -------------------
@@ -168,12 +162,16 @@ sidecar's ``key`` matches the URL, that the SHA-256 of the NPZ bytes
 matches the sidecar's ``npz_sha256``, and that hashing the sidecar's
 ``cell`` payload reproduces the key.  Replaying a publish is idempotent
 (bit-identical bytes are already committed); a publish whose bytes differ
-from the committed object is rejected with 409 and never overwrites.  The
-same frame travels in the other direction on ``GET /cells/<key>/object``
-reads.  All farm traffic (``POST /sweeps/submit``, ``.../lease``,
-``.../heartbeat``, ``.../complete``, ``.../fail``) is plain JSON over
-POST, authenticated — like publishes — with ``Authorization: Bearer
-<token>``.
+from the committed object is rejected with 409 and never overwrites.
+
+The same frame travels in the other direction as the body of
+``GET /cells/<key>/object`` reads.  The reading client checks its lengths
+and the payload's SHA-256 against the sidecar before it caches the
+object; a hub whose committed object lost its NPZ frames an empty
+payload, which that check rejects.  All farm traffic
+(``POST /sweeps/submit``, ``.../lease``, ``.../heartbeat``,
+``.../complete``, ``.../fail``) is plain JSON over POST, authenticated —
+like publishes — with ``Authorization: Bearer <token>``.
 """
 
 from __future__ import annotations

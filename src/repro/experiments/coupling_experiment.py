@@ -49,14 +49,6 @@ class CouplingExperimentResult:
     summaries: Dict[int, CongestionSummary] = field(default_factory=dict)
     runs: Dict[int, List[CoupledRunResult]] = field(default_factory=dict)
 
-    def lemma13_always_holds(self) -> bool:
-        """True if no run at any size violated Lemma 13."""
-        return all(summary.lemma13_always_holds for summary in self.summaries.values())
-
-    def max_congestion_ratio(self) -> float:
-        """Largest observed ``max_u C_u(t_u) / T_visitx`` over the whole sweep."""
-        return max(summary.max_congestion_ratio for summary in self.summaries.values())
-
     def table_rows(self) -> List[Dict[str, object]]:
         """Rows for the report: one per size."""
         rows = []

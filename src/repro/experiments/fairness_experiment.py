@@ -56,10 +56,6 @@ class FairnessExperimentResult:
     size: int
     reports: Dict[str, Dict[str, FairnessReport]] = field(default_factory=dict)
 
-    def gini(self, graph_label: str, mechanism: str) -> float:
-        """Convenience accessor for the Gini coefficient of one cell."""
-        return self.reports[graph_label][mechanism].gini
-
     def table_rows(self) -> List[Dict[str, object]]:
         """Rows for the report: one per (graph, mechanism)."""
         rows = []

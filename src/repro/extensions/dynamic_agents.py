@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from ..core.batch import run_batch
 from ..core.kernels.agent import AgentChurn
 from ..core.rng import make_rng
@@ -52,11 +50,6 @@ class DynamicAgentsResult:
     def min_population(self) -> int:
         """Smallest population size observed during the run."""
         return int(min(self.population_history))
-
-    @property
-    def mean_population(self) -> float:
-        """Average population size over the run."""
-        return float(np.mean(self.population_history))
 
 
 class DynamicAgentsSimulation:

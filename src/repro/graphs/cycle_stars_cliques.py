@@ -63,10 +63,6 @@ class CycleStarsLayout:
     star_leaves: List[List[int]]
     clique_members: List[List[List[int]]]
 
-    def clique_of(self, i: int, j: int) -> List[int]:
-        """Return all vertices of the clique ``Q_{i,j}`` (leaf plus members)."""
-        return [self.star_leaves[i][j]] + list(self.clique_members[i][j])
-
     @property
     def num_vertices(self) -> int:
         """Total number of vertices: ``k + k^2 + k^3``."""

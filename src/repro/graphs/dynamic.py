@@ -75,11 +75,6 @@ class RoundActivity:
     edge_state: Optional[np.ndarray] = None
     vertex_state: Optional[np.ndarray] = None
 
-    @property
-    def is_all_active(self) -> bool:
-        """True when neither mask is materialized (the trivial round)."""
-        return self.edge_state is None and self.vertex_state is None
-
 
 _ALL_ACTIVE = RoundActivity()
 

@@ -5,14 +5,11 @@ sample uniformly random neighbors of vertices millions of times per run.  A
 compressed-sparse-row (CSR) adjacency layout backed by numpy arrays makes that
 sampling a constant-time, vectorizable operation, which is what keeps the
 experiment sweeps in ``repro.experiments`` tractable on a laptop.
-
-The class interoperates with :mod:`networkx` (conversion in both directions)
-but does not depend on it for the hot simulation path.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -406,25 +403,6 @@ class Graph:
         src = np.repeat(np.arange(self._n, dtype=np.int64), self._degrees)
         return not bool(np.any(color[src] == color[self._indices]))
 
-    def bfs_order(self, source: int) -> List[int]:
-        """Return vertices reachable from ``source`` in BFS order."""
-        seen = np.zeros(self._n, dtype=bool)
-        seen[source] = True
-        order = [int(source)]
-        frontier = np.array([int(source)], dtype=np.int64)
-        while frontier.size:
-            neighbors = self._frontier_neighbors(frontier)
-            fresh = neighbors[~seen[neighbors]]
-            if not fresh.size:
-                break
-            # Deduplicate keeping the first occurrence so the order matches a
-            # per-vertex scan of the (sorted) adjacency rows.
-            _, first = np.unique(fresh, return_index=True)
-            frontier = fresh[np.sort(first)]
-            seen[frontier] = True
-            order.extend(frontier.tolist())
-        return order
-
     def distances_from(self, source: int) -> np.ndarray:
         """Return BFS distances from ``source`` (-1 for unreachable vertices)."""
         dist = np.full(self._n, -1, dtype=np.int64)
@@ -441,67 +419,9 @@ class Graph:
             dist[frontier] = level
         return dist
 
-    def diameter(self) -> int:
-        """Return the exact diameter (expensive: one BFS per vertex)."""
-        if not self.is_connected():
-            raise GraphError("diameter is undefined for disconnected graphs")
-        best = 0
-        for u in range(self._n):
-            best = max(best, int(self.distances_from(u).max()))
-        return best
-
-    # ------------------------------------------------------------------
-    # constructors / conversion
-    # ------------------------------------------------------------------
     @classmethod
     def from_edges(
         cls, num_vertices: int, edges: Sequence[Tuple[int, int]], *, name: str = "graph"
     ) -> "Graph":
         """Build a graph from an explicit edge list."""
         return cls(num_vertices, edges, name=name)
-
-    @classmethod
-    def from_adjacency(
-        cls, adjacency: Sequence[Sequence[int]], *, name: str = "graph"
-    ) -> "Graph":
-        """Build a graph from an adjacency-list representation."""
-        edges = []
-        for u, nbrs in enumerate(adjacency):
-            for v in nbrs:
-                if u < v:
-                    edges.append((u, int(v)))
-        return cls(len(adjacency), edges, name=name)
-
-    @classmethod
-    def from_networkx(cls, nx_graph, *, name: str = None) -> "Graph":
-        """Convert a :class:`networkx.Graph`; node labels are relabelled 0..n-1."""
-        nodes = list(nx_graph.nodes())
-        index = {node: i for i, node in enumerate(nodes)}
-        edges = [(index[u], index[v]) for u, v in nx_graph.edges()]
-        return cls(len(nodes), edges, name=name or "networkx")
-
-    def to_networkx(self):
-        """Convert to a :class:`networkx.Graph` (lazy import of networkx)."""
-        import networkx as nx
-
-        nx_graph = nx.Graph()
-        nx_graph.add_nodes_from(range(self._n))
-        nx_graph.add_edges_from(self.edges())
-        return nx_graph
-
-    def relabeled(self, name: str) -> "Graph":
-        """Return a shallow copy of the graph carrying a different name."""
-        clone = Graph.__new__(Graph)
-        clone._n = self._n
-        clone._m = self._m
-        clone._indptr = self._indptr
-        clone._indices = self._indices
-        clone._degrees = self._degrees
-        clone._name = str(name)
-        clone._stationary = self._stationary
-        clone._slot_sources = self._slot_sources
-        clone._slot_edge_ids = self._slot_edge_ids
-        clone._narrow_indices = self._narrow_indices
-        clone._connected = self._connected
-        clone._bipartite = self._bipartite
-        return clone

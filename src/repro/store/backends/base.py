@@ -20,7 +20,7 @@ Every backend upholds the two store-wide contracts:
 
 The checksum rule itself — a sidecar parses to a JSON object whose
 ``npz_sha256`` is the SHA-256 of the payload — is stated once here, beside
-the publish wire frame, as :func:`parse_sidecar` and :func:`check_payload`:
+the object wire frame, as :func:`parse_sidecar` and :func:`check_payload`:
 the store's verified read, the remote backend's cache fill and the
 service's publish route all apply it.
 
@@ -55,7 +55,8 @@ __all__ = [
 #: Length of a cell key: a SHA-256 hex digest.
 KEY_HEX_LENGTH = 64
 
-#: Magic prefix of the publish wire frame (``PUT /cells/<key>`` bodies).
+#: Magic prefix of the object wire frame (``PUT /cells/<key>`` and
+#: ``GET /cells/<key>/object`` bodies).
 OBJECT_FRAME_MAGIC = b"repro-object-1\n"
 
 _FRAME_LENGTHS = struct.Struct(">QQ")

@@ -3,9 +3,11 @@
 ``RemoteBackend("http://host:port")`` speaks the API of ``repro store
 serve`` (:mod:`repro.store.service`) and caches every object it fetches
 into a local :class:`~repro.store.backends.local.LocalBackend`, so repeated
-``get_trial_set`` calls never re-fetch: the first read of a key costs two
-GETs (sidecar + NPZ payload), every later read is served from disk without
-touching the network.
+``get_trial_set`` calls never re-fetch: the first read of a key costs one
+``GET /cells/<key>/object``, whose body frames the sidecar and the NPZ
+payload together (:func:`~repro.store.backends.base.encode_object_frame`,
+the frame a publish sends), and every later read is served from disk
+without touching the network.
 
 Listing (``/ls``) and journal (``/sweeps/<id>``) responses — which change
 as sweeps run and therefore cannot be cached by content address — are
@@ -13,8 +15,10 @@ revalidated with ``If-None-Match`` conditional GETs: the backend remembers
 the last ``(ETag, body)`` per URL, and an unchanged poll costs a ``304``
 with an empty body instead of a re-download.
 
-Integrity is verified *before* the cache commit: the fetched NPZ bytes must
-match the fetched sidecar's SHA-256, otherwise the object is discarded and
+Integrity is verified *before* the cache commit: the frame must hold
+exactly its declared lengths and its NPZ bytes must match its sidecar's
+SHA-256 (a hub that lost a payload frames it empty, which fails here),
+otherwise the object is discarded and
 :class:`~repro.store.StoreCorruptionError` raised — a corrupt or truncated
 transfer can never poison the cache.  The facade then re-verifies on every
 read as usual, so the checksum holds end to end across the transport.
@@ -64,12 +68,13 @@ import warnings
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ...telemetry import default_registry, get_logger, kv, metrics_enabled, span
+from ...telemetry import default_registry, get_logger, kv, span
 from .base import (
     StoreBackend,
     check_key,
     check_payload,
     check_sweep_id,
+    decode_object_frame,
     encode_object_frame,
     parse_sidecar,
 )
@@ -87,17 +92,11 @@ def _count(name: str, help: str) -> None:
     into worker processes and rebuilt on unpickle, and the counters' only
     consumer — the worker's fleet-health push — reads the global registry.
     """
-    if metrics_enabled():
-        default_registry().counter(name, help).inc()
+    default_registry().counter(name, help).inc()
 
 
 #: Environment variable overriding where remote backends cache objects.
 CACHE_ENV_VAR = "REPRO_STORE_CACHE"
-
-#: How many sidecars fetched without their payload to keep in memory (the
-#: facade reads sidecar-then-NPZ, so the memo saves one GET per object; the
-#: cap only matters for sidecar-only scans like ``ls`` against a huge store).
-_SIDECAR_MEMO_CAP = 256
 
 #: HTTP statuses worth retrying: the request may succeed on a healthy
 #: instant even though this attempt failed.
@@ -193,7 +192,6 @@ class RemoteBackend(StoreBackend):
         self.backoff = float(backoff)
         self.degrade = bool(degrade)
         self._lock = threading.Lock()
-        self._sidecar_memo: Dict[str, bytes] = {}
         self._conditional_memo: Dict[str, Tuple[str, bytes]] = {}
         self._down_until = 0.0
         self._down_reason = ""
@@ -237,7 +235,6 @@ class RemoteBackend(StoreBackend):
         self.backoff = state.get("backoff", 0.25)
         self.degrade = state.get("degrade", False)
         self._lock = threading.Lock()
-        self._sidecar_memo = {}
         self._conditional_memo = {}
         self._down_until = 0.0
         self._down_reason = ""
@@ -535,59 +532,40 @@ class RemoteBackend(StoreBackend):
     # ------------------------------------------------------------------
     # objects (read-through)
     # ------------------------------------------------------------------
-    def read_sidecar_bytes(self, key: str) -> Optional[bytes]:
-        from ..artifacts import StoreUnavailableError
-
-        key = check_key(key)
-        cached = self.cache.read_sidecar_bytes(key)
-        if cached is not None:
-            return cached
-        try:
-            fetched = self._get(f"/cells/{key}")
-        except StoreUnavailableError as exc:
-            if self._degraded(exc):
-                return None  # a cold key degrades to a plain miss
-            raise
-        if fetched is not None:
-            # Remember it for the NPZ fetch that typically follows; the
-            # cache itself only ever holds complete, verified objects.
-            with self._lock:
-                if len(self._sidecar_memo) >= _SIDECAR_MEMO_CAP:
-                    self._sidecar_memo.clear()
-                self._sidecar_memo[key] = fetched
-        return fetched
-
-    def read_npz_bytes(self, key: str) -> Optional[bytes]:
+    def _fetch(self, key: str) -> Tuple[Optional[bytes], Optional[bytes]]:
+        """``(npz, sidecar)`` of one ``GET /cells/<key>/object``, committed to
+        the cache; ``(None, None)`` on a miss (or a degraded outage)."""
         from ..artifacts import StoreCorruptionError, StoreUnavailableError
 
-        key = check_key(key)
-        cached = self.cache.read_npz_bytes(key)
-        if cached is not None:
-            return cached
-        with self._lock:
-            sidecar_bytes = self._sidecar_memo.pop(key, None)
         try:
-            if sidecar_bytes is None:
-                sidecar_bytes = self._get(f"/cells/{key}")
-            if sidecar_bytes is None:
-                return None
-            npz_bytes = self._get(f"/cells/{key}/object")
+            frame = self._get(f"/cells/{key}/object")
         except StoreUnavailableError as exc:
             if self._degraded(exc):
-                return None
+                return None, None  # a cold key degrades to a plain miss
             raise
-        if npz_bytes is None:
-            return None
+        if frame is None:
+            return None, None
         # Verify before the cache commit: a truncated or corrupted transfer
         # must fail loudly here, never become a cached "valid" object.
         try:
+            npz_bytes, sidecar_bytes = decode_object_frame(frame)
             check_payload(parse_sidecar(sidecar_bytes), npz_bytes)
         except ValueError as exc:
             raise StoreCorruptionError(
                 f"object {key} fetched from {self.url} failed its integrity check: {exc}"
             ) from exc
         self.cache.write_object(key, npz_bytes, sidecar_bytes)
-        return npz_bytes
+        return npz_bytes, sidecar_bytes
+
+    def read_sidecar_bytes(self, key: str) -> Optional[bytes]:
+        key = check_key(key)
+        cached = self.cache.read_sidecar_bytes(key)
+        return cached if cached is not None else self._fetch(key)[1]
+
+    def read_npz_bytes(self, key: str) -> Optional[bytes]:
+        key = check_key(key)
+        cached = self.cache.read_npz_bytes(key)
+        return cached if cached is not None else self._fetch(key)[0]
 
     def publish_object(self, key: str, npz_bytes: bytes, sidecar_bytes: bytes) -> None:
         """Push one object to the hub through the authenticated write path.
@@ -652,9 +630,9 @@ class RemoteBackend(StoreBackend):
 
         A sweep can have history on both sides — journaled on the server,
         then resumed by this client.  Concatenating server-first keeps the
-        full history: ``completed_keys``/gc pins become the union, and
-        ``last_run_statuses`` reads the most recent (local) run.  Journal
-        readers tolerate arbitrary event interleaving by construction.
+        full history: gc pins become the union, and the most recent run is
+        the local one.  Journal readers tolerate arbitrary event
+        interleaving by construction.
         """
         from ..artifacts import StoreUnavailableError
 

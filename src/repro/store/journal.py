@@ -142,21 +142,3 @@ class SweepJournal:
     def events(self) -> Iterator[Dict[str, Any]]:
         """Parsed journal events, tolerating a torn tail line."""
         return journal_events(self.store.backend.read_sweep_text(self.sweep_id))
-
-    def cell_events(self) -> List[Dict[str, Any]]:
-        """All recorded cell completions, in journal order."""
-        return [event for event in self.events() if event.get("event") == "cell"]
-
-    def completed_keys(self) -> set:
-        """Keys of every cell any run of this sweep has completed."""
-        return {event["key"] for event in self.cell_events() if "key" in event}
-
-    def last_run_statuses(self) -> Optional[Dict[str, str]]:
-        """``key -> status`` map of the most recent run (None if never started)."""
-        statuses: Optional[Dict[str, str]] = None
-        for event in self.events():
-            if event.get("event") == "sweep-start":
-                statuses = {}
-            elif event.get("event") == "cell" and statuses is not None:
-                statuses[event.get("key", "")] = event.get("status", "")
-        return statuses

@@ -3,12 +3,13 @@
 The service is deliberately thin — stdlib :class:`ThreadingHTTPServer`, no
 dependencies — because the store's integrity model does all the hard work:
 objects are immutable, content-addressed and checksummed, so the server
-just streams the committed bytes verbatim and every client re-verifies the
-SHA-256 end to end (:class:`~repro.store.backends.RemoteBackend` checks
-before filling its cache, :class:`~repro.store.ResultStore` checks again on
-every read).  Serving a root that a sweep is concurrently writing into is
-safe: writes are atomic renames ordered NPZ-before-sidecar, and the server
-only serves objects whose sidecar (the commit marker) exists.
+just streams the committed bytes verbatim (an object's sidecar and payload
+in one length-prefixed frame) and every client re-verifies the SHA-256 end
+to end (:class:`~repro.store.backends.RemoteBackend` checks before filling
+its cache, :class:`~repro.store.ResultStore` checks again on every read).
+Serving a root that a sweep is concurrently writing into is safe: writes
+are atomic renames ordered NPZ-before-sidecar, and the server only serves
+objects whose sidecar (the commit marker) exists.
 
 Read API (always available):
 
@@ -19,8 +20,12 @@ Read API (always available):
     The object's JSON sidecar, verbatim.  404 when absent, 400 for a
     malformed key.
 ``GET /cells/<key>/object``
-    The object's compressed NPZ payload, verbatim.  404 when the object is
-    absent *or uncommitted* (NPZ present but no sidecar yet).
+    The whole object in the publish wire frame of
+    :func:`~repro.store.backends.base.encode_object_frame`: the sidecar and
+    the compressed NPZ payload, each verbatim.  404 when the object is
+    absent *or uncommitted* (NPZ present but no sidecar yet); a committed
+    object whose payload is gone is framed with an empty payload, which
+    fails the client's checksum.
 ``GET /sweeps``
     JSON ``{"sweeps": [...]}`` of the journal ids the store holds.
 ``GET /sweeps/<id>``
@@ -99,7 +104,7 @@ from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from ..telemetry import MetricsRegistry, span
 from .artifacts import ResultStore, StoreError
-from .backends import check_key, check_sweep_id, decode_object_frame
+from .backends import check_key, check_sweep_id, decode_object_frame, encode_object_frame
 from .backends.base import check_payload, parse_sidecar
 from .farm import FarmError, SweepFarm, UnknownLeaseError, UnknownSweepError
 from .keys import SEMANTICS_VERSION, STORE_FORMAT_VERSION, cell_key
@@ -308,15 +313,15 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
             if not want_object:
                 self._send_validated(sidecar_bytes, "application/json", key)
                 return
-            npz_bytes = store.backend.local.read_npz_bytes(key)
-            if npz_bytes is None:
-                self._error(404, f"object {key} has no NPZ payload")
-                return
+            # A payload lost under its sidecar is framed empty, so the
+            # client's checksum check rejects it loudly.
+            npz_bytes = store.backend.local.read_npz_bytes(key) or b""
             # An HTTP read (or revalidation) is a read: bump the payload's
             # read stamp so `gc --max-bytes` LRU ordering sees served-hot
             # cells as hot, not as eviction candidates.
             store.backend.local.mark_read(key)
-            self._send_validated(npz_bytes, "application/octet-stream", key)
+            frame = encode_object_frame(npz_bytes, sidecar_bytes)
+            self._send_validated(frame, "application/octet-stream", key)
             return
 
         match = re.fullmatch(r"/report/([A-Za-z0-9_-]+)(\.json)?", route)

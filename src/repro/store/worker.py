@@ -43,7 +43,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..telemetry import default_registry, get_logger, kv, metrics_enabled, span
+from ..telemetry import default_registry, get_logger, kv, span
 from .artifacts import ResultStore, StoreError, StoreUnavailableError
 from .backends.remote import RemoteBackend
 from .journal import journal_events, latest_manifest, sweep_id as compute_sweep_id
@@ -285,8 +285,6 @@ def run_worker(
         one without the ``/sweeps/<id>/metrics`` route (its 404 surfaces as
         a ``None`` response, not an exception) — must never fail the loop.
         """
-        if not metrics_enabled():
-            return
         try:
             backend.post_json(
                 f"/sweeps/{sid}/metrics",

@@ -20,14 +20,12 @@ telemetry enabled or disabled.
 
 from .logs import LOG_ENV_VAR, get_logger, kv
 from .metrics import (
-    METRICS_ENV_VAR,
     Counter,
     Gauge,
     Histogram,
     MetricError,
     MetricsRegistry,
     default_registry,
-    metrics_enabled,
 )
 from .tracing import (
     TRACE_ENV_VAR,
@@ -42,7 +40,6 @@ from .tracing import (
 
 __all__ = [
     "LOG_ENV_VAR",
-    "METRICS_ENV_VAR",
     "TRACE_ENV_VAR",
     "Counter",
     "Gauge",
@@ -53,7 +50,6 @@ __all__ = [
     "default_registry",
     "get_logger",
     "kv",
-    "metrics_enabled",
     "read_events",
     "span",
     "summarize_events",

@@ -19,16 +19,12 @@ Two registries matter in practice:
   other's request counts.
 
 Metric values are deliberately outside every store key: telemetry must never
-change what is computed, only record it.  ``REPRO_METRICS=0`` turns off the
-optional background collection (client retry counters, worker fleet pushes);
-the primitives themselves keep working so the service's request accounting —
-which predates this module — is unconditional.
+change what is computed, only record it.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
 from bisect import bisect_left
 from typing import Dict, List, Sequence, Tuple
@@ -40,11 +36,7 @@ __all__ = [
     "MetricError",
     "MetricsRegistry",
     "default_registry",
-    "metrics_enabled",
-    "METRICS_ENV_VAR",
 ]
-
-METRICS_ENV_VAR = "REPRO_METRICS"
 
 #: Distinct label-value combinations one metric may hold.  Beyond the cap,
 #: new combinations collapse into the reserved ``<other>`` series so a
@@ -76,18 +68,6 @@ DEFAULT_BUCKETS = (
 
 class MetricError(ValueError):
     """Invalid metric registration or label usage."""
-
-
-def metrics_enabled() -> bool:
-    """Whether optional background metric collection is on.
-
-    ``REPRO_METRICS=0`` (or ``false``/``off``) disables client-side counters
-    and the worker fleet-health push; the store service's request accounting
-    ignores this switch because ``request_counts`` predates telemetry and is
-    part of its public contract.
-    """
-    value = os.environ.get(METRICS_ENV_VAR, "").strip().lower()
-    return value not in ("0", "false", "off")
 
 
 def _check_name(name: str) -> None:

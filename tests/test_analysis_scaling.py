@@ -34,10 +34,6 @@ class TestFitGrowth:
         fit = fit_growth(SIZES, times, "log n")
         assert fit.constant == pytest.approx(5.0)
 
-    def test_predict(self):
-        fit = fit_growth(SIZES, [2 * n for n in SIZES], "n")
-        assert fit.predict(100) == pytest.approx(200.0)
-
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             fit_growth([1, 2], [1.0], "n")

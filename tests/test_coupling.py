@@ -27,12 +27,6 @@ class TestNeighborChoices:
         second = [choices.choice(3, i) for i in range(1, 10)]
         assert first == second
 
-    def test_lazy_generation_tracked(self, small_regular, rng):
-        choices = NeighborChoices(small_regular, rng)
-        assert choices.issued(5) == 0
-        choices.choice(5, 4)
-        assert choices.issued(5) == 4
-
     def test_one_based_indexing_enforced(self, small_regular, rng):
         choices = NeighborChoices(small_regular, rng)
         with pytest.raises(ValueError):

@@ -101,7 +101,8 @@ class TestChurn:
         )
         assert result.total_deaths > 0
         assert result.total_births > 0
-        assert 0.5 * result.initial_agents < result.mean_population < 1.5 * result.initial_agents
+        mean_population = np.mean(result.population_history)
+        assert 0.5 * result.initial_agents < mean_population < 1.5 * result.initial_agents
 
     def test_broadcast_still_completes_under_churn(self, rng):
         graph = random_regular_graph(128, 12, rng)

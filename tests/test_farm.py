@@ -808,8 +808,7 @@ class TestDocumentCells:
             "repro.experiments.coupling_experiment.CoupledPushVisitExchange.run", boom
         )
         second = run_coupling_experiment(store=store, **COUPLING_KW)
-        assert second.table_rows() == first.table_rows()
-        assert second.lemma13_always_holds() == first.lemma13_always_holds()
+        assert second.table_rows() == first.table_rows()  # lemma13 violations included
         run1, run2 = first.runs[16][0], second.runs[16][0]
         assert np.array_equal(run1.push_inform_round, run2.push_inform_round)
         assert np.array_equal(run1.c_counter_at_inform, run2.c_counter_at_inform)

@@ -207,7 +207,7 @@ class TestCycleStarsCliques:
 
     def test_cliques_are_cliques(self):
         graph, layout = cycle_of_stars_of_cliques(4)
-        clique = layout.clique_of(1, 2)
+        clique = [layout.star_leaves[1][2], *layout.clique_members[1][2]]  # Q_{1,2}
         assert len(clique) == 5
         for i, u in enumerate(clique):
             for v in clique[i + 1 :]:

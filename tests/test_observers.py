@@ -78,15 +78,6 @@ class TestInformedCountObserver:
         observer.on_run_start(None, 0)
         assert observer.vertex_history == []
 
-    def test_rounds_to_fraction(self):
-        observer = InformedCountObserver()
-        observer.on_run_start(None, 0)
-        for round_index, count in enumerate([1, 2, 5, 9, 10]):
-            observer.on_round_end(round_index, count, 0)
-        assert observer.rounds_to_fraction(10, 0.5) == 2
-        assert observer.rounds_to_fraction(10, 1.0) == 4
-        assert observer.rounds_to_fraction(100, 1.0) is None
-
 
 class TestEdgeUsageObserver:
     def test_counts_are_canonicalized(self):

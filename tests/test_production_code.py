@@ -1,12 +1,14 @@
 """Production code is what production calls.
 
-Every public top-level function or class under ``src/repro`` must be named
-somewhere other than its own definition, its module's ``__all__`` and the
-package re-exports: in the code of ``src/`` itself, or in ``examples/``,
-``benchmarks/``, ``perfbench/`` or the CI workflows.  A name that only the
-tests use belongs on the test side (``tests/oracle.py`` holds the test-side
-references).  The few user-facing helpers kept on purpose are listed in
-:data:`KEPT_FOR_USERS`, each with its reason.
+Every public top-level function or class under ``src/repro``, and every
+public method of a class there, must be named somewhere other than its own
+definition, its module's ``__all__`` and the package re-exports: in the code
+of ``src/`` itself, or in ``examples/``, ``benchmarks/``, ``perfbench/`` or
+the CI workflows.  Methods are matched by name, so a method whose name some
+other code uses counts as called.  A name that only the tests use belongs on
+the test side (``tests/oracle.py`` holds the test-side references).  The few
+user-facing helpers kept on purpose are listed in :data:`KEPT_FOR_USERS`,
+each with its reason.
 """
 
 from __future__ import annotations
@@ -40,25 +42,40 @@ KEPT_FOR_USERS = {
     "leaves_of",
     "right_leaves",
     "internal_vertices",
+    # Edge membership, the basic query of the graph type.
+    "Graph.has_edge",
+    # Building a graph from an explicit edge list, under a name that says so.
+    "Graph.from_edges",
+    # BFS distances from a source: its eccentricity lower-bounds push's
+    # broadcast time, one hop per round.
+    "Graph.distances_from",
 }
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _definitions_and_uses():
-    """Public top-level definitions of the package, and every name its code uses.
+    """Public definitions of the package, and every name its code uses.
 
-    Uses are ``Name`` and ``Attribute`` nodes, so a definition's own name,
+    Definitions are top-level functions and classes, keyed by name, and the
+    public methods of every class, keyed ``Class.method``.  Uses are
+    ``Name`` and ``Attribute`` nodes, so a definition's own name,
     ``__all__`` strings, import aliases and docstrings do not count.
     """
     defined = {}
     used = set()
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        where = path.relative_to(ROOT)
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not node.name.startswith("_"):
-                    defined[node.name] = path.relative_to(ROOT)
+            if isinstance(node, (*_FUNCTIONS, ast.ClassDef)) and not node.name.startswith("_"):
+                defined[node.name] = where
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, _FUNCTIONS) and not item.name.startswith("_"):
+                        defined[f"{node.name}.{item.name}"] = where
+            elif isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
@@ -80,8 +97,12 @@ def _words_outside_the_package():
 
 def test_every_public_definition_has_a_caller():
     defined, used = _definitions_and_uses()
-    named = used | _words_outside_the_package() | KEPT_FOR_USERS
-    uncalled = {name: str(path) for name, path in defined.items() if name not in named}
+    named = used | _words_outside_the_package()
+    uncalled = {
+        name: str(path)
+        for name, path in defined.items()
+        if name not in KEPT_FOR_USERS and name.rsplit(".", 1)[-1] not in named
+    }
     assert not uncalled, f"defined in src/ but named only by tests: {uncalled}"
 
 

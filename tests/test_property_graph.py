@@ -118,7 +118,12 @@ class TestGraphInvariantsFromEdgeLists:
             if rng.random() < 0.8:
                 edges.add((int(rng.integers(v)), v))
         graph = Graph(n, sorted(edges))
-        order = graph.bfs_order(0)
+        component, stack = {0}, [0]
+        while stack:
+            for v in graph.neighbors(stack.pop()):
+                if int(v) not in component:
+                    component.add(int(v))
+                    stack.append(int(v))
         distances = graph.distances_from(0)
-        reachable = {v for v in range(n) if distances[v] >= 0}
-        assert set(order) == reachable
+        assert {v for v in range(n) if distances[v] >= 0} == component
+        assert graph.is_connected() == (len(component) == n)

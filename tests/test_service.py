@@ -32,6 +32,7 @@ from repro.store import (
     resolve_backend,
     resolve_store,
 )
+from repro.store.backends import decode_object_frame
 
 
 def star_case(size=30):
@@ -112,8 +113,10 @@ class TestServiceEndpoints:
         npz_path, sidecar_path = served.object_paths(key)
         status, sidecar = http_get(f"{service.url}/cells/{key}")
         assert (status, sidecar) == (200, sidecar_path.read_bytes())
-        status, npz = http_get(f"{service.url}/cells/{key}/object")
-        assert (status, npz) == (200, npz_path.read_bytes())
+        # The object route frames both halves, as a publish does.
+        status, frame = http_get(f"{service.url}/cells/{key}/object")
+        assert status == 200
+        assert decode_object_frame(frame) == (npz_path.read_bytes(), sidecar_path.read_bytes())
 
     def test_missing_key_is_404(self, service):
         status, _body = http_get(f"{service.url}/cells/{'0' * 64}")
@@ -211,6 +214,26 @@ class TestRemoteBackend:
         # The poisoned bytes never reached the cache: no committed object.
         assert list(fresh.backend.local.list_keys()) == []
 
+    def test_lost_payload_fails_loudly_and_is_not_cached(self, service, served, tmp_path):
+        # A committed sidecar whose NPZ is gone is corruption, not a miss.
+        key = next(served.keys())
+        npz_path, _ = served.object_paths(key)
+        npz_path.unlink()
+        fresh = ResultStore(service.url, cache=tmp_path / "fresh-cache")
+        with pytest.raises(StoreCorruptionError):
+            fresh.get_trial_set(key)
+        assert list(fresh.backend.local.list_keys()) == []
+
+    def test_cold_read_is_one_object_request_and_warm_read_none(self, service, served, remote):
+        key = next(served.keys())
+        before = service.request_counts
+        remote.get_trial_set(key)
+        cold = service.request_counts
+        grown = {route: n - before.get(route, 0) for route, n in cold.items()}
+        assert {route: n for route, n in grown.items() if n} == {"/cells/*/object": 1}
+        remote.get_trial_set(key)
+        assert service.request_counts == cold
+
     def test_computed_cells_land_in_the_cache(self, service, remote, monkeypatch):
         calls = count_batches(monkeypatch)
         spec = ProtocolSpec("push")
@@ -293,7 +316,7 @@ class TestAcceptance:
     def test_resumed_sweep_journal_merges_server_and_local_history(self, served, remote):
         # Rerunning the server's sweep through the remote store journals the
         # new run locally; the journal view must keep the server's history
-        # too (gc pins and completed_keys are the union of both).
+        # too (gc pins are the union of both).
         run_experiment(TOY_CONFIG, base_seed=6, store=remote)
         sweep = next(served.sweeps_dir.glob("*.jsonl")).stem
         merged = remote.backend.read_sweep_text(sweep)

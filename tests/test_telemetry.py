@@ -34,7 +34,6 @@ from repro.store import (
 from repro.store.farm import FarmError, SweepFarm
 from repro.telemetry import (
     LOG_ENV_VAR,
-    METRICS_ENV_VAR,
     TRACE_ENV_VAR,
     Counter,
     MetricError,
@@ -43,7 +42,6 @@ from repro.telemetry import (
     default_registry,
     get_logger,
     kv,
-    metrics_enabled,
     read_events,
     span,
     summarize_events,
@@ -146,16 +144,6 @@ class TestMetricsRegistry:
         assert flat["c_total{who=w1}"] == 4.0
         assert flat["h_seconds_count"] == 1.0
         assert flat["h_seconds_sum"] == 0.5
-
-    def test_metrics_enabled_kill_switch(self, monkeypatch):
-        monkeypatch.delenv(METRICS_ENV_VAR, raising=False)
-        assert metrics_enabled()
-        monkeypatch.setenv(METRICS_ENV_VAR, "0")
-        assert not metrics_enabled()
-        monkeypatch.setenv(METRICS_ENV_VAR, "off")
-        assert not metrics_enabled()
-        monkeypatch.setenv(METRICS_ENV_VAR, "1")
-        assert metrics_enabled()
 
     def test_default_registry_is_a_process_singleton(self):
         assert default_registry() is default_registry()
@@ -393,7 +381,6 @@ class TestRemoteRetryTelemetry:
         self, dead_url, tmp_path, caplog, monkeypatch
     ):
         monkeypatch.delenv(LOG_ENV_VAR, raising=False)
-        monkeypatch.delenv(METRICS_ENV_VAR, raising=False)
         registry = default_registry()
         attempts_before = registry.counter_value("repro_remote_attempt_failures_total")
         outages_before = registry.counter_value("repro_remote_unavailable_total")
@@ -416,17 +403,6 @@ class TestRemoteRetryTelemetry:
         assert "attempt=1/3" in attempt_logs[0]
         assert "attempt=3/3" in attempt_logs[2]
         assert "elapsed=" in attempt_logs[0]
-
-    def test_kill_switch_stops_client_counters(self, dead_url, tmp_path, monkeypatch):
-        monkeypatch.setenv(METRICS_ENV_VAR, "0")
-        registry = default_registry()
-        before = registry.counter_value("repro_remote_attempt_failures_total")
-        backend = RemoteBackend(
-            dead_url, cache=tmp_path / "cache", retries=1, backoff=0.0
-        )
-        with pytest.raises(StoreUnavailableError):
-            backend.healthz()
-        assert registry.counter_value("repro_remote_attempt_failures_total") == before
 
 
 class TestBitIdentity:
@@ -453,7 +429,6 @@ class TestBitIdentity:
         self, monkeypatch, tmp_path
     ):
         monkeypatch.delenv(TRACE_ENV_VAR, raising=False)
-        monkeypatch.delenv(METRICS_ENV_VAR, raising=False)
         bare_key, bare = self._run(tmp_path / "bare")
 
         monkeypatch.setenv(TRACE_ENV_VAR, str(tmp_path / "traces"))
