@@ -27,6 +27,15 @@ class TestNeighborChoices:
         second = [choices.choice(3, i) for i in range(1, 10)]
         assert first == second
 
+    def test_a_later_choice_first_fixes_the_earlier_ones_in_order(self, small_regular):
+        # w_u(i) is the i-th draw for u whichever index is asked for first.
+        skipping = NeighborChoices(small_regular, np.random.default_rng(5))
+        fourth = skipping.choice(5, 4)
+        in_order = NeighborChoices(small_regular, np.random.default_rng(5))
+        assert [in_order.choice(5, i) for i in range(1, 5)] == [
+            skipping.choice(5, 1), skipping.choice(5, 2), skipping.choice(5, 3), fourth
+        ]
+
     def test_one_based_indexing_enforced(self, small_regular, rng):
         choices = NeighborChoices(small_regular, rng)
         with pytest.raises(ValueError):

@@ -188,6 +188,11 @@ class TestPredicates:
 
 
 class TestTraversal:
+    def test_eccentricities_of_star(self, small_star):
+        # The centre is one hop from every leaf, a leaf two hops from the rest.
+        assert small_star.distances_from(0).max() == 1
+        assert small_star.distances_from(1).max() == 2
+
     def test_distances_on_path(self, path_graph_4):
         distances = path_graph_4.distances_from(0)
         assert distances.tolist() == [0, 1, 2, 3]

@@ -32,7 +32,7 @@ from repro.store import (
     resolve_backend,
     resolve_store,
 )
-from repro.store.backends import decode_object_frame
+from repro.store.backends import decode_object_frame, encode_object_frame
 
 
 def star_case(size=30):
@@ -99,6 +99,34 @@ def remote(service, tmp_path):
     return ResultStore(service.url, cache=tmp_path / "cache")
 
 
+class TestObjectFrame:
+    """The wire frame of ``PUT /cells/<key>`` and ``GET /cells/<key>/object``."""
+
+    def test_round_trip_keeps_both_halves_verbatim(self):
+        for npz, sidecar in [(b"payload", b"{}"), (b"", b"{}"), (b"\x00" * 3, b"")]:
+            assert decode_object_frame(encode_object_frame(npz, sidecar)) == (npz, sidecar)
+
+    def test_wrong_magic_is_rejected(self):
+        frame = encode_object_frame(b"payload", b"{}")
+        with pytest.raises(ValueError, match="magic"):
+            decode_object_frame(b"X" + frame[1:])
+
+    def test_truncated_length_header_is_rejected(self):
+        frame = encode_object_frame(b"payload", b"{}")
+        with pytest.raises(ValueError, match="header"):
+            decode_object_frame(frame[: len(frame) - len(b"payload{}") - 1])
+
+    def test_short_body_is_rejected(self):
+        frame = encode_object_frame(b"payload", b"{}")
+        with pytest.raises(ValueError, match="length mismatch"):
+            decode_object_frame(frame[:-1])
+
+    def test_trailing_bytes_are_rejected(self):
+        frame = encode_object_frame(b"payload", b"{}")
+        with pytest.raises(ValueError, match="length mismatch"):
+            decode_object_frame(frame + b"x")
+
+
 class TestServiceEndpoints:
     def test_healthz_reports_store_summary(self, service, served):
         status, body = http_get(service.url + "/healthz")
@@ -117,6 +145,16 @@ class TestServiceEndpoints:
         status, frame = http_get(f"{service.url}/cells/{key}/object")
         assert status == 200
         assert decode_object_frame(frame) == (npz_path.read_bytes(), sidecar_path.read_bytes())
+
+    def test_lost_payload_is_framed_empty(self, service, served):
+        # The sidecar still commits the object, so the route answers; the
+        # empty payload cannot match the sidecar's checksum.
+        key = next(served.keys())
+        npz_path, sidecar_path = served.object_paths(key)
+        npz_path.unlink()
+        status, frame = http_get(f"{service.url}/cells/{key}/object")
+        assert status == 200
+        assert decode_object_frame(frame) == (b"", sidecar_path.read_bytes())
 
     def test_missing_key_is_404(self, service):
         status, _body = http_get(f"{service.url}/cells/{'0' * 64}")
@@ -233,6 +271,58 @@ class TestRemoteBackend:
         assert {route: n for route, n in grown.items() if n} == {"/cells/*/object": 1}
         remote.get_trial_set(key)
         assert service.request_counts == cold
+
+    def test_payload_read_also_caches_the_sidecar(self, service, served, remote):
+        key = next(served.keys())
+        npz_path, sidecar_path = served.object_paths(key)
+        backend = remote.backend
+        assert backend.read_npz_bytes(key) == npz_path.read_bytes()
+        counts = service.request_counts
+        assert backend.read_sidecar_bytes(key) == sidecar_path.read_bytes()
+        assert service.request_counts == counts
+
+    def test_sidecar_read_also_caches_the_payload(self, service, served, remote):
+        key = next(served.keys())
+        npz_path, sidecar_path = served.object_paths(key)
+        backend = remote.backend
+        assert backend.read_sidecar_bytes(key) == sidecar_path.read_bytes()
+        counts = service.request_counts
+        assert backend.read_npz_bytes(key) == npz_path.read_bytes()
+        assert service.request_counts == counts
+
+    def test_missing_key_costs_one_object_request(self, service, remote):
+        before = service.request_counts
+        assert remote.get_trial_set("0" * 64) is None
+        grown = {
+            route: n - before.get(route, 0)
+            for route, n in service.request_counts.items()
+            if n != before.get(route, 0)
+        }
+        assert grown == {"/cells/*/object": 1}
+
+    def test_cached_bytes_equal_served_bytes(self, served, remote):
+        for key in served.keys():
+            remote.get_trial_set(key)
+            npz_path, sidecar_path = served.object_paths(key)
+            cache = remote.backend.cache
+            assert cache.read_npz_bytes(key) == npz_path.read_bytes()
+            assert cache.read_sidecar_bytes(key) == sidecar_path.read_bytes()
+
+    def test_frame_truncated_in_transit_fails_loudly_and_is_not_cached(
+        self, served, remote, monkeypatch
+    ):
+        key = next(served.keys())
+        backend = remote.backend
+        real_get = type(backend)._get
+
+        def short_get(self, path, *args, **kwargs):
+            body = real_get(self, path, *args, **kwargs)
+            return body[:-1] if path.endswith("/object") and body else body
+
+        monkeypatch.setattr(type(backend), "_get", short_get)
+        with pytest.raises(StoreCorruptionError, match="length mismatch"):
+            remote.get_trial_set(key)
+        assert list(backend.local.list_keys()) == []
 
     def test_computed_cells_land_in_the_cache(self, service, remote, monkeypatch):
         calls = count_batches(monkeypatch)

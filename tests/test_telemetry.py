@@ -404,6 +404,18 @@ class TestRemoteRetryTelemetry:
         assert "attempt=3/3" in attempt_logs[2]
         assert "elapsed=" in attempt_logs[0]
 
+    def test_client_counters_have_no_off_switch(self, dead_url, tmp_path, monkeypatch):
+        # The retired REPRO_METRICS=0 kill switch no longer silences them.
+        monkeypatch.setenv("REPRO_METRICS", "0")
+        registry = default_registry()
+        before = registry.counter_value("repro_remote_attempt_failures_total")
+        backend = RemoteBackend(
+            dead_url, cache=tmp_path / "cache", retries=1, backoff=0.0
+        )
+        with pytest.raises(StoreUnavailableError):
+            backend.healthz()
+        assert registry.counter_value("repro_remote_attempt_failures_total") - before == 2
+
 
 class TestBitIdentity:
     """Telemetry observes, it never participates."""
