@@ -21,7 +21,11 @@ import numpy as np
 
 from repro import run_batch, simulate
 from repro.analysis import format_table
-from repro.analysis.fairness import edge_usage_from_walks, fairness_from_counts
+from repro.analysis.fairness import (
+    edge_usage_from_walks,
+    expected_uniform_share,
+    fairness_from_counts,
+)
 from repro.core.observers import EdgeUsageObserver, ObserverGroup
 from repro.core.rng import make_rng
 from repro.graphs import preferential_attachment
@@ -69,7 +73,10 @@ def fairness_comparison(graph) -> None:
         format_table(
             ["mechanism", "gini", "max edge share", "unused edges"],
             rows,
-            title="Edge-usage fairness (lower gini = fairer)",
+            title=(
+                "Edge-usage fairness (lower gini = fairer; a uniform edge share "
+                f"is {expected_uniform_share(graph.num_edges):.4f})"
+            ),
         )
     )
 

@@ -34,15 +34,6 @@ class CongestionSummary:
     mean_congestion_ratio: float
     max_congestion_ratio: float
 
-    def describe(self) -> str:
-        """One-line human readable rendering."""
-        return (
-            f"runs={self.num_runs} lemma13_violations={self.lemma13_violation_count} "
-            f"T_push/T_visitx mean={self.mean_broadcast_ratio:.2f} "
-            f"max={self.max_broadcast_ratio:.2f}; congestion/T_visitx "
-            f"mean={self.mean_congestion_ratio:.2f} max={self.max_congestion_ratio:.2f}"
-        )
-
 
 def summarize_coupled_runs(runs: Sequence[CoupledRunResult]) -> CongestionSummary:
     """Aggregate Lemma-13 checks and ratio statistics over coupled runs."""

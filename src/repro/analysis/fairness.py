@@ -71,14 +71,6 @@ class FairnessReport:
     coefficient_of_variation: float
     unused_edges: int
 
-    def describe(self) -> str:
-        """One-line human readable rendering."""
-        return (
-            f"edges={self.num_edges} uses={self.total_uses} gini={self.gini:.3f} "
-            f"max_share={self.max_share:.4f} (uniform would be "
-            f"{expected_uniform_share(self.num_edges):.4f}) unused={self.unused_edges}"
-        )
-
 
 def fairness_from_usage(graph: Graph, usage) -> FairnessReport:
     """Build a :class:`FairnessReport` from per-edge usage counts aligned with

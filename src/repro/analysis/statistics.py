@@ -33,14 +33,6 @@ class Summary:
     ci_low: float
     ci_high: float
 
-    def describe(self) -> str:
-        """One-line human readable rendering."""
-        return (
-            f"n={self.count} mean={self.mean:.2f} (95% CI [{self.ci_low:.2f}, "
-            f"{self.ci_high:.2f}]) median={self.median:.2f} "
-            f"range=[{self.minimum:.0f}, {self.maximum:.0f}]"
-        )
-
 
 def bootstrap_ci(
     values: Sequence[float],

@@ -21,7 +21,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .builders import register_builder
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, _vertex_dtype
 
 __all__ = [
     "cycle_of_stars_of_cliques",
@@ -105,28 +105,35 @@ def cycle_of_stars_of_cliques(k: int) -> Tuple[Graph, CycleStarsLayout]:
     # Id arithmetic mirrors ``cycle_stars_layout``: ring ``0..k-1``, star leaf
     # ``(i, j)`` at ``k + i*k + j``, clique block ``(i, j)`` at
     # ``k + k^2 + (i*k + j)*k``.  The edge set is O(k^4) (dominated by the
-    # intra-clique pairs), so it is assembled wholesale from index arrays.
+    # intra-clique pairs), so each kind fills its block of one narrow edge
+    # array from index arrays.
     ring = np.arange(k, dtype=np.int64)
     leaves = np.arange(k, k + k * k, dtype=np.int64)
     members = np.arange(k + k * k, k + k * k + k**3, dtype=np.int64)
+    ti, tj = np.triu_indices(k, k=1)
+    num_edges = k + k * k + k**3 + k * k * ti.size
+    edges = np.empty((num_edges, 2), dtype=_vertex_dtype(layout.num_vertices))
+    ring_edges, star_edges, leaf_clique_edges, clique_edges = np.split(
+        edges, np.cumsum([k, k * k, k**3])
+    )
 
     # Ring edges c_i -- c_{i+1}.
-    ring_edges = np.column_stack((ring, (ring + 1) % k))
+    ring_edges[:, 0] = ring
+    ring_edges[:, 1] = (ring + 1) % k
     # Star edges c_i -- l_{i,j}.
-    star_edges = np.column_stack(((leaves - k) // k, leaves))
+    star_edges[:, 0] = (leaves - k) // k
+    star_edges[:, 1] = leaves
     # Leaf-to-clique edges l_{i,j} -- q_{i,j,*}.
-    leaf_clique_edges = np.column_stack((np.repeat(leaves, k), members))
+    leaf_clique_edges[:, 0] = np.repeat(leaves, k)
+    leaf_clique_edges[:, 1] = members
     # Intra-clique pairs within each Q_{i,j}: the same triangular index
     # pattern shifted by each block's base id.
-    ti, tj = np.triu_indices(k, k=1)
-    bases = k + k * k + np.arange(k * k, dtype=np.int64)[:, None] * k
-    clique_edges = np.column_stack(
-        ((bases + ti).ravel(), (bases + tj).ravel())
-    )
+    blocks = clique_edges.reshape(k * k, ti.size, 2)
+    blocks[:, :, 0] = ti
+    blocks[:, :, 1] = tj
+    bases = k + k * k + np.arange(k * k, dtype=np.int64)[:, None, None] * k
+    np.add(blocks, bases, out=blocks, casting="unsafe")
 
-    edges = np.concatenate(
-        [ring_edges, star_edges, leaf_clique_edges, clique_edges]
-    )
     graph = Graph(
         layout.num_vertices, edges, name=f"cycle_of_stars_of_cliques(k={k})"
     )

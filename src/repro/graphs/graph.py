@@ -20,12 +20,73 @@ class GraphError(ValueError):
     """Raised when a graph cannot be constructed or is structurally invalid."""
 
 
+def _key_dtype(n: int) -> np.dtype:
+    """Width of the vertex-pair keys ``u * n + v`` of an ``n``-vertex graph:
+    ``uint32`` while every key fits (``n <= 2**16``), else ``int64``."""
+    return np.dtype(np.uint32 if n <= 1 << 16 else np.int64)
+
+
+def _vertex_dtype(n: int) -> np.dtype:
+    """Narrowest unsigned width that holds the vertex ids ``0 .. n-1``."""
+    return np.dtype(np.uint16 if n <= 1 << 16 else np.uint32 if n <= 1 << 32 else np.int64)
+
+
+def _sorted_slot_keys(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The directed slot keys ``src * n + dst`` and ``dst * n + src`` of every
+    edge, sorted in place; ids must already lie in ``[0, n)``."""
+    m = src.shape[0]
+    keys = np.empty(2 * m, dtype=_key_dtype(n))
+    for half, a, b in ((keys[:m], src, dst), (keys[m:], dst, src)):
+        half[...] = a
+        half *= keys.dtype.type(n)
+        np.add(half, b, out=half, dtype=keys.dtype, casting="unsafe")
+    keys.sort()
+    return keys
+
+
+def _edge_keys(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """The undirected key ``min * n + max`` of every pair ``(us[i], vs[i])``,
+    in :func:`_key_dtype` width, without a full-width temporary.
+
+    ``min * n + max == min * (n - 1) + u + v``, so each step is one ufunc
+    into the key buffer; ids must already lie in ``[0, n)``.
+    """
+    keys = np.minimum(us, vs, out=np.empty(len(us), dtype=_key_dtype(n)), casting="unsafe")
+    keys *= keys.dtype.type(n - 1)
+    for ids in (us, vs):
+        np.add(keys, ids, out=keys, dtype=keys.dtype, casting="unsafe")
+    return keys
+
+
+def _unique_inplace(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of ``values``, ascending; sorts ``values`` itself
+    (``np.unique`` would sort a copy)."""
+    values.sort()
+    if values.size < 2:
+        return values
+    fresh = np.empty(values.size, dtype=bool)
+    fresh[0] = True
+    np.not_equal(values[1:], values[:-1], out=fresh[1:])
+    return values[fresh]
+
+
 class Graph:
     """An undirected, simple graph stored in CSR (adjacency array) form.
 
     Vertices are the integers ``0 .. n-1``.  Parallel edges and self loops are
     rejected at construction time, because none of the paper's protocols are
     defined on multigraphs.
+
+    The CSR rule: every edge ``{u, v}`` gives the two directed slot keys
+    ``u * n + v`` and ``v * n + u``, and the sorted array of all ``2m`` keys
+    *is* the adjacency.  ``key // n`` is a slot's row, so the row bounds
+    ``indptr`` are binary searches for ``u * n``; ``key % n`` is
+    ``indices``, ascending within each row; a repeated key is a duplicate
+    edge.  The keys are ``uint32`` while ``n <= 2**16`` and ``int64`` above.
+    An edge array is read in place, so on top of the caller's edges a build
+    holds at its peak the keys plus the int64 ``indices`` it keeps: ``24m``
+    bytes (``16m`` above ``2**16`` vertices, where the keys become
+    ``indices`` in place), and ``8n`` each for ``indptr`` and ``degrees``.
 
     Parameters
     ----------
@@ -69,56 +130,57 @@ class Graph:
             raise GraphError("a graph needs at least one vertex")
         n = int(num_vertices)
 
-        # Builders pass a ``(m, 2)`` integer ndarray; the per-edge Python
-        # tuple path is kept for hand-written edge lists.
+        # Builders pass a ``(m, 2)`` integer ndarray, read in place whatever
+        # its width or strides; the per-edge Python tuple path is kept for
+        # hand-written edge lists.
         if isinstance(edges, np.ndarray):
             if edges.size == 0:
-                u_arr = v_arr = np.empty(0, dtype=np.int64)
+                pairs = np.empty((0, 2), dtype=np.int64)
             else:
                 if edges.ndim != 2 or edges.shape[1] != 2:
                     raise GraphError("edge array must have shape (m, 2)")
                 if not np.issubdtype(edges.dtype, np.integer):
                     raise GraphError("edge array must be integer-typed")
-                pairs = np.ascontiguousarray(edges, dtype=np.int64)
-                u_arr, v_arr = pairs[:, 0].copy(), pairs[:, 1].copy()
+                pairs = edges
         else:
             edge_list = [(int(u), int(v)) for u, v in edges]
-            if edge_list:
-                pairs = np.asarray(edge_list, dtype=np.int64)
-                u_arr, v_arr = pairs[:, 0], pairs[:, 1]
-            else:
-                u_arr = v_arr = np.empty(0, dtype=np.int64)
+            pairs = np.asarray(edge_list, dtype=np.int64).reshape(-1, 2)
+            del edge_list
+        m = int(pairs.shape[0])
+        u_arr, v_arr = pairs[:, 0], pairs[:, 1]
 
-        out_of_range = (u_arr < 0) | (u_arr >= n) | (v_arr < 0) | (v_arr >= n)
-        if np.any(out_of_range):
+        # Reductions first, so a valid edge list allocates no mask; the
+        # masks only locate the first offender for the message.
+        if m and (pairs.min() < 0 or pairs.max() >= n):
+            out_of_range = (u_arr < 0) | (u_arr >= n) | (v_arr < 0) | (v_arr >= n)
             i = int(np.argmax(out_of_range))
             raise GraphError(f"edge ({u_arr[i]}, {v_arr[i]}) out of range for n={n}")
         loops = u_arr == v_arr
         if np.any(loops):
             i = int(np.argmax(loops))
             raise GraphError(f"self loop ({u_arr[i]}, {v_arr[i]}) is not allowed")
+        del loops
 
-        lo = np.minimum(u_arr, v_arr)
-        hi = np.maximum(u_arr, v_arr)
-        key = lo * n + hi
-        if key.size and np.any(np.diff(np.sort(key)) == 0):
+        keys = _sorted_slot_keys(n, u_arr, v_arr)
+        del pairs, u_arr, v_arr
+        if m and np.any(keys[1:] == keys[:-1]):
             raise GraphError("duplicate edges are not allowed")
 
-        # Both directions of every undirected edge, CSR-sorted so that each
-        # row of ``indices`` is ascending (``has_edge`` binary-searches it).
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
-        order = np.lexsort((dst, src))
-
-        degrees = np.bincount(src, minlength=n).astype(np.int64, copy=False)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
+        # Row ``u`` holds the keys in ``[u * n, (u + 1) * n)``; the last bound
+        # ``n * n`` may not fit the key width, and it is ``2m`` anyway.
+        indptr = np.empty(n + 1, dtype=np.int64)
+        indptr[:n] = np.searchsorted(keys, np.arange(n, dtype=keys.dtype) * keys.dtype.type(n))
+        indptr[n] = 2 * m
+        degrees = np.diff(indptr)
+        np.remainder(keys, keys.dtype.type(n), out=keys)
+        indices = keys.astype(np.int64, copy=False)
+        del keys
 
         Graph.construction_count += 1
         self._n = n
-        self._m = int(lo.size)
+        self._m = m
         self._indptr = indptr
-        self._indices = dst[order]
+        self._indices = indices
         self._degrees = degrees
         self._name = str(name)
         self._stationary: Optional[np.ndarray] = None
@@ -368,7 +430,7 @@ class Graph:
             fresh = neighbors[~seen[neighbors]]
             if not fresh.size:
                 break
-            frontier = np.unique(fresh)
+            frontier = _unique_inplace(fresh)
             seen[frontier] = True
             reached += int(frontier.size)
         return reached == self._n
@@ -398,7 +460,7 @@ class Graph:
                 fresh = neighbors[color[neighbors] == -1]
                 if not fresh.size:
                     break
-                frontier = np.unique(fresh)
+                frontier = _unique_inplace(fresh)
                 color[frontier] = parity
         src = np.repeat(np.arange(self._n, dtype=np.int64), self._degrees)
         return not bool(np.any(color[src] == color[self._indices]))
@@ -415,7 +477,7 @@ class Graph:
             fresh = neighbors[dist[neighbors] == -1]
             if not fresh.size:
                 break
-            frontier = np.unique(fresh)
+            frontier = _unique_inplace(fresh)
             dist[frontier] = level
         return dist
 

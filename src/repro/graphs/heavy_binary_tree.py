@@ -18,7 +18,7 @@ from typing import List
 import numpy as np
 
 from .builders import register_builder
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, _vertex_dtype
 
 __all__ = [
     "heavy_binary_tree",
@@ -68,11 +68,26 @@ def heavy_binary_tree(num_vertices: int) -> Graph:
     if num_vertices < 3:
         raise GraphError("a heavy binary tree needs at least 3 vertices")
     n = int(num_vertices)
-    tree = complete_binary_tree_edges(n)
-    leaves = _heap_leaves(n)
-    li, lj = np.triu_indices(leaves.size, k=1)
-    clique = np.column_stack((leaves[li], leaves[lj]))
-    return Graph(n, np.concatenate([tree, clique]), name=f"heavy_binary_tree(n={n})")
+    return Graph(n, _heavy_tree_edges(n, _vertex_dtype(n)), name=f"heavy_binary_tree(n={n})")
+
+
+def _heavy_tree_edges(num_vertices: int, dtype) -> np.ndarray:
+    """The edges of ``B_n`` as an ``(m, 2)`` array of ``dtype``: the tree's
+    parent-child edges, then every pair of leaves.
+
+    The heap-order leaves are the range ``n // 2 .. n - 1``, so the clique's
+    pairs are the upper-triangle indices shifted by ``n // 2``, written
+    straight into the narrow array.
+    """
+    n = int(num_vertices)
+    li, lj = np.triu_indices(n - n // 2, k=1)
+    edges = np.empty((n - 1 + li.size, 2), dtype=dtype)
+    edges[: n - 1] = complete_binary_tree_edges(n)
+    clique = edges[n - 1 :]
+    clique[:, 0] = li
+    clique[:, 1] = lj
+    clique += n // 2
+    return edges
 
 
 def tree_leaves(graph: Graph) -> List[int]:

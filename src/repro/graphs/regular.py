@@ -18,7 +18,7 @@ from typing import List
 import numpy as np
 
 from .builders import register_builder
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, _edge_keys, _vertex_dtype
 
 __all__ = [
     "complete_graph",
@@ -113,14 +113,15 @@ def hypercube(dimension: int) -> Graph:
     d = int(dimension)
     n = 1 << d
     # One edge per (vertex, clear bit): flipping a 0-bit always increases u,
-    # so taking only those directions yields each edge exactly once.
+    # so taking only those directions yields each edge exactly once.  Each
+    # bit's half of the vertices fills its own block of the narrow array.
     u = np.arange(n, dtype=np.int64)
-    parts = [
-        np.column_stack((masked, masked ^ (1 << bit)))
-        for bit in range(d)
-        for masked in (u[(u >> bit) & 1 == 0],)
-    ]
-    return Graph(n, np.concatenate(parts), name=f"hypercube(d={d})")
+    edges = np.empty((d * (n // 2), 2), dtype=_vertex_dtype(n))
+    for bit, block in enumerate(np.split(edges, d)):
+        masked = u[(u >> bit) & 1 == 0]
+        block[:, 0] = masked
+        block[:, 1] = masked ^ (1 << bit)
+    return Graph(n, edges, name=f"hypercube(d={d})")
 
 
 def torus_grid(rows: int, cols: int) -> Graph:
@@ -167,36 +168,44 @@ def random_regular_graph(
     if d < 1:
         raise GraphError("degree must be at least 1")
 
+    # One int64 stub buffer serves every attempt and the repair; each refills
+    # it and shuffles it in place, consuming the same draws as a fresh
+    # ``np.repeat`` would.  Its pairs (consecutive stubs) become the edges.
+    stubs = np.empty(n * d, dtype=np.int64)
     for _ in range(max_attempts):
-        edges = _configuration_model_attempt(n, d, rng)
-        if edges is not None:
-            return Graph(n, edges, name=f"random_regular(n={n}, d={d})")
-    edges = _configuration_model_with_repair(n, d, rng)
+        if _configuration_model_attempt(n, d, rng, stubs):
+            break
+    else:
+        _configuration_model_with_repair(n, d, rng, stubs)
+    edges = stubs.reshape(-1, 2).astype(_vertex_dtype(n))
+    del stubs
     return Graph(n, edges, name=f"random_regular(n={n}, d={d})")
 
 
-def _configuration_model_attempt(
-    n: int, d: int, rng: np.random.Generator
-) -> np.ndarray | None:
-    """One attempt of the pairing model; returns None if not simple."""
-    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
+def _shuffled_stubs(n: int, d: int, rng: np.random.Generator, stubs: np.ndarray) -> None:
+    """Refill ``stubs`` with ``d`` copies of each vertex, in order, and shuffle it."""
+    stubs.reshape(n, d)[...] = np.arange(n, dtype=np.int64)[:, None]
     rng.shuffle(stubs)
+
+
+def _configuration_model_attempt(
+    n: int, d: int, rng: np.random.Generator, stubs: np.ndarray
+) -> bool:
+    """One attempt of the pairing model into ``stubs``; ``True`` if simple."""
+    _shuffled_stubs(n, d, rng, stubs)
     first = stubs[0::2]
     second = stubs[1::2]
     if np.any(first == second):
-        return None
-    lo = np.minimum(first, second)
-    hi = np.maximum(first, second)
-    keys = lo * n + hi
-    if len(np.unique(keys)) != len(keys):
-        return None
-    return np.column_stack((lo, hi))
+        return False
+    keys = _edge_keys(n, first, second)
+    keys.sort()
+    return not np.any(keys[1:] == keys[:-1])
 
 
 def _configuration_model_with_repair(
-    n: int, d: int, rng: np.random.Generator, *, max_switches: int = 100000
-) -> np.ndarray:
-    """Pairing model followed by double-edge switches to remove defects.
+    n: int, d: int, rng: np.random.Generator, stubs: np.ndarray, *, max_switches: int = 100000
+) -> None:
+    """Pairing model into ``stubs``, then double-edge switches to remove defects.
 
     The defect scan (self loops plus duplicate pairs, keeping each key's
     first occurrence) is vectorized per round; only the handful of switches
@@ -204,22 +213,13 @@ def _configuration_model_with_repair(
     order — the same stream consumption as the historical per-pair scan, so
     repaired samples are reproducible across versions.
     """
-    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-    rng.shuffle(stubs)
-    first = stubs[0::2].copy()
-    second = stubs[1::2].copy()
+    _shuffled_stubs(n, d, rng, stubs)
+    first = stubs[0::2]
+    second = stubs[1::2]
     num_pairs = first.size
 
     for _ in range(max_switches):
-        keys = np.minimum(first, second) * n + np.maximum(first, second)
-        loops = first == second
-        # A pair is defective if it is a loop, or a non-loop duplicate of an
-        # earlier non-loop pair with the same key (loops never claim a key).
-        keep = np.zeros(num_pairs, dtype=bool)
-        nonloop = np.flatnonzero(~loops)
-        _, first_occurrence = np.unique(keys[nonloop], return_index=True)
-        keep[nonloop[first_occurrence]] = True
-        defects = np.flatnonzero(~keep)
+        defects = _pairing_defects(n, first, second)
         if defects.size == 0:
             break
         for index in defects.tolist():
@@ -228,10 +228,44 @@ def _configuration_model_with_repair(
     else:  # pragma: no cover - pathological inputs only
         raise GraphError("failed to repair configuration-model sample")
 
-    lo = np.minimum(first, second)
-    hi = np.maximum(first, second)
-    order = np.argsort(lo * n + hi)
-    return np.column_stack((lo[order], hi[order]))
+
+#: Bits a packed ``key << shift | index`` may use (an int64 stays positive).
+_PACKED_BITS = 63
+
+
+def _pairing_defects(n: int, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Ascending indices of the pairs that are self loops or repeat an earlier
+    pair's edge.
+
+    Each pair's key is packed above its index, so one in-place sort orders
+    the pairs by key and, within a key, by index: the stable order, whose
+    first entry per key is its first occurrence.  Where key and index do not
+    fit :data:`_PACKED_BITS` together, a stable argsort gives the same order.
+    A loop's key ``u * n + u`` is never a non-loop pair's ``lo * n + hi``,
+    so loops claim no key that a non-loop pair could lose, and one scan of
+    all keys finds the repeats.
+    """
+    loops = np.flatnonzero(first == second)
+    num_pairs = first.size
+    shift = max(int(num_pairs - 1).bit_length(), 1)
+    keys = _edge_keys(n, first, second)
+    if (n * n - 1).bit_length() + shift > _PACKED_BITS:
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        repeats = order[1:][keys[1:] == keys[:-1]]
+    else:
+        key_dtype = keys.dtype
+        packed = keys.astype(np.int64)
+        del keys
+        packed <<= shift
+        packed |= np.arange(num_pairs, dtype=np.int64)
+        packed.sort()
+        ordered = np.empty(num_pairs, dtype=key_dtype)
+        np.right_shift(packed, shift, out=ordered, casting="unsafe")
+        later = np.flatnonzero(ordered[1:] == ordered[:-1]) + 1
+        del ordered
+        repeats = packed[later] & ((1 << shift) - 1)
+    return np.union1d(loops, repeats)
 
 
 def clique_path(num_cliques: int, clique_size: int) -> Graph:

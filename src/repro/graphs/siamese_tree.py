@@ -16,8 +16,8 @@ from typing import List
 import numpy as np
 
 from .builders import register_builder
-from .graph import Graph, GraphError
-from .heavy_binary_tree import _heap_leaves, complete_binary_tree_edges
+from .graph import Graph, GraphError, _vertex_dtype
+from .heavy_binary_tree import _heap_leaves, _heavy_tree_edges
 
 __all__ = [
     "siamese_heavy_binary_tree",
@@ -54,19 +54,14 @@ def siamese_heavy_binary_tree(tree_vertices: int) -> Graph:
         raise GraphError("each tree copy needs at least 3 vertices")
     n_tree = int(tree_vertices)
     n_total = 2 * n_tree - 1
-    leaves = _heap_leaves(n_tree)
-    li, lj = np.triu_indices(leaves.size, k=1)
     # One copy in heap order (it is the left copy as is), then the right
     # copy: every vertex but the shared root shifts past the left copy.
-    left = np.concatenate(
-        [complete_binary_tree_edges(n_tree), np.column_stack((leaves[li], leaves[lj]))]
-    )
-    right = np.where(left == ROOT, ROOT, left + (n_tree - 1))
-    return Graph(
-        n_total,
-        np.concatenate([left, right]),
-        name=f"siamese_heavy_binary_tree(n={n_total})",
-    )
+    left = _heavy_tree_edges(n_tree, _vertex_dtype(n_total))
+    edges = np.concatenate([left, left])
+    right = edges[left.shape[0] :]
+    del left
+    np.add(right, n_tree - 1, out=right, where=right != ROOT)
+    return Graph(n_total, edges, name=f"siamese_heavy_binary_tree(n={n_total})")
 
 
 def left_leaves(graph: Graph) -> List[int]:

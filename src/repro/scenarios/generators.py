@@ -29,7 +29,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..graphs.builders import register_builder
-from ..graphs.graph import Graph, GraphError
+from ..graphs.graph import Graph, GraphError, _edge_keys, _unique_inplace
 from ..graphs.random_graphs import _triangular_pairs
 
 __all__ = [
@@ -68,13 +68,16 @@ for _family, _version in BUILDER_VERSIONS.items():
 
 
 def _dedupe_undirected(num_vertices: int, us: np.ndarray, vs: np.ndarray):
-    """Canonicalize (u, v) arrays to unique undirected pairs, no self-loops."""
-    lo = np.minimum(us, vs).astype(np.int64)
-    hi = np.maximum(us, vs).astype(np.int64)
-    keep = lo != hi
-    lo, hi = lo[keep], hi[keep]
-    packed = np.unique(lo * np.int64(num_vertices) + hi)
-    return packed // num_vertices, packed % num_vertices
+    """Canonicalize (u, v) arrays to unique undirected pairs, no self-loops.
+
+    The pairs come back ascending as ``(lo, hi)`` arrays in the graph's
+    narrow key width.
+    """
+    n = int(num_vertices)
+    keys = _edge_keys(n, us, vs)
+    keys = keys[us != vs]
+    keys = _unique_inplace(keys)
+    return keys // keys.dtype.type(n), keys % keys.dtype.type(n)
 
 
 def powerlaw_configuration(
@@ -118,9 +121,12 @@ def powerlaw_configuration(
     if int(degrees.sum()) % 2 == 1:
         degrees[0] += 1
 
+    # ``rng.permutation`` of an array is a copy shuffled in place: shuffling
+    # the stubs themselves consumes the same draws without the copy.
     stubs = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    stubs = rng.permutation(stubs).reshape(-1, 2)
-    us, vs = _dedupe_undirected(n, stubs[:, 0], stubs[:, 1])
+    rng.shuffle(stubs)
+    us, vs = _dedupe_undirected(n, stubs[0::2], stubs[1::2])
+    del stubs
 
     touched = np.zeros(n, dtype=bool)
     touched[us] = True

@@ -65,9 +65,11 @@ class TestSummarizeCoupledRuns:
         with pytest.raises(ValueError):
             summarize_coupled_runs([])
 
-    def test_describe_mentions_runs(self):
+    def test_single_run_summary_fields(self):
         summary = summarize_coupled_runs([synthetic_run([0, 1], [0, 1], [0, 2])])
-        assert "runs=1" in summary.describe()
+        assert summary.num_runs == 1
+        assert summary.lemma13_violation_count == 0
+        assert summary.mean_broadcast_ratio == summary.max_broadcast_ratio
 
     def test_end_to_end_with_real_coupled_runs(self, rng):
         graph = random_regular_graph(48, 8, rng)

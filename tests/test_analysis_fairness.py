@@ -75,10 +75,12 @@ class TestFairnessFromCounts:
         report = fairness_from_counts(graph, {(0, 1): 2, (1, 0): 3})
         assert report.total_uses == 5
 
-    def test_describe_contains_gini(self):
+    def test_single_used_edge_fields(self):
         graph = star(4)
         report = fairness_from_counts(graph, {(0, 1): 1})
-        assert "gini=" in report.describe()
+        assert (report.num_edges, report.total_uses, report.unused_edges) == (4, 1, 3)
+        assert report.max_share == pytest.approx(1.0)
+        assert report.gini == pytest.approx(0.75)
 
 
 class TestEdgeUsageFromWalks:

@@ -72,8 +72,11 @@ class TestSummarize:
         large = summarize(rng.normal(0, 1, size=2000))
         assert (large.ci_high - large.ci_low) < (small.ci_high - small.ci_low)
 
-    def test_describe_mentions_mean(self):
-        assert "mean=" in summarize([1, 2, 3]).describe()
+    def test_small_sample_fields(self):
+        summary = summarize([1, 2, 3])
+        assert (summary.count, summary.mean, summary.median) == (3, 2.0, 2.0)
+        assert (summary.minimum, summary.maximum) == (1.0, 3.0)
+        assert summary.ci_low <= summary.mean <= summary.ci_high
 
 
 class TestBootstrapCi:
