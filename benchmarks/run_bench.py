@@ -417,9 +417,8 @@ def measure_scale(max_n: int = SCALE_MAX_N):
     timed run per cell.
 
     Push picks its tier before every round (sparse frontiers in the thin
-    phases, dense rows in the hot phase, never sparse below a few thousand
-    vertices); a cell's recorded frontier is ``"sparse"`` once any round ran
-    sparse.  The gated value is the slowest protocol at the top size.
+    phases, dense rows in the hot phase); a cell's recorded frontier is
+    ``"sparse"`` once any round ran sparse.  The gated value is the slowest protocol at the top size.
     """
     cells = []
     n = SCALE_MIN_N

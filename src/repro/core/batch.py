@@ -237,6 +237,7 @@ def run_batch(
     if frontier not in ("auto", "dense", "sparse"):
         raise ValueError(f"unknown frontier mode {frontier!r}")
     kernel.frontier_mode = frontier
+    kernel.round_budget = budget
     if dynamics is not None:
         kernel.dynamics = dynamics
     if observers is not None:
@@ -275,22 +276,36 @@ def run_batch(
     rounds_executed = np.zeros(num_trials, dtype=np.int64)
     active = num_trials
 
-    def retire(finished_rows: np.ndarray, round_index: int) -> None:
-        """Record the finished trials and swap their rows into the tail."""
+    def retire(finished_rows: np.ndarray, rounds) -> None:
+        """Record the finished trials, each at its round (``rounds`` is one
+        per row or one for all), and swap their rows into the tail."""
         nonlocal active
-        for row in finished_rows[::-1].tolist():
+        rounds = np.broadcast_to(rounds, finished_rows.shape)
+        for row, round_index in zip(finished_rows[::-1].tolist(), rounds[::-1].tolist()):
             trial = int(kernel.trial_ids[row])
             broadcast_times[trial] = round_index
             rounds_executed[trial] = round_index
             kernel.swap_rows(row, active - 1)
             active -= 1
 
+    def record_block(k: int, first: int, finished: np.ndarray, vertex_counts) -> None:
+        """History snapshots of every round of a step that advanced several
+        (``vertex_counts`` holds one column per round): a row is in the
+        snapshots up to its completion round."""
+        agent_counts = np.asarray(kernel.informed_agent_counts(k))
+        ids = kernel.trial_ids[:k].copy()
+        running = np.where(finished > 0, finished, round_index)
+        for offset in range(vertex_counts.shape[1]):
+            rows = running >= first + offset
+            snapshots.append((ids[rows], vertex_counts[rows, offset], agent_counts[rows]))
+
     if track_counts:
         record_round(active, 0)
     retire(np.flatnonzero(kernel.complete_rows(active)), 0)
 
     round_index = 0
-    # Strided per-round trace samples: computed only when REPRO_TRACE is set,
+    # Strided per-round trace samples, taken after each step that reaches a
+    # multiple of the stride: computed only when REPRO_TRACE is set,
     # and assembled from side-effect-free reads (informed counts, the size of
     # the flat sparse frontier) so trajectories and store keys stay
     # bit-identical either way.
@@ -305,9 +320,10 @@ def run_batch(
         frontier=kernel.frontier_resolved,
     ) as rounds_span:
         while active and round_index < budget:
-            round_index += 1
+            first = round_index + 1
             kernel.step(active)
-            if sample_stride and round_index % sample_stride == 0:
+            round_index = kernel.rounds_stepped
+            if sample_stride and round_index // sample_stride > (first - 1) // sample_stride:
                 sample = {
                     "round": round_index,
                     "active": active,
@@ -320,6 +336,16 @@ def run_batch(
                 if kernel.tier == "sparse" and frontier is not None:
                     sample["frontier"] = int(frontier.ids.size)
                 trace_event("kernel.round", **sample)
+            if first < round_index:
+                # A block: the step advanced several rounds, and each row
+                # retires at its own completion round.
+                finished, vertex_counts = kernel.block_outcome(active, record_history)
+                if record_history:
+                    record_block(active, first, finished, vertex_counts)
+                finished_rows = np.flatnonzero(finished)
+                if finished_rows.size:
+                    retire(finished_rows, finished[finished_rows])
+                continue
             if track_counts:
                 record_round(active, round_index)
             finished = np.flatnonzero(kernel.complete_rows(active))

@@ -2,7 +2,8 @@
 
 A *kernel* is the single source of truth for one protocol's round transition:
 state lives in 2-D numpy arrays shaped ``(trials, ...)`` and one :meth:`step`
-advances every still-running trial by one synchronous round.  The batched
+advances every still-running trial by one synchronous round (push may
+advance by a block of rounds, see :mod:`.vertex`).  The batched
 driver (:mod:`repro.core.batch`) drives the kernels with any number of
 trials at once — a single run is a batch of one — so the round logic exists
 exactly once, here in :mod:`repro.core.kernels`.
@@ -87,6 +88,8 @@ Design notes
   protocol's cell stays at or below 88.3 MB.  At 32-bit precision the
   per-vertex chain also runs in ``offsets`` itself instead of a separate
   int64 ``scaled`` buffer, so that sampler claims no ``scaled`` at all.
+  The push kernel's blocks of rounds draw into a role of their own,
+  ``"block"``, which ``_BLOCK_BYTES`` in :mod:`.vertex` caps over all rows.
 """
 
 from __future__ import annotations
@@ -204,6 +207,10 @@ class BatchKernel:
     #: The tier of the current round, ``"sparse"`` or ``"dense"``.
     tier = "dense"
 
+    #: The run's round budget, which no step may pass (``None``: no budget).
+    #: Set by :func:`~repro.core.batch.run_batch` *before* :meth:`initialize`.
+    round_budget: Optional[int] = None
+
     # ------------------------------------------------------------------
     # interface implemented by the protocol kernels
     # ------------------------------------------------------------------
@@ -211,7 +218,24 @@ class BatchKernel:
         raise NotImplementedError
 
     def step(self, k: int) -> None:
-        """Advance the first ``k`` rows by one synchronous round."""
+        """Advance the first ``k`` rows by one synchronous round, or by
+        several (a block of push rounds, see :mod:`.vertex`);
+        :attr:`rounds_stepped` tells which."""
+        raise NotImplementedError
+
+    @property
+    def rounds_stepped(self) -> int:
+        """Rounds the rows have been advanced by so far."""
+        return self._round_count
+
+    def block_outcome(self, k: int, history: bool):
+        """Per-round results of a step that advanced several rounds.
+
+        Returns each of the first ``k`` rows' completion round (``0`` for a
+        row still running) and, with ``history``, its ``(k, rounds)``
+        informed-vertex counts after each round of the step.  Only kernels
+        whose steps can advance several rounds implement it.
+        """
         raise NotImplementedError
 
     def complete_rows(self, k: int) -> np.ndarray:

@@ -70,6 +70,7 @@ class HybridKernel(VisitRule, VertexKernel, AgentWalkKernel):
 
     def step(self, k):
         self._begin_round()
+        self._next_tier(k)
         self._count_messages(k)
         pushed = self._exchange(k)
         new_positions = self._walk_rows(k)

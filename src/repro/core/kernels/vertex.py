@@ -43,10 +43,52 @@ Dynamics schedules and observers force the dense fallback: activity masks
 are materialized per CSR slot and edge reporting scans dense rows, so both
 are defined on the dense representation (see
 :meth:`~repro.core.kernels.base.BatchKernel._resolve_frontier`).
+
+Blocks of push rounds
+---------------------
+Push on the star and the double star (Lemmas 2(a) and 3) is a coupon
+collector: Θ(n log n) rounds, nearly all of which inform at most one leaf
+per trial, so a sparse round's cost is its fixed numpy calls.  Under
+``frontier="auto"`` the push-only kernel can instead advance the sparse tier
+by a *block* of rounds in one :meth:`~VertexKernel.step`
+(:meth:`VertexKernel._push_block`).  The rule: let F be the frontier.  Calls
+from outside F inform nobody, and a vertex leaving F changes nothing (its
+later calls reach informed vertices), so rounds of push are exact from F's
+callees alone up to the first round in which a newly informed vertex has an
+uninformed neighbor and joins F.  A block therefore
+
+- draws its rounds' refills of every row into the scratch-arena role
+  ``"block"``, word for word what the per-round refills would draw (the same
+  ``_DRAW_BLOCK``-aligned calls of each trial's generator), and reads F's
+  values there with the fixed-point chain of :meth:`_entry_callees`;
+- takes each uninformed vertex's first call round over the block;
+- ends with the first round that informs a vertex with an uninformed
+  neighbor at the block's start, the round budget
+  (:attr:`~repro.core.kernels.base.BatchKernel.round_budget`), the byte cap
+  ``_BLOCK_BYTES`` on its draw scratch, its planned length, or the round in
+  which the last row completes; every row still running then gets back the
+  generator state it had before the refills past that round;
+- derives the informed counts, the messages (one per informed caller per
+  round, up to each row's completion round), each row's completion round and
+  the per-round ``record_history`` counts
+  (:meth:`VertexKernel.block_outcome`) from the first call rounds.
+
+On the star no leaf ever joins F, so a block runs to the cap or to
+completion; on the double star blocks are cut when the second centre is
+informed.  :func:`~repro.core.batch.run_batch` retires each row at its own
+completion round and records a history snapshot for every round of the
+block.  Forced tiers, dynamics, observers, any pull direction and the
+hybrid keep one round per step.  Blocks run on graphs with at most
+``_FEW_HUBS`` non-leaf vertices (the stars and double stars), where the
+expected wait for a round that can grow F is known, and
+:meth:`VertexKernel._choose_tier` chooses a block only where it is cheaper
+than both tiers.  With tracing on, each block is a ``kernel.block`` event
+(its start round, rounds advanced, rows and why it ended).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -78,6 +120,24 @@ _ENTER_SPARSE = 0.7
 _LEAVE_SPARSE = 1.0
 #: Up to this many newly informed vertices settle one by one in Python.
 _FEW_NEWLY = 8
+#: Byte cap of a block's draw scratch (the arena role ``"block"``): the raw
+#: words of every row for all of the block's draw refills.
+_BLOCK_BYTES = 2 << 20
+#: Bytes of raw words per generator call of a block, in whole refills: the
+#: call's output stays small and cache resident until it is copied to the
+#: scratch (the paper's eight star and double-star push cells, 5 trials:
+#: 175 ms against 230 ms with one call per row, and a 2.3 MB lower peak).
+_DRAW_CHUNK_BYTES = 64 << 10
+#: The fixed cost of one step, which the tiers' costs leave out because both
+#: pay it every round; a block pays it once for all of its rounds.
+_ROUND_FLOOR = 2000
+#: Fixed cost of a block, its step's floor included.
+_BLOCK_COST = 12000
+#: Per row of a block: its generator call, and saving and restoring its state.
+_BLOCK_ROW_COST = 500
+#: Blocks run on graphs with at most this many non-leaf vertices, where a
+#: block's expected length is known (see VertexKernel._block_plan).
+_FEW_HUBS = 8
 
 
 class _Entries:
@@ -184,18 +244,12 @@ class SparseVertexMixin:
         positions = (ids - 1) % n
         return self._neighbors(positions) + np.repeat(ids - positions, self.graph.degrees[positions])
 
-    def _entry_callees(self, entries: _Entries, start: int):
-        """The entries' sampled callees (in the sampled vertex-id width) and
-        the flat state index of each entry's row, to add to them.
-
-        ``start`` is the round's offset from ``_raw_round_start``.  The
-        fixed-point chain reproduces :meth:`NeighborSampler.sample_per_vertex`
-        value for value: raw bits times the (wide-typed) degree, truncated by
-        the precision shift, into the CSR row.  Its per-entry operands (draw
-        index, CSR row start, degree, row base) are computed once per list.
-        """
-        sampler = self._callee_sampler
+    def _entry_operands(self, entries: _Entries):
+        """An entry list's operands of the callee chain, computed once per
+        list: draw index in the stream (round offset 0), CSR row start,
+        degree and row base (the flat state index of the entry's vertex 0)."""
         if entries.operands is None:
+            sampler = self._callee_sampler
             rows, positions = np.divmod(entries.ids - 1, self.graph.num_vertices)
             d = sampler._regular_degree
             entries.operands = (
@@ -204,9 +258,24 @@ class SparseVertexMixin:
                 sampler._degrees_wide if d is not None else sampler._degrees_wide[positions],
                 entries.ids - positions,
             )
-        reads, slots, degrees, bases = entries.operands
-        offsets = (self._callee_values[start:][reads] * degrees) >> sampler.offset_bits
-        return self._adjacency[slots + offsets], bases
+        return entries.operands
+
+    def _callee_chain(self, draws: np.ndarray, slots, degrees) -> np.ndarray:
+        """Sampled callees (in the sampled vertex-id width) of fixed-point
+        ``draws``: raw bits times the (wide-typed) degree, truncated by the
+        precision shift, into the CSR row starting at ``slots``.  Reproduces
+        :meth:`NeighborSampler.sample_per_vertex` value for value."""
+        offsets = (draws * degrees) >> self._callee_sampler.offset_bits
+        return self._adjacency[slots + offsets]
+
+    def _entry_callees(self, entries: _Entries, start: int):
+        """The entries' sampled callees (in the sampled vertex-id width) and
+        the flat state index of each entry's row, to add to them.
+
+        ``start`` is the round's offset from ``_raw_round_start``.
+        """
+        reads, slots, degrees, bases = self._entry_operands(entries)
+        return self._callee_chain(self._callee_values[start:][reads], slots, degrees), bases
 
     def _sparse_callees(self, row, start: int, positions: np.ndarray) -> np.ndarray:
         """Sampled callee of each vertex id in ``positions`` of ``row`` (one
@@ -287,21 +356,62 @@ class VertexKernel(SparseVertexMixin, BatchKernel):
             self._pulled = self._scratch("pulled", bool, n)
         self.tier = "dense"
         self._sparse_work = 0
-        # The sparse tier never pays below this size: a row's fixed cost and
-        # draw refill alone exceed the entry share of a dense row.
-        self._switching = (
-            mode == "auto" and _SPARSE_ROW_COST + (n >> _DRAW_SHIFT) < _ENTER_SPARSE * n
+        # A frontier leaf's one neighbor is uninformed, so the leaf learned
+        # the rumor without it: only the source can.  Hence at most the
+        # non-leaf vertices plus one per row are in the frontier.
+        hubs = int(np.count_nonzero(graph.degrees > 1))
+        self._frontier_per_row = hubs + 1
+        # Blocks of push rounds (see the module notes): only under "auto",
+        # where the byte cap holds two draw refills of every row, and where
+        # few non-leaf vertices make a block's expected length known.
+        per_refill = self._callee_sampler._stream["words"].shape[1]
+        self._block_refills = _BLOCK_BYTES // (8 * self.num_trials * per_refill)
+        self._blocks = (
+            mode == "auto"
+            and self._pushes
+            and not self._pulls
+            and self._block_refills >= 2
+            and hubs <= _FEW_HUBS
+        )
+        if self._blocks:
+            # The calls that can grow the frontier (see _block_plan): from
+            # informed j to uninformed i at rate 1 / degree(j) if adjacent.
+            ids = np.flatnonzero(graph.degrees > 1)
+            if graph.degrees[source] <= 1:
+                ids = np.append(ids, source)
+            adjacent = np.array([[graph.has_edge(i, j) for j in ids.tolist()] for i in ids.tolist()])
+            self._hub_ids = ids
+            self._hub_rates = adjacent / np.maximum(graph.degrees[ids], 1)
+        # Below this size a sparse round never pays: a row's fixed cost and
+        # draw refill alone exceed the entry share of a dense row.  A block
+        # may still.
+        self._switching = mode == "auto" and (
+            self._blocks or _SPARSE_ROW_COST + (n >> _DRAW_SHIFT) < _ENTER_SPARSE * n
         )
         self._mean_degree = 2.0 * graph.num_edges / n
         if mode == "sparse" or self._switching:
             self._setup_sparse_vertex(graph)
-            if mode == "sparse" or self._choose_tier(self.num_trials) == "sparse":
+            if mode == "sparse" or self._choose_tier(self.num_trials) != "dense":
                 self._switch_tier(self.num_trials, "sparse")
 
     def step(self, k):
         self._begin_round()
+        if self._next_tier(k) == "block":
+            self._push_block(k)
+            return
         self._count_messages(k)
         self._settle(k, self._exchange(k))
+
+    def _next_tier(self, k: int) -> str:
+        """Choose the round's tier (once per step) and switch to it; returns
+        the choice, which may be a block of the sparse tier."""
+        if not self._switching:
+            return self.tier
+        choice = self._choose_tier(k)
+        tier = "dense" if choice == "dense" else "sparse"
+        if tier != self.tier:
+            self._switch_tier(k, tier)
+        return choice
 
     def _count_messages(self, k: int) -> None:
         """Add the round's messages of the first ``k`` rows: one per caller
@@ -323,13 +433,16 @@ class VertexKernel(SparseVertexMixin, BatchKernel):
         raise NotImplementedError
 
     def _choose_tier(self, k: int) -> str:
-        """The cheaper tier for the next round of the first ``k`` rows.
+        """The cheapest way to run the next round of the first ``k`` rows:
+        ``"dense"``, ``"sparse"``, or ``"block"`` (a block of push rounds in
+        the sparse tier, see the module notes).
 
-        Cost model, in units of one vertex of a dense round: beyond a fixed
-        floor, which a sparse round matches, a dense round costs ``n`` per
-        row.  A sparse round costs ``_SPARSE_ROUND_COST`` for a settle with
-        work, weighted by the running share of rounds that informed anyone
-        (a round that informs nobody settles nothing); per row
+        Cost model, in units of one vertex of a dense round (about 10 ns on
+        the 2-vCPU x86 VM the constants were fit on): beyond a fixed floor,
+        which a sparse round matches, a dense round costs ``n`` per row.  A
+        sparse round costs ``_SPARSE_ROUND_COST`` for a settle with work,
+        weighted by the running share of rounds that informed anyone (a
+        round that informs nobody settles nothing); per row
         ``_SPARSE_ROW_COST`` plus the draw refill both tiers pay,
         ``n >> _DRAW_SHIFT``; ``_FRONTIER_COST`` per frontier vertex (push
         direction), ``_UNINFORMED_COST`` per uninformed vertex (pull
@@ -338,14 +451,31 @@ class VertexKernel(SparseVertexMixin, BatchKernel):
         direction).  The fixed terms come from per-round timings of push on
         stars and double stars with ``n`` = 256 to 1024 and 1 to 20 trials,
         the entry terms from random 12-regular and power-law graphs with
-        ``n = 2^16`` (2-vCPU x86 VM).  The sparse tier knows its list sizes;
-        the dense tier bounds the frontier in O(k) by the informed count and
-        the mean degree times the uninformed count (every frontier vertex is
-        an informed neighbor of an uninformed one), and skips even that when
-        the fixed terms alone rule sparse out.  Hysteresis keeps the tier
-        from oscillating: the kernel enters the sparse tier below
-        ``_ENTER_SPARSE`` of the dense cost and leaves it above
-        ``_LEAVE_SPARSE``.
+        ``n = 2^16``.  The sparse tier knows its list sizes; the dense tier
+        bounds the frontier in O(k) by the informed count, the mean degree
+        times the uninformed count (every frontier vertex is an informed
+        neighbor of an uninformed one) and the non-leaf vertices plus one per
+        row (a frontier leaf's one neighbor is uninformed, so only the source
+        leaf can be one), and skips even that when the fixed terms alone rule
+        sparse out.  Hysteresis keeps the tier from oscillating: the kernel
+        enters the sparse tier below ``_ENTER_SPARSE`` of the dense cost and
+        leaves it above ``_LEAVE_SPARSE``.
+
+        A block that draws ``R`` rounds and is expected to run ``L`` of them
+        (:meth:`_block_plan`) pays its fixed cost, ``_BLOCK_COST + k
+        _BLOCK_ROW_COST``, once instead of the floor ``_ROUND_FLOOR`` of
+        every round, so per round it costs ``(_BLOCK_COST + k
+        _BLOCK_ROW_COST) / L - _ROUND_FLOOR``, plus the draw refill (times
+        ``(R + L) / L`` when ``L < R``: a cut block redraws its rounds to
+        rewind the streams) and the same count decrements; its frontier, at
+        most a few vertices per row, costs next to nothing.  It is chosen
+        when that is below both the sparse round and the tier's limit.  The
+        block constants are fit to timed blocks of push on stars (``n`` =
+        256 to 4096, 1 to 20 trials, 4 to 64 rounds, and whole star(1024)
+        runs): 90 to 150 µs a block and 5 µs a row (its generator calls and
+        state) besides the draws, against 25 to 28 µs for a sparse round
+        that informs nobody, of which the model's terms account for 2 to
+        8 µs.
         """
         n = self.graph.num_vertices
         limit = (_LEAVE_SPARSE if self.tier == "sparse" else _ENTER_SPARSE) * k * n
@@ -354,19 +484,62 @@ class VertexKernel(SparseVertexMixin, BatchKernel):
         if self.tier == "sparse":
             frontier = self._frontier.ids.size if self._pushes else 0
             uninformed = self._uninformed.ids.size if self._pulls else 0
-        elif work >= limit:
+        elif work >= limit and not self._blocks:
             uninformed = frontier = newly = 0  # the fixed part alone rules sparse out
         else:
             informed = sum(self.counts[:k].tolist())
             uninformed = k * n - informed
-            frontier = min(informed, self._mean_degree * uninformed)
+            frontier = min(informed, self._mean_degree * uninformed, k * self._frontier_per_row)
             newly = min(newly, uninformed)
         if self._pulls:
             work += _UNINFORMED_COST * uninformed
         if self._pushes:
-            work += _FRONTIER_COST * frontier + _NEIGHBOR_COST * self._mean_degree * newly
+            newly_work = _NEIGHBOR_COST * self._mean_degree * newly
+            work += _FRONTIER_COST * frontier + newly_work
         self._sparse_work = work
+        if self._blocks:
+            rounds, length, limit_by = self._block_plan(k)
+            if length > 1:
+                draws = k * (n >> _DRAW_SHIFT)
+                if length < rounds:
+                    # A cut block also redraws its rounds to rewind the streams.
+                    draws *= (rounds + length) / length
+                block = (_BLOCK_COST + k * _BLOCK_ROW_COST) / length - _ROUND_FLOOR
+                block += draws + newly_work
+                if block < min(work, limit):
+                    self._block_rounds, self._block_limit = rounds, limit_by
+                    return "block"
         return "sparse" if work < limit else "dense"
+
+    def _block_plan(self, k: int):
+        """The next block's rounds to draw, the rounds it is expected to run
+        before the frontier grows, and what limits the rounds to draw.
+
+        A leaf is informed only by its one neighbor, so only a call from an
+        informed to an uninformed vertex among the non-leaf vertices and a
+        leaf source can inform a vertex with an uninformed neighbor.  The
+        expected length is one over the rate of those calls, summed over the
+        rows; with all of those vertices informed in every row the frontier
+        cannot grow, and a block runs all of :meth:`_block_span`.  A block
+        draws up to its expected length.
+        """
+        rounds, limit_by = self._block_span()
+        informed = self.vertex_informed[:k, self._hub_ids]
+        # Elementwise, not a matrix product: a first BLAS call costs the
+        # process its buffers.
+        rate = float((self._hub_rates * ~informed[:, :, None] * informed[:, None, :]).sum())
+        expected = 1.0 / rate if rate else rounds
+        if expected < rounds:
+            rounds, limit_by = math.ceil(expected), "plan"
+        return rounds, expected, limit_by
+
+    def _block_span(self):
+        """The most rounds a block from this round may draw, and whether the
+        byte cap (``"cap"``) or the round budget (``"budget"``) sets it."""
+        rounds = self._block_refills * self._DRAW_BLOCK - self._draw_phase
+        if self.round_budget is not None and self.round_budget - self._round_count < rounds:
+            return self.round_budget - self._round_count + 1, "budget"
+        return rounds, "cap"
 
     def _switch_tier(self, k: int, tier: str) -> None:
         """Move the first ``k`` rows to ``tier`` (the other rows have retired)."""
@@ -385,18 +558,101 @@ class VertexKernel(SparseVertexMixin, BatchKernel):
             self.frontier_resolved = "sparse"
         self.tier = tier
 
+    def _push_block(self, k: int) -> None:
+        """Up to ``_block_rounds`` rounds of push for the first ``k`` rows in
+        one step, cut at the first round in which the frontier may grow (the
+        block rule in the module notes).
+
+        The block's draw refills of every row go to the arena role
+        ``"block"``, behind a copy of the current refill when the block
+        starts inside one, so round ``j`` of the block reads the words the
+        per-round path would.  Once the cut is known, every row still
+        running gets back the generator state it had before the refills the
+        block did not use, and the stream's buffer gets the refill of the
+        block's last round.
+        """
+        n = self.graph.num_vertices
+        start, phase, rounds = self._round_count - 1, self._draw_phase, self._block_rounds
+        stream = self._callee_sampler._stream
+        words, stride = stream["words"], stream["stride"]
+        per_refill = words.shape[1]
+        scratch = self._scratch("block", np.uint64, self._block_refills * per_refill)
+        kept = 1 if phase else 0
+        refills = -(-(phase + rounds) // self._DRAW_BLOCK)
+        if kept:
+            scratch[:k, :per_refill] = words[:k]
+        gens = [self._gens[row].bit_generator for row in range(k)]
+        states = [gen.state for gen in gens] if refills > 1 else None
+        chunk = max(1, _DRAW_CHUNK_BYTES // (8 * per_refill)) * per_refill
+        for row, gen in enumerate(gens):
+            for lo in range(kept * per_refill, refills * per_refill, chunk):
+                hi = min(lo + chunk, refills * per_refill)
+                scratch[row, lo:hi] = gen.random_raw(hi - lo)
+        values = scratch.view(stream["values"].dtype)
+        # Each frontier entry's callee in every round of the block, round by round.
+        frontier = self._frontier
+        _, slots, degrees, bases = self._entry_operands(frontier)
+        reads = (bases - 1) // n * values.shape[1] + (frontier.ids - bases) + phase * stride
+        draws = values.reshape(-1)[reads + (np.arange(rounds) * stride)[:, None]]
+        callees = self._callee_chain(draws, slots, degrees) + bases
+        state = self._vertex_flat
+        hit = ~state[callees]
+        round_of = np.nonzero(hit)[0]
+        newly, first = np.unique(callees[hit], return_index=True)
+        first = round_of[first]
+        # A newly informed vertex with an uninformed neighbor at the block's
+        # start may join the frontier: the block ends with that round.
+        length, ended = rounds, self._block_limit
+        grew = first[self._uninf_flat[newly] > 0]
+        if grew.size:
+            length, ended = int(grew.min()) + 1, "grew"
+            keep = first < length
+            newly, first = newly[keep], first[keep]
+        rows = (newly - 1) // n
+        before = self.counts[:k].copy()
+        done = before + np.bincount(rows, minlength=k) == n
+        last = np.zeros(k, dtype=np.int64)
+        np.maximum.at(last, rows, first + 1)
+        if done.all():
+            length, ended = int(last.max()), "done"
+        # One message per informed caller per round, up to each row's end.
+        called = np.where(done, last, length)
+        later = np.bincount(rows, np.maximum(called[rows] - first - 1, 0), minlength=k)
+        self._messages[:k] += called * before + later.astype(np.int64)
+        used = -(-(phase + length) // self._DRAW_BLOCK)
+        if used < refills:
+            for row in np.flatnonzero(~done).tolist():
+                gens[row].state = states[row]
+                gens[row].random_raw((used - kept) * per_refill, output=False)
+        words[:k] = scratch[:k, (used - 1) * per_refill : used * per_refill]
+        if newly.size:
+            state[newly] = True
+            self._sparse_note_informed(k, newly)
+        self._round_count = start + length
+        self._note_round(int(np.count_nonzero(first == length - 1)))
+        self._block = (length, rows, first, before, np.where(done, start + last, 0))
+        if trace_enabled():
+            trace_event(
+                "kernel.block", protocol=self.name, round=start, rounds=length, rows=k,
+                ended=ended,
+            )
+
+    def block_outcome(self, k: int, history: bool):
+        rounds, rows, first, before, finished = self._block
+        counts = None
+        if history:
+            added = np.bincount(rows * rounds + first, minlength=k * rounds)
+            counts = added.reshape(k, rounds).cumsum(axis=1) + before[:, None]
+        return finished, counts
+
     def _exchange(self, k: int) -> Optional[np.ndarray]:
-        """Choose the round's tier, then run the enabled call directions for
-        the first ``k`` rows.
+        """Run the enabled call directions of the round's tier for the first
+        ``k`` rows.
 
         Both directions are judged on the state before the round.  Returns
         what :meth:`_settle` needs: the sparse tier's push recipients, else
         ``None``.
         """
-        if self._switching:
-            tier = self._choose_tier(k)
-            if tier != self.tier:
-                self._switch_tier(k, tier)
         if self.tier == "sparse":
             return self._exchange_sparse(k)
         self._exchange_dense(k)

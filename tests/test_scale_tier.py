@@ -27,6 +27,7 @@ from repro.graphs import (
     heavy_binary_tree,
     hypercube,
     random_regular_graph,
+    siamese_heavy_binary_tree,
     star,
 )
 from repro.telemetry import TRACE_ENV_VAR, read_events, trace_files
@@ -113,15 +114,14 @@ class TestSparseBitIdentity:
 
     @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
     def test_paper_sized_tier_decisions(self, protocol):
-        # The coupon-collector push of Figure 1(a)/(b) runs sparse from the
-        # opening round: one or two pushing centres per trial.  Below the
-        # size where a sparse row's fixed cost and draw refill outweigh the
-        # entry share of a dense row, and for every protocol whose callers
-        # stay numerous, the run stays dense.  Either way auto is dense bit
-        # for bit.
+        # The coupon-collector push of Figure 1(a)/(b) runs sparse: one or
+        # two pushing centres per trial, stepped in blocks of rounds, which
+        # pay at every paper size.  For every protocol whose callers stay
+        # numerous, the run stays dense at these sizes.  Either way auto is
+        # dense bit for bit.
         seeds = trial_seeds(5, "paper-sized", trials=5)
-        sparse_push = (star(1024), double_star(1024))
-        for graph in (*sparse_push, star(128), double_star(128), hypercube(7), heavy_binary_tree(127)):
+        sparse_push = (star(1024), double_star(1024), star(128), double_star(128))
+        for graph in (*sparse_push, hypercube(7), heavy_binary_tree(127)):
             auto = run_batch(protocol, graph, seeds=seeds, max_rounds=3000, record_history=True)
             expected = "sparse" if protocol == "push" and graph in sparse_push else "dense"
             assert auto.frontier_resolved == expected, graph.name
@@ -298,6 +298,208 @@ class TestTierSwitchIdentity:
         assert len(switches) == 1 + int(traced.rounds_executed.max())
 
 
+def _count_blocks(monkeypatch):
+    """Record the ``(rows, first round, rounds)`` of every block step, in
+    order."""
+    blocks = []
+    push_block = VertexKernel._push_block
+
+    def counting(self, k):
+        push_block(self, k)
+        rounds = self._block[0]
+        blocks.append((k, self.rounds_stepped - rounds + 1, rounds))
+
+    monkeypatch.setattr(VertexKernel, "_push_block", counting)
+    return blocks
+
+
+def _block_every_round(monkeypatch):
+    """Make ``frontier="auto"`` push step in blocks from the first round on,
+    whatever the graph's number of non-leaf vertices: each block draws to the
+    byte cap or the budget and ends by the block rule alone.  Returns the
+    list of block steps."""
+
+    def choose(self, k):
+        self._block_rounds, self._block_limit = self._block_span()
+        return "block"
+
+    monkeypatch.setattr(vertex_module, "_FEW_HUBS", 1 << 30)
+    monkeypatch.setattr(VertexKernel, "_choose_tier", choose)
+    return _count_blocks(monkeypatch)
+
+
+def _block_cases():
+    rng = np.random.default_rng(12)
+    cases = [
+        ("star", star(80), 1),
+        ("double_star", double_star(96), 2),
+        ("heavy_tree", heavy_binary_tree(63), 0),
+        ("siamese_tree", siamese_heavy_binary_tree(63), 0),
+        ("hypercube", hypercube(6), 5),
+        ("regular", random_regular_graph(64, 6, rng), 3),
+    ]
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+class TestBlockIdentity:
+    """A step that advances push by a block of rounds is bit-identical to
+    one round per step: ``auto`` equals forced ``"dense"``, histories
+    included."""
+
+    @pytest.mark.parametrize("name, graph, source", _block_cases())
+    def test_forced_blocks_match_dense(self, name, graph, source, monkeypatch):
+        seeds = trial_seeds(6, "blocks", name, trials=5)
+        dense = run_batch("push", graph, source, seeds=seeds, record_history=True, frontier="dense")
+        blocks = _block_every_round(monkeypatch)
+        auto = run_batch("push", graph, source, seeds=seeds, record_history=True)
+        assert blocks and auto.frontier_resolved == "sparse"
+        assert _batch_fingerprint(auto) == _batch_fingerprint(dense), name
+        if name in ("heavy_tree", "siamese_tree", "hypercube", "regular"):
+            # The frontier grows in most rounds there: blocks are cut short.
+            assert min(rounds for _, _, rounds in blocks) == 1
+
+    @pytest.mark.parametrize(
+        "graph, source",
+        [(star(300), 1), (double_star(256), 2), (star(200), 0)],
+        ids=["star-leaf", "double-star", "star-centre"],
+    )
+    def test_cost_model_blocks_match_dense(self, graph, source, monkeypatch):
+        # Blocks chosen by the cost model, 30 trials: rows retire at their own
+        # rounds inside blocks.
+        seeds = trial_seeds(8, "model-blocks", trials=30)
+        dense = run_batch("push", graph, source, seeds=seeds, record_history=True, frontier="dense")
+        blocks = _count_blocks(monkeypatch)
+        auto = run_batch("push", graph, source, seeds=seeds, record_history=True)
+        assert _batch_fingerprint(auto) == _batch_fingerprint(dense)
+        assert max(rounds for _, _, rounds in blocks) > 20
+        assert len({rows for rows, _, _ in blocks}) > 1  # rows retired between blocks
+        # Some block saw rows retire at two or more different rounds inside it.
+        finished = set(dense.broadcast_times.tolist())
+        assert any(
+            sum(first <= t < first + rounds - 1 for t in finished) >= 2
+            for _, first, rounds in blocks
+        )
+
+    def test_double_star_block_is_cut_at_the_bridge(self, tmp_path, monkeypatch):
+        # From a leaf of the first star: blocks run while the second centre is
+        # uninformed in some row, and each ends when a row's bridge is crossed.
+        graph = double_star(256)
+        seeds = trial_seeds(3, "bridge", trials=4)
+        monkeypatch.setenv(TRACE_ENV_VAR, str(tmp_path))
+        auto = run_batch("push", graph, 2, seeds=seeds, record_history=True)
+        monkeypatch.delenv(TRACE_ENV_VAR)
+        blocks = [
+            e["attrs"] for e in read_events(trace_files(str(tmp_path)))
+            if e["name"] == "kernel.block"
+        ]
+        assert {"grew", "done"} <= {block["ended"] for block in blocks}
+        for block in blocks:
+            assert block["protocol"] == "push" and block["rows"] >= 1 and block["rounds"] >= 1
+        dense = run_batch("push", graph, 2, seeds=seeds, record_history=True, frontier="dense")
+        assert _batch_fingerprint(auto) == _batch_fingerprint(dense)
+
+    @pytest.mark.parametrize("budget", [37, 150, 301])
+    def test_budget_inside_a_block(self, budget, monkeypatch):
+        graph = star(120)
+        seeds = trial_seeds(4, "budget-block", trials=6)
+        dense = run_batch(
+            "push", graph, 1, seeds=seeds, max_rounds=budget, record_history=True,
+            frontier="dense",
+        )
+        blocks = _count_blocks(monkeypatch)
+        auto = run_batch("push", graph, 1, seeds=seeds, max_rounds=budget, record_history=True)
+        # The last block runs into the budget from well before it.
+        _, first, rounds = blocks[-1]
+        assert first + rounds - 1 == budget and rounds > 1
+        assert _batch_fingerprint(auto) == _batch_fingerprint(dense)
+        assert dense.completion_rate < 1.0
+        assert int(auto.rounds_executed.max()) == budget
+
+    def test_forced_tiers_never_block(self, monkeypatch):
+        blocks = _count_blocks(monkeypatch)
+        for frontier in ("sparse", "dense"):
+            run_batch("push", star(300), 1, seeds=[1, 2], frontier=frontier)
+        run_batch("push-pull", star(300), 1, seeds=[1, 2])
+        run_batch("hybrid-ppull-visitx", star(300), 1, seeds=[1, 2])
+        run_batch("push", star(300), 1, seeds=[1, 2], observers=[
+            ObserverGroup([InformedCountObserver()]) for _ in range(2)
+        ])
+        assert blocks == []
+
+    @pytest.mark.parametrize(
+        "graph, source", [(star(300), 1), (double_star(256), 2)], ids=["star", "double-star"]
+    )
+    def test_tracing_does_not_change_block_results(self, graph, source, tmp_path, monkeypatch):
+        seeds = trial_seeds(5, "trace-blocks", trials=4)
+        quiet = run_batch("push", graph, source, seeds=seeds, record_history=True)
+        monkeypatch.setenv(TRACE_ENV_VAR, str(tmp_path))
+        traced = run_batch("push", graph, source, seeds=seeds, record_history=True)
+        monkeypatch.delenv(TRACE_ENV_VAR)
+        assert _batch_fingerprint(traced) == _batch_fingerprint(quiet)
+        events = read_events(trace_files(str(tmp_path)))
+        blocks = [e["attrs"] for e in events if e["name"] == "kernel.block"]
+        assert blocks
+        # Each block starts where the rounds before it end.
+        budget = [e["attrs"]["budget"] for e in events if e["name"] == "kernel.rounds"][0]
+        stride = max(1, budget // 64)
+        block_spans = [(b["round"], b["round"] + b["rounds"]) for b in blocks]
+        samples = sorted(e["attrs"]["round"] for e in events if e["name"] == "kernel.round")
+        last = int(traced.rounds_executed.max())
+        for multiple in range(stride, last + 1, stride):
+            # A block that runs through a multiple of the stride samples
+            # where it ends; any other step samples the multiple itself.
+            ends = [hi for lo, hi in block_spans if lo < multiple <= hi]
+            assert (ends[0] if ends else multiple) in samples, multiple
+
+    def test_untraced_blocks_trace_nothing(self, monkeypatch):
+        monkeypatch.delenv(TRACE_ENV_VAR, raising=False)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("traced without REPRO_TRACE")
+
+        monkeypatch.setattr(vertex_module, "trace_event", fail)
+        blocks = _count_blocks(monkeypatch)
+        run_batch("push", double_star(256), 2, seeds=[1, 2, 3])
+        assert blocks
+
+
+class TestStarFrontierBound:
+    def test_star_push_never_runs_dense_in_its_middle_rounds(self, tmp_path, monkeypatch):
+        # Push on star(512) with 5 trials from a leaf: sparse from the
+        # opening round, and in blocks once the centre is informed.
+        monkeypatch.setenv(TRACE_ENV_VAR, str(tmp_path))
+        batch = run_batch("push", star(512), 1, seeds=trial_seeds(0, "bound", trials=5))
+        monkeypatch.delenv(TRACE_ENV_VAR)
+        events = read_events(trace_files(str(tmp_path)))
+        switches = [e["attrs"] for e in events if e["name"] == "kernel.tier"]
+        assert [(s["direction"], s["round"]) for s in switches] == [("dense->sparse", 0)]
+        assert {e["attrs"]["tier"] for e in events if e["name"] == "kernel.round"} == {"sparse"}
+        assert batch.completion_rate == 1.0
+
+    @pytest.mark.parametrize(
+        "graph, source", [(star(512), 1), (double_star(512), 2)], ids=["star", "double-star"]
+    )
+    def test_dense_bound_counts_one_frontier_vertex_per_hub(self, graph, source):
+        # A frontier leaf's one neighbor is uninformed, so only the source
+        # leaf can be in the frontier without a non-leaf vertex: the dense
+        # tier's estimate is at most the non-leaf vertices plus one per row.
+        kernel = get_kernel_class("push")()
+        kernel.initialize(graph, source, [batch_generator(seed) for seed in range(5)])
+        kernel._switch_tier(5, "dense")
+        for _ in range(40):
+            kernel._begin_round()
+            kernel._count_messages(5)
+            kernel._settle(5, kernel._exchange(5))
+        kernel._choose_tier(5)
+        estimate = kernel._sparse_work
+        kernel._frontier = None
+        kernel._switch_tier(5, "sparse")
+        kernel._choose_tier(5)  # the exact frontier
+        hubs = int(np.count_nonzero(graph.degrees > 1))
+        slack = vertex_module._FRONTIER_COST * 5 * (hubs + 1)
+        assert kernel._sparse_work <= estimate <= kernel._sparse_work + slack
+
+
 # Hypothesis graphs: a random spanning tree plus extra random edges, so the
 # instance is connected but otherwise unstructured — degrees are skewed,
 # which is exactly the regime where a sparse/dense divergence would show.
@@ -340,6 +542,34 @@ class TestSparseIdentityProperty:
             record_history=True, frontier="sparse",
         )
         assert _batch_fingerprint(dense) == _batch_fingerprint(sparse)
+
+
+class TestBlockIdentityProperty:
+    @settings(
+        max_examples=20,
+        deadline=None,
+        phases=(Phase.explicit, Phase.reuse, Phase.generate),
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        case=connected_graphs(),
+        base_seed=st.integers(min_value=0, max_value=2**31),
+        budget=st.one_of(st.none(), st.integers(min_value=1, max_value=60)),
+    )
+    def test_blocks_equal_dense_on_random_graphs(self, case, base_seed, budget, monkeypatch):
+        graph, source = case
+        seeds = trial_seeds(base_seed, "hyp-blocks", trials=3)
+        dense = run_batch(
+            "push", graph, source, seeds=seeds, max_rounds=budget,
+            record_history=True, frontier="dense",
+        )
+        with monkeypatch.context() as patch:
+            blocks = _block_every_round(patch)
+            auto = run_batch(
+                "push", graph, source, seeds=seeds, max_rounds=budget, record_history=True
+            )
+        assert blocks
+        assert _batch_fingerprint(auto) == _batch_fingerprint(dense)
 
 
 class TestRowCompaction:
