@@ -223,9 +223,9 @@ class CaseBuilder:
     point without building it; calling the builder builds from exactly
     those params through the family table, or through ``build(params)``
     for a family whose params do not determine its input (an ingested file
-    is named by content hash, not path).  Module-level callables and
-    ``functools.partial`` objects over them pickle by reference, so runs
-    on a process pool keep deferring their builds to the workers.
+    is named by content hash, not path).  A sweep builds each point once,
+    in the process that resolves its plans, and pool workers receive the
+    built case, so the builder itself never crosses a process boundary.
     """
 
     family: str

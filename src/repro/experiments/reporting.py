@@ -20,7 +20,6 @@ import html as _html
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.claims import ClaimVerdict, evaluate_claim
-from ..analysis.statistics import summarize_trials
 from ..analysis.tables import format_float, format_markdown_table, format_table
 from ..store import cell_key, resolve_store
 from ..theory.predictions import GROWTH_CANDIDATES, PAPER_PREDICTIONS, Prediction
@@ -226,17 +225,7 @@ def _sweep_result(config, store_obj, plans, *, base_seed: int, strict: bool = Tr
                 f"protocol={sp.protocol_label} key={sp.plan.key[:16]}"
             )
             continue
-        result.cells.append(
-            CellResult(
-                experiment_id=config.experiment_id,
-                size_parameter=sp.size_parameter,
-                num_vertices=int(sp.plan.graph.num_vertices),
-                protocol_label=sp.protocol_label,
-                protocol_name=sp.spec.name,
-                trials=trial_set,
-                summary=summarize_trials(trial_set),
-            )
-        )
+        result.cells.append(CellResult.from_plan(config.experiment_id, sp, trial_set))
     if missing and strict:
         raise KeyError(
             "result store is missing "

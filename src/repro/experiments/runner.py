@@ -11,10 +11,14 @@ advances all trials of the cell simultaneously on 2-D numpy state.  Trial
 ``t``'s seed is derived from stable components, so a cell is a pure function
 of its resolved plan.
 
-Multi-cell sweeps additionally shard across CPU cores: ``run_experiment``
-accepts ``workers=N`` and schedules one task per (size, protocol) cell on a
-spawn-safe process pool, deriving every seed exactly as the serial path does,
-so the result is bit-identical to ``workers=1`` regardless of scheduling.
+A sweep has one path, with or without a store and whatever ``workers``
+is: ``run_experiment`` resolves every cell's plan up front
+(:func:`~repro.store.resolve_sweep_plans`), reads each cell from the store
+once, and runs the rest.  A sweep point's graph is built once, in the
+process that resolves the plans, and pool workers receive it: with
+``workers=N`` each (size, protocol) cell is one task on a spawn-safe process
+pool carrying its plan and its graph case, and every seed is derived exactly
+as the serial path does, so the result is bit-identical to ``workers=1``.
 
 Both entry points compose with the content-addressed result store of
 :mod:`repro.store` (``store=`` / ``force=`` parameters): each cell is a pure
@@ -32,17 +36,16 @@ read-through cache, and computes anything the server lacks locally.
 from __future__ import annotations
 
 import os
-import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import get_context
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.scaling import best_growth_model, power_law_exponent
 from ..analysis.statistics import Summary, summarize_trials
 from ..core.batch import run_batch
 from ..core.results import TrialSet
-from ..core.rng import derive_seed
 from ..store import (
     GraphStub,
     SweepCellPlan,
@@ -70,6 +73,19 @@ class CellResult:
     protocol_name: str
     trials: TrialSet
     summary: Optional[Summary]
+
+    @classmethod
+    def from_plan(cls, experiment_id: str, sp: SweepCellPlan, trials: TrialSet) -> "CellResult":
+        """The cell of resolved sweep plan ``sp``, whether read or run."""
+        return cls(
+            experiment_id=experiment_id,
+            size_parameter=sp.size_parameter,
+            num_vertices=int(sp.plan.graph.num_vertices),
+            protocol_label=sp.protocol_label,
+            protocol_name=sp.spec.name,
+            trials=trials,
+            summary=summarize_trials(trials),
+        )
 
     @property
     def mean_time(self) -> Optional[float]:
@@ -245,65 +261,26 @@ def run_trial_set(
     return trial_set
 
 
-def _materialize_case(case_payload: Tuple) -> GraphCase:
-    """Resolve a cell task's graph payload into a :class:`GraphCase`.
+def _run_cell(
+    sp: SweepCellPlan, case: GraphCase, *, experiment_id: str, base_seed: int, store, force: bool
+) -> TrialSet:
+    """Run one resolved sweep cell on ``case``; the unit of work of the cell
+    scheduler and of ``repro worker``.
 
-    ``("case", case)`` ships an already-built case; ``("build", (builder,
-    size, seed))`` defers construction to the worker, which keeps the parent
-    from holding (and serializing) every sweep graph when the configuration's
-    builder is picklable.  Builders are deterministic functions of
-    ``(size, seed)``, so a deferred build yields the same graph everywhere.
+    The cell's seeds are re-derived inside :func:`run_trial_set` from the
+    same components its plan was resolved from, so the trial set does not
+    depend on where (or in which order) the cell executes.
     """
-    kind, payload = case_payload
-    if kind == "case":
-        return payload
-    builder, size_parameter, case_seed = payload
-    with span("graph.build", size=size_parameter):
-        return builder(size_parameter, case_seed)
-
-
-def _run_cell(task: Tuple) -> CellResult:
-    """Run one (size, protocol) cell; the unit of work of the cell scheduler.
-
-    The payload carries the graph payload plus plain data (spec, trial count,
-    budget) rather than the :class:`ExperimentConfig` itself — configs hold
-    non-picklable ``max_rounds`` lambdas, while cases and specs cross a spawn
-    boundary cleanly.  All seeds are re-derived inside :func:`run_trial_set`
-    from the same components as the serial path, so cell results do not
-    depend on where (or in which order) they execute.
-    """
-    (
-        experiment_id,
-        base_seed,
-        spec,
-        case_payload,
-        size_parameter,
-        trials,
-        budget,
-        dynamics,
-        store,
-        force,
-    ) = task
-    case = _materialize_case(case_payload)
-    trial_set = run_trial_set(
-        spec,
+    return run_trial_set(
+        sp.spec,
         case,
-        trials=trials,
+        trials=len(sp.plan.seeds),
         base_seed=base_seed,
         experiment_id=experiment_id,
-        max_rounds=budget,
-        dynamics=dynamics,
-        store=store if store is not None else False,
+        max_rounds=sp.budget,
+        dynamics=sp.plan.dynamics,
+        store=store,
         force=force,
-    )
-    return CellResult(
-        experiment_id=experiment_id,
-        size_parameter=size_parameter,
-        num_vertices=case.num_vertices,
-        protocol_label=spec.display_label,
-        protocol_name=spec.name,
-        trials=trial_set,
-        summary=summarize_trials(trial_set),
     )
 
 
@@ -341,7 +318,8 @@ def run_experiment(
     the within-cell batching.  The pool uses the ``spawn`` start method (safe
     with threaded BLAS in forked children) and every worker derives its cell's
     seeds exactly as the serial path does, so results are identical to
-    ``workers=1``.
+    ``workers=1``.  Each sweep point's graph is built once, in this process,
+    and the workers receive it with their cells.
 
     ``store`` / ``force`` enable the content-addressed result cache (see
     :func:`run_trial_set` for the resolution rules).  With a store, the sweep
@@ -356,97 +334,80 @@ def run_experiment(
     manifest records a versioned builder spec and trusted fingerprint per
     sweep point (see :func:`repro.store.orchestrator.resolve_sweep_plans`),
     so cells the store already holds resolve their keys from stubs and never
-    rebuild a graph; construction happens only for cells that actually
-    simulate.
+    rebuild a graph; a sweep point is built only when one of its cells
+    actually simulates.
     """
     sweep, num_trials = sweep_shape(config, sizes, trials)
-    result = ExperimentResult(config=config, base_seed=base_seed)
-
+    shape = dict(base_seed=base_seed, sizes=sweep, trials=num_trials, dynamics=dynamics)
     store_obj = resolve_store(store)
+    journal = None
     if store_obj is None:
-        return _run_storeless(
-            config,
-            result,
-            base_seed=base_seed,
-            sweep=sweep,
-            num_trials=num_trials,
-            workers=workers,
-            dynamics=dynamics,
-            force=force,
+        plans = resolve_sweep_plans(config, **shape)
+    else:
+        journal, manifest_entries, plans = journaled_sweep_plans(
+            config, store_obj, force=force, **shape
         )
-
-    journal, manifest_entries, plans = journaled_sweep_plans(
-        config,
-        store_obj,
-        base_seed=base_seed,
-        sizes=sweep,
-        trials=num_trials,
-        dynamics=dynamics,
-        force=force,
-    )
-    journal.start(cells=len(plans))
-    new_manifest = [sp.manifest_entry() for sp in plans]
-    if manifest_entries != new_manifest:
-        # Only append a manifest when the cell set actually changed (first
-        # run, version bump, different sweep): warm reruns stay one
-        # journal line per cell instead of growing by a manifest each.
-        journal.manifest(cells=new_manifest)
+        journal.start(cells=len(plans))
+        new_manifest = [sp.manifest_entry() for sp in plans]
+        if manifest_entries != new_manifest:
+            # Only append a manifest when the cell set actually changed (first
+            # run, version bump, different sweep): warm reruns stay one
+            # journal line per cell instead of growing by a manifest each.
+            journal.manifest(cells=new_manifest)
 
     cells: Dict[int, CellResult] = {}
-    pending = []
+
+    def collect(sp: SweepCellPlan, trial_set: TrialSet) -> None:
+        cells[sp.index] = CellResult.from_plan(config.experiment_id, sp, trial_set)
+        if journal is not None:
+            status, key = trial_set.store_status
+            journal.cell(
+                index=sp.index,
+                size=sp.size_parameter,
+                protocol=sp.protocol_label,
+                key=key,
+                status=status,
+            )
+
+    # The one store read of every cell.  The hits are journaled first (index
+    # order), then the computed cells as they finish; readers key on the cell
+    # index/key, not the line order.
+    pending: List[SweepCellPlan] = []
     for sp in plans:
-        cached = None if force else store_obj.get_trial_set(sp.plan.key)
+        cached = None if store_obj is None or force else store_obj.get_trial_set(sp.plan.key)
         if cached is None:
             pending.append(sp)
-            continue
-        cached._store_status = ("cached", sp.plan.key)
-        cells[sp.index] = CellResult(
-            experiment_id=config.experiment_id,
-            size_parameter=sp.size_parameter,
-            num_vertices=int(sp.plan.graph.num_vertices),
-            protocol_label=sp.protocol_label,
-            protocol_name=sp.spec.name,
-            trials=cached,
-            summary=summarize_trials(cached),
-        )
+        else:
+            cached._store_status = ("cached", sp.plan.key)
+            collect(sp, cached)
 
-    def collect(sp, cell: CellResult) -> None:
-        cells[sp.index] = cell
-        status, key = getattr(cell.trials, "_store_status", ("computed", ""))
-        journal.cell(
-            index=sp.index,
-            size=cell.size_parameter,
-            protocol=cell.protocol_label,
-            key=key,
-            status=status,
-        )
-
-    # Journal the cache hits first (index order), then the computed cells as
-    # they finish; readers key on the cell index/key, not the line order.
-    for index in sorted(cells):
-        cell = cells[index]
-        journal.cell(
-            index=index,
-            size=cell.size_parameter,
-            protocol=cell.protocol_label,
-            key=cell.trials._store_status[1],
-            status="cached",
-        )
-
-    # A plan resolved from a trusted manifest holds only a stub graph, so its
-    # case must be (re)built.
-    cell_specs = [
-        (sp.spec, sp.size_parameter, sp.case_seed, sp.budget,
-         None if isinstance(sp.plan.graph, GraphStub)
-         else GraphCase(sp.plan.graph, sp.plan.source, sp.size_parameter))
-        for sp in pending
-    ]
-    pool_size = min(resolve_workers(workers), max(len(pending), 1))
-    executed = _execute_cells(config, cell_specs, pool_size, base_seed, num_trials, dynamics,
-                              store_obj, force)
-    for sp, cell in zip(pending, executed):
-        collect(sp, cell)
-    journal.finish()
+    # A plan resolved from a trusted manifest holds a stub graph: its sweep
+    # point is built here, once, and shipped to whichever process runs it.
+    built: Dict[int, GraphCase] = {}
+    for sp in pending:
+        if isinstance(sp.plan.graph, GraphStub) and sp.size_parameter not in built:
+            built[sp.size_parameter] = config.build_case(sp.size_parameter, sp.case_seed)
+    cases = [built.get(sp.size_parameter) or sp.case for sp in pending]
+    # Pending cells are known misses: they run without a second read.
+    run = partial(
+        _run_cell,
+        experiment_id=config.experiment_id,
+        base_seed=base_seed,
+        store=store_obj if store_obj is not None else False,
+        force=True,
+    )
+    pool_size = min(resolve_workers(workers), len(pending))
+    if pool_size > 1:
+        with ProcessPoolExecutor(max_workers=pool_size, mp_context=get_context("spawn")) as pool:
+            # ``map`` yields in submission order, which is the serial order.
+            for sp, trial_set in zip(pending, pool.map(run, pending, cases)):
+                collect(sp, trial_set)
+    else:
+        for sp, case in zip(pending, cases):
+            collect(sp, run(sp, case))
+    if journal is not None:
+        journal.finish()
+    result = ExperimentResult(config=config, base_seed=base_seed)
     result.cells = [cells[index] for index in sorted(cells)]
     return result
 
@@ -473,78 +434,3 @@ def journaled_sweep_plans(
     event = None if force else journal.last_manifest()
     manifest = event.get("cells") if event is not None else None
     return journal, manifest, resolve_sweep_plans(config, manifest=manifest, **shape)
-
-
-def _run_storeless(
-    config: ExperimentConfig,
-    result: ExperimentResult,
-    *,
-    base_seed: int,
-    sweep: Tuple[int, ...],
-    num_trials: int,
-    workers: Optional[int],
-    dynamics,
-    force: bool,
-) -> ExperimentResult:
-    """The store-less sweep path: build, run, collect — no keys, no journal.
-
-    Kept separate from the store path so runs that never need a cell key do
-    not pay for key resolution, and so ``defer_build`` can keep the parent
-    from ever materializing the sweep's graphs when a pool is used.
-    """
-    cell_specs = []
-    for size_parameter in sweep:
-        case_seed = derive_seed(base_seed, config.experiment_id, "graph", size_parameter)
-        budget = config.round_budget(size_parameter)
-        cell_specs += [(spec, size_parameter, case_seed, budget, None) for spec in config.protocols]
-    pool_size = min(resolve_workers(workers), len(cell_specs))
-    result.cells.extend(_execute_cells(config, cell_specs, pool_size, base_seed, num_trials,
-                                       dynamics, None, force))
-    return result
-
-
-def _execute_cells(
-    config: ExperimentConfig, cells: List[Tuple], pool_size: int, base_seed: int,
-    trials: int, dynamics, store, force: bool,
-) -> Iterator[CellResult]:
-    """Run ``(spec, size, case_seed, budget, case)`` cells serially or on a spawn
-    pool, yielding results in cell order.
-
-    When the builder itself crosses the spawn boundary, workers build their
-    own graphs: each task payload stays a few hundred bytes instead of a full
-    CSR graph per cell.  Otherwise (no pool, or an unpicklable builder such as
-    a lambda) the parent ships ``case``, building it once per size when it is
-    ``None``.
-    """
-    defer_build = False
-    if pool_size > 1:
-        try:
-            pickle.dumps(config.graph_builder)
-            defer_build = True
-        except Exception:
-            defer_build = False
-    built: Dict[int, GraphCase] = {}
-    tasks = []
-    for spec, size_parameter, case_seed, budget, case in cells:
-        if defer_build:
-            payload = ("build", (config.graph_builder, size_parameter, case_seed))
-        else:
-            if case is None:
-                if size_parameter not in built:
-                    built[size_parameter] = config.build_case(size_parameter, case_seed)
-                case = built[size_parameter]
-            payload = ("case", case)
-        tasks.append((config.experiment_id, base_seed, spec, payload, size_parameter, trials,
-                      budget, dynamics, store, force))
-    if pool_size > 1:
-        with ProcessPoolExecutor(
-            max_workers=pool_size, mp_context=get_context("spawn")
-        ) as pool:
-            # Submission order == serial order, so collecting in submission
-            # order reassembles the exact serial cell sequence.
-            futures = [pool.submit(_run_cell, task) for task in tasks]
-            for future in futures:
-                yield future.result()
-    else:
-        for task in tasks:
-            yield _run_cell(task)

@@ -108,6 +108,7 @@ class Graph:
         "_slot_sources",
         "_slot_edge_ids",
         "_narrow_indices",
+        "_fingerprint",
         "_connected",
         "_bipartite",
     )
@@ -187,6 +188,8 @@ class Graph:
         self._slot_sources: Optional[np.ndarray] = None
         self._slot_edge_ids: Optional[np.ndarray] = None
         self._narrow_indices: Optional[np.ndarray] = None
+        # Memo of ``repro.store.keys.graph_fingerprint``: the CSR is read-only.
+        self._fingerprint: Optional[str] = None
         self._connected: Optional[bool] = None
         self._bipartite: Optional[bool] = None
 

@@ -23,11 +23,12 @@ sizes × trials × source policy × round budget) under a stable name and
 converts to a plain :class:`~repro.experiments.config.ExperimentConfig`
 via :meth:`ScenarioSpec.to_config` — from there the existing runner,
 store, farm and reporting machinery applies unchanged.  The generated
-case builder is the same picklable
-:class:`~repro.experiments.config.CaseBuilder` the registered experiments
-use, building through the family table (:mod:`repro.graphs.builders`), so
-scenario sweeps keep the process-pool ``defer_build`` path and the
-zero-construction warm start.
+case builder is the same :class:`~repro.experiments.config.CaseBuilder` the
+registered experiments use, building through the family table
+(:mod:`repro.graphs.builders`), so scenario sweeps keep the
+zero-construction warm start; like every sweep, a scenario sweep builds each
+sweep point once, in the process that resolves its plans, and pool workers
+receive it.
 
 The source-vertex policy is recorded *inside* the builder-spec params
 (key ``"source"``): changing the policy changes the spec, so a stale

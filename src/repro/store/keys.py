@@ -103,18 +103,21 @@ def graph_fingerprint(graph: Graph) -> str:
     A graph-like object carrying a non-``None`` ``trusted_fingerprint``
     attribute (see :class:`~repro.store.orchestrator.GraphStub`) short-cuts
     the hash entirely: that is how a manifest-trusted warm start resolves
-    cell keys without ever building the CSR arrays.
+    cell keys without ever building the CSR arrays.  A :class:`Graph` is
+    hashed once; its digest is kept on the (read-only) graph.
     """
     trusted = getattr(graph, "trusted_fingerprint", None)
     if trusted is not None:
         return str(trusted)
-    digest = hashlib.sha256()
-    digest.update(b"repro-graph-v2\0")
-    digest.update(np.int64(graph.num_vertices).tobytes())
-    digest.update(np.int64(graph.num_edges).tobytes())
-    digest.update(np.ascontiguousarray(graph.indptr, dtype=np.int64).tobytes())
-    digest.update(np.ascontiguousarray(graph.indices, dtype=np.int64).tobytes())
-    return digest.hexdigest()
+    if graph._fingerprint is None:
+        digest = hashlib.sha256()
+        digest.update(b"repro-graph-v2\0")
+        digest.update(np.int64(graph.num_vertices).tobytes())
+        digest.update(np.int64(graph.num_edges).tobytes())
+        digest.update(np.ascontiguousarray(graph.indptr, dtype=np.int64).tobytes())
+        digest.update(np.ascontiguousarray(graph.indices, dtype=np.int64).tobytes())
+        graph._fingerprint = digest.hexdigest()
+    return graph._fingerprint
 
 
 def dynamics_spec(dynamics: Any) -> Optional[Dict[str, Any]]:

@@ -189,6 +189,13 @@ class SweepCellPlan:
     case_seed: Optional[int] = None
     builder: Optional[Dict[str, Any]] = None
 
+    @property
+    def case(self) -> "GraphCase":
+        """The graph case the plan was resolved from (a stub's, when trusted)."""
+        from ..experiments.config import GraphCase
+
+        return GraphCase(self.plan.graph, self.plan.source, self.size_parameter)
+
     def manifest_entry(self) -> Dict[str, Any]:
         """The cell's row in a sweep manifest (journal ``manifest`` event).
 
@@ -270,14 +277,13 @@ def resolve_sweep_plans(
 ) -> List[SweepCellPlan]:
     """Resolve every cell of a sweep, in the exact serial execution order.
 
-    Walks sizes and protocols precisely as
-    :func:`~repro.experiments.runner.run_experiment` does — same graph seeds
-    (``derive_seed(base_seed, experiment_id, "graph", size)``), same round
-    budgets, same spec iteration — so the plan keys here are the keys that
-    sweep would compute.  This is the shared resolution step behind sweep
-    submission (building a farm manifest), worker-side plan reconstruction
-    (a leased key must re-resolve to the same plan), and any tooling that
-    asks "what would this sweep run".
+    Graph seeds are ``derive_seed(base_seed, experiment_id, "graph", size)``
+    and each sweep point is built once, for all of its protocols.  This is
+    the one resolution step behind running a sweep
+    (:func:`~repro.experiments.runner.run_experiment` executes these plans),
+    sweep submission (building a farm manifest), worker-side plan
+    reconstruction (a leased key must re-resolve to the same plan), and any
+    tooling that asks "what would this sweep run".
 
     ``manifest`` (a previous run's journal manifest entries, see
     :meth:`SweepCellPlan.manifest_entry`) turns on the zero-compute warm

@@ -13,11 +13,12 @@ rebuilds from the journal manifest plus the committed objects.  The loop:
    the sweep payload (same resolution the submitting client ran) and check
    the plan's key equals the leased key — a mismatch means the worker runs
    different code than the submitter and must not compute anything;
-3. simulate through the ordinary :func:`~repro.experiments.runner.run_trial_set`
-   path with a publishing :class:`~repro.store.backends.RemoteBackend`, so
-   the computed object lands on the hub through the authenticated,
-   server-verified ``PUT /cells/<key>`` write path (bit-identical to what a
-   local run would store, because it *is* the local path);
+3. simulate through the sweep runner's cell function (one
+   :func:`~repro.experiments.runner.run_trial_set` call) with a publishing
+   :class:`~repro.store.backends.RemoteBackend`, so the computed object
+   lands on the hub through the authenticated, server-verified
+   ``PUT /cells/<key>`` write path (bit-identical to what a local run would
+   store, because it *is* the local path);
 4. ``POST /sweeps/<id>/complete`` — idempotent, so retrying after an
    ambiguous network failure is safe.
 
@@ -228,7 +229,7 @@ def run_worker(
     construction.  ``max_cells`` bounds how many cells this worker computes
     (None = until the sweep is done) — test and example hooks, mostly.
     """
-    from ..experiments.runner import run_trial_set
+    from ..experiments.runner import _run_cell
 
     worker_name = name or f"worker-{os.getpid()}"
     backend = RemoteBackend(url, token=token, publish=True, cache=cache)
@@ -344,21 +345,15 @@ def run_worker(
         with span(
             "worker.cell", sweep=sid, key=key, worker=worker_name
         ), _Heartbeat(backend, sid, lease_token, interval=ttl / 3.0) as heartbeat:
-            case = _case_for(cell)
-            trial_set = run_trial_set(
-                cell.spec,
-                case,
-                trials=len(cell.plan.seeds),
-                base_seed=int(manifest["sweep"]["base_seed"]),
+            trial_set = _run_cell(
+                cell,
+                cell.case,
                 experiment_id=str(manifest["sweep"]["experiment_id"]),
-                max_rounds=cell.budget,
-                dynamics=cell.plan.dynamics,
+                base_seed=int(manifest["sweep"]["base_seed"]),
                 store=store,
+                force=False,
             )
-            run_status, run_key = getattr(trial_set, "_store_status", ("computed", key))
-            if run_key != key:  # pragma: no cover - guarded by manifest check
-                raise StoreError(f"cell re-resolved to {run_key}, leased {key}")
-            if run_status == "cached":
+            if trial_set.store_status[0] == "cached":
                 # The hub lost (or never had) the object but our read-through
                 # cache holds it: push the cached bytes through the verified
                 # write path.  publish_object is idempotent, so this is safe
@@ -410,13 +405,3 @@ def run_worker(
         "status": status,
     }
 
-
-def _case_for(cell: SweepCellPlan):
-    """Rebuild the GraphCase a cell plan was resolved from."""
-    from ..experiments.config import GraphCase
-
-    return GraphCase(
-        graph=cell.plan.graph,
-        source=cell.plan.source,
-        size_parameter=cell.size_parameter,
-    )
